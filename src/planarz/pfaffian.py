@@ -15,13 +15,12 @@ import numpy as np
 from .planar import OrientedPlanarGraph
 from .slog import SignedLog
 
-SignedPfaffian = SignedLog
-
 PIVOT_THRESHOLD = 1e-12
 
 
 class OrientationError(RuntimeError):
-    """Kasteleyn sign came out zero while weighted matchings exist."""
+    """An orientation is not Kasteleyn: some bounded face has an even
+    clockwise count, so perfect matchings would not share one sign."""
 
 
 class SkewMatrix:
@@ -53,16 +52,12 @@ class SkewMatrix:
             a[j, i] = -w
         return cls(a)
 
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
 
-
-def pfaffian(a, pivot_threshold: float = PIVOT_THRESHOLD) -> SignedLog:
+def pfaffian(a) -> SignedLog:
     """Signed log-magnitude Pfaffian of a skew-symmetric matrix.
 
     Odd dimension gives exactly zero. A best pivot below
-    pivot_threshold * max(1, |A|_max) declares the matrix singular.
+    PIVOT_THRESHOLD * max(1, |A|_max) declares the matrix singular.
     """
     if isinstance(a, SkewMatrix):
         a = a.data
@@ -77,7 +72,7 @@ def pfaffian(a, pivot_threshold: float = PIVOT_THRESHOLD) -> SignedLog:
     if n % 2 == 1:
         return SignedLog.zero()
 
-    tol = pivot_threshold * max(1.0, float(np.abs(m).max()))
+    tol = PIVOT_THRESHOLD * max(1.0, float(np.abs(m).max()))
     sign = 1
     log_mag = 0.0
     for k in range(0, n - 1, 2):
@@ -102,34 +97,37 @@ def pfaffian(a, pivot_threshold: float = PIVOT_THRESHOLD) -> SignedLog:
 def tutte_matrix(o: OrientedPlanarGraph) -> SkewMatrix:
     """Weighted adjacency of the oriented extended graph; dummy edges are 0."""
     return SkewMatrix.from_edges(
-        o.ext.num_vertices,
-        (
-            (*o.orientation[e.key()], 0.0 if e.kind == "dummy" else e.weight)
-            for e in o.ext.edges
-        ),
+        o.ext.num_vertices, ((*o.orientation[e.key()], e.weight) for e in o.ext.edges)
     )
 
 
-def kasteleyn_matrix(o: OrientedPlanarGraph) -> SkewMatrix:
-    """Same orientation with all weights one, dummy edges included."""
-    return SkewMatrix.from_edges(
-        o.ext.num_vertices,
-        ((*o.orientation[e.key()], 1.0) for e in o.ext.edges),
-    )
+def matching_sign(pairs) -> int:
+    """Sign of one perfect matching's term in the Pfaffian expansion.
 
-
-def corrected_z(a: SkewMatrix, b: SkewMatrix) -> SignedLog:
-    """sign(Pf(B)) * Pf(A): the weighted matching sum with the global sign
-    fixed by the unit-weight Pfaffian.
-
-    Both Pfaffians zero means the graph has no perfect matching at all and
-    the contribution is zero; a zero sign matrix against a nonzero weighted
-    Pfaffian means the orientation failed.
+    pairs are (tail, head) with the matched entry at [tail, head]; the sign
+    is that of the permutation t1 h1 t2 h2 ... of the vertices.
     """
-    pf_a = pfaffian(a)
-    pf_b = pfaffian(b)
-    if pf_b.sign == 0:
-        if pf_a.sign == 0:
-            return SignedLog.zero()
-        raise OrientationError("unit Pfaffian vanished but weighted matchings exist")
-    return SignedLog(pf_a.sign * pf_b.sign, pf_a.log_magnitude)
+    perm = [v for pair in pairs for v in pair]
+    if sorted(perm) != list(range(len(perm))):
+        raise ValueError("pairs do not cover every vertex exactly once")
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        j, length = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length and length % 2 == 0:  # an even cycle is an odd permutation
+            sign = -sign
+    return sign
+
+
+def matching_sum(a: SkewMatrix, pairs) -> SignedLog:
+    """Weighted perfect-matching sum of a Kasteleyn-oriented matrix.
+
+    Every perfect matching then carries the same sign in Pf(a), so the sum
+    is Pf(a) times the sign of any one of them: pairs, written (tail, head).
+    """
+    pf = pfaffian(a)
+    return SignedLog(matching_sign(pairs) * pf.sign, pf.log_magnitude)

@@ -1,21 +1,22 @@
 """Planar machinery: embeddings, node-splitting gadgets, edge orientation.
 
 The pipeline goes reduced graph -> split gadgets (one 2-node gadget per
-degree-2 node, one triangle per degree-3 node) -> dummy edges until
-biconnected -> rotation-system embedding -> orientation making every bounded
-face odd when walked clockwise. Perfect matchings of the extended graph then
-line up with the even-degree loop structure of the source graph.
+degree-2 node, one triangle per degree-3 node) -> rotation-system embedding
+-> dummy edges joining components -> orientation making every bounded face
+odd when walked clockwise. Perfect matchings of the extended graph then
+line up with the even-degree loop structure of the source graph. Only the
+removal-free graph of a model is embedded; a removal set's graph reads its
+rotation off that embedding.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import networkx as nx
 
 from .bp import BPResult, mu_term
-from .model import ForneyGraph, ModelError
+from .model import ForneyGraph, ModelError, canon_edge
 
 
 class NonPlanarError(ValueError):
@@ -60,12 +61,6 @@ class ExtendedGraph:
             adj[e.u].append(e.v)
             adj[e.v].append(e.u)
         return adj
-
-    def with_extra_edges(self, extra) -> "ExtendedGraph":
-        return ExtendedGraph(
-            self.num_vertices, self.labels, self.edges + tuple(extra),
-            self.source_nodes, self.removed,
-        )
 
 
 @dataclass(frozen=True)
@@ -229,84 +224,100 @@ def fisher_extend(g: ForneyGraph, res: BPResult, removed=()) -> ExtendedGraph:
     return ExtendedGraph(len(labels), tuple(labels), tuple(edges), kept, removed)
 
 
-def biconnect(ext: ExtendedGraph) -> ExtendedGraph:
-    """Add zero-weight dummy edges until the graph is connected and has no
-    articulation points.
+def reference_matching(g: ForneyGraph, ext: ExtendedGraph):
+    """One perfect matching of ext = fisher_extend(g, res, removed) as
+    canonical port pairs, or None when there is none.
 
-    New edges always join two neighbors of a shared cut vertex from
-    different blocks (or two components), so some planar embedding keeps
-    them inside a common face; planarity is re-checked at the end.
+    Perfect matchings are generalized loops through every removed node: the
+    loop pairs ports inside gadgets, the other kept edges match externally.
+    Its edges between kept nodes form a T-join, T the kept nodes with an odd
+    number of removed neighbors, and every T-join is such a loop. One exists
+    iff each component of g minus the removed nodes holds an even number of
+    T; the one inside a spanning forest takes O(V).
     """
-    if ext.num_vertices == 0:
-        return ext
-    G = nx.Graph()
-    G.add_nodes_from(range(ext.num_vertices))
-    G.add_edges_from(e.key() for e in ext.edges)
-    dummies = []
+    removed = set(ext.removed)
+    port = {lbl: i for i, lbl in enumerate(ext.labels)}
+    odd = {a: sum(b in removed for b in g.neighbors[a]) % 2 == 1 for a in ext.source_nodes}
+    loop = set()
+    parent = {}
+    for root in ext.source_nodes:
+        if root in parent:
+            continue
+        parent[root] = None
+        order = [root]  # breadth-first: every node after its parent
+        for a in order:
+            for b in g.neighbors[a]:
+                if b not in removed and b not in parent:
+                    parent[b] = a
+                    order.append(b)
+        for a in reversed(order[1:]):
+            if odd[a]:
+                loop.add(canon_edge(a, parent[a]))
+                odd[parent[a]] = not odd[parent[a]]
+        if odd[root]:
+            return None
 
-    def add_dummy(u, v):
-        if u == v or G.has_edge(u, v):
-            raise ModelError(f"dummy edge ({u}, {v}) would not be simple")
-        G.add_edge(u, v)
-        dummies.append(ExtEdge(min(u, v), max(u, v), "dummy", 0.0, ("dummy", len(dummies))))
-
-    comps = sorted((sorted(c) for c in nx.connected_components(G)), key=lambda c: c[0])
-    for a, b in itertools.pairwise(comps):
-        add_dummy(a[0], b[0])
-
-    while True:
-        cuts = sorted(nx.articulation_points(G))
-        if not cuts:
-            break
-        v = cuts[0]
-        blocks = sorted(
-            (sorted(b) for b in nx.biconnected_components(G) if v in b),
-            key=lambda b: b[:],
-        )
-        b1, b2 = blocks[0], blocks[1]
-        u = min(x for x in b1 if x != v and G.has_edge(x, v))
-        w = min(x for x in b2 if x != v and G.has_edge(x, v))
-        add_dummy(u, w)
-
-    if not dummies:
-        return ext
-    ok, _ = nx.check_planarity(G)
-    if not ok:
-        raise NonPlanarError("dummy augmentation broke planarity")
-    return ext.with_extra_edges(dummies)
+    pairs = []
+    for a in ext.source_nodes:
+        ends = [port[(a, b)] for b in g.neighbors[a] if b in removed or canon_edge(a, b) in loop]
+        if ends:
+            pairs.append(tuple(sorted(ends)))
+    for a, b in g.edges:
+        if a not in removed and b not in removed and (a, b) not in loop:
+            pairs.append(tuple(sorted((port[(a, b)], port[(b, a)]))))
+    return pairs
 
 
-def orient(ext: ExtendedGraph) -> OrientedPlanarGraph:
+def orient(ext: ExtendedGraph, parent: OrientedPlanarGraph | None = None) -> OrientedPlanarGraph:
     """Direct every edge so each bounded face has an odd clockwise count.
+
+    With parent, the rotation system is read off parent's embedding by
+    vertex label, with no planarity test: ext must be a labelled subgraph of
+    parent.ext, as a removal set's graph is of the empty set's, and deleting
+    vertices and edges keeps a rotation system planar. Each further
+    component is joined to vertex 0 by a zero-weight dummy edge: face parity
+    needs a connected graph, not a biconnected one.
 
     Spanning-tree edges point toward their larger endpoint. Faces are then
     visited in post-order over the dual tree built from the non-tree edges
     (rooted at the external face); each face fixes the one undirected edge
     it still has so its own parity comes out odd.
     """
-    emb = embed(ext.num_vertices, [e.key() for e in ext.edges])
     n = ext.num_vertices
-
-    adj = [[] for _ in range(n)]
-    for e in ext.edges:
-        u, v = e.key()
-        adj[u].append(v)
-        adj[v].append(u)
-    adj = [sorted(set(a)) for a in adj]
+    adj = [set(a) for a in ext.adjacency()]
+    if parent is None:
+        rotation = [list(r) for r in embed(n, [e.key() for e in ext.edges]).rotation]
+    else:
+        index = {lbl: i for i, lbl in enumerate(ext.labels)}
+        at = dict(zip(parent.ext.labels, parent.embedding.rotation))
+        rotation = [
+            [w for w in (index.get(parent.ext.labels[x]) for x in at[lbl]) if w in adj[v]]
+            for v, lbl in enumerate(ext.labels)
+        ]
 
     tree = set()
+    dummies = []
     seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                tree.add((min(u, v), max(u, v)))
-                stack.append(v)
-    if not all(seen):
-        raise ModelError("orient needs a connected graph; run biconnect first")
+    for root in range(n):
+        if seen[root]:
+            continue
+        if root:
+            rotation[0].append(root)
+            rotation[root].append(0)
+            dummies.append(ExtEdge(0, root, "dummy", 0.0, ("dummy", len(dummies))))
+            tree.add((0, root))
+        seen[root] = True
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v in sorted(adj[u]):
+                if not seen[v]:
+                    seen[v] = True
+                    tree.add((min(u, v), max(u, v)))
+                    stack.append(v)
+    if dummies:
+        ext = replace(ext, edges=ext.edges + tuple(dummies))
+    emb = embed(n, [e.key() for e in ext.edges], rotation)
 
     orientation = {e: e for e in tree}  # tail = smaller endpoint
 
@@ -321,7 +332,7 @@ def orient(ext: ExtendedGraph) -> OrientedPlanarGraph:
             continue
         f1, f2 = face_of[(u, v)], face_of[(v, u)]
         if f1 == f2:
-            raise ModelError(f"edge ({u}, {v}) is a bridge; graph is not biconnected")
+            raise ModelError(f"non-tree edge ({u}, {v}) borders a single face")
         dual[f1].append((f2, (u, v)))
         dual[f2].append((f1, (u, v)))
 
@@ -370,20 +381,3 @@ def face_parity_violations(o: OrientedPlanarGraph) -> list[int]:
         if cw % 2 == 0:
             bad.append(fi)
     return bad
-
-
-def dump_embedding(emb: PlanarEmbedding) -> str:
-    lines = []
-    for v in range(emb.num_vertices):
-        lines.append(f"vertex {v}: " + " ".join(str(x) for x in emb.rotation[v]))
-    for fi, walk in enumerate(emb.faces):
-        mark = " external" if fi == emb.external_face else ""
-        lines.append(f"face {fi}:{mark} " + " ".join(f"{x}>{y}" for x, y in walk))
-    return "\n".join(lines) + "\n"
-
-
-def dump_orientation(o: OrientedPlanarGraph) -> str:
-    lines = []
-    for (u, v), (t, h) in sorted(o.orientation.items()):
-        lines.append(f"edge {u} {v} -> {t} {h}")
-    return "\n".join(lines) + "\n"

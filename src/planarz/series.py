@@ -16,8 +16,8 @@ import numpy as np
 
 from .bp import BPResult, mu_term
 from .model import ForneyGraph, ModelError, canon_edge
-from .pfaffian import corrected_z, kasteleyn_matrix, tutte_matrix
-from .planar import biconnect, fisher_extend, orient
+from .pfaffian import OrientationError, matching_sum, tutte_matrix
+from .planar import face_parity_violations, fisher_extend, orient, reference_matching
 from .slog import SignedLog
 
 MAX_LOOP_EDGES = 24
@@ -53,12 +53,20 @@ class PfaffianSeriesResult:
     complete: bool
 
 
-def _matching_correction(g: ForneyGraph, res: BPResult, removed) -> SignedLog:
-    ext = fisher_extend(g, res, removed)
+def _matching_correction(g: ForneyGraph, ext, parent=None):
+    """(perfect-matching sum of ext, orient(ext, parent)); an empty ext sums
+    to one and one without perfect matchings to zero, neither oriented (None).
+    """
     if ext.num_vertices == 0:
-        return SignedLog.one()
-    o = orient(biconnect(ext))
-    return corrected_z(tutte_matrix(o), kasteleyn_matrix(o))
+        return SignedLog.one(), None
+    matching = reference_matching(g, ext)
+    if matching is None:
+        return SignedLog.zero(), None
+    o = orient(ext, parent)
+    bad = face_parity_violations(o)
+    if bad:
+        raise OrientationError(f"bounded faces {bad} have an even clockwise count")
+    return matching_sum(tutte_matrix(o), [o.orientation[k] for k in matching]), o
 
 
 def z_empty(g: ForneyGraph, res: BPResult) -> SignedLog:
@@ -67,9 +75,7 @@ def z_empty(g: ForneyGraph, res: BPResult) -> SignedLog:
     Multiply exp of its log against Z^BP to get the corrected estimate. An
     empty core (tree after absorption) gives exactly 1.
     """
-    if g.num_nodes == 0:
-        return SignedLog.one()
-    return _matching_correction(g, res, ())
+    return _matching_correction(g, fisher_extend(g, res))[0]
 
 
 def triplet_nodes(g: ForneyGraph) -> tuple:
@@ -95,14 +101,14 @@ def pfaffian_series(
     terms = []
     total = SignedLog.zero()
     complete = True
-    for size in range(0, limit + 1):
-        if size % 2 == 1:
-            continue
+    parent = None
+    for size in range(0, limit + 1, 2):
         for psi in itertools.combinations(trips, size):
             if budget is not None and len(terms) >= budget:
                 complete = False
                 break
-            zp = _matching_correction(g, res, psi)
+            zp, o = _matching_correction(g, fisher_extend(g, res, psi), parent)
+            parent = parent or o  # the empty set's embedding serves every later term
             factor = SignedLog.one()
             for a in psi:
                 factor = factor * SignedLog.from_float(mu_term(res, a, res.neighbor_order[a]))

@@ -6,6 +6,8 @@ Pfaffian path, so agreement is evidence, not tautology.
 
 from __future__ import annotations
 
+from planarz import SkewMatrix
+
 
 def matching_sum(num_vertices: int, edges) -> float:
     """Sum over perfect matchings of the product of matched edge weights.
@@ -33,3 +35,12 @@ def matching_sum(num_vertices: int, edges) -> float:
 def matching_count(num_vertices: int, edges) -> int:
     """Number of perfect matchings (all weights treated as 1)."""
     return round(matching_sum(num_vertices, [(u, v, 1.0) for u, v, *_ in edges]))
+
+
+def kasteleyn_matrix(o) -> SkewMatrix:
+    """Unit-weight matrix of an oriented graph, dummy edges included: with a
+    Kasteleyn orientation |Pf| counts its perfect matchings."""
+    return SkewMatrix.from_edges(
+        o.ext.num_vertices,
+        ((*o.orientation[e.key()], 1.0) for e in o.ext.edges),
+    )

@@ -14,14 +14,12 @@ import pytest
 from planarz import (
     BPConfig,
     ModelParams,
-    biconnect,
     error_metric,
     exact_log_z,
     exact_log_z_factor,
     face_parity_violations,
     factor_to_forney,
     gen_grid,
-    kasteleyn_matrix,
     loop_correction,
     orient,
     pfaffian,
@@ -43,7 +41,7 @@ from builders import (
     random_planar_vertex_graph,
     random_tree_forney,
 )
-from oracles import matching_count
+from oracles import kasteleyn_matrix, matching_count
 
 
 def test_zero_field_grid_correction_is_exact():
@@ -133,7 +131,7 @@ def test_pfaffian_counts_matchings():
         seed += 1
     checked = 0
     for n, edges in pool[:25]:
-        ext = biconnect(plain_extended(n, edges))
+        ext = plain_extended(n, edges)
         o = orient(ext)
         pf = pfaffian(kasteleyn_matrix(o).data)
         want = matching_count(ext.num_vertices, [(e.u, e.v) for e in ext.edges])
@@ -153,7 +151,7 @@ def test_orientation_parity_everywhere():
     # odd number of clockwise-oriented boundary edges
     for seed in range(100):
         n, edges = random_planar_vertex_graph(seed)
-        ext = biconnect(plain_extended(n, edges))
+        ext = plain_extended(n, edges)
         o = orient(ext)
         bad = face_parity_violations(o)
         assert bad == [], f"seed {seed}: faces {bad}"

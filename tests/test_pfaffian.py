@@ -14,17 +14,16 @@ from planarz import (
     BPConfig,
     OrientationError,
     SkewMatrix,
-    biconnect,
-    corrected_z,
     fisher_extend,
-    kasteleyn_matrix,
+    matching_sign,
+    matching_sum,
     orient,
     pfaffian,
     run_bp,
     tutte_matrix,
 )
 from builders import ladder_graph, plain_extended, random_planar_vertex_graph
-from oracles import matching_count
+from oracles import kasteleyn_matrix, matching_count
 
 
 def _random_skew(n, seed):
@@ -124,7 +123,7 @@ def test_kasteleyn_pf_counts_matchings():
         n, edges = random_planar_vertex_graph(seed)
         if n > 14:
             continue
-        ext = biconnect(plain_extended(n, edges))
+        ext = plain_extended(n, edges)
         o = orient(ext)
         pf = pfaffian(kasteleyn_matrix(o).data)
         want = matching_count(ext.num_vertices, [(e.u, e.v) for e in ext.edges])
@@ -138,7 +137,7 @@ def test_kasteleyn_pf_counts_matchings():
 def test_ladder_gadget_matrices():
     g = ladder_graph(seed=0)
     res = run_bp(g, BPConfig())
-    o = orient(biconnect(fisher_extend(g, res)))
+    o = orient(fisher_extend(g, res))
     b_hat = kasteleyn_matrix(o)
     assert math.exp(pfaffian(b_hat.data).log_magnitude) == pytest.approx(8.0, rel=1e-12)
     a_hat = tutte_matrix(o)
@@ -146,21 +145,24 @@ def test_ladder_gadget_matrices():
     assert a_hat.data.shape == b_hat.data.shape
 
 
-def test_corrected_z_sign_rules():
-    one = SkewMatrix(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+def test_matching_sum_sign_rules():
     neg = SkewMatrix(np.array([[0.0, -2.0], [2.0, 0.0]]))
     zero = SkewMatrix(np.zeros((2, 2)))
-    # reference orientation fixes the sign: Pf(A) * sign(Pf(B))
-    z = corrected_z(neg, one)
+    # the reference matching fixes the sign: Pf(A) * sign(t1 h1 t2 h2 ...)
+    z = matching_sum(neg, [(0, 1)])
     assert z.sign == -1
     assert z.to_float() == pytest.approx(-2.0)
-    z2 = corrected_z(neg, neg)
+    z2 = matching_sum(neg, [(1, 0)])
     assert z2.sign == 1
-    # no perfect matchings at all: both vanish, correction is zero
-    assert corrected_z(zero, zero).sign == 0
+    assert z2.to_float() == pytest.approx(2.0)
     # weighted sum vanishing while matchings exist is fine
-    assert corrected_z(zero, one).sign == 0
-    # a zero reference with nonzero weighted sum cannot happen with a
-    # valid orientation
-    with pytest.raises(OrientationError):
-        corrected_z(one, zero)
+    assert matching_sum(zero, [(0, 1)]).sign == 0
+    # closed form a12 a34 - a13 a24 + a14 a23 gives the pairing signs
+    assert matching_sign([(0, 1), (2, 3)]) == 1
+    assert matching_sign([(0, 2), (1, 3)]) == -1
+    assert matching_sign([(0, 3), (1, 2)]) == 1
+    assert matching_sign([(3, 0), (1, 2)]) == -1
+    # the reference must cover every vertex exactly once
+    for bad in ([(0, 1), (1, 2)], [(0, 1), (2, 4)], [(1, 2)]):
+        with pytest.raises(ValueError):
+            matching_sign(bad)

@@ -1,4 +1,4 @@
-"""Planar machinery: embedding, node splitting, biconnection, orientation.
+"""Planar machinery: embedding, node splitting, dummy edges, orientation.
 
 The orientation test is the load-bearing one: a correct odd-clockwise
 parity on every bounded face is exactly what makes the matching Pfaffian
@@ -6,19 +6,23 @@ come out with uniform signs, so it is checked directly on many random
 planar graphs rather than trusted.
 """
 
+import itertools
+import math
+
 import pytest
 
 from planarz import (
     BPConfig,
     ModelError,
     NonPlanarError,
-    biconnect,
     embed,
     face_parity_violations,
     fisher_extend,
     mu_term,
     orient,
+    pfaffian,
     run_bp,
+    tutte_matrix,
 )
 
 from builders import (
@@ -27,7 +31,7 @@ from builders import (
     random_planar_forney,
     random_planar_vertex_graph,
 )
-from oracles import matching_count, matching_sum
+from oracles import kasteleyn_matrix, matching_count, matching_sum
 
 
 # ---------------------------------------------------------------- embedding
@@ -143,38 +147,70 @@ def test_ladder_extended_graph_has_eight_matchings():
     assert count == 8
 
 
-# ---------------------------------------------------------------- biconnect
+# ---------------------------------------------------------------- dummy edges
 
 
-def test_biconnect_bridges_components_and_preserves_matchings():
+def test_orient_joins_components_with_zero_weight_dummies():
     edges = []
     for base in (0, 4):
         for i in range(4):
             edges.append((base + i, base + (i + 1) % 4))
     ext = plain_extended(8, edges)
     before = matching_sum(8, [(e.u, e.v, e.weight) for e in ext.edges])
-    b = biconnect(ext)
-    dummies = [e for e in b.edges if e.kind == "dummy"]
-    assert len(dummies) >= 2
+    o = orient(ext)
+    dummies = [e for e in o.ext.edges if e.kind == "dummy"]
+    assert len(dummies) == 1
     assert all(e.weight == 0.0 for e in dummies)
-    after = matching_sum(b.num_vertices, [(e.u, e.v, e.weight) for e in b.edges])
+    after = matching_sum(o.ext.num_vertices, [(e.u, e.v, e.weight) for e in o.ext.edges])
     assert after == pytest.approx(before)
 
 
-def test_biconnect_identity_on_biconnected():
-    n, edges = 4, [(0, 1), (1, 2), (2, 3), (3, 0)]
-    ext = plain_extended(n, edges)
-    assert biconnect(ext) is ext
+def test_orient_adds_no_dummy_to_connected_graph():
+    # a square, and two triangles sharing the cut vertex 0
+    for n, edges in (
+        (4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+        (5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]),
+    ):
+        ext = plain_extended(n, edges)
+        assert orient(ext).ext is ext
 
 
-def test_biconnect_articulation_point():
-    # two triangles sharing vertex 0: 0 is a cut vertex
-    edges = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]
-    ext = plain_extended(5, edges)
-    b = biconnect(ext)
-    assert any(e.kind == "dummy" for e in b.edges)
-    o = orient(b)
-    assert face_parity_violations(o) == []
+def _glued(a, b, how):
+    """Two vertex graphs sharing vertex 0 ("cut"), joined by a bridge
+    between their vertices 0 ("bridge"), or side by side ("union")."""
+    (na, ea), (nb, eb) = a, b
+    shift = na - 1 if how == "cut" else na
+
+    def moved(v):
+        return 0 if how == "cut" and v == 0 else v + shift
+
+    edges = list(ea) + [(moved(u), moved(v)) for u, v in eb]
+    if how == "bridge":
+        edges.append((0, na))
+    return nb + shift, edges
+
+
+def test_orient_cut_vertex_bridge_and_disjoint_union():
+    # face parity needs a connected graph only: cut vertices and bridges
+    # stay, components are joined by one zero-weight dummy each
+    small = [(3, [(0, 1), (1, 2), (2, 0)]), (4, [(0, 1), (1, 2), (2, 3), (3, 0)])]
+    small += [random_planar_vertex_graph(seed) for seed in range(12)]
+    checked = 0
+    for a, b in itertools.combinations(small, 2):
+        for how in ("cut", "bridge", "union"):
+            n, edges = _glued(a, b, how)
+            if n > 16:
+                continue
+            o = orient(plain_extended(n, edges))
+            assert face_parity_violations(o) == [], (how, n, edges)
+            pf = pfaffian(kasteleyn_matrix(o).data)
+            want = matching_count(n, [(e.u, e.v) for e in o.ext.edges])
+            assert math.exp(pf.log_magnitude) == pytest.approx(want, rel=1e-10, abs=0)
+            # dummies weigh zero: the weighted Pfaffian counts the glued graph's matchings
+            z = pfaffian(tutte_matrix(o).data)
+            assert abs(z.to_float()) == pytest.approx(matching_count(n, edges), rel=1e-10)
+            checked += 1
+    assert checked >= 90
 
 
 # ---------------------------------------------------------------- orientation
@@ -183,14 +219,14 @@ def test_biconnect_articulation_point():
 def test_orientation_parity_on_random_planar_graphs():
     for seed in range(40):
         n, edges = random_planar_vertex_graph(seed)
-        ext = biconnect(plain_extended(n, edges))
+        ext = plain_extended(n, edges)
         o = orient(ext)
         assert face_parity_violations(o) == [], f"seed {seed}"
 
 
 def test_orientation_covers_every_edge_once():
     n, edges = random_planar_vertex_graph(11)
-    ext = biconnect(plain_extended(n, edges))
+    ext = plain_extended(n, edges)
     o = orient(ext)
     keys = {e.key() for e in ext.edges}
     assert set(o.orientation.keys()) == keys
@@ -202,6 +238,6 @@ def test_orientation_on_gadget_graphs():
     for seed in range(10):
         g = random_planar_forney(seed)
         res = _bp(g)
-        ext = biconnect(fisher_extend(g, res))
+        ext = fisher_extend(g, res)
         o = orient(ext)
         assert face_parity_violations(o) == [], f"seed {seed}"

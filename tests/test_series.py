@@ -6,25 +6,41 @@ all coincide. The ladder census (counts per removal set) is frozen from a
 hand derivation.
 """
 
+import importlib
 from collections import Counter
 
+import networkx as nx
 import pytest
 
 from planarz import (
     BPConfig,
     ForneyGraph,
     ModelError,
+    ModelParams,
+    OrientationError,
     enumerate_loops,
     exact_log_z,
+    fisher_extend,
+    gen_spiderweb,
     loop_correction,
+    matching_sign,
+    orient,
+    pfaffian,
     pfaffian_series,
+    reference_matching,
     run_bp,
     term_ranking,
     triplet_nodes,
+    tutte_matrix,
+    two_core,
     z_empty,
 )
 from planarz.series import format_term_log
 from builders import cycle_forney, ladder_graph, random_planar_forney
+from oracles import kasteleyn_matrix
+
+pfaffian_module = importlib.import_module("planarz.pfaffian")
+series_module = importlib.import_module("planarz.series")
 
 
 def _bp(g):
@@ -217,3 +233,89 @@ def test_format_term_log_lines():
     assert len(lines) == len(series.terms)
     assert lines[0].startswith("psi - sign")
     assert "b1,b2" in text
+
+
+# ------------------------------------------------- one Pfaffian per term
+
+
+def _series_models():
+    for seed in range(6):
+        yield ladder_graph(seed=seed)
+    for seed in range(12):
+        yield random_planar_forney(seed)
+    for seed in range(2):
+        _, g = gen_spiderweb(1, 3, ModelParams(beta=0.5, theta=0.5, seed=seed))
+        yield two_core(g)[0]
+
+
+def test_reference_matching_sign_matches_kasteleyn():
+    # every term's sign comes from one reference matching; it must agree with
+    # the unit-weight Pfaffian of the same oriented graph. Without a
+    # reference matching only dummy edges could complete one, so the
+    # weighted Pfaffian, where dummies weigh zero, vanishes
+    checked = 0
+    for g in _series_models():
+        res = _bp(g)
+        parent = None
+        for term in pfaffian_series(g, res).terms:
+            ext = fisher_extend(g, res, term.psi)
+            if ext.num_vertices == 0:
+                continue
+            o = orient(ext, parent)
+            parent = parent or o
+            pf = pfaffian(kasteleyn_matrix(o).data)
+            matching = reference_matching(g, ext)
+            if matching is None:
+                assert pfaffian(tutte_matrix(o).data).sign == 0 and term.z_psi.sign == 0
+                continue
+            assert set(matching) <= {e.key() for e in ext.edges}
+            assert matching_sign([o.orientation[k] for k in matching]) == pf.sign
+            checked += 1
+    assert checked >= 100
+
+
+def test_loopless_removal_set_skips_the_pfaffian(monkeypatch):
+    # no generalized loop has degree-3 set {b2, t1} on the ladder (census
+    # above), so that term is exactly zero and never reaches a Pfaffian
+    g = ladder_graph(seed=0)
+    res = _bp(g)
+    assert reference_matching(g, fisher_extend(g, res, ("b2", "t1"))) is None
+    real = pfaffian_module.pfaffian
+    dims = []
+    monkeypatch.setattr(pfaffian_module, "pfaffian", lambda a: dims.append(a.data.shape) or real(a))
+    series = pfaffian_series(g, res)
+    term = next(t for t in series.terms if t.psi == ("b2", "t1"))
+    assert term.z_psi.sign == 0 and term.contribution.sign == 0
+    # one Pfaffian for each of the other terms except the loopless (b1, t2)
+    assert len(dims) == len(series.terms) - 2
+
+
+def test_corrupted_orientation_raises(monkeypatch):
+    real = series_module.orient
+
+    def corrupted(ext, parent=None):
+        o = real(ext, parent)
+        walk = o.embedding.faces[1 if o.embedding.external_face == 0 else 0]
+        x, y = next((x, y) for x, y in walk if (y, x) not in walk)
+        key = (min(x, y), max(x, y))
+        o.orientation[key] = o.orientation[key][::-1]
+        return o
+
+    monkeypatch.setattr(series_module, "orient", corrupted)
+    g = ladder_graph(seed=0)
+    res = _bp(g)
+    with pytest.raises(OrientationError):
+        z_empty(g, res)
+    with pytest.raises(OrientationError):
+        pfaffian_series(g, res)
+
+
+def test_series_runs_one_planarity_test(monkeypatch):
+    real = nx.check_planarity
+    calls = []
+    monkeypatch.setattr(nx, "check_planarity", lambda *a, **k: calls.append(1) or real(*a, **k))
+    for g in (ladder_graph(seed=0), random_planar_forney(4)):
+        calls.clear()
+        series = pfaffian_series(g, _bp(g))
+        assert len(series.terms) > 1
+        assert len(calls) == 1

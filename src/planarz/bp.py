@@ -1,10 +1,12 @@
 """Loopy belief propagation on normal-form graphs.
 
 Messages live on directed edges as normalized 2-vectors over the edge
-variable (index 0 is -1, index 1 is +1). Four update schedules are
-provided; convergence means the largest absolute message change in a sweep
-dropped below the threshold. Free-energy style quantities are evaluated in
-log space.
+variable (index 0 is -1, index 1 is +1), kept as two flat lists of floats
+indexed by directed-edge slot. Each run compiles the node tables into one
+message kernel over those slots, and all four update schedules call it;
+convergence means the largest absolute message change in a sweep dropped
+below the threshold. Beliefs and free-energy style quantities are
+evaluated in log space, all nodes of one degree at a time.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
@@ -58,32 +61,74 @@ class BPResult:
     log_z_bp: float = 0.0
 
 
-def _directed_edges(g: ForneyGraph) -> list[tuple[str, str]]:
-    out = []
-    for a, b in g.edges:
-        out.append((a, b))
-        out.append((b, a))
-    return out
+def _compile(g: ForneyGraph):
+    """Directed-edge slots and the message kernel that updates them.
 
+    Slots 2e and 2e + 1 hold a -> b and b -> a for the e-th edge (a, b) of
+    g.edges; lo[j] and hi[j] are slot j's message at -1 and +1, uniform at
+    the start. For a -> b the kernel keeps a's table with the outgoing
+    variable first as two rows over the other variables (a's neighbor order,
+    first most significant), and the slots of the messages into a from
+    those other neighbors, in the same order.
+    """
+    dir_edges = [de for a, b in g.edges for de in ((a, b), (b, a))]
+    slot = {de: j for j, de in enumerate(dir_edges)}
+    flat = {a: g.tables[a].tolist() for a in g.nodes}
+    rows0, rows1, ins, middle = [], [], [], []
+    for a, b in dir_edges:
+        nbrs = g.neighbors[a]
+        shift = len(nbrs) - 1 - nbrs.index(b)  # bit of the outgoing variable
+        low = (1 << shift) - 1
+        rest = [((r & ~low) << 1) | (r & low) for r in range(1 << (len(nbrs) - 1))]
+        t = flat[a]
+        rows0.append([t[x] for x in rest])
+        rows1.append([t[x | (1 << shift)] for x in rest])
+        ins.append([slot[(c, a)] for c in nbrs if c != b])
+        middle.append(len(nbrs) == 3 and shift == 1)  # numpy sums these in pairs
+    lo = [0.5] * len(dir_edges)
+    hi = [0.5] * len(dir_edges)
 
-def _new_message(tables, neighbors, msgs, a: str, b: str) -> np.ndarray:
-    """Outgoing message a -> b: marginalize a's table against other inputs."""
-    nbrs = neighbors[a]
-    k = len(nbrs)
-    m = tables[a]
-    for i, c in enumerate(nbrs):
-        if c == b:
-            out_axis = i
-            continue
-        shape = [1] * k
-        shape[i] = 2
-        m = m * msgs[(c, a)].reshape(shape)
-    out = m.sum(axis=tuple(i for i in range(k) if i != out_axis))
-    s = float(out.sum())
-    if not math.isfinite(s) or s <= 0.0:
-        raise BPNumericError(f"message {a!r}->{b!r} is not normalizable (sum={s!r})")
-    out = np.maximum(out / s, MESSAGE_FLOOR)
-    return out / out.sum()
+    def message(j: int) -> tuple[float, float]:
+        """New message on slot j from the current messages: marginalize the
+        sender's table against its other inputs, normalize, floor.
+
+        Degrees 2 and 3, all that a reduced graph has, are written out with
+        the rounding of a numpy marginalization of the table (inputs
+        multiplied in one at a time, in neighbor order; variables after the
+        outgoing one summed first), so messages and sweep counts match that
+        array form, tests/oracles.reference_run_bp, bit for bit. Other
+        degrees contract a weight list of the inputs' products.
+        """
+        x, r0, r1 = ins[j], rows0[j], rows1[j]
+        if len(x) == 1:
+            l, h = lo[x[0]], hi[x[0]]
+            o0 = r0[0] * l + r0[1] * h
+            o1 = r1[0] * l + r1[1] * h
+        elif len(x) == 2:
+            l1, h1, l2, h2 = lo[x[0]], hi[x[0]], lo[x[1]], hi[x[1]]
+            a0, a1, a2, a3 = r0[0] * l1 * l2, r0[1] * l1 * h2, r0[2] * h1 * l2, r0[3] * h1 * h2
+            b0, b1, b2, b3 = r1[0] * l1 * l2, r1[1] * l1 * h2, r1[2] * h1 * l2, r1[3] * h1 * h2
+            if middle[j]:
+                o0, o1 = (a0 + a1) + (a2 + a3), (b0 + b1) + (b2 + b3)
+            else:
+                o0, o1 = a0 + a1 + a2 + a3, b0 + b1 + b2 + b3
+        else:
+            w = [1.0]
+            for s in x:
+                l, h = lo[s], hi[s]
+                w = [v for y in w for v in (y * l, y * h)]
+            o0 = sum(map(mul, r0, w))
+            o1 = sum(map(mul, r1, w))
+        s = o0 + o1
+        if not math.isfinite(s) or s <= 0.0:
+            a, b = dir_edges[j]
+            raise BPNumericError(f"message {a!r}->{b!r} is not normalizable (sum={s!r})")
+        o0 = max(o0 / s, MESSAGE_FLOOR)
+        o1 = max(o1 / s, MESSAGE_FLOOR)
+        s = o0 + o1
+        return o0 / s, o1 / s
+
+    return dir_edges, lo, hi, message
 
 
 def run_bp(g: ForneyGraph, cfg: BPConfig = BPConfig()) -> BPResult:
@@ -93,9 +138,8 @@ def run_bp(g: ForneyGraph, cfg: BPConfig = BPConfig()) -> BPResult:
     still returns beliefs from the final messages so callers can compare
     residuals across schedules.
     """
-    dir_edges = _directed_edges(g)
-    tables = {a: g.tables[a].reshape((2,) * g.degree(a)) for a in g.nodes}
-    msgs = {de: np.array([0.5, 0.5]) for de in dir_edges}
+    dir_edges, lo, hi, message = _compile(g)
+    n = len(dir_edges)
 
     iterations = 0
     residual = math.inf
@@ -103,122 +147,120 @@ def run_bp(g: ForneyGraph, cfg: BPConfig = BPConfig()) -> BPResult:
     if not dir_edges:
         converged, residual = True, 0.0
     elif cfg.schedule == "residual":
-        iterations, residual, converged = _run_residual(g, cfg, dir_edges, tables, msgs)
+        iterations, residual, converged = _run_residual(g, cfg, dir_edges, lo, hi, message)
     else:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([cfg.seed])))
+        order = range(n)
         for sweep in range(cfg.max_iterations):
-            order = dir_edges
             if cfg.schedule == "random":
-                order = [dir_edges[i] for i in rng.permutation(len(dir_edges))]
-            if cfg.schedule == "parallel":
-                fresh = {de: _new_message(tables, g.neighbors, msgs, *de) for de in order}
+                order = rng.permutation(n).tolist()
+            fresh = [message(j) for j in order] if cfg.schedule == "parallel" else None
             residual = 0.0
-            for de in order:
-                new = fresh[de] if cfg.schedule == "parallel" else _new_message(
-                    tables, g.neighbors, msgs, *de
-                )
-                residual = max(residual, float(np.abs(new - msgs[de]).max()))
-                msgs[de] = new
+            for t, j in enumerate(order):
+                o0, o1 = message(j) if fresh is None else fresh[t]
+                d = max(abs(o0 - lo[j]), abs(o1 - hi[j]))
+                if d > residual:
+                    residual = d
+                lo[j] = o0
+                hi[j] = o1
             iterations = sweep + 1
             if residual < cfg.threshold:
                 converged = True
                 break
 
-    return _finish(g, cfg, tables, msgs, converged, iterations, residual)
+    return _finish(g, cfg, dir_edges, lo, hi, converged, iterations, residual)
 
 
-def _run_residual(g, cfg, dir_edges, tables, msgs):
-    """Largest-residual-first updates; ties go to the lower edge index."""
-    index = {de: i for i, de in enumerate(dir_edges)}
-    dependents = {
-        (a, b): [(b, c) for c in g.neighbors[b] if c != a] for (a, b) in dir_edges
-    }
-    version = {de: 0 for de in dir_edges}
-    cand = {}
-    heap = []
-    for de in dir_edges:
-        new = _new_message(tables, g.neighbors, msgs, *de)
-        r = float(np.abs(new - msgs[de]).max())
-        cand[de] = new
-        heapq.heappush(heap, (-r, index[de], 0, de))
+def _run_residual(g, cfg, dir_edges, lo, hi, message):
+    """Largest-residual-first updates; ties go to the lower slot."""
+    n = len(dir_edges)
+    slot = {de: j for j, de in enumerate(dir_edges)}
+    dependents = [[slot[(b, c)] for c in g.neighbors[b] if c != a] for a, b in dir_edges]
+    version = [0] * n
+    cand = [message(j) for j in range(n)]
+    heap = [(-max(abs(o0 - lo[j]), abs(o1 - hi[j])), j, 0) for j, (o0, o1) in enumerate(cand)]
+    heapq.heapify(heap)
     pops = 0
-    budget = cfg.max_iterations * len(dir_edges)
+    budget = cfg.max_iterations * n
     residual = math.inf
     while heap:
-        neg_r, _, ver, de = heap[0]
-        if ver != version[de]:
+        neg_r, j, ver = heap[0]
+        if ver != version[j]:
             heapq.heappop(heap)
             continue
         residual = -neg_r
         if residual < cfg.threshold:
-            return max(1, -(-pops // len(dir_edges))), residual, True
+            return max(1, -(-pops // n)), residual, True
         if pops >= budget:
             return cfg.max_iterations, residual, False
         heapq.heappop(heap)
         pops += 1
-        msgs[de] = cand[de]
-        version[de] += 1
-        cand[de] = msgs[de]
-        heapq.heappush(heap, (0.0, index[de], version[de], de))
-        for dep in dependents[de]:
-            new = _new_message(tables, g.neighbors, msgs, *dep)
-            r = float(np.abs(new - msgs[dep]).max())
-            cand[dep] = new
-            version[dep] += 1
-            heapq.heappush(heap, (-r, index[dep], version[dep], dep))
-    return max(1, -(-pops // len(dir_edges))), residual, True
+        lo[j], hi[j] = cand[j]
+        version[j] += 1
+        heapq.heappush(heap, (0.0, j, version[j]))
+        for d in dependents[j]:
+            o0, o1 = cand[d] = message(d)
+            version[d] += 1
+            heapq.heappush(heap, (-max(abs(o0 - lo[d]), abs(o1 - hi[d])), d, version[d]))
+    return max(1, -(-pops // n)), residual, True
 
 
-def _log_safe(x: np.ndarray) -> np.ndarray:
-    out = np.full(np.shape(x), -np.inf)
-    np.log(x, out=out, where=np.asarray(x) > 0)
-    return out
+def _log_safe(x: np.ndarray, zero: float = -np.inf) -> np.ndarray:
+    """Elementwise log, with `zero` where x is 0."""
+    return np.log(x, out=np.full(np.shape(x), zero), where=x > 0)
 
 
-def _finish(g, cfg, tables, msgs, converged, iterations, residual):
-    node_beliefs = {}
+def _finish(g, cfg, dir_edges, lo, hi, converged, iterations, residual):
+    """Beliefs, magnetizations and the Bethe free energy from the slots,
+    with all nodes of one degree handled as one array."""
+    slot = {de: j for j, de in enumerate(dir_edges)}
+    msgs = np.array([lo, hi]).T
+    log_msgs = np.log(msgs)  # the kernel floors every message, so all are > 0
+    by_degree = {}
     for a in g.nodes:
-        nbrs = g.neighbors[a]
-        k = len(nbrs)
-        logb = _log_safe(tables[a])
-        for i, c in enumerate(nbrs):
-            shape = [1] * k
-            shape[i] = 2
-            logb = logb + _log_safe(msgs[(c, a)]).reshape(shape)
-        flat = logb.reshape(-1)
-        top = float(flat.max())
-        if not math.isfinite(top):
-            raise BPNumericError(f"belief of node {a!r} vanished or overflowed")
-        b = np.exp(flat - top)
-        node_beliefs[a] = b / b.sum()
+        by_degree.setdefault(g.degree(a), []).append(a)
+    node_beliefs = {}
+    node_energy = {}
+    for k, nodes in by_degree.items():
+        logf = _log_safe(np.array([g.tables[a] for a in nodes]))
+        logb = logf.reshape((len(nodes),) + (2,) * k)
+        for i in range(k):
+            shape = [len(nodes)] + [1] * k
+            shape[i + 1] = 2
+            incoming = [slot[(g.neighbors[a][i], a)] for a in nodes]
+            logb = logb + log_msgs[incoming].reshape(shape)
+        logb = logb.reshape(len(nodes), -1)
+        top = logb.max(axis=1)
+        for a, ok in zip(nodes, np.isfinite(top)):
+            if not ok:
+                raise BPNumericError(f"belief of node {a!r} vanished or overflowed")
+        b = np.exp(logb - top[:, None])
+        b /= b.sum(axis=1, keepdims=True)
+        gap = np.where(b > 0, _log_safe(b, 0.0) - logf, 0.0)
+        node_beliefs.update(zip(nodes, b))
+        node_energy.update(zip(nodes, (b * gap).sum(axis=1).tolist()))
 
-    edge_beliefs = {}
-    magnetizations = {}
-    for a, b in g.edges:
-        p = msgs[(a, b)] * msgs[(b, a)]
-        s = float(p.sum())
-        if not math.isfinite(s) or s <= 0.0:
+    p = msgs[0::2] * msgs[1::2]
+    s = p.sum(axis=1)
+    for (a, b), ok in zip(g.edges, np.isfinite(s) & (s > 0.0)):
+        if not ok:
             raise BPNumericError(f"edge belief {a!r}-{b!r} is not normalizable")
-        p = p / s
-        edge_beliefs[(a, b)] = p
-        magnetizations[(a, b)] = float(p[1] - p[0])
+    p /= s[:, None]
+    edge_beliefs = dict(zip(g.edges, p))
+    magnetizations = dict(zip(g.edges, (p[:, 1] - p[:, 0]).tolist()))
 
     free_energy = 0.0
     for a in g.nodes:
-        b = node_beliefs[a]
-        logf = _log_safe(g.tables[a])
-        mask = b > 0
-        free_energy += float(np.sum(b[mask] * (_log_safe(b)[mask] - logf[mask])))
-    for e, p in edge_beliefs.items():
-        mask = p > 0
-        free_energy -= float(np.sum(p[mask] * _log_safe(p)[mask]))
+        free_energy += node_energy[a]
+    for h in (p * _log_safe(p, 0.0)).sum(axis=1).tolist():
+        free_energy -= h
 
     return BPResult(
         converged=converged,
         iterations=iterations,
         final_residual=residual,
         schedule=cfg.schedule,
-        node_beliefs=node_beliefs,
+        node_beliefs={a: node_beliefs[a] for a in g.nodes},
         edge_beliefs=edge_beliefs,
         magnetizations=magnetizations,
         neighbor_order={a: g.neighbors[a] for a in g.nodes},

@@ -171,13 +171,33 @@ def embed(num_vertices: int, edges, rotation=None) -> PlanarEmbedding:
     return PlanarEmbedding(num_vertices, rotation, faces, best)
 
 
-def fisher_extend(g: ForneyGraph, res: BPResult, removed=()) -> ExtendedGraph:
+_GADGET_PAIRS = {2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
+
+
+def gadget_weights(g: ForneyGraph, res: BPResult, nodes) -> dict:
+    """Internal edge weights of the gadgets of `nodes`.
+
+    Maps each node to its loop weights against the neighbor pairs (0, 1),
+    then (0, 2) and (1, 2) for degree 3, in g's neighbor order. They depend
+    only on the BP fixed point, so a series computes them once for all its
+    removal sets.
+    """
+    out = {}
+    for a in nodes:
+        nbrs = g.neighbors[a]
+        out[a] = tuple(mu_term(res, a, (nbrs[i], nbrs[j])) for i, j in _GADGET_PAIRS[len(nbrs)])
+    return out
+
+
+def fisher_extend(g: ForneyGraph, res: BPResult, removed=(), weights=None) -> ExtendedGraph:
     """Split every kept node into its matching gadget.
 
     Degree-2 nodes become two ports joined by one weighted edge; degree-3
     nodes become a triangle whose edge between the ports facing b and c
     carries the node's loop weight against {b, c}. Ports facing a removed
     node get no external edge, which forces them to be matched internally.
+    weights holds gadget_weights for at least the kept nodes; without it
+    they are computed here.
     """
     if not g.is_reduced:
         raise ModelError("fisher_extend needs a reduced graph (degrees 2 and 3)")
@@ -190,27 +210,21 @@ def fisher_extend(g: ForneyGraph, res: BPResult, removed=()) -> ExtendedGraph:
             raise ModelError(f"removed node {a!r} not in graph")
         if g.degree(a) != 3:
             raise ModelError(f"removed node {a!r} has degree {g.degree(a)}, need 3")
+    kept = tuple(a for a in g.nodes if a not in removed_set)
+    if weights is None:
+        weights = gadget_weights(g, res, kept)
 
     labels = []
     port = {}
-    for a in g.nodes:
-        if a in removed_set:
-            continue
+    for a in kept:
         for b in g.neighbors[a]:
             port[(a, b)] = len(labels)
             labels.append((a, b))
 
     edges = []
-    for a in g.nodes:
-        if a in removed_set:
-            continue
+    for a in kept:
         nbrs = g.neighbors[a]
-        if len(nbrs) == 2:
-            pairs = [(0, 1)]
-        else:
-            pairs = [(0, 1), (0, 2), (1, 2)]
-        for i, j in pairs:
-            w = mu_term(res, a, (nbrs[i], nbrs[j]))
+        for (i, j), w in zip(_GADGET_PAIRS[len(nbrs)], weights[a]):
             edges.append(ExtEdge(
                 port[(a, nbrs[i])], port[(a, nbrs[j])], "internal", w,
                 ("internal", a, (nbrs[i], nbrs[j])),
@@ -220,7 +234,6 @@ def fisher_extend(g: ForneyGraph, res: BPResult, removed=()) -> ExtendedGraph:
             continue
         edges.append(ExtEdge(port[(a, b)], port[(b, a)], "external", 1.0, ("external", (a, b))))
 
-    kept = tuple(a for a in g.nodes if a not in removed_set)
     return ExtendedGraph(len(labels), tuple(labels), tuple(edges), kept, removed)
 
 

@@ -17,7 +17,13 @@ import numpy as np
 from .bp import BPResult, mu_term
 from .model import ForneyGraph, ModelError, canon_edge
 from .pfaffian import OrientationError, matching_sum, tutte_matrix
-from .planar import face_parity_violations, fisher_extend, orient, reference_matching
+from .planar import (
+    face_parity_violations,
+    fisher_extend,
+    gadget_weights,
+    orient,
+    reference_matching,
+)
 from .slog import SignedLog
 
 MAX_LOOP_EDGES = 24
@@ -98,6 +104,11 @@ def pfaffian_series(
         raise ModelError("pfaffian_series needs a reduced graph")
     trips = triplet_nodes(g)
     limit = len(trips) if max_psi_size is None else min(max_psi_size, len(trips))
+    weights = gadget_weights(g, res, g.nodes)
+    removed_weight = {
+        a: SignedLog.from_float(mu_term(res, a, res.neighbor_order[a]))
+        for a in (trips if limit >= 2 else ())
+    }
     terms = []
     total = SignedLog.zero()
     complete = True
@@ -107,11 +118,11 @@ def pfaffian_series(
             if budget is not None and len(terms) >= budget:
                 complete = False
                 break
-            zp, o = _matching_correction(g, fisher_extend(g, res, psi), parent)
+            zp, o = _matching_correction(g, fisher_extend(g, res, psi, weights), parent)
             parent = parent or o  # the empty set's embedding serves every later term
             factor = SignedLog.one()
             for a in psi:
-                factor = factor * SignedLog.from_float(mu_term(res, a, res.neighbor_order[a]))
+                factor = factor * removed_weight[a]
             term = PfaffianTerm(psi, zp, factor)
             terms.append(term)
             total = total + term.contribution

@@ -1,12 +1,22 @@
-"""Independent brute-force references used across the test suite.
+"""Independent references used across the test suite.
 
-Deliberately naive recursive implementations: they share no code with the
-Pfaffian path, so agreement is evidence, not tautology.
+Deliberately naive implementations: they share no code with the path they
+check, so agreement is evidence, not tautology. The matching sums are
+recursive brute force; the Kasteleyn matrix is the unit-weight form of the
+Pfaffian path's matrix; reference_run_bp is belief propagation with one
+numpy array update per message, the form planarz.bp replaced with its
+slot kernel (it shares only the result type and the constants).
 """
 
 from __future__ import annotations
 
+import heapq
+import math
+
+import numpy as np
+
 from planarz import SkewMatrix
+from planarz.bp import MESSAGE_FLOOR, BPConfig, BPNumericError, BPResult
 
 
 def matching_sum(num_vertices: int, edges) -> float:
@@ -43,4 +53,162 @@ def kasteleyn_matrix(o) -> SkewMatrix:
     return SkewMatrix.from_edges(
         o.ext.num_vertices,
         ((*o.orientation[e.key()], 1.0) for e in o.ext.edges),
+    )
+
+
+def _new_message(tables, neighbors, msgs, a: str, b: str) -> np.ndarray:
+    """Outgoing message a -> b: marginalize a's table against other inputs."""
+    nbrs = neighbors[a]
+    k = len(nbrs)
+    m = tables[a]
+    for i, c in enumerate(nbrs):
+        if c == b:
+            out_axis = i
+            continue
+        shape = [1] * k
+        shape[i] = 2
+        m = m * msgs[(c, a)].reshape(shape)
+    out = m.sum(axis=tuple(i for i in range(k) if i != out_axis))
+    s = float(out.sum())
+    if not math.isfinite(s) or s <= 0.0:
+        raise BPNumericError(f"message {a!r}->{b!r} is not normalizable (sum={s!r})")
+    out = np.maximum(out / s, MESSAGE_FLOOR)
+    return out / out.sum()
+
+
+def reference_run_bp(g, cfg: BPConfig = BPConfig()) -> BPResult:
+    """Loopy BP with messages as a dict of 2-element numpy arrays and one
+    numpy marginalization per update: the same schedules, checks and
+    finish pass as planarz.bp.run_bp, written without its message kernel.
+    """
+    dir_edges = [de for a, b in g.edges for de in ((a, b), (b, a))]
+    tables = {a: g.tables[a].reshape((2,) * g.degree(a)) for a in g.nodes}
+    msgs = {de: np.array([0.5, 0.5]) for de in dir_edges}
+
+    iterations = 0
+    residual = math.inf
+    converged = False
+    if not dir_edges:
+        converged, residual = True, 0.0
+    elif cfg.schedule == "residual":
+        iterations, residual, converged = _reference_residual(g, cfg, dir_edges, tables, msgs)
+    else:
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([cfg.seed])))
+        for sweep in range(cfg.max_iterations):
+            order = dir_edges
+            if cfg.schedule == "random":
+                order = [dir_edges[i] for i in rng.permutation(len(dir_edges))]
+            if cfg.schedule == "parallel":
+                fresh = {de: _new_message(tables, g.neighbors, msgs, *de) for de in order}
+            residual = 0.0
+            for de in order:
+                new = fresh[de] if cfg.schedule == "parallel" else _new_message(
+                    tables, g.neighbors, msgs, *de
+                )
+                residual = max(residual, float(np.abs(new - msgs[de]).max()))
+                msgs[de] = new
+            iterations = sweep + 1
+            if residual < cfg.threshold:
+                converged = True
+                break
+
+    return _reference_finish(g, cfg, tables, msgs, converged, iterations, residual)
+
+
+def _reference_residual(g, cfg, dir_edges, tables, msgs):
+    """Largest-residual-first updates; ties go to the lower edge index."""
+    index = {de: i for i, de in enumerate(dir_edges)}
+    dependents = {
+        (a, b): [(b, c) for c in g.neighbors[b] if c != a] for (a, b) in dir_edges
+    }
+    version = {de: 0 for de in dir_edges}
+    cand = {}
+    heap = []
+    for de in dir_edges:
+        new = _new_message(tables, g.neighbors, msgs, *de)
+        r = float(np.abs(new - msgs[de]).max())
+        cand[de] = new
+        heapq.heappush(heap, (-r, index[de], 0, de))
+    pops = 0
+    budget = cfg.max_iterations * len(dir_edges)
+    residual = math.inf
+    while heap:
+        neg_r, _, ver, de = heap[0]
+        if ver != version[de]:
+            heapq.heappop(heap)
+            continue
+        residual = -neg_r
+        if residual < cfg.threshold:
+            return max(1, -(-pops // len(dir_edges))), residual, True
+        if pops >= budget:
+            return cfg.max_iterations, residual, False
+        heapq.heappop(heap)
+        pops += 1
+        msgs[de] = cand[de]
+        version[de] += 1
+        cand[de] = msgs[de]
+        heapq.heappush(heap, (0.0, index[de], version[de], de))
+        for dep in dependents[de]:
+            new = _new_message(tables, g.neighbors, msgs, *dep)
+            r = float(np.abs(new - msgs[dep]).max())
+            cand[dep] = new
+            version[dep] += 1
+            heapq.heappush(heap, (-r, index[dep], version[dep], dep))
+    return max(1, -(-pops // len(dir_edges))), residual, True
+
+
+def _log_safe(x: np.ndarray) -> np.ndarray:
+    out = np.full(np.shape(x), -np.inf)
+    np.log(x, out=out, where=np.asarray(x) > 0)
+    return out
+
+
+def _reference_finish(g, cfg, tables, msgs, converged, iterations, residual):
+    node_beliefs = {}
+    for a in g.nodes:
+        nbrs = g.neighbors[a]
+        k = len(nbrs)
+        logb = _log_safe(tables[a])
+        for i, c in enumerate(nbrs):
+            shape = [1] * k
+            shape[i] = 2
+            logb = logb + _log_safe(msgs[(c, a)]).reshape(shape)
+        flat = logb.reshape(-1)
+        top = float(flat.max())
+        if not math.isfinite(top):
+            raise BPNumericError(f"belief of node {a!r} vanished or overflowed")
+        b = np.exp(flat - top)
+        node_beliefs[a] = b / b.sum()
+
+    edge_beliefs = {}
+    magnetizations = {}
+    for a, b in g.edges:
+        p = msgs[(a, b)] * msgs[(b, a)]
+        s = float(p.sum())
+        if not math.isfinite(s) or s <= 0.0:
+            raise BPNumericError(f"edge belief {a!r}-{b!r} is not normalizable")
+        p = p / s
+        edge_beliefs[(a, b)] = p
+        magnetizations[(a, b)] = float(p[1] - p[0])
+
+    free_energy = 0.0
+    for a in g.nodes:
+        b = node_beliefs[a]
+        logf = _log_safe(g.tables[a])
+        mask = b > 0
+        free_energy += float(np.sum(b[mask] * (_log_safe(b)[mask] - logf[mask])))
+    for e, p in edge_beliefs.items():
+        mask = p > 0
+        free_energy -= float(np.sum(p[mask] * _log_safe(p)[mask]))
+
+    return BPResult(
+        converged=converged,
+        iterations=iterations,
+        final_residual=residual,
+        schedule=cfg.schedule,
+        node_beliefs=node_beliefs,
+        edge_beliefs=edge_beliefs,
+        magnetizations=magnetizations,
+        neighbor_order={a: g.neighbors[a] for a in g.nodes},
+        log_z_bp=-free_energy,
     )

@@ -13,17 +13,22 @@ import pytest
 
 from planarz import (
     BPConfig,
+    ForneyGraph,
     ModelError,
+    ModelParams,
     SCHEDULES,
     dump_beliefs,
     exact_log_z,
+    gen_grid,
+    gen_spiderweb,
     mu_term,
     run_bp,
     run_bp_multistart,
 )
-from planarz.bp import SaturationError
+from planarz.bp import BPNumericError, SaturationError
 
 from builders import cycle_forney, ladder_graph, random_planar_forney, random_tree_forney
+from oracles import reference_run_bp
 
 
 def test_exact_on_random_trees():
@@ -118,6 +123,53 @@ def test_bethe_consistency_on_cycle():
                 axis=tuple(i for i in range(k) if i != pos)
             )
             np.testing.assert_allclose(marg, res.edge_beliefs[e], atol=1e-10)
+
+
+def _kernel_cases():
+    for seed in range(100):
+        yield random_tree_forney(2 + seed % 14, seed=seed), {}
+    for seed in range(10):
+        yield ladder_graph(seed=seed), {}
+    yield cycle_forney(4, seed=9, spread=3.0), {"max_iterations": 20}
+    for seed in range(20):
+        yield random_planar_forney(seed), {}
+    for seed in range(4):
+        yield gen_grid(5, ModelParams(beta=1.0, theta=1.0, seed=seed))[1], {}
+        yield gen_spiderweb(1, 4, ModelParams(beta=0.5, theta=0.5, seed=seed))[1], {}
+
+
+def test_kernel_matches_reference_bp():
+    # the slot kernel against the numpy array update it replaced: same
+    # sweeps under every schedule, same fixed point
+    for g, kw in _kernel_cases():
+        for s in SCHEDULES:
+            cfg = BPConfig(schedule=s, **kw)
+            res, ref = run_bp(g, cfg), reference_run_bp(g, cfg)
+            assert (res.iterations, res.converged, res.schedule) == (
+                ref.iterations, ref.converged, ref.schedule
+            ), (g, s)
+            np.testing.assert_allclose(res.log_z_bp, ref.log_z_bp, rtol=1e-12, atol=0)
+            for e in g.edges:
+                np.testing.assert_allclose(
+                    res.edge_beliefs[e], ref.edge_beliefs[e], rtol=1e-12, atol=0
+                )
+                np.testing.assert_allclose(
+                    res.magnetizations[e], ref.magnetizations[e], rtol=1e-12, atol=0
+                )
+
+
+def test_unnormalizable_message_names_the_edge():
+    # K4 whose node a allows only all +1 and b, c, d only all -1: their
+    # messages floor a's +1 input at MESSAGE_FLOOR, and the first message
+    # out of a with two floored inputs underflows to a zero sum. Which
+    # message that is depends on the schedule's order
+    nbrs = {a: tuple(b for b in "abcd" if b != a) for a in "abcd"}
+    g = ForneyGraph(nbrs, {a: np.eye(8)[7 if a == "a" else 0] for a in nbrs})
+    expected = {"fixed": "'a'->'d'", "random": "'a'->'c'", "parallel": "'a'->'b'",
+                "residual": "'a'->'d'"}
+    for s in SCHEDULES:
+        with pytest.raises(BPNumericError, match=f"message {expected[s]} is not normalizable"):
+            run_bp(g, BPConfig(schedule=s))
 
 
 def test_magnetization_matches_edge_belief():

@@ -319,3 +319,23 @@ def test_series_runs_one_planarity_test(monkeypatch):
         series = pfaffian_series(g, _bp(g))
         assert len(series.terms) > 1
         assert len(calls) == 1
+
+
+def test_series_computes_each_loop_weight_once(monkeypatch):
+    # loop weights depend only on the BP fixed point, so one series call
+    # evaluates each (node, neighbor subset) once, not once per removal set
+    _, g = gen_spiderweb(1, 4, ModelParams(beta=0.5, theta=0.5, seed=0))
+    core = two_core(g)[0]
+    res = _bp(core)
+    calls = Counter()
+
+    def counted(res, a, subset):
+        calls[(a, tuple(subset))] += 1
+        return real(res, a, subset)
+
+    real = series_module.mu_term
+    monkeypatch.setattr(series_module, "mu_term", counted)
+    monkeypatch.setattr(importlib.import_module("planarz.planar"), "mu_term", counted)
+    series = pfaffian_series(core, res)
+    assert len(series.terms) == 32
+    assert calls and max(calls.values()) == 1

@@ -367,10 +367,6 @@ def two_core(g: ForneyGraph) -> tuple[ForneyGraph, float]:
     return core, log_const
 
 
-def _bit(idx: np.ndarray, pos: int) -> np.ndarray:
-    return ((idx >> np.uint64(pos)) & np.uint64(1)).astype(np.uint8)
-
-
 def _log_table(t: np.ndarray) -> np.ndarray:
     out = np.full(t.shape, -np.inf)
     with warnings.catch_warnings():
@@ -379,7 +375,54 @@ def _log_table(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _combine_parts(parts: list[float]) -> float:
+def _enumerate(n: int, tables, ufunc):
+    """Combine tables over all 2^n assignments of n binary variables, by chunk.
+
+    tables: (positions, table) pairs; the table has 2^k entries in the usual
+    layout, axis i (first most significant) belonging to variable
+    positions[i]. Variable p is bit p of the assignment number. For each
+    value of the variables at and above the chunk size, in ascending order,
+    yields an array of shape (2,)*min(n, chunk) over the low variables, the
+    last axis being variable 0, so its C order runs over ascending
+    assignment numbers. Each entry is ufunc applied across every table's
+    entry, tables in the order given, except that tables over low variables
+    only are combined first, once for all chunks. Yielded arrays are
+    read-only to the caller.
+    """
+    nlow = min(n, _CHUNK_BITS)
+    low, cross = [], []
+    for positions, t in tables:
+        k = len(positions)
+        order = sorted(range(k), key=lambda i: -positions[i])
+        t = np.transpose(np.reshape(t, (2,) * k), order)
+        shape = [1] * nlow
+        high = []
+        for p in (positions[i] for i in order):
+            if p < nlow:
+                shape[nlow - 1 - p] = 2
+            else:
+                high.append(p - nlow)
+        (cross if high else low).append((t, high, shape))
+    dtype = np.result_type(ufunc.identity, *(t for t, _, _ in low + cross))
+    base = np.full((2,) * nlow, ufunc.identity, dtype)
+    for t, _, shape in low:
+        ufunc(base, t.reshape(shape), out=base)
+    for chunk in range(1 << (n - nlow)):
+        out = base.copy() if cross else base
+        for t, high, shape in cross:
+            ufunc(out, t[tuple((chunk >> h) & 1 for h in high)].reshape(shape), out=out)
+        yield out
+
+
+def _log_sum_exp(n: int, log_tables) -> float:
+    """log of the sum over all 2^n assignments of exp(sum of log tables)."""
+    parts = []
+    for e in _enumerate(n, log_tables, np.add):
+        m = float(e.max())
+        if m == -math.inf:
+            parts.append(-math.inf)
+        else:
+            parts.append(m + math.log(float(np.exp(e - m).sum())))
     m = max(parts)
     if m == -math.inf:
         return -math.inf
@@ -389,44 +432,25 @@ def _combine_parts(parts: list[float]) -> float:
 def exact_log_z(g: ForneyGraph) -> float:
     """log Z by exhaustive enumeration over the edge variables.
 
-    Refuses graphs with more than 30 edges. Accumulation is done in log
-    space so huge and tiny weights are both safe.
+    Refuses graphs with more than 30 edges. The edges are the enumerated
+    variables (edge i of g.edges is bit i) and each node's log table is a
+    factor over its edges; degree-0 nodes add their constant. Accumulation
+    is in log space, so huge and tiny weights are both safe.
     """
     E = g.num_edges
     if E > MAX_ENUM_VARIABLES:
         raise ModelError(f"exact enumeration capped at {MAX_ENUM_VARIABLES} edges, got {E}")
     edge_pos = {e: i for i, e in enumerate(g.edges)}
     base_log = 0.0
-    gathers = []  # (log table, bit positions in table axis order)
+    log_tables = []
     for a in g.nodes:
         nbrs = g.neighbors[a]
-        if not nbrs:
-            lt = _log_table(g.tables[a])[0]
-            if lt == -math.inf:
-                return -math.inf
-            base_log += lt
-            continue
-        positions = [edge_pos[canon_edge(a, b)] for b in nbrs]
-        gathers.append((_log_table(g.tables[a]), positions))
-
-    chunk_bits = min(E, _CHUNK_BITS)
-    low = np.arange(1 << chunk_bits, dtype=np.uint64)
-    parts = []
-    for base in range(0, 1 << E, 1 << chunk_bits):
-        idx = low | np.uint64(base)
-        acc = np.zeros(idx.shape)
-        for lt, positions in gathers:
-            k = len(positions)
-            li = np.zeros(idx.shape, dtype=np.int64)
-            for axis, pos in enumerate(positions):
-                li |= _bit(idx, pos).astype(np.int64) << (k - 1 - axis)
-            acc += lt[li]
-        m = float(acc.max())
-        if m == -math.inf:
-            parts.append(-math.inf)
+        if nbrs:
+            positions = [edge_pos[canon_edge(a, b)] for b in nbrs]
+            log_tables.append((positions, _log_table(g.tables[a])))
         else:
-            parts.append(m + math.log(float(np.exp(acc - m).sum())))
-    return base_log + _combine_parts(parts)
+            base_log += float(np.log(g.tables[a][0]))  # _check_table: the one entry is > 0
+    return base_log + _log_sum_exp(E, log_tables)
 
 
 def exact_z(g: ForneyGraph) -> float:
@@ -437,47 +461,15 @@ def exact_z(g: ForneyGraph) -> float:
 def exact_log_z_factor(fg: FactorGraph) -> float:
     """log Z of a factor graph by exhaustive enumeration over its variables.
 
-    Capped at 30 variables. States are visited in chunks over the low bits;
-    factors fully inside the low block are evaluated once and reused, which
-    keeps the inner loop to the cross terms.
+    Capped at 30 variables. Variable i of fg.variables is bit i; each
+    factor's log table is broadcast onto its variables' axes and added, one
+    chunk of low variables at a time, with a log-sum-exp per chunk. Factors
+    over low variables only are added once and reused by every chunk.
     """
     n = fg.num_variables
     if n > MAX_ENUM_VARIABLES:
         raise ModelError(f"exact enumeration capped at {MAX_ENUM_VARIABLES} variables, got {n}")
     var_pos = {v: i for i, v in enumerate(fg.variables)}
-    nlow = min(n, _CHUNK_BITS)
-    low = np.arange(1 << nlow, dtype=np.uint64)
-
-    def gather_low(f: Factor, fixed_high: int) -> np.ndarray:
-        k = len(f.scope)
-        li = np.zeros(low.shape, dtype=np.int64)
-        for axis, v in enumerate(f.scope):
-            p = var_pos[v]
-            shift = k - 1 - axis
-            if p < nlow:
-                li |= _bit(low, p).astype(np.int64) << shift
-            else:
-                li |= ((fixed_high >> (p - nlow)) & 1) << shift
-        return _log_table(f.table)[li]
-
-    low_only = [f for f in fg.factors if all(var_pos[v] < nlow for v in f.scope)]
-    rest = [f for f in fg.factors if f not in low_only]
-    e_low = np.zeros(low.shape)
-    for f in low_only:
-        e_low += gather_low(f, 0)
-
-    parts = []
-    for high in range(1 << (n - nlow)):
-        e = e_low.copy()
-        for f in rest:
-            e += gather_low(f, high)
-        m = float(e.max())
-        if m == -math.inf:
-            parts.append(-math.inf)
-        else:
-            parts.append(m + math.log(float(np.exp(e - m).sum())))
-    return _combine_parts(parts)
-
-
-def exact_z_factor(fg: FactorGraph) -> float:
-    return math.exp(exact_log_z_factor(fg))
+    return _log_sum_exp(
+        n, [([var_pos[v] for v in f.scope], _log_table(f.table)) for f in fg.factors]
+    )

@@ -3,8 +3,11 @@
 z_empty evaluates the even-degree (2-regular) correction through one
 matching problem. pfaffian_series adds the remaining terms: every even
 subset of degree-3 nodes contributes its own matching problem times the
-loop weights of the removed nodes. enumerate_loops is the exhaustive
-oracle for both.
+loop weights of the removed nodes. enumerate_loops and loop_correction are
+the exhaustive oracle for both: the edges are the enumerated variables of
+the model's chunked enumeration kernel, which multiplies one loop-weight
+table per node and ANDs one validity table per node (no node of degree
+one inside a loop) over all edge subsets.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bp import BPResult, mu_term
-from .model import ForneyGraph, ModelError, canon_edge
+from .model import ForneyGraph, ModelError, _enumerate, canon_edge
 from .pfaffian import OrientationError, matching_sum, tutte_matrix
 from .planar import (
     face_parity_violations,
@@ -27,7 +30,6 @@ from .planar import (
 from .slog import SignedLog
 
 MAX_LOOP_EDGES = 24
-_CHUNK_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -134,54 +136,43 @@ def pfaffian_series(
 
 
 def _loop_scan(g: ForneyGraph, res: BPResult, regular_only: bool):
-    """Yield (mask, weight, triplet tuple) for every generalized loop."""
+    """(masks, weights) of every generalized loop, in ascending mask order.
+
+    Edge i of g.edges is bit i of a mask. Each node is a weight table and a
+    validity table over its edges: the empty subset weighs 1, an allowed
+    subset (size 2, or 3 unless regular_only) weighs its mu_term, anything
+    else is invalid with weight 0.
+    """
     if any(g.degree(a) > 3 for a in g.nodes):
         raise ModelError("loop enumeration needs degrees at most 3")
     E = g.num_edges
     if E > MAX_LOOP_EDGES:
         raise ModelError(f"loop enumeration capped at {MAX_LOOP_EDGES} edges, got {E}")
-    edge_bit = {e: i for i, e in enumerate(g.edges)}
-    node_bits = []  # (node, bit positions in neighbor order, value table, inc mask)
+    edge_pos = {e: i for i, e in enumerate(g.edges)}
+    weights, valids = [], []
     for a in g.nodes:
         nbrs = g.neighbors[a]
-        bits = [edge_bit[canon_edge(a, b)] for b in nbrs]
-        vals = np.zeros(1 << len(bits))
-        vals[0] = 1.0
-        for i, j in itertools.combinations(range(len(bits)), 2):
-            vals[(1 << i) | (1 << j)] = mu_term(res, a, (nbrs[i], nbrs[j]))
-        if len(bits) == 3 and not regular_only:
-            vals[7] = mu_term(res, a, nbrs)
-        inc = 0
-        for p in bits:
-            inc |= 1 << p
-        node_bits.append((a, bits, vals, inc))
-
-    chunk = min(E, _CHUNK_BITS)
-    low = np.arange(1 << chunk, dtype=np.uint32)
-    for base in range(0, 1 << E, 1 << chunk):
-        masks = low | np.uint32(base)
-        valid = np.ones(masks.shape, dtype=bool)
-        weight = np.ones(masks.shape)
-        deg3 = []
-        for a, bits, vals, inc in node_bits:
-            cnt = np.bitwise_count(masks & np.uint32(inc))
-            valid &= cnt != 1
-            if len(bits) == 3:
-                if regular_only:
-                    valid &= cnt != 3
-                else:
-                    deg3.append((a, cnt))
-            li = np.zeros(masks.shape, dtype=np.int64)
-            for i, p in enumerate(bits):
-                li |= ((masks >> np.uint32(p)) & np.uint32(1)).astype(np.int64) << i
-            weight *= vals[li]
-        valid[masks == 0] = False
-        idxs = np.nonzero(valid)[0]
-        trip_hits = [(a, cnt[idxs] == 3) for a, cnt in sorted(deg3)]
-        for row, i in enumerate(idxs):
-            mask = int(masks[i])
-            trips = tuple(a for a, hits in trip_hits if hits[row])
-            yield mask, float(weight[i]), trips
+        if not nbrs:
+            continue
+        positions = [edge_pos[canon_edge(a, b)] for b in nbrs]
+        size = np.indices((2,) * len(nbrs)).sum(axis=0)
+        ok = size != 1
+        if regular_only:
+            ok &= size != 3
+        w = np.zeros(ok.shape)
+        for idx in zip(*np.nonzero(ok & (size > 0))):
+            w[idx] = mu_term(res, a, tuple(b for b, bit in zip(nbrs, idx) if bit))
+        w.flat[0] = 1.0
+        weights.append((positions, w))
+        valids.append((positions, ok))
+    masks, out = [], []
+    chunks = zip(_enumerate(E, weights, np.multiply), _enumerate(E, valids, np.logical_and))
+    for chunk, (w, ok) in enumerate(chunks):
+        idx = np.flatnonzero(ok)
+        masks.append(chunk * ok.size + idx)
+        out.append(w.reshape(-1)[idx])
+    masks, out = np.concatenate(masks), np.concatenate(out)
+    return masks[1:], out[1:]  # the empty subset is always valid: drop it
 
 
 def enumerate_loops(g: ForneyGraph, res: BPResult, regular_only: bool = False) -> list:
@@ -191,21 +182,20 @@ def enumerate_loops(g: ForneyGraph, res: BPResult, regular_only: bool = False) -
     exactly 2. Weights multiply the loop weight of every covered node
     against its in-loop neighbor set.
     """
+    masks, weights = _loop_scan(g, res, regular_only)
+    edge_bit = {e: 1 << i for i, e in enumerate(g.edges)}
+    full = [(a, sum(edge_bit[canon_edge(a, b)] for b in g.neighbors[a])) for a in triplet_nodes(g)]
     out = []
-    for mask, w, trips in _loop_scan(g, res, regular_only):
-        edges = tuple(e for i, e in enumerate(g.edges) if (mask >> i) & 1)
-        out.append(LoopTerm(edges, w, trips))
+    for mask, w in zip(masks.tolist(), weights.tolist()):
+        edges = tuple(e for e, bit in edge_bit.items() if mask & bit)
+        out.append(LoopTerm(edges, w, tuple(a for a, inc in full if mask & inc == inc)))
     return out
 
 
 def loop_correction(g: ForneyGraph, res: BPResult, regular_only: bool = False):
     """(1 + sum of loop weights, loop count) without materializing terms."""
-    total = 1.0
-    count = 0
-    for _, w, _ in _loop_scan(g, res, regular_only):
-        total += w
-        count += 1
-    return total, count
+    _, weights = _loop_scan(g, res, regular_only)
+    return 1.0 + float(weights.sum()), weights.size
 
 
 def term_ranking(terms) -> list:

@@ -68,6 +68,3 @@ class SignedLog:
 
     def __neg__(self) -> "SignedLog":
         return SignedLog(-self.sign, self.log_magnitude)
-
-    def abs_log(self) -> float:
-        return self.log_magnitude

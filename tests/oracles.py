@@ -1,8 +1,9 @@
 """Independent references used across the test suite.
 
 Deliberately naive implementations: they share no code with the path they
-check, so agreement is evidence, not tautology. The matching sums are
-recursive brute force; the Kasteleyn matrix is the unit-weight form of the
+check, so agreement is evidence, not tautology. brute_log_z_factor sums
+every spin assignment in linear space; the matching sums are recursive
+brute force; the Kasteleyn matrix is the unit-weight form of the
 Pfaffian path's matrix; reference_run_bp is belief propagation with one
 numpy array update per message, the form planarz.bp replaced with its
 slot kernel (it shares only the result type and the constants).
@@ -11,12 +12,30 @@ slot kernel (it shares only the result type and the constants).
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 
 import numpy as np
 
 from planarz import SkewMatrix
 from planarz.bp import MESSAGE_FLOOR, BPConfig, BPNumericError, BPResult
+
+
+def brute_log_z_factor(fg) -> float:
+    """log Z of a FactorGraph, summing the product of factor entries over
+    every +-1 assignment; a table index has the first scope variable most
+    significant and -1 before +1. Exponential; keep graphs small."""
+    total = 0.0
+    for spins in itertools.product((-1, 1), repeat=fg.num_variables):
+        value = dict(zip(fg.variables, spins))
+        p = 1.0
+        for f in fg.factors:
+            idx = 0
+            for v in f.scope:
+                idx = 2 * idx + (value[v] > 0)
+            p *= f.table[idx]
+        total += p
+    return math.log(total) if total > 0 else -math.inf
 
 
 def matching_sum(num_vertices: int, edges) -> float:

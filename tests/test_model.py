@@ -6,6 +6,8 @@ between the edge-level and factor-level enumerations, and invariance of Z
 under every structural transformation.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -14,16 +16,21 @@ from planarz import (
     FactorGraph,
     ForneyGraph,
     ModelError,
+    ModelParams,
     exact_log_z,
     exact_log_z_factor,
     exact_z,
     factor_to_forney,
+    grid_factor_graph,
     reduce_degree,
     two_core,
 )
 from planarz.model import assignment_to_index, index_to_assignment
 
-from builders import cycle_forney, ladder_graph, random_tree_forney
+from builders import cycle_forney, ladder_graph, random_planar_forney, random_tree_forney
+from oracles import brute_log_z_factor
+
+model_module = importlib.import_module("planarz.model")
 
 
 # ---------------------------------------------------------------- indexing
@@ -128,6 +135,45 @@ def test_factor_oracle_matches_forney_oracle():
     )
     g = factor_to_forney(fg)
     assert exact_log_z(g) == pytest.approx(exact_log_z_factor(fg), rel=1e-12)
+
+
+def test_factor_oracle_matches_brute_force_on_random_scopes():
+    # scopes of size 0-3 list their variables in random order, so the
+    # oracle must transpose every table onto its variables' axes
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 11))
+        variables = [f"v{i}" for i in rng.permutation(n)]
+        factors = []
+        for k in range(int(rng.integers(1, 13))):
+            size = int(rng.integers(0, min(n, 3) + 1))
+            scope = tuple(variables[i] for i in rng.choice(n, size, replace=False))
+            table = rng.uniform(0.2, 2.0, 2 ** len(scope))
+            if scope and rng.random() < 0.25:
+                table[rng.integers(table.size)] = 0.0
+            factors.append((f"f{k}", scope, table))
+        used = {v for _, scope, _ in factors for v in scope}
+        factors += [(f"h{v}", (v,), rng.uniform(0.2, 2.0, 2)) for v in variables if v not in used]
+        fg = FactorGraph(variables, factors)
+        want = brute_log_z_factor(fg)
+        assert exact_log_z_factor(fg) == pytest.approx(want, rel=1e-12), f"seed {seed}"
+
+
+def test_factor_oracle_spans_the_chunk_split():
+    # 25 variables: the top ones are enumerated chunk by chunk, and reversing
+    # the variable order changes which factors cross the split
+    fg = grid_factor_graph(5, ModelParams(1.0, 1.0, seed=3))
+    rev = FactorGraph(fg.variables[::-1], [(f.id, f.scope, f.table) for f in fg.factors])
+    assert exact_log_z_factor(rev) == pytest.approx(exact_log_z_factor(fg), rel=1e-12)
+
+
+def test_oracles_do_not_depend_on_chunk_size(monkeypatch):
+    graphs = [ladder_graph(seed=3), random_planar_forney(5)]
+    fg = grid_factor_graph(3, ModelParams(1.0, 1.0, seed=1))
+    want = [exact_log_z(g) for g in graphs] + [exact_log_z_factor(fg)]
+    monkeypatch.setattr(model_module, "_CHUNK_BITS", 4)
+    got = [exact_log_z(g) for g in graphs] + [exact_log_z_factor(fg)]
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_enumeration_cap():

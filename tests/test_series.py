@@ -108,9 +108,22 @@ def test_loop_correction_streams_same_total():
     assert total == pytest.approx(1.0 + sum(l.weight for l in loops), rel=1e-14)
 
 
-def test_loop_enumeration_caps():
-    g = random_planar_forney(0)
+def test_loop_oracle_does_not_depend_on_chunk_size(monkeypatch):
+    # 17 edges in chunks of 2^6 masks: same loops, order, triplets and weights
+    g = random_planar_forney(5)
     res = _bp(g)
+    for regular_only in (False, True):
+        want = enumerate_loops(g, res, regular_only)
+        total, count = loop_correction(g, res, regular_only)
+        with monkeypatch.context() as m:
+            m.setattr(importlib.import_module("planarz.model"), "_CHUNK_BITS", 6)
+            got = enumerate_loops(g, res, regular_only)
+            assert loop_correction(g, res, regular_only) == pytest.approx((total, count), rel=1e-12)
+        assert [(l.edges, l.triplets) for l in got] == [(l.edges, l.triplets) for l in want]
+        assert [l.weight for l in got] == pytest.approx([l.weight for l in want], rel=1e-12)
+
+
+def test_loop_enumeration_caps():
     big = cycle_forney(25, seed=0)
     res_big = _bp(big)
     with pytest.raises(ModelError):
@@ -143,10 +156,6 @@ def test_z_empty_matches_regular_loop_sum():
 
 def test_z_empty_empty_graph_is_one():
     g = ForneyGraph({}, {})
-
-    class _Res:
-        pass
-
     assert z_empty(g, None).to_float() == 1.0
 
 

@@ -32,7 +32,7 @@ from .model import (
     reduce_degree,
     two_core,
 )
-from .io import parse_model, write_factor_graph
+from .io import read_model, write_factor_graph, write_model
 from .series import loop_correction
 
 
@@ -75,8 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_forney(path: str):
-    with open(path) as fh:
-        model = parse_model(fh.read())
+    model = read_model(path)
     if isinstance(model, FactorGraph):
         return model, reduce_degree(factor_to_forney(model))
     return None, model
@@ -99,12 +98,10 @@ def _cmd_gen(args) -> int:
         fg = grid_factor_graph(args.grid, params)
     else:
         fg = spiderweb_factor_graph(args.spiderweb[0], args.spiderweb[1], params)
-    text = write_factor_graph(fg)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        write_model(args.out, fg)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(write_factor_graph(fg))
     return 0
 
 

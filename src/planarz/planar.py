@@ -5,8 +5,8 @@ degree-2 node, one triangle per degree-3 node) -> rotation-system embedding
 -> dummy edges joining components -> orientation making every bounded face
 odd when walked clockwise. Perfect matchings of the extended graph then
 line up with the even-degree loop structure of the source graph. Only the
-removal-free graph of a model is embedded; a removal set's graph reads its
-rotation off that embedding.
+removal-free graph of a model is built, embedded and oriented: a removal
+set's graph is its subgraph induced on the kept ports.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ class ExtendedGraph:
     labels: tuple
     edges: tuple
     source_nodes: tuple
-    removed: tuple
 
     def adjacency(self) -> list[list[int]]:
         adj = [[] for _ in range(self.num_vertices)]
@@ -80,6 +79,7 @@ class OrientedPlanarGraph:
     ext: ExtendedGraph
     embedding: PlanarEmbedding
     orientation: dict  # canonical (u, v) -> (tail, head)
+    dual_tree: dict  # bounded face -> (parent face, canonical edge crossed to reach it)
 
 
 def _trace_faces(num_vertices, rotation):
@@ -174,72 +174,38 @@ def embed(num_vertices: int, edges, rotation=None) -> PlanarEmbedding:
 _GADGET_PAIRS = {2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
 
 
-def gadget_weights(g: ForneyGraph, res: BPResult, nodes) -> dict:
-    """Internal edge weights of the gadgets of `nodes`.
-
-    Maps each node to its loop weights against the neighbor pairs (0, 1),
-    then (0, 2) and (1, 2) for degree 3, in g's neighbor order. They depend
-    only on the BP fixed point, so a series computes them once for all its
-    removal sets.
-    """
-    out = {}
-    for a in nodes:
-        nbrs = g.neighbors[a]
-        out[a] = tuple(mu_term(res, a, (nbrs[i], nbrs[j])) for i, j in _GADGET_PAIRS[len(nbrs)])
-    return out
-
-
-def fisher_extend(g: ForneyGraph, res: BPResult, removed=(), weights=None) -> ExtendedGraph:
-    """Split every kept node into its matching gadget.
+def fisher_extend(g: ForneyGraph, res: BPResult) -> ExtendedGraph:
+    """Split every node into its matching gadget.
 
     Degree-2 nodes become two ports joined by one weighted edge; degree-3
     nodes become a triangle whose edge between the ports facing b and c
-    carries the node's loop weight against {b, c}. Ports facing a removed
-    node get no external edge, which forces them to be matched internally.
-    weights holds gadget_weights for at least the kept nodes; without it
-    they are computed here.
+    carries the node's loop weight against {b, c}. Ports are numbered node
+    by node in g's order.
     """
     if not g.is_reduced:
         raise ModelError("fisher_extend needs a reduced graph (degrees 2 and 3)")
-    removed = tuple(removed)
-    removed_set = set(removed)
-    if len(removed_set) != len(removed):
-        raise ModelError("removed nodes repeat")
-    for a in removed:
-        if a not in g.neighbors:
-            raise ModelError(f"removed node {a!r} not in graph")
-        if g.degree(a) != 3:
-            raise ModelError(f"removed node {a!r} has degree {g.degree(a)}, need 3")
-    kept = tuple(a for a in g.nodes if a not in removed_set)
-    if weights is None:
-        weights = gadget_weights(g, res, kept)
-
-    labels = []
-    port = {}
-    for a in kept:
-        for b in g.neighbors[a]:
-            port[(a, b)] = len(labels)
-            labels.append((a, b))
+    labels = [(a, b) for a in g.nodes for b in g.neighbors[a]]
+    port = {lbl: i for i, lbl in enumerate(labels)}
 
     edges = []
-    for a in kept:
+    for a in g.nodes:
         nbrs = g.neighbors[a]
-        for (i, j), w in zip(_GADGET_PAIRS[len(nbrs)], weights[a]):
+        for i, j in _GADGET_PAIRS[len(nbrs)]:
+            pair = (nbrs[i], nbrs[j])
             edges.append(ExtEdge(
-                port[(a, nbrs[i])], port[(a, nbrs[j])], "internal", w,
-                ("internal", a, (nbrs[i], nbrs[j])),
+                port[(a, pair[0])], port[(a, pair[1])], "internal", mu_term(res, a, pair),
+                ("internal", a, pair),
             ))
     for a, b in g.edges:
-        if a in removed_set or b in removed_set:
-            continue
         edges.append(ExtEdge(port[(a, b)], port[(b, a)], "external", 1.0, ("external", (a, b))))
 
-    return ExtendedGraph(len(labels), tuple(labels), tuple(edges), kept, removed)
+    return ExtendedGraph(len(labels), tuple(labels), tuple(edges), g.nodes)
 
 
-def reference_matching(g: ForneyGraph, ext: ExtendedGraph):
-    """One perfect matching of ext = fisher_extend(g, res, removed) as
-    canonical port pairs, or None when there is none.
+def reference_matching(g: ForneyGraph, ext: ExtendedGraph, removed=()):
+    """One perfect matching of ext = fisher_extend(g, res) minus the ports
+    of the removed nodes, as canonical port pairs of ext, or None when there
+    is none.
 
     Perfect matchings are generalized loops through every removed node: the
     loop pairs ports inside gadgets, the other kept edges match externally.
@@ -248,12 +214,13 @@ def reference_matching(g: ForneyGraph, ext: ExtendedGraph):
     iff each component of g minus the removed nodes holds an even number of
     T; the one inside a spanning forest takes O(V).
     """
-    removed = set(ext.removed)
+    removed = set(removed)
+    kept = [a for a in ext.source_nodes if a not in removed]
     port = {lbl: i for i, lbl in enumerate(ext.labels)}
-    odd = {a: sum(b in removed for b in g.neighbors[a]) % 2 == 1 for a in ext.source_nodes}
+    odd = {a: sum(b in removed for b in g.neighbors[a]) % 2 == 1 for a in kept}
     loop = set()
     parent = {}
-    for root in ext.source_nodes:
+    for root in kept:
         if root in parent:
             continue
         parent[root] = None
@@ -271,7 +238,7 @@ def reference_matching(g: ForneyGraph, ext: ExtendedGraph):
             return None
 
     pairs = []
-    for a in ext.source_nodes:
+    for a in kept:
         ends = [port[(a, b)] for b in g.neighbors[a] if b in removed or canon_edge(a, b) in loop]
         if ends:
             pairs.append(tuple(sorted(ends)))
@@ -281,32 +248,21 @@ def reference_matching(g: ForneyGraph, ext: ExtendedGraph):
     return pairs
 
 
-def orient(ext: ExtendedGraph, parent: OrientedPlanarGraph | None = None) -> OrientedPlanarGraph:
+def orient(ext: ExtendedGraph) -> OrientedPlanarGraph:
     """Direct every edge so each bounded face has an odd clockwise count.
 
-    With parent, the rotation system is read off parent's embedding by
-    vertex label, with no planarity test: ext must be a labelled subgraph of
-    parent.ext, as a removal set's graph is of the empty set's, and deleting
-    vertices and edges keeps a rotation system planar. Each further
-    component is joined to vertex 0 by a zero-weight dummy edge: face parity
-    needs a connected graph, not a biconnected one.
+    Each further component is joined to vertex 0 by a zero-weight dummy
+    edge: face parity needs a connected graph, not a biconnected one.
 
     Spanning-tree edges point toward their larger endpoint. Faces are then
     visited in post-order over the dual tree built from the non-tree edges
     (rooted at the external face); each face fixes the one undirected edge
-    it still has so its own parity comes out odd.
+    it still has so its own parity comes out odd. The dual tree is kept on
+    the result: a path up it from any face reaches the external face.
     """
     n = ext.num_vertices
     adj = [set(a) for a in ext.adjacency()]
-    if parent is None:
-        rotation = [list(r) for r in embed(n, [e.key() for e in ext.edges]).rotation]
-    else:
-        index = {lbl: i for i, lbl in enumerate(ext.labels)}
-        at = dict(zip(parent.ext.labels, parent.embedding.rotation))
-        rotation = [
-            [w for w in (index.get(parent.ext.labels[x]) for x in at[lbl]) if w in adj[v]]
-            for v, lbl in enumerate(ext.labels)
-        ]
+    rotation = [list(r) for r in embed(n, [e.key() for e in ext.edges]).rotation]
 
     tree = set()
     dummies = []
@@ -350,23 +306,21 @@ def orient(ext: ExtendedGraph, parent: OrientedPlanarGraph | None = None) -> Ori
         dual[f2].append((f1, (u, v)))
 
     root = emb.external_face
-    parent_edge = {root: None}
+    dual_tree = {}
     order = []
-    stack = [(root, None)]
+    stack = [root]
     while stack:
-        fi, via = stack.pop()
+        fi = stack.pop()
         order.append(fi)
         for nf, e in sorted(dual[fi]):
-            if nf not in parent_edge:
-                parent_edge[nf] = e
-                stack.append((nf, e))
-    if len(parent_edge) != len(emb.faces):
+            if nf != root and nf not in dual_tree:
+                dual_tree[nf] = (fi, e)
+                stack.append(nf)
+    if len(dual_tree) + 1 != len(emb.faces):
         raise ModelError("dual graph across non-tree edges is not connected")
 
-    for fi in reversed(order):
-        if fi == root:
-            continue
-        u, v = parent_edge[fi]
+    for fi in reversed(order[1:]):  # order[0] is the external face
+        u, v = dual_tree[fi][1]
         walk = emb.faces[fi]
         cw = 0
         this_dir = None
@@ -379,7 +333,7 @@ def orient(ext: ExtendedGraph, parent: OrientedPlanarGraph | None = None) -> Ori
                 cw += 1
         orientation[(u, v)] = this_dir if cw % 2 == 0 else (this_dir[1], this_dir[0])
 
-    return OrientedPlanarGraph(ext, emb, orientation)
+    return OrientedPlanarGraph(ext, emb, orientation, dual_tree)
 
 
 def face_parity_violations(o: OrientedPlanarGraph) -> list[int]:

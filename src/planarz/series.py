@@ -3,11 +3,15 @@
 z_empty evaluates the even-degree (2-regular) correction through one
 matching problem. pfaffian_series adds the remaining terms: every even
 subset of degree-3 nodes contributes its own matching problem times the
-loop weights of the removed nodes. enumerate_loops and loop_correction are
-the exhaustive oracle for both: the edges are the enumerated variables of
-the model's chunked enumeration kernel, which multiplies one loop-weight
-table per node and ANDs one validity table per node (no node of degree
-one inside a loop) over all edge subsets.
+loop weights of the removed nodes. All of a model's matching problems share
+one oriented gadget graph: a removal set's problem is a principal minor of
+its Tutte matrix, with the defect lines of the removed nodes negated.
+
+enumerate_loops and loop_correction are the exhaustive oracle for both: the
+edges are the enumerated variables of the model's chunked enumeration
+kernel, which multiplies one loop-weight table per node and ANDs one
+validity table per node (no node of degree one inside a loop) over all edge
+subsets.
 """
 
 from __future__ import annotations
@@ -19,11 +23,11 @@ import numpy as np
 
 from .bp import BPResult, mu_term
 from .model import ForneyGraph, ModelError, _enumerate, canon_edge
-from .pfaffian import OrientationError, matching_sum, tutte_matrix
+from .pfaffian import OrientationError, SkewMatrix, matching_sum, tutte_matrix
 from .planar import (
+    OrientedPlanarGraph,
     face_parity_violations,
     fisher_extend,
-    gadget_weights,
     orient,
     reference_matching,
 )
@@ -61,20 +65,61 @@ class PfaffianSeriesResult:
     complete: bool
 
 
-def _matching_correction(g: ForneyGraph, ext, parent=None):
-    """(perfect-matching sum of ext, orient(ext, parent)); an empty ext sums
-    to one and one without perfect matchings to zero, neither oriented (None).
-    """
+def _kasteleyn(g: ForneyGraph, res: BPResult):
+    """(o, K): g's removal-free gadget graph oriented with every bounded face
+    checked odd, and its Tutte matrix; (None, None) for an empty graph."""
+    ext = fisher_extend(g, res)
     if ext.num_vertices == 0:
-        return SignedLog.one(), None
-    matching = reference_matching(g, ext)
-    if matching is None:
-        return SignedLog.zero(), None
-    o = orient(ext, parent)
+        return None, None
+    o = orient(ext)
     bad = face_parity_violations(o)
     if bad:
         raise OrientationError(f"bounded faces {bad} have an even clockwise count")
-    return matching_sum(tutte_matrix(o), [o.orientation[k] for k in matching]), o
+    return o, tutte_matrix(o)
+
+
+def _defect_lines(o: OrientedPlanarGraph, nodes) -> dict:
+    """Per node, the edges crossed by the dual-tree path from a face at one
+    of its ports to the external face.
+
+    With every bounded face clockwise-odd, a cycle's clockwise count is one
+    plus the number of vertices inside it, mod 2. Removing a gadget drops
+    three vertices from one side of every remaining cycle, breaking the rule
+    on the cycles around it: exactly those the line crosses an odd number of
+    times, so negating the line's edges restores it.
+    """
+    port = {a: v for v, (a, _) in enumerate(o.ext.labels)}
+    face = {x: fi for fi, walk in enumerate(o.embedding.faces) for x, _ in walk}
+    lines = {}
+    for a in nodes:
+        fi, lines[a] = face[port[a]], set()
+        while fi in o.dual_tree:
+            fi, e = o.dual_tree[fi]
+            lines[a].add(e)
+    return lines
+
+
+def _matching_correction(g: ForneyGraph, o, K, removed=(), flip=frozenset()) -> SignedLog:
+    """Perfect-matching sum of o's graph minus the ports of the removed nodes.
+
+    That graph is induced on the kept ports, so its matrix is K's principal
+    minor on them, with the entries on the edges in flip negated to keep it
+    Kasteleyn. An empty graph sums to one; one without perfect matchings
+    sums to zero without a Pfaffian.
+    """
+    if o is None:
+        return SignedLog.one()
+    matching = reference_matching(g, o.ext, removed)
+    if matching is None:
+        return SignedLog.zero()
+    kept = [v for v, (a, _) in enumerate(o.ext.labels) if a not in removed]
+    at = dict(zip(kept, range(len(kept))))
+    minor = SkewMatrix(K.data[np.ix_(kept, kept)])
+    for u, v in flip:
+        if u in at and v in at:
+            minor.data[[at[u], at[v]], [at[v], at[u]]] *= -1
+    pairs = [o.orientation[k][::-1] if k in flip else o.orientation[k] for k in matching]
+    return matching_sum(minor, [(at[t], at[h]) for t, h in pairs])
 
 
 def z_empty(g: ForneyGraph, res: BPResult) -> SignedLog:
@@ -83,7 +128,7 @@ def z_empty(g: ForneyGraph, res: BPResult) -> SignedLog:
     Multiply exp of its log against Z^BP to get the corrected estimate. An
     empty core (tree after absorption) gives exactly 1.
     """
-    return _matching_correction(g, fisher_extend(g, res))[0]
+    return _matching_correction(g, *_kasteleyn(g, res))
 
 
 def triplet_nodes(g: ForneyGraph) -> tuple:
@@ -106,25 +151,26 @@ def pfaffian_series(
         raise ModelError("pfaffian_series needs a reduced graph")
     trips = triplet_nodes(g)
     limit = len(trips) if max_psi_size is None else min(max_psi_size, len(trips))
-    weights = gadget_weights(g, res, g.nodes)
+    o, K = _kasteleyn(g, res)
+    removable = trips if limit >= 2 else ()
     removed_weight = {
-        a: SignedLog.from_float(mu_term(res, a, res.neighbor_order[a]))
-        for a in (trips if limit >= 2 else ())
+        a: SignedLog.from_float(mu_term(res, a, res.neighbor_order[a])) for a in removable
     }
+    lines = _defect_lines(o, removable) if removable else {}
     terms = []
     total = SignedLog.zero()
     complete = True
-    parent = None
     for size in range(0, limit + 1, 2):
         for psi in itertools.combinations(trips, size):
             if budget is not None and len(terms) >= budget:
                 complete = False
                 break
-            zp, o = _matching_correction(g, fisher_extend(g, res, psi, weights), parent)
-            parent = parent or o  # the empty set's embedding serves every later term
+            flip = set()
             factor = SignedLog.one()
             for a in psi:
+                flip ^= lines[a]
                 factor = factor * removed_weight[a]
+            zp = _matching_correction(g, o, K, psi, flip)
             term = PfaffianTerm(psi, zp, factor)
             terms.append(term)
             total = total + term.contribution

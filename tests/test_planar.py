@@ -6,9 +6,11 @@ come out with uniform signs, so it is checked directly on many random
 planar graphs rather than trusted.
 """
 
+import importlib
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from planarz import (
@@ -32,6 +34,9 @@ from builders import (
     random_planar_vertex_graph,
 )
 from oracles import kasteleyn_matrix, matching_count, matching_sum
+
+pfaffian_module = importlib.import_module("planarz.pfaffian")
+series_module = importlib.import_module("planarz.series")
 
 
 # ---------------------------------------------------------------- embedding
@@ -117,24 +122,24 @@ def test_fisher_gadget_weights():
     assert len(internals) == sum(1 if g.degree(a) == 2 else 3 for a in g.nodes)
 
 
-def test_fisher_extend_removal():
+def test_fisher_extend_removal(monkeypatch):
+    # a removal set's term matrix is the principal minor of the removal-free
+    # Tutte matrix on the ports of the kept nodes
     g = ladder_graph(seed=3)
     res = _bp(g)
-    ext = fisher_extend(g, res, removed=("t1", "t2"))
-    kept_nodes = {lbl[0] for lbl in ext.labels}
-    assert "t1" not in kept_nodes and "t2" not in kept_nodes
+    o = orient(fisher_extend(g, res))
+    real = pfaffian_module.pfaffian
+    seen = []
+    monkeypatch.setattr(pfaffian_module, "pfaffian", lambda a: seen.append(a.data) or real(a))
+    series_module._matching_correction(g, o, tutte_matrix(o), ("t1", "t2"))
+    (minor,) = seen
+    kept = [v for v, (a, _) in enumerate(o.ext.labels) if a not in ("t1", "t2")]
+    assert minor.shape == (len(kept), len(kept)) == (o.ext.num_vertices - 6,) * 2
     # externals on removed nodes are gone too: each removed degree-3 node
     # kills its 3 externals, but the t1-t2 edge is shared
-    assert len([e for e in ext.edges if e.kind == "external"]) == g.num_edges - 5
-
-
-def test_fisher_extend_rejects_bad_removal():
-    g = ladder_graph(seed=0)
-    res = _bp(g)
-    with pytest.raises(ModelError):
-        fisher_extend(g, res, removed=("t0",))  # degree 2
-    with pytest.raises(ModelError):
-        fisher_extend(g, res, removed=("t1", "t1"))
+    external = {e.key() for e in o.ext.edges if e.kind == "external"}
+    entries = {(kept[i], kept[j]) for i, j in zip(*np.nonzero(np.triu(minor)))}
+    assert len(entries & external) == g.num_edges - 5
 
 
 def test_ladder_extended_graph_has_eight_matchings():

@@ -10,6 +10,7 @@ import importlib
 from collections import Counter
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from planarz import (
@@ -20,6 +21,7 @@ from planarz import (
     OrientationError,
     enumerate_loops,
     exact_log_z,
+    exact_log_z_factor,
     fisher_extend,
     gen_spiderweb,
     loop_correction,
@@ -252,33 +254,43 @@ def _series_models():
         yield ladder_graph(seed=seed)
     for seed in range(12):
         yield random_planar_forney(seed)
-    for seed in range(2):
-        _, g = gen_spiderweb(1, 3, ModelParams(beta=0.5, theta=0.5, seed=seed))
+    for rings, spokes, seed in ((1, 3, 0), (1, 3, 1), (2, 3, 0)):
+        _, g = gen_spiderweb(rings, spokes, ModelParams(beta=0.5, theta=0.5, seed=seed))
         yield two_core(g)[0]
 
 
 def test_reference_matching_sign_matches_kasteleyn():
-    # every term's sign comes from one reference matching; it must agree with
-    # the unit-weight Pfaffian of the same oriented graph. Without a
-    # reference matching only dummy edges could complete one, so the
-    # weighted Pfaffian, where dummies weigh zero, vanishes
+    # a term's matrix is the removal-free orientation sliced to the kept
+    # ports, with the removed nodes' defect lines flipped. Its sign comes
+    # from one reference matching, which must agree with the unit-weight
+    # Pfaffian of that flipped, sliced matrix. Without a reference matching
+    # only dummy edges could complete one, so the weighted Pfaffian, where
+    # dummies weigh zero, vanishes
     checked = 0
     for g in _series_models():
         res = _bp(g)
-        parent = None
+        o = orient(fisher_extend(g, res))
+        lines = series_module._defect_lines(o, triplet_nodes(g))
+        unit, weighted = kasteleyn_matrix(o).data, tutte_matrix(o).data
         for term in pfaffian_series(g, res).terms:
-            ext = fisher_extend(g, res, term.psi)
-            if ext.num_vertices == 0:
-                continue
-            o = orient(ext, parent)
-            parent = parent or o
-            pf = pfaffian(kasteleyn_matrix(o).data)
-            matching = reference_matching(g, ext)
+            flip = set()
+            for a in term.psi:
+                flip ^= lines[a]
+            sign = np.ones_like(unit)
+            for u, v in flip:
+                sign[u, v] = sign[v, u] = -1
+            kept = [v for v, (a, _) in enumerate(o.ext.labels) if a not in term.psi]
+            at = {v: i for i, v in enumerate(kept)}
+            pf = pfaffian((sign * unit)[np.ix_(kept, kept)])
+            matching = reference_matching(g, o.ext, term.psi)
             if matching is None:
-                assert pfaffian(tutte_matrix(o).data).sign == 0 and term.z_psi.sign == 0
+                assert pfaffian((sign * weighted)[np.ix_(kept, kept)]).sign == 0
+                assert term.z_psi.sign == 0
                 continue
-            assert set(matching) <= {e.key() for e in ext.edges}
-            assert matching_sign([o.orientation[k] for k in matching]) == pf.sign
+            assert set(matching) <= {e.key() for e in o.ext.edges}
+            assert all(at.keys() >= set(k) for k in matching)
+            pairs = [o.orientation[k][::-1] if k in flip else o.orientation[k] for k in matching]
+            assert matching_sign([(at[t], at[h]) for t, h in pairs]) == pf.sign
             checked += 1
     assert checked >= 100
 
@@ -288,7 +300,7 @@ def test_loopless_removal_set_skips_the_pfaffian(monkeypatch):
     # above), so that term is exactly zero and never reaches a Pfaffian
     g = ladder_graph(seed=0)
     res = _bp(g)
-    assert reference_matching(g, fisher_extend(g, res, ("b2", "t1"))) is None
+    assert reference_matching(g, fisher_extend(g, res), ("b2", "t1")) is None
     real = pfaffian_module.pfaffian
     dims = []
     monkeypatch.setattr(pfaffian_module, "pfaffian", lambda a: dims.append(a.data.shape) or real(a))
@@ -302,8 +314,8 @@ def test_loopless_removal_set_skips_the_pfaffian(monkeypatch):
 def test_corrupted_orientation_raises(monkeypatch):
     real = series_module.orient
 
-    def corrupted(ext, parent=None):
-        o = real(ext, parent)
+    def corrupted(ext):
+        o = real(ext)
         walk = o.embedding.faces[1 if o.embedding.external_face == 0 else 0]
         x, y = next((x, y) for x, y in walk if (y, x) not in walk)
         key = (min(x, y), max(x, y))
@@ -328,6 +340,36 @@ def test_series_runs_one_planarity_test(monkeypatch):
         series = pfaffian_series(g, _bp(g))
         assert len(series.terms) > 1
         assert len(calls) == 1
+
+
+def test_series_orients_once(monkeypatch):
+    # every removal set's matrix is sliced from the removal-free graph's
+    real = series_module.orient
+    calls = []
+    monkeypatch.setattr(series_module, "orient", lambda ext: calls.append(1) or real(ext))
+    for g in (ladder_graph(seed=0), random_planar_forney(4)):
+        res = _bp(g)
+        calls.clear()
+        series = pfaffian_series(g, res)
+        assert len(series.terms) > 1
+        assert len(calls) == 1
+        calls.clear()
+        z_empty(g, res)
+        assert len(calls) == 1
+
+
+def test_series_matches_exact_where_defect_lines_matter():
+    # spiderweb(2, 3) has removal sets whose gadgets sit inside cycles of
+    # the kept graph: without the defect-line flips the orientation is not
+    # Kasteleyn there and the series misses exact log Z
+    for seed in range(3):
+        fg, g = gen_spiderweb(2, 3, ModelParams(beta=0.5, theta=0.5, seed=seed))
+        core, log_const = two_core(g)
+        res = _bp(core)
+        series = pfaffian_series(core, res)
+        assert series.complete and series.z_total.sign == 1
+        est = log_const + res.log_z_bp + series.z_total.log_magnitude
+        assert est == pytest.approx(exact_log_z_factor(fg), rel=1e-10), f"seed {seed}"
 
 
 def test_series_computes_each_loop_weight_once(monkeypatch):

@@ -1,6 +1,8 @@
-"""Skew-symmetric matrices and signed log-space Pfaffians.
+"""Signed log-space Pfaffians of dense skew-symmetric ndarrays.
 
-The Pfaffian is computed by skew-symmetric tridiagonalization with partial
+Matrices are plain square arrays; pfaffian is the one place that checks
+them (finite and exactly skew) and the one place that copies them. The
+Pfaffian is computed by skew-symmetric tridiagonalization with partial
 pivoting (congruence transforms of determinant one, row/column swaps tracked
 in the sign), so only pivot magnitudes are multiplied and everything stays
 in log space.
@@ -23,47 +25,18 @@ class OrientationError(RuntimeError):
     clockwise count, so perfect matchings would not share one sign."""
 
 
-class SkewMatrix:
-    """Dense skew-symmetric matrix with exact antisymmetry enforced."""
-
-    def __init__(self, data):
-        a = np.array(data, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"need a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("entries must be finite")
-        if np.any(np.diagonal(a) != 0.0) or not np.array_equal(a.T, -a):
-            raise ValueError("matrix is not skew-symmetric")
-        self.data = a
-
-    @classmethod
-    def from_edges(cls, n: int, entries) -> "SkewMatrix":
-        """Build from (i, j, w) triples meaning A[i, j] = w, A[j, i] = -w."""
-        a = np.zeros((n, n))
-        seen = set()
-        for i, j, w in entries:
-            if i == j:
-                raise ValueError(f"diagonal entry ({i}, {j})")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise ValueError(f"duplicate entry for pair {key}")
-            seen.add(key)
-            a[i, j] = w
-            a[j, i] = -w
-        return cls(a)
-
-
 def pfaffian(a) -> SignedLog:
-    """Signed log-magnitude Pfaffian of a skew-symmetric matrix.
+    """Signed log-magnitude Pfaffian of a square, finite, skew-symmetric array.
 
-    Odd dimension gives exactly zero. A best pivot below
+    The input is left unchanged: elimination runs on a float copy. Odd
+    dimension gives exactly zero. A best pivot below
     PIVOT_THRESHOLD * max(1, |A|_max) declares the matrix singular.
     """
-    if isinstance(a, SkewMatrix):
-        a = a.data
     m = np.array(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"need a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("entries must be finite")
     if not np.array_equal(m.T, -m):
         raise ValueError("matrix is not skew-symmetric")
     n = m.shape[0]
@@ -90,15 +63,25 @@ def pfaffian(a) -> SignedLog:
         if k + 2 < n:
             tau = m[k, k + 2 :] / piv
             row = m[k + 1, k + 2 :]
-            m[k + 2 :, k + 2 :] += np.outer(row, tau) - np.outer(tau, row)
+            t = np.outer(row, tau)
+            m[k + 2 :, k + 2 :] += t - t.T
     return SignedLog(sign, log_mag)
 
 
-def tutte_matrix(o: OrientedPlanarGraph) -> SkewMatrix:
-    """Weighted adjacency of the oriented extended graph; dummy edges are 0."""
-    return SkewMatrix.from_edges(
-        o.ext.num_vertices, ((*o.orientation[e.key()], e.weight) for e in o.ext.edges)
-    )
+def tutte_matrix(o: OrientedPlanarGraph) -> np.ndarray:
+    """Skew weighted adjacency of the oriented extended graph: A[t, h] = w and
+    A[h, t] = -w for each edge directed t -> h; dummy edges weigh 0.
+
+    Parallel edges would share one entry, so they are rejected.
+    """
+    edges = o.ext.edges
+    if len({e.key() for e in edges}) != len(edges):
+        raise ValueError("parallel edges: each port pair may carry one edge")
+    tail, head = np.array([o.orientation[e.key()] for e in edges]).T
+    w = np.array([e.weight for e in edges])
+    a = np.zeros((o.ext.num_vertices,) * 2)
+    a[np.r_[tail, head], np.r_[head, tail]] = np.r_[w, -w]
+    return a
 
 
 def matching_sign(pairs) -> int:
@@ -123,11 +106,12 @@ def matching_sign(pairs) -> int:
     return sign
 
 
-def matching_sum(a: SkewMatrix, pairs) -> SignedLog:
-    """Weighted perfect-matching sum of a Kasteleyn-oriented matrix.
+def matching_sum(a, pairs) -> SignedLog:
+    """Weighted perfect-matching sum of a Kasteleyn-oriented skew array.
 
     Every perfect matching then carries the same sign in Pf(a), so the sum
-    is Pf(a) times the sign of any one of them: pairs, written (tail, head).
+    is Pf(a) times the sign of any one of them: pairs, written (tail, head)
+    as indices of a; a itself is not modified.
     """
     pf = pfaffian(a)
     return SignedLog(matching_sign(pairs) * pf.sign, pf.log_magnitude)

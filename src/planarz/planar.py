@@ -1,9 +1,9 @@
 """Planar machinery: embeddings, node-splitting gadgets, edge orientation.
 
 The pipeline goes reduced graph -> split gadgets (one 2-node gadget per
-degree-2 node, one triangle per degree-3 node) -> rotation-system embedding
--> dummy edges joining components -> orientation making every bounded face
-odd when walked clockwise. Perfect matchings of the extended graph then
+degree-2 node, one triangle per degree-3 node) -> dummy edges joining
+components -> rotation-system embedding -> orientation making every bounded
+face odd when walked clockwise. Perfect matchings of the extended graph then
 line up with the even-degree loop structure of the source graph. Only the
 removal-free graph of a model is built, embedded and oriented: a removal
 set's graph is its subgraph induced on the kept ports.
@@ -45,14 +45,15 @@ class ExtEdge:
 class ExtendedGraph:
     """Port graph produced by splitting nodes of a reduced source graph.
 
-    Vertex i is labels[i] = (source node, facing neighbor). Gadget-internal
-    edges carry loop weights, external edges weight 1, dummy edges weight 0.
+    Vertex i is labels[i] = (source node, facing neighbor), and port maps
+    each label back to i. Gadget-internal edges carry loop weights, external
+    edges weight 1, dummy edges weight 0.
     """
 
     num_vertices: int
     labels: tuple
     edges: tuple
-    source_nodes: tuple
+    port: dict  # label -> vertex
 
     def adjacency(self) -> list[list[int]]:
         adj = [[] for _ in range(self.num_vertices)]
@@ -66,7 +67,6 @@ class ExtendedGraph:
 class PlanarEmbedding:
     """Rotation system plus traced faces for a planar graph."""
 
-    num_vertices: int
     rotation: tuple  # per vertex, neighbor tuple in cyclic order
     faces: tuple  # per face, tuple of directed edges (u, v)
     external_face: int
@@ -101,44 +101,32 @@ def _trace_faces(num_vertices, rotation):
     return tuple(faces)
 
 
-def embed(num_vertices: int, edges, rotation=None) -> PlanarEmbedding:
+def embed(num_vertices: int, edges) -> PlanarEmbedding:
     """Planar embedding as a rotation system with traced faces.
 
-    A supplied rotation is validated instead of computed. Non-planar input
-    raises NonPlanarError carrying a Kuratowski witness. Every vertex must
-    touch an edge.
+    The rotation is networkx's, checked per component against Euler's
+    formula. Non-planar input raises NonPlanarError carrying a Kuratowski
+    witness. Every vertex must touch an edge.
     """
     key_edges = sorted({(min(u, v), max(u, v)) for u, v in edges})
     if not key_edges:
         raise ModelError("embed needs at least one edge")
-    adj = [set() for _ in range(num_vertices)]
     for u, v in key_edges:
         if not (0 <= u < num_vertices and 0 <= v < num_vertices) or u == v:
             raise ModelError(f"bad edge ({u}, {v})")
-        adj[u].add(v)
-        adj[v].add(u)
-    if any(not s for s in adj):
+    if len({x for e in key_edges for x in e}) != num_vertices:
         raise ModelError("embed does not accept isolated vertices")
 
-    if rotation is None:
-        G = nx.Graph()
-        G.add_nodes_from(range(num_vertices))
-        G.add_edges_from(key_edges)
-        ok, cert = nx.check_planarity(G, counterexample=True)
-        if not ok:
-            raise NonPlanarError(
-                f"graph is not planar; Kuratowski witness has {cert.number_of_edges()} edges",
-                witness_edges=sorted(tuple(sorted(e)) for e in cert.edges()),
-            )
-        rotation = tuple(tuple(cert.neighbors_cw_order(v)) for v in range(num_vertices))
-    else:
-        rotation = tuple(tuple(r) for r in rotation)
-        if len(rotation) != num_vertices:
-            raise ModelError("rotation must list every vertex")
-        for v, nbrs in enumerate(rotation):
-            if set(nbrs) != adj[v] or len(nbrs) != len(adj[v]):
-                raise ModelError(f"rotation at vertex {v} does not match the edge set")
-
+    G = nx.Graph()
+    G.add_nodes_from(range(num_vertices))
+    G.add_edges_from(key_edges)
+    ok, cert = nx.check_planarity(G, counterexample=True)
+    if not ok:
+        raise NonPlanarError(
+            f"graph is not planar; Kuratowski witness has {cert.number_of_edges()} edges",
+            witness_edges=sorted(tuple(sorted(e)) for e in cert.edges()),
+        )
+    rotation = tuple(tuple(cert.neighbors_cw_order(v)) for v in range(num_vertices))
     faces = _trace_faces(num_vertices, rotation)
 
     # per-component Euler check: the rotation system is planar iff each
@@ -168,7 +156,7 @@ def embed(num_vertices: int, edges, rotation=None) -> PlanarEmbedding:
             raise NonPlanarError("rotation system violates Euler's formula")
 
     best = max(range(len(faces)), key=lambda i: (len(faces[i]), -i))
-    return PlanarEmbedding(num_vertices, rotation, faces, best)
+    return PlanarEmbedding(rotation, faces, best)
 
 
 _GADGET_PAIRS = {2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
@@ -199,7 +187,7 @@ def fisher_extend(g: ForneyGraph, res: BPResult) -> ExtendedGraph:
     for a, b in g.edges:
         edges.append(ExtEdge(port[(a, b)], port[(b, a)], "external", 1.0, ("external", (a, b))))
 
-    return ExtendedGraph(len(labels), tuple(labels), tuple(edges), g.nodes)
+    return ExtendedGraph(len(labels), tuple(labels), tuple(edges), port)
 
 
 def reference_matching(g: ForneyGraph, ext: ExtendedGraph, removed=()):
@@ -215,8 +203,8 @@ def reference_matching(g: ForneyGraph, ext: ExtendedGraph, removed=()):
     T; the one inside a spanning forest takes O(V).
     """
     removed = set(removed)
-    kept = [a for a in ext.source_nodes if a not in removed]
-    port = {lbl: i for i, lbl in enumerate(ext.labels)}
+    kept = [a for a in g.nodes if a not in removed]
+    port = ext.port
     odd = {a: sum(b in removed for b in g.neighbors[a]) % 2 == 1 for a in kept}
     loop = set()
     parent = {}
@@ -252,7 +240,8 @@ def orient(ext: ExtendedGraph) -> OrientedPlanarGraph:
     """Direct every edge so each bounded face has an odd clockwise count.
 
     Each further component is joined to vertex 0 by a zero-weight dummy
-    edge: face parity needs a connected graph, not a biconnected one.
+    edge before the one embedding: face parity needs a connected graph, not
+    a biconnected one.
 
     Spanning-tree edges point toward their larger endpoint. Faces are then
     visited in post-order over the dual tree built from the non-tree edges
@@ -262,8 +251,6 @@ def orient(ext: ExtendedGraph) -> OrientedPlanarGraph:
     """
     n = ext.num_vertices
     adj = [set(a) for a in ext.adjacency()]
-    rotation = [list(r) for r in embed(n, [e.key() for e in ext.edges]).rotation]
-
     tree = set()
     dummies = []
     seen = [False] * n
@@ -271,8 +258,6 @@ def orient(ext: ExtendedGraph) -> OrientedPlanarGraph:
         if seen[root]:
             continue
         if root:
-            rotation[0].append(root)
-            rotation[root].append(0)
             dummies.append(ExtEdge(0, root, "dummy", 0.0, ("dummy", len(dummies))))
             tree.add((0, root))
         seen[root] = True
@@ -286,7 +271,7 @@ def orient(ext: ExtendedGraph) -> OrientedPlanarGraph:
                     stack.append(v)
     if dummies:
         ext = replace(ext, edges=ext.edges + tuple(dummies))
-    emb = embed(n, [e.key() for e in ext.edges], rotation)
+    emb = embed(n, [e.key() for e in ext.edges])
 
     orientation = {e: e for e in tree}  # tail = smaller endpoint
 

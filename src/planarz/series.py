@@ -23,7 +23,7 @@ import numpy as np
 
 from .bp import BPResult, mu_term
 from .model import ForneyGraph, ModelError, _enumerate, canon_edge
-from .pfaffian import OrientationError, SkewMatrix, matching_sum, tutte_matrix
+from .pfaffian import OrientationError, matching_sum, tutte_matrix
 from .planar import (
     OrientedPlanarGraph,
     face_parity_violations,
@@ -78,9 +78,9 @@ def _kasteleyn(g: ForneyGraph, res: BPResult):
     return o, tutte_matrix(o)
 
 
-def _defect_lines(o: OrientedPlanarGraph, nodes) -> dict:
-    """Per node, the edges crossed by the dual-tree path from a face at one
-    of its ports to the external face.
+def _defect_lines(g: ForneyGraph, o: OrientedPlanarGraph, nodes) -> dict:
+    """Per node, the edges crossed by the dual-tree path from a face at its
+    last port to the external face.
 
     With every bounded face clockwise-odd, a cycle's clockwise count is one
     plus the number of vertices inside it, mod 2. Removing a gadget drops
@@ -88,11 +88,10 @@ def _defect_lines(o: OrientedPlanarGraph, nodes) -> dict:
     on the cycles around it: exactly those the line crosses an odd number of
     times, so negating the line's edges restores it.
     """
-    port = {a: v for v, (a, _) in enumerate(o.ext.labels)}
     face = {x: fi for fi, walk in enumerate(o.embedding.faces) for x, _ in walk}
     lines = {}
     for a in nodes:
-        fi, lines[a] = face[port[a]], set()
+        fi, lines[a] = face[o.ext.port[(a, g.neighbors[a][-1])]], set()
         while fi in o.dual_tree:
             fi, e = o.dual_tree[fi]
             lines[a].add(e)
@@ -103,9 +102,10 @@ def _matching_correction(g: ForneyGraph, o, K, removed=(), flip=frozenset()) -> 
     """Perfect-matching sum of o's graph minus the ports of the removed nodes.
 
     That graph is induced on the kept ports, so its matrix is K's principal
-    minor on them, with the entries on the edges in flip negated to keep it
-    Kasteleyn. An empty graph sums to one; one without perfect matchings
-    sums to zero without a Pfaffian.
+    minor on them, with the entries on the edges in flip (which only
+    removals bring) negated to keep it Kasteleyn; with nothing removed it is
+    K itself, which pfaffian copies. An empty graph sums to one; one without
+    perfect matchings sums to zero without a Pfaffian.
     """
     if o is None:
         return SignedLog.one()
@@ -114,10 +114,12 @@ def _matching_correction(g: ForneyGraph, o, K, removed=(), flip=frozenset()) -> 
         return SignedLog.zero()
     kept = [v for v, (a, _) in enumerate(o.ext.labels) if a not in removed]
     at = dict(zip(kept, range(len(kept))))
-    minor = SkewMatrix(K.data[np.ix_(kept, kept)])
-    for u, v in flip:
-        if u in at and v in at:
-            minor.data[[at[u], at[v]], [at[v], at[u]]] *= -1
+    minor = K
+    if removed:
+        minor = K[np.ix_(kept, kept)]
+        for u, v in flip:
+            if u in at and v in at:
+                minor[[at[u], at[v]], [at[v], at[u]]] *= -1
     pairs = [o.orientation[k][::-1] if k in flip else o.orientation[k] for k in matching]
     return matching_sum(minor, [(at[t], at[h]) for t, h in pairs])
 
@@ -156,7 +158,7 @@ def pfaffian_series(
     removed_weight = {
         a: SignedLog.from_float(mu_term(res, a, res.neighbor_order[a])) for a in removable
     }
-    lines = _defect_lines(o, removable) if removable else {}
+    lines = _defect_lines(g, o, removable) if removable else {}
     terms = []
     total = SignedLog.zero()
     complete = True

@@ -113,4 +113,4 @@ def plain_extended(num_vertices: int, edges) -> ExtendedGraph:
         ExtEdge(u, v, "internal", 1.0, ("internal", f"v{u}", (f"v{v}",))) for u, v in edges
     )
     labels = tuple((f"v{i}", "") for i in range(num_vertices))
-    return ExtendedGraph(num_vertices, labels, ext_edges, ())
+    return ExtendedGraph(num_vertices, labels, ext_edges, {lbl: i for i, lbl in enumerate(labels)})

@@ -17,7 +17,6 @@ import math
 
 import numpy as np
 
-from planarz import SkewMatrix
 from planarz.bp import MESSAGE_FLOOR, BPConfig, BPNumericError, BPResult
 
 
@@ -66,13 +65,14 @@ def matching_count(num_vertices: int, edges) -> int:
     return round(matching_sum(num_vertices, [(u, v, 1.0) for u, v, *_ in edges]))
 
 
-def kasteleyn_matrix(o) -> SkewMatrix:
-    """Unit-weight matrix of an oriented graph, dummy edges included: with a
-    Kasteleyn orientation |Pf| counts its perfect matchings."""
-    return SkewMatrix.from_edges(
-        o.ext.num_vertices,
-        ((*o.orientation[e.key()], 1.0) for e in o.ext.edges),
-    )
+def kasteleyn_matrix(o) -> np.ndarray:
+    """Unit-weight skew matrix of an oriented graph, dummy edges included:
+    with a Kasteleyn orientation |Pf| counts its perfect matchings."""
+    a = np.zeros((o.ext.num_vertices, o.ext.num_vertices))
+    for e in o.ext.edges:
+        tail, head = o.orientation[e.key()]
+        a[tail, head], a[head, tail] = 1.0, -1.0
+    return a
 
 
 def _new_message(tables, neighbors, msgs, a: str, b: str) -> np.ndarray:

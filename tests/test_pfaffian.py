@@ -6,6 +6,7 @@ knows nothing about.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ import pytest
 from planarz import (
     BPConfig,
     OrientationError,
-    SkewMatrix,
     fisher_extend,
     matching_sign,
     matching_sum,
@@ -101,18 +101,41 @@ def test_extreme_scale_stability():
 
 
 def test_skew_matrix_validation():
-    with pytest.raises(ValueError):
-        SkewMatrix(np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        SkewMatrix(np.zeros((2, 3)))
-    m = np.array([[0.0, np.inf], [-np.inf, 0.0]])
-    with pytest.raises(ValueError):
-        SkewMatrix(m)
+    with pytest.raises(ValueError, match="skew"):
+        pfaffian(np.ones((2, 2)))
+    with pytest.raises(ValueError, match="square"):
+        pfaffian(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="finite"):
+        pfaffian(np.array([[0.0, np.inf], [-np.inf, 0.0]]))
 
 
-def test_skew_from_edges_rejects_duplicates():
-    with pytest.raises(ValueError):
-        SkewMatrix.from_edges(2, [(0, 1, 1.0), (1, 0, 2.0)])
+def test_pfaffian_rejects_non_finite_entries():
+    # +-inf must not become an infinite Pfaffian or, through an infinite
+    # pivot tolerance, an exact zero; NaN is not a skew-symmetry failure
+    big = _random_skew(4, seed=5)
+    big[0, 3], big[3, 0] = np.inf, -np.inf
+    nan = _random_skew(4, seed=6)
+    nan[1, 2] = nan[2, 1] = np.nan
+    for bad in ([[0, np.inf], [-np.inf, 0]], big, nan):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            pfaffian(bad)
+
+
+def test_pfaffian_leaves_input_unchanged():
+    a = _random_skew(8, seed=7)
+    kept = a.copy()
+    first = pfaffian(a)
+    assert np.array_equal(a, kept)
+    assert pfaffian(a) == first
+    assert pfaffian(a.tolist()) == first
+
+
+def test_tutte_matrix_rejects_duplicate_port_pairs():
+    o = orient(plain_extended(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+    assert tutte_matrix(o).shape == (4, 4)
+    doubled = replace(o, ext=replace(o.ext, edges=o.ext.edges + (o.ext.edges[0],)))
+    with pytest.raises(ValueError, match="parallel"):
+        tutte_matrix(doubled)
 
 
 # ------------------------------------------------------- matching counts
@@ -125,7 +148,7 @@ def test_kasteleyn_pf_counts_matchings():
             continue
         ext = plain_extended(n, edges)
         o = orient(ext)
-        pf = pfaffian(kasteleyn_matrix(o).data)
+        pf = pfaffian(kasteleyn_matrix(o))
         want = matching_count(ext.num_vertices, [(e.u, e.v) for e in ext.edges])
         if want == 0:
             assert pf.sign == 0
@@ -139,15 +162,15 @@ def test_ladder_gadget_matrices():
     res = run_bp(g, BPConfig())
     o = orient(fisher_extend(g, res))
     b_hat = kasteleyn_matrix(o)
-    assert math.exp(pfaffian(b_hat.data).log_magnitude) == pytest.approx(8.0, rel=1e-12)
+    assert math.exp(pfaffian(b_hat).log_magnitude) == pytest.approx(8.0, rel=1e-12)
     a_hat = tutte_matrix(o)
     # internal weights present, externals 1: matrices differ only there
-    assert a_hat.data.shape == b_hat.data.shape
+    assert a_hat.shape == b_hat.shape
 
 
 def test_matching_sum_sign_rules():
-    neg = SkewMatrix(np.array([[0.0, -2.0], [2.0, 0.0]]))
-    zero = SkewMatrix(np.zeros((2, 2)))
+    neg = np.array([[0.0, -2.0], [2.0, 0.0]])
+    zero = np.zeros((2, 2))
     # the reference matching fixes the sign: Pf(A) * sign(t1 h1 t2 h2 ...)
     z = matching_sum(neg, [(0, 1)])
     assert z.sign == -1

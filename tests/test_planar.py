@@ -15,7 +15,6 @@ import pytest
 
 from planarz import (
     BPConfig,
-    ModelError,
     NonPlanarError,
     embed,
     face_parity_violations,
@@ -37,6 +36,7 @@ from oracles import kasteleyn_matrix, matching_count, matching_sum
 
 pfaffian_module = importlib.import_module("planarz.pfaffian")
 series_module = importlib.import_module("planarz.series")
+planar_module = importlib.import_module("planarz.planar")
 
 
 # ---------------------------------------------------------------- embedding
@@ -63,18 +63,6 @@ def test_embed_rejects_k5_with_witness():
     assert len(exc.value.witness_edges) > 0
     witness = set(exc.value.witness_edges)
     assert witness <= {(min(u, v), max(u, v)) for u, v in edges}
-
-
-def test_embed_respects_supplied_rotation():
-    edges = [(0, 1), (1, 2), (2, 0)]
-    rot = ((1, 2), (2, 0), (0, 1))
-    emb = embed(3, edges, rotation=rot)
-    assert emb.rotation == rot
-
-
-def test_embed_rejects_bad_rotation():
-    with pytest.raises(ModelError):
-        embed(3, [(0, 1), (1, 2), (2, 0)], rotation=((1,), (2, 0), (0, 1)))
 
 
 def test_random_planar_graphs_embed():
@@ -130,7 +118,7 @@ def test_fisher_extend_removal(monkeypatch):
     o = orient(fisher_extend(g, res))
     real = pfaffian_module.pfaffian
     seen = []
-    monkeypatch.setattr(pfaffian_module, "pfaffian", lambda a: seen.append(a.data) or real(a))
+    monkeypatch.setattr(pfaffian_module, "pfaffian", lambda a: seen.append(a) or real(a))
     series_module._matching_correction(g, o, tutte_matrix(o), ("t1", "t2"))
     (minor,) = seen
     kept = [v for v, (a, _) in enumerate(o.ext.labels) if a not in ("t1", "t2")]
@@ -180,6 +168,20 @@ def test_orient_adds_no_dummy_to_connected_graph():
         assert orient(ext).ext is ext
 
 
+def test_orient_embeds_once(monkeypatch):
+    # the dummies go in before the one embedding, connected or not
+    real = planar_module.embed
+    calls = []
+    monkeypatch.setattr(planar_module, "embed", lambda *args: calls.append(args) or real(*args))
+    square = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    for n, edges in ((4, square), (8, square + [(u + 4, v + 4) for u, v in square])):
+        calls.clear()
+        o = orient(plain_extended(n, edges))
+        assert len(calls) == 1
+        assert sorted(calls[0][1]) == sorted(e.key() for e in o.ext.edges)
+        assert face_parity_violations(o) == []
+
+
 def _glued(a, b, how):
     """Two vertex graphs sharing vertex 0 ("cut"), joined by a bridge
     between their vertices 0 ("bridge"), or side by side ("union")."""
@@ -208,11 +210,11 @@ def test_orient_cut_vertex_bridge_and_disjoint_union():
                 continue
             o = orient(plain_extended(n, edges))
             assert face_parity_violations(o) == [], (how, n, edges)
-            pf = pfaffian(kasteleyn_matrix(o).data)
+            pf = pfaffian(kasteleyn_matrix(o))
             want = matching_count(n, [(e.u, e.v) for e in o.ext.edges])
             assert math.exp(pf.log_magnitude) == pytest.approx(want, rel=1e-10, abs=0)
             # dummies weigh zero: the weighted Pfaffian counts the glued graph's matchings
-            z = pfaffian(tutte_matrix(o).data)
+            z = pfaffian(tutte_matrix(o))
             assert abs(z.to_float()) == pytest.approx(matching_count(n, edges), rel=1e-10)
             checked += 1
     assert checked >= 90

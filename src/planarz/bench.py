@@ -79,6 +79,22 @@ def _field_table(h: float) -> np.ndarray:
     return np.array([math.exp(-h), math.exp(h)])
 
 
+def _draw_factors(variables, pairs, params: ModelParams, field_id) -> FactorGraph:
+    """Pair factors with couplings N(0, beta/2), in the order of pairs, then
+    for theta > 0 one field N(0, beta*theta) per variable, in the order of
+    variables, named field_id(variable). Draws follow that order."""
+    gen = _rng(params.seed, 0)
+    js = normal_draws(gen, len(pairs), math.sqrt(params.beta / 2.0))
+    factors = []
+    for (fid, scope), j in zip(pairs, js):
+        factors.append((fid, scope, _pair_table(abs(j) if params.attractive else j)))
+    if params.theta > 0:
+        hs = normal_draws(gen, len(variables), math.sqrt(params.beta * params.theta))
+        for v, h in zip(variables, hs):
+            factors.append((field_id(v), (v,), _field_table(abs(h) if params.attractive else h)))
+    return FactorGraph(variables, factors)
+
+
 def grid_factor_graph(n: int, params: ModelParams) -> FactorGraph:
     """n x n nearest-neighbor model, pair couplings N(0, beta/2).
 
@@ -96,16 +112,7 @@ def grid_factor_graph(n: int, params: ModelParams) -> FactorGraph:
                 pairs.append((f"J{r}_{c}_h", (f"x{r}_{c}", f"x{r}_{c + 1}")))
             if r + 1 < n:
                 pairs.append((f"J{r}_{c}_v", (f"x{r}_{c}", f"x{r + 1}_{c}")))
-    gen = _rng(params.seed, 0)
-    js = normal_draws(gen, len(pairs), math.sqrt(params.beta / 2.0))
-    factors = []
-    for (fid, scope), j in zip(pairs, js):
-        factors.append((fid, scope, _pair_table(abs(j) if params.attractive else j)))
-    if params.theta > 0:
-        hs = normal_draws(gen, len(variables), math.sqrt(params.beta * params.theta))
-        for v, h in zip(variables, hs):
-            factors.append((f"h{v[1:]}", (v,), _field_table(abs(h) if params.attractive else h)))
-    return FactorGraph(variables, factors)
+    return _draw_factors(variables, pairs, params, lambda v: f"h{v[1:]}")
 
 
 def spiderweb_factor_graph(rings: int, spokes: int, params: ModelParams) -> FactorGraph:
@@ -125,16 +132,7 @@ def spiderweb_factor_graph(rings: int, spokes: int, params: ModelParams) -> Fact
         if r < rings:
             for k in range(spokes):
                 pairs.append((f"m{r}_{k}", (f"r{r}_{k}", f"r{r + 1}_{k}")))
-    gen = _rng(params.seed, 0)
-    js = normal_draws(gen, len(pairs), math.sqrt(params.beta / 2.0))
-    factors = []
-    for (fid, scope), j in zip(pairs, js):
-        factors.append((fid, scope, _pair_table(abs(j) if params.attractive else j)))
-    if params.theta > 0:
-        hs = normal_draws(gen, len(variables), math.sqrt(params.beta * params.theta))
-        for v, h in zip(variables, hs):
-            factors.append((f"h_{v}", (v,), _field_table(abs(h) if params.attractive else h)))
-    return FactorGraph(variables, factors)
+    return _draw_factors(variables, pairs, params, lambda v: f"h_{v}")
 
 
 def gen_grid(n: int, params: ModelParams) -> tuple[FactorGraph, ForneyGraph]:
@@ -263,30 +261,39 @@ def parse_config(text: str) -> dict:
     if cfg["generator"] not in ("grid", "spiderweb"):
         raise ModelError(f"unknown generator {raw['generator']!r}")
     if cfg["generator"] == "grid":
-        cfg["sizes"] = [int(s) for s in raw["sizes"].split()]
+        cfg["sizes"] = [_number("sizes", s, int) for s in raw["sizes"].split()]
     else:
         sizes = []
         for s in raw["sizes"].split():
             r, _, d = s.partition(":")
             if not d:
                 raise ModelError(f"spiderweb size must be rings:spokes, got {s!r}")
-            sizes.append((int(r), int(d)))
+            sizes.append((_number("sizes", r, int), _number("sizes", d, int)))
         cfg["sizes"] = sizes
-    cfg["betas"] = [float(s) for s in raw["betas"].split()]
-    cfg["thetas"] = [float(s) for s in raw["thetas"].split()]
+    cfg["betas"] = [_number("betas", s) for s in raw["betas"].split()]
+    cfg["thetas"] = [_number("thetas", s) for s in raw["thetas"].split()]
     cfg["seeds"] = _parse_seeds(raw["seeds"])
     cfg["methods"] = raw["methods"].split()
     for m in cfg["methods"]:
         if m not in METHODS:
             raise ModelError(f"unknown method {m!r}")
     cfg["attractive"] = _parse_bool(raw["attractive"])
-    cfg["max_psi"] = int(raw["max_psi"]) if raw["max_psi"] else None
+    cfg["max_psi"] = _number("max_psi", raw["max_psi"], int) if raw["max_psi"] else None
     cfg["schedule"] = raw["schedule"]
     if cfg["schedule"] and cfg["schedule"] not in SCHEDULES:
         raise ModelError(f"unknown schedule {raw['schedule']!r}")
-    cfg["threshold"] = float(raw["threshold"])
-    cfg["max_iterations"] = int(raw["max_iterations"])
+    cfg["threshold"] = _number("threshold", raw["threshold"])
+    cfg["max_iterations"] = _number("max_iterations", raw["max_iterations"], int)
     return cfg
+
+
+def _number(key: str, text: str, kind=float):
+    """text as kind (int or float), or a ModelError that names the config key."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ModelError(f"config key {key!r}: {text!r} is not {what}") from None
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -294,9 +301,9 @@ def _parse_seeds(text: str) -> list[int]:
     for tok in text.split():
         if ".." in tok:
             lo, hi = tok.split("..", 1)
-            seeds.extend(range(int(lo), int(hi) + 1))
+            seeds.extend(range(_number("seeds", lo, int), _number("seeds", hi, int) + 1))
         else:
-            seeds.append(int(tok))
+            seeds.append(_number("seeds", tok, int))
     if not seeds:
         raise ModelError("empty seed list")
     return seeds
@@ -407,20 +414,15 @@ def run_experiment(cfg: dict) -> list[dict]:
             for stat, fn in (("mean", statistics.fmean), ("median", statistics.median)):
                 rows.append(
                     {
+                        **dict.fromkeys(CSV_COLUMNS),
                         "row": stat,
                         "instance": f"{cfg['generator']}{label}_b{beta:g}_t{theta:g}",
                         "generator": cfg["generator"],
                         "size": label,
                         "beta": f"{beta:g}",
                         "theta": f"{theta:g}",
-                        "seed": None,
                         "method": method,
-                        "logz_est": None,
-                        "logz_exact": None,
                         "error": fn(errs) if errs else None,
-                        "bp_iterations": None,
-                        "converged": None,
-                        "wall_ms": None,
                         "note": f"over-{len(errs)}-rows",
                     }
                 )

@@ -11,9 +11,8 @@ evaluated in log space, all nodes of one degree at a time.
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import mul
 
 import numpy as np
@@ -62,7 +61,8 @@ class BPResult:
 
 
 def _compile(g: ForneyGraph):
-    """Directed-edge slots and the message kernel that updates them.
+    """Directed-edge slots, their {directed edge: slot} map, and the
+    message kernel that updates them.
 
     Slots 2e and 2e + 1 hold a -> b and b -> a for the e-th edge (a, b) of
     g.edges; lo[j] and hi[j] are slot j's message at -1 and +1, uniform at
@@ -128,7 +128,7 @@ def _compile(g: ForneyGraph):
         s = o0 + o1
         return o0 / s, o1 / s
 
-    return dir_edges, lo, hi, message
+    return dir_edges, slot, lo, hi, message
 
 
 def run_bp(g: ForneyGraph, cfg: BPConfig = BPConfig()) -> BPResult:
@@ -138,7 +138,7 @@ def run_bp(g: ForneyGraph, cfg: BPConfig = BPConfig()) -> BPResult:
     still returns beliefs from the final messages so callers can compare
     residuals across schedules.
     """
-    dir_edges, lo, hi, message = _compile(g)
+    dir_edges, slot, lo, hi, message = _compile(g)
     n = len(dir_edges)
 
     iterations = 0
@@ -147,7 +147,7 @@ def run_bp(g: ForneyGraph, cfg: BPConfig = BPConfig()) -> BPResult:
     if not dir_edges:
         converged, residual = True, 0.0
     elif cfg.schedule == "residual":
-        iterations, residual, converged = _run_residual(g, cfg, dir_edges, lo, hi, message)
+        iterations, residual, converged = _run_residual(g, cfg, dir_edges, slot, lo, hi, message)
     else:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([cfg.seed])))
         order = range(n)
@@ -168,41 +168,37 @@ def run_bp(g: ForneyGraph, cfg: BPConfig = BPConfig()) -> BPResult:
                 converged = True
                 break
 
-    return _finish(g, cfg, dir_edges, lo, hi, converged, iterations, residual)
+    return _finish(g, cfg, slot, lo, hi, converged, iterations, residual)
 
 
-def _run_residual(g, cfg, dir_edges, lo, hi, message):
-    """Largest-residual-first updates; ties go to the lower slot."""
+def _run_residual(g, cfg, dir_edges, slot, lo, hi, message):
+    """Largest-residual-first updates (Elidan, McGraw & Koller 2006).
+
+    Each slot keeps one candidate message and one residual, the largest
+    change applying that candidate would make, so memory is O(slots).
+    Each update applies the slot with the largest residual, the lowest
+    slot on ties, and recomputes the candidates of the messages it feeds.
+    A sweep is n updates.
+    """
     n = len(dir_edges)
-    slot = {de: j for j, de in enumerate(dir_edges)}
     dependents = [[slot[(b, c)] for c in g.neighbors[b] if c != a] for a, b in dir_edges]
-    version = [0] * n
     cand = [message(j) for j in range(n)]
-    heap = [(-max(abs(o0 - lo[j]), abs(o1 - hi[j])), j, 0) for j, (o0, o1) in enumerate(cand)]
-    heapq.heapify(heap)
-    pops = 0
+    resid = np.array([max(abs(o0 - lo[j]), abs(o1 - hi[j])) for j, (o0, o1) in enumerate(cand)])
+    updates = 0
     budget = cfg.max_iterations * n
-    residual = math.inf
-    while heap:
-        neg_r, j, ver = heap[0]
-        if ver != version[j]:
-            heapq.heappop(heap)
-            continue
-        residual = -neg_r
+    while True:
+        j = int(resid.argmax())
+        residual = float(resid[j])
         if residual < cfg.threshold:
-            return max(1, -(-pops // n)), residual, True
-        if pops >= budget:
+            return max(1, -(-updates // n)), residual, True
+        if updates >= budget:
             return cfg.max_iterations, residual, False
-        heapq.heappop(heap)
-        pops += 1
+        updates += 1
         lo[j], hi[j] = cand[j]
-        version[j] += 1
-        heapq.heappush(heap, (0.0, j, version[j]))
+        resid[j] = 0.0
         for d in dependents[j]:
             o0, o1 = cand[d] = message(d)
-            version[d] += 1
-            heapq.heappush(heap, (-max(abs(o0 - lo[d]), abs(o1 - hi[d])), d, version[d]))
-    return max(1, -(-pops // n)), residual, True
+            resid[d] = max(abs(o0 - lo[d]), abs(o1 - hi[d]))
 
 
 def _log_safe(x: np.ndarray, zero: float = -np.inf) -> np.ndarray:
@@ -210,10 +206,9 @@ def _log_safe(x: np.ndarray, zero: float = -np.inf) -> np.ndarray:
     return np.log(x, out=np.full(np.shape(x), zero), where=x > 0)
 
 
-def _finish(g, cfg, dir_edges, lo, hi, converged, iterations, residual):
+def _finish(g, cfg, slot, lo, hi, converged, iterations, residual):
     """Beliefs, magnetizations and the Bethe free energy from the slots,
     with all nodes of one degree handled as one array."""
-    slot = {de: j for j, de in enumerate(dir_edges)}
     msgs = np.array([lo, hi]).T
     log_msgs = np.log(msgs)  # the kernel floors every message, so all are > 0
     by_degree = {}
@@ -277,15 +272,7 @@ def run_bp_multistart(g: ForneyGraph, cfg: BPConfig = BPConfig()) -> BPResult:
     """
     best = None
     for schedule in SCHEDULES:
-        res = run_bp(
-            g,
-            BPConfig(
-                schedule=schedule,
-                threshold=cfg.threshold,
-                max_iterations=cfg.max_iterations,
-                seed=cfg.seed,
-            ),
-        )
+        res = run_bp(g, replace(cfg, schedule=schedule))
         if res.converged:
             return res
         if best is None or res.final_residual < best.final_residual:

@@ -3,7 +3,8 @@
 Subcommands: gen (sample an instance to a model file), solve (estimate
 log Z for one model), oracle (exact or exhaustive-loop reference values),
 run (config-driven experiment sweep to CSV). Exit code 0 means every
-requested quantity was produced; 2 flags partial failure.
+requested quantity was produced; 1 flags an unreadable, malformed or
+non-planar input; 2 flags partial failure.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .bench import (
 from .bp import SCHEDULES, BPConfig, run_bp_multistart
 from .model import (
     FactorGraph,
-    ModelError,
     ModelParams,
     exact_log_z,
     exact_log_z_factor,
@@ -182,7 +182,7 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             return _cmd_oracle(args)
         return _cmd_run(args)
-    except (ModelError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ModelError and NonPlanarError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -146,9 +146,13 @@ def pfaffian_series(
     """Evaluate removal-set terms in size order, lexicographic inside a size.
 
     max_psi_size caps the removal-set cardinality, budget caps the number of
-    evaluated terms; either cut marks the result incomplete. The empty set
-    is always first, so terms[0] is the 2-regular correction.
+    evaluated terms; either cut marks the result incomplete. Both must be
+    non-negative. The empty set is always first, so terms[0] is the
+    2-regular correction.
     """
+    for name, cap in (("max_psi_size", max_psi_size), ("budget", budget)):
+        if cap is not None and cap < 0:
+            raise ModelError(f"{name} must be non-negative, got {cap!r}")
     if g.num_nodes and not g.is_reduced:
         raise ModelError("pfaffian_series needs a reduced graph")
     trips = triplet_nodes(g)

@@ -162,8 +162,22 @@ def test_parse_config_rejections():
         "generator = grid\nsizes = 3\nbetas = 1\nmethods = magic\n",
         "generator = grid\nsizes = 3\nbetas = 1\nschedule = chaotic\n",
         "generator = spiderweb\nsizes = 3\nbetas = 1\n",
+        "generator = grid\nsizes = 3\nbetas = one\n",
+        "generator = grid\nsizes = 3\nbetas = 1\nseeds = 0..x\n",
+        "generator = grid\nsizes = 3.5\nbetas = 1\n",
     ):
         with pytest.raises(ModelError):
+            parse_config(text)
+
+
+def test_parse_config_names_the_key_of_a_bad_number():
+    for key, text in (
+        ("betas", "generator = grid\nsizes = 3\nbetas = one\n"),
+        ("seeds", "generator = grid\nsizes = 3\nbetas = 1\nseeds = 0..x\n"),
+        ("sizes", "generator = spiderweb\nsizes = 1:x\nbetas = 1\n"),
+        ("threshold", "generator = grid\nsizes = 3\nbetas = 1\nthreshold = tiny\n"),
+    ):
+        with pytest.raises(ModelError, match=repr(key)):
             parse_config(text)
 
 

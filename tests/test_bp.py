@@ -7,6 +7,7 @@ self-consistency can be checked.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from planarz import (
     mu_term,
     run_bp,
     run_bp_multistart,
+    two_core,
 )
 from planarz.bp import BPNumericError, SaturationError
 
@@ -98,6 +100,37 @@ def test_multistart_prefers_first_converged():
     res = run_bp_multistart(g, BPConfig())
     assert res.converged
     assert res.schedule == "fixed"
+
+
+def _known_gap_core():
+    # spiderweb(2,6), beta 1, theta 0.1, seed 0: no schedule converges in
+    # the first few hundred sweeps
+    return two_core(gen_spiderweb(2, 6, ModelParams(beta=1.0, theta=0.1, seed=0))[1])[0]
+
+
+def test_multistart_falls_back_to_smallest_residual():
+    core = _known_gap_core()
+    runs = {s: run_bp(core, BPConfig(schedule=s, max_iterations=10)) for s in SCHEDULES}
+    assert not any(r.converged for r in runs.values())
+    best = min(SCHEDULES, key=lambda s: runs[s].final_residual)
+    assert best == "residual"
+    res = run_bp_multistart(core, BPConfig(max_iterations=10))
+    assert not res.converged
+    assert (res.schedule, res.final_residual, res.log_z_bp) == (
+        best, runs[best].final_residual, runs[best].log_z_bp
+    )
+
+
+def test_residual_memory_does_not_grow_with_sweeps():
+    core = _known_gap_core()
+    peaks = []
+    for sweeps in (25, 100):
+        tracemalloc.start()
+        res = run_bp(core, BPConfig(schedule="residual", max_iterations=sweeps))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert not res.converged and res.iterations == sweeps
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_empty_graph():

@@ -114,3 +114,33 @@ def test_schedule_flag(tmp_path, capsys):
     )
     assert code == 0
     assert math.isfinite(float(_value(out, "log_z")))
+
+
+def test_non_planar_model_errors(tmp_path, capsys):
+    # K3,3 as a Forney model: every node has degree 3, and BP runs before
+    # the embedding finds it non-planar
+    model = tmp_path / "k33.txt"
+    edges = "".join(f"edge a{i} b{j}\n" for i in range(3) for j in range(3))
+    factors = "".join(f"factor {v}{i} 1 1 1 1 1 1 1 1\n" for v in "ab" for i in range(3))
+    model.write_text("forney 6\n" + edges + factors)
+    code, _, err = _run(capsys, "solve", "--model", str(model), "--method", "z_empty")
+    assert code == 1
+    assert "not planar" in err
+
+
+def test_invalid_bp_option_errors(tmp_path, capsys):
+    model = tmp_path / "m.txt"
+    _run(capsys, "gen", "--grid", "3", "--beta", "1", "--out", str(model))
+    code, _, err = _run(capsys, "solve", "--model", str(model), "--threshold", "0")
+    assert code == 1
+    assert "error: threshold must be positive" in err
+
+
+def test_negative_max_psi_errors(tmp_path, capsys):
+    model = tmp_path / "m.txt"
+    _run(capsys, "gen", "--grid", "3", "--beta", "1", "--out", str(model))
+    code, _, err = _run(
+        capsys, "solve", "--model", str(model), "--method", "pfaffian", "--max-psi", "-1"
+    )
+    assert code == 1
+    assert "max_psi_size must be non-negative" in err

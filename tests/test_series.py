@@ -220,6 +220,16 @@ def test_series_max_psi_size():
         assert a.psi == b.psi
 
 
+def test_series_rejects_negative_caps():
+    g = ladder_graph(seed=0)
+    res = _bp(g)
+    for kw in ({"max_psi_size": -1}, {"budget": -1}):
+        with pytest.raises(ModelError, match="non-negative"):
+            pfaffian_series(g, res, **kw)
+    assert len(pfaffian_series(g, res, max_psi_size=0).terms) == 1
+    assert len(pfaffian_series(g, res, budget=0).terms) == 0
+
+
 def test_triplet_nodes_sorted():
     g = ladder_graph(seed=0)
     assert triplet_nodes(g) == ("b1", "b2", "t1", "t2")

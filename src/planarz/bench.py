@@ -284,6 +284,11 @@ def parse_config(text: str) -> dict:
         raise ModelError(f"unknown schedule {raw['schedule']!r}")
     cfg["threshold"] = _number("threshold", raw["threshold"])
     cfg["max_iterations"] = _number("max_iterations", raw["max_iterations"], int)
+    for key in ("betas", "thetas"):
+        _require(key, all(math.isfinite(x) for x in cfg[key]), "finite")
+    _require("max_psi", cfg["max_psi"] is None or cfg["max_psi"] >= 0, "non-negative")
+    _require("threshold", cfg["threshold"] > 0, "positive")
+    _require("max_iterations", cfg["max_iterations"] >= 1, "at least 1")
     return cfg
 
 
@@ -294,6 +299,12 @@ def _number(key: str, text: str, kind=float):
     except ValueError:
         what = "an integer" if kind is int else "a number"
         raise ModelError(f"config key {key!r}: {text!r} is not {what}") from None
+
+
+def _require(key: str, ok: bool, what: str) -> None:
+    """A ModelError naming the config key unless its value is ok."""
+    if not ok:
+        raise ModelError(f"config key {key!r} must be {what}")
 
 
 def _parse_seeds(text: str) -> list[int]:

@@ -6,7 +6,10 @@ every spin assignment in linear space; the matching sums are recursive
 brute force; the Kasteleyn matrix is the unit-weight form of the
 Pfaffian path's matrix; reference_run_bp is belief propagation with one
 numpy array update per message, the form planarz.bp replaced with its
-slot kernel (it shares only the result type and the constants).
+slot kernel (it shares only the result type and the constants);
+reference_pfaffian is the eager Parlett-Reid kernel, one rank-2 update
+per pivot step, that planarz.pfaffian blocked into panels above its
+crossover (it shares only the result type and the pivot threshold).
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import math
 import numpy as np
 
 from planarz.bp import MESSAGE_FLOOR, BPConfig, BPNumericError, BPResult
+from planarz.pfaffian import PIVOT_THRESHOLD
+from planarz.slog import SignedLog
 
 
 def brute_log_z_factor(fg) -> float:
@@ -73,6 +78,47 @@ def kasteleyn_matrix(o) -> np.ndarray:
         tail, head = o.orientation[e.key()]
         a[tail, head], a[head, tail] = 1.0, -1.0
     return a
+
+
+def reference_pfaffian(a) -> SignedLog:
+    """Signed log-magnitude Pfaffian by eager Parlett-Reid elimination:
+    partial pivoting, one np.outer rank-2 update of the trailing matrix per
+    step, and the same validation and singularity threshold as
+    planarz.pfaffian."""
+    m = np.array(a, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"need a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("entries must be finite")
+    if not np.array_equal(m.T, -m):
+        raise ValueError("matrix is not skew-symmetric")
+    n = m.shape[0]
+    if n == 0:
+        return SignedLog.one()
+    if n % 2 == 1:
+        return SignedLog.zero()
+
+    tol = PIVOT_THRESHOLD * max(1.0, float(np.abs(m).max()))
+    sign = 1
+    log_mag = 0.0
+    for k in range(0, n - 1, 2):
+        col = np.abs(m[k + 1 :, k])
+        kp = k + 1 + int(col.argmax())
+        if col[kp - k - 1] < tol:
+            return SignedLog.zero()
+        if kp != k + 1:
+            m[[k + 1, kp], :] = m[[kp, k + 1], :]
+            m[:, [k + 1, kp]] = m[:, [kp, k + 1]]
+            sign = -sign
+        piv = m[k, k + 1]
+        sign = -sign if piv < 0 else sign
+        log_mag += math.log(abs(piv))
+        if k + 2 < n:
+            tau = m[k, k + 2 :] / piv
+            row = m[k + 1, k + 2 :]
+            t = np.outer(row, tau)
+            m[k + 2 :, k + 2 :] += t - t.T
+    return SignedLog(sign, log_mag)
 
 
 def _new_message(tables, neighbors, msgs, a: str, b: str) -> np.ndarray:

@@ -165,6 +165,11 @@ def test_parse_config_rejections():
         "generator = grid\nsizes = 3\nbetas = one\n",
         "generator = grid\nsizes = 3\nbetas = 1\nseeds = 0..x\n",
         "generator = grid\nsizes = 3.5\nbetas = 1\n",
+        "generator = grid\nsizes = 3\nbetas = 1\nthreshold = 0\n",
+        "generator = grid\nsizes = 3\nbetas = 1\nmax_iterations = 0\n",
+        "generator = grid\nsizes = 3\nbetas = 1\nmax_psi = -1\n",
+        "generator = grid\nsizes = 3\nbetas = nan\n",
+        "generator = grid\nsizes = 3\nbetas = 1\nthetas = inf\n",
     ):
         with pytest.raises(ModelError):
             parse_config(text)

@@ -106,6 +106,16 @@ def test_bad_config_errors(tmp_path, capsys):
     assert "unknown key" in err
 
 
+def test_out_of_range_config_errors(tmp_path, capsys):
+    cfg = tmp_path / "bad.txt"
+    cfg.write_text("generator = grid\nsizes = 3\nbetas = 1\nthreshold = 0\nmax_psi = -1\n")
+    out_csv = tmp_path / "r.csv"
+    code, _, err = _run(capsys, "run", "--config", str(cfg), "--out", str(out_csv))
+    assert code == 1
+    assert "error: config key" in err
+    assert not out_csv.exists()
+
+
 def test_schedule_flag(tmp_path, capsys):
     model = tmp_path / "m.txt"
     _run(capsys, "gen", "--grid", "3", "--beta", "1", "--out", str(model))

@@ -13,23 +13,34 @@ import pytest
 
 from planarz import (
     BPConfig,
+    ModelParams,
     OrientationError,
+    SignedLog,
     fisher_extend,
+    gen_grid,
     matching_sign,
     matching_sum,
     orient,
     pfaffian,
     run_bp,
     tutte_matrix,
+    two_core,
 )
+from planarz.pfaffian import CROSSOVER, PANEL
 from builders import ladder_graph, plain_extended, random_planar_vertex_graph
-from oracles import kasteleyn_matrix, matching_count
+from oracles import kasteleyn_matrix, matching_count, reference_pfaffian
 
 
 def _random_skew(n, seed):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(n, n))
     return m - m.T
+
+
+def _grid_tutte(n, theta):
+    # the Tutte matrix z_empty takes the Pfaffian of on an n x n grid
+    core, _ = two_core(gen_grid(n, ModelParams(beta=1.0, theta=theta, seed=0))[1])
+    return tutte_matrix(orient(fisher_extend(core, run_bp(core, BPConfig()))))
 
 
 def test_two_by_two():
@@ -68,12 +79,45 @@ def test_empty_matrix_is_one():
 
 
 def test_pf_squared_is_det():
-    for n in (2, 4, 6, 8, 12, 20):
+    for n in (2, 4, 6, 8, 12, 20, 130, 200, 300):
         a = _random_skew(n, seed=n)
         pf = pfaffian(a)
         sign, logdet = np.linalg.slogdet(a)
         assert sign == pytest.approx(1.0)
         assert 2.0 * pf.log_magnitude == pytest.approx(logdet, rel=1e-9)
+
+
+def test_pf_squared_is_det_on_a_16x16_grid():
+    a = _grid_tutte(16, 0.0)
+    assert a.shape == (2304, 2304)
+    pf = pfaffian(a)
+    sign, logdet = np.linalg.slogdet(a)
+    assert sign == 1.0 and pf.sign != 0
+    assert 2.0 * pf.log_magnitude == pytest.approx(logdet, rel=1e-10)
+
+
+def test_pfaffian_matches_reference_kernel():
+    # sizes straddle the crossover and a panel flush; at 300 pivots come
+    # from rows beyond the current panel
+    sizes = (2, 4, CROSSOVER - 2, CROSSOVER, CROSSOVER + 2,
+             CROSSOVER + 2 * PANEL - 2, CROSSOVER + 2 * PANEL + 2, 300)
+    cases = [_random_skew(n, seed=n + 1) for n in sizes]
+    cases += [_grid_tutte(n, theta) for n in (8, 12) for theta in (0.0, 1.0)]
+    for a in cases:
+        pf, want = pfaffian(a), reference_pfaffian(a)
+        assert pf.sign == want.sign != 0
+        if len(a) <= CROSSOVER:
+            assert pf == want
+        else:
+            assert pf.log_magnitude == pytest.approx(want.log_magnitude, rel=1e-10)
+    # B J B^T of rank n/2: the zero pivot turns up once in the eager tail
+    # and once while panels are still running
+    for n, r in ((130, 64), (300, 150)):
+        rng = np.random.default_rng(n)
+        b, j = rng.normal(size=(n, r)), rng.normal(size=(r, r))
+        m = b @ (j - j.T) @ b.T
+        m = (m - m.T) / 2
+        assert pfaffian(m) == reference_pfaffian(m) == SignedLog.zero()
 
 
 def test_row_col_swap_flips_sign():

@@ -5,8 +5,9 @@ variable (index 0 is -1, index 1 is +1), kept as two flat lists of floats
 indexed by directed-edge slot. Each run compiles the node tables into one
 message kernel over those slots, and all four update schedules call it;
 convergence means the largest absolute message change in a sweep dropped
-below the threshold. Beliefs and free-energy style quantities are
-evaluated in log space, all nodes of one degree at a time.
+below the threshold. Beliefs, free-energy style quantities and every node's
+loop-weight table are evaluated from the log messages, all nodes of one
+degree at a time.
 """
 
 from __future__ import annotations
@@ -17,20 +18,15 @@ from operator import mul
 
 import numpy as np
 
-from .model import ForneyGraph, ModelError, canon_edge
+from .model import ForneyGraph, ModelError
 
 SCHEDULES = ("fixed", "random", "parallel", "residual")
 
 MESSAGE_FLOOR = 1e-300
-SATURATION_LIMIT = 1.0 - 1e-12
 
 
 class BPNumericError(RuntimeError):
     """Messages left the representable range (NaN, overflow, or all-zero)."""
-
-
-class SaturationError(RuntimeError):
-    """An edge magnetization is numerically +-1, so loop weights are undefined."""
 
 
 @dataclass(frozen=True)
@@ -57,6 +53,7 @@ class BPResult:
     edge_beliefs: dict = field(repr=False)
     magnetizations: dict = field(repr=False)
     neighbor_order: dict = field(repr=False)
+    loop_weights: dict = field(repr=False)  # node -> flat 2^k table, see _loop_weights
     log_z_bp: float = 0.0
 
 
@@ -207,23 +204,28 @@ def _log_safe(x: np.ndarray, zero: float = -np.inf) -> np.ndarray:
 
 
 def _finish(g, cfg, slot, lo, hi, converged, iterations, residual):
-    """Beliefs, magnetizations and the Bethe free energy from the slots,
-    with all nodes of one degree handled as one array."""
+    """Beliefs, magnetizations, loop weights and the Bethe free energy from
+    the slots, with all nodes of one degree handled as one array."""
     msgs = np.array([lo, hi]).T
     log_msgs = np.log(msgs)  # the kernel floors every message, so all are > 0
+    log_p = log_msgs[0::2] + log_msgs[1::2]  # per edge, unnormalized log (p-, p+)
+    h = 0.5 * (log_p[:, 0] - log_p[:, 1])
     by_degree = {}
     for a in g.nodes:
         by_degree.setdefault(g.degree(a), []).append(a)
     node_beliefs = {}
     node_energy = {}
+    loop_weights = {}
     for k, nodes in by_degree.items():
+        incoming = np.array(
+            [[slot[(c, a)] for c in g.neighbors[a]] for a in nodes], dtype=np.intp
+        ).reshape(len(nodes), k)
         logf = _log_safe(np.array([g.tables[a] for a in nodes]))
         logb = logf.reshape((len(nodes),) + (2,) * k)
         for i in range(k):
             shape = [len(nodes)] + [1] * k
             shape[i + 1] = 2
-            incoming = [slot[(g.neighbors[a][i], a)] for a in nodes]
-            logb = logb + log_msgs[incoming].reshape(shape)
+            logb = logb + log_msgs[incoming[:, i]].reshape(shape)
         logb = logb.reshape(len(nodes), -1)
         top = logb.max(axis=1)
         for a, ok in zip(nodes, np.isfinite(top)):
@@ -234,6 +236,7 @@ def _finish(g, cfg, slot, lo, hi, converged, iterations, residual):
         gap = np.where(b > 0, _log_safe(b, 0.0) - logf, 0.0)
         node_beliefs.update(zip(nodes, b))
         node_energy.update(zip(nodes, (b * gap).sum(axis=1).tolist()))
+        loop_weights.update(zip(nodes, _loop_weights(b, h[incoming // 2])))
 
     p = msgs[0::2] * msgs[1::2]
     s = p.sum(axis=1)
@@ -259,8 +262,34 @@ def _finish(g, cfg, slot, lo, hi, converged, iterations, residual):
         edge_beliefs=edge_beliefs,
         magnetizations=magnetizations,
         neighbor_order={a: g.neighbors[a] for a in g.nodes},
+        loop_weights={a: loop_weights[a] for a in g.nodes},
         log_z_bp=-free_energy,
     )
+
+
+def _loop_weights(b: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Loop-weight tables of n nodes of degree k from their beliefs b
+    (n x 2^k) and the h of their edges (n x k, in neighbor order).
+
+    Entry S of a node's table (bit set where the neighbor is in S, first
+    neighbor most significant, as in its factor table) is the belief average
+    of prod_{i in S} (sigma_i - m_i) / sqrt(1 - m_i^2). With p-, p+ the edge
+    belief, 1 - m = 2p-, -1 - m = -2p+ and sqrt(1 - m^2) = 2 sqrt(p- p+), so
+    factor i is -e^-h at sigma = -1 and e^h at sigma = +1, where
+    h = (log p- - log p+) / 2 comes from the log messages and no 1 - m^2 is
+    formed. Each belief axis is contracted with the rows (1, 1) for "not in
+    S" and (-e^-h, e^h) for "in S". Entry 0, the empty subset, is exactly 1.
+    """
+    n, k = h.shape
+    w = b
+    for i in range(k):
+        rows = np.ones((n, 1, 2, 2))
+        rows[:, 0, 1, 0] = -np.exp(-h[:, i])
+        rows[:, 0, 1, 1] = np.exp(h[:, i])
+        w = rows @ w.reshape(n, 1 << i, 2, 1 << (k - 1 - i))
+    w = w.reshape(n, 1 << k)
+    w[:, 0] = 1.0
+    return w
 
 
 def run_bp_multistart(g: ForneyGraph, cfg: BPConfig = BPConfig()) -> BPResult:
@@ -281,40 +310,22 @@ def run_bp_multistart(g: ForneyGraph, cfg: BPConfig = BPConfig()) -> BPResult:
 
 
 def mu_term(res: BPResult, a: str, subset) -> float:
-    """Loop weight of node a against the neighbor subset S.
+    """Loop weight of node a against the neighbor subset S, |S| of 2 or 3.
 
-    Averages prod_{b in S} (sigma_ab - m_ab) under the node belief and
-    divides by prod sqrt(1 - m_ab^2). Defined for |S| of 2 or 3; saturated
-    magnetizations make the weight ill-conditioned and raise.
+    This is S's entry of a's table in res.loop_weights: the belief average
+    of prod_{b in S} (sigma_ab - m_ab) over prod sqrt(1 - m_ab^2), built
+    without cancellation when the run finished.
     """
     order = res.neighbor_order[a]
     subset = tuple(subset)
     if len(subset) not in (2, 3) or len(set(subset)) != len(subset):
         raise ModelError(f"subset must be 2 or 3 distinct neighbors, got {subset!r}")
+    idx = 0
     for b in subset:
         if b not in order:
             raise ModelError(f"{b!r} is not a neighbor of {a!r}")
-    k = len(order)
-    ms = []
-    for b in subset:
-        m = res.magnetizations[canon_edge(a, b)]
-        if abs(m) >= SATURATION_LIMIT:
-            raise SaturationError(f"edge {a!r}-{b!r} magnetization {m!r} is saturated")
-        ms.append(m)
-    belief = res.node_beliefs[a]
-    num = 0.0
-    for idx in range(belief.size):
-        w = float(belief[idx])
-        if w == 0.0:
-            continue
-        for b, m in zip(subset, ms):
-            sigma = 1.0 if (idx >> (k - 1 - order.index(b))) & 1 else -1.0
-            w *= sigma - m
-        num += w
-    den = 1.0
-    for m in ms:
-        den *= math.sqrt(1.0 - m * m)
-    return num / den
+        idx |= 1 << (len(order) - 1 - order.index(b))
+    return float(res.loop_weights[a][idx])
 
 
 def dump_beliefs(res: BPResult) -> str:

@@ -25,6 +25,7 @@ from .bench import (
 from .bp import SCHEDULES, BPConfig, run_bp_multistart
 from .model import (
     FactorGraph,
+    ModelError,
     ModelParams,
     exact_log_z,
     exact_log_z_factor,
@@ -75,10 +76,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_forney(path: str):
+    """(factor graph or None, reduced normal-form graph) of a model file."""
     model = read_model(path)
     if isinstance(model, FactorGraph):
         return model, reduce_degree(factor_to_forney(model))
-    return None, model
+    try:
+        return None, reduce_degree(model)
+    except ModelError:  # a general high-degree table: BP and --exact still take it as is
+        return None, model
 
 
 def _emit(out, pairs) -> None:

@@ -453,11 +453,6 @@ def exact_log_z(g: ForneyGraph) -> float:
     return base_log + _log_sum_exp(E, log_tables)
 
 
-def exact_z(g: ForneyGraph) -> float:
-    """Z by exhaustive enumeration; see exact_log_z for the safe form."""
-    return math.exp(exact_log_z(g))
-
-
 def exact_log_z_factor(fg: FactorGraph) -> float:
     """log Z of a factor graph by exhaustive enumeration over its variables.
 

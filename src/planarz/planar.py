@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import networkx as nx
 
-from .bp import BPResult, mu_term
+from .bp import BPResult
 from .model import ForneyGraph, ModelError, canon_edge
 
 
@@ -167,8 +167,8 @@ def fisher_extend(g: ForneyGraph, res: BPResult) -> ExtendedGraph:
 
     Degree-2 nodes become two ports joined by one weighted edge; degree-3
     nodes become a triangle whose edge between the ports facing b and c
-    carries the node's loop weight against {b, c}. Ports are numbered node
-    by node in g's order.
+    carries the node's loop weight against {b, c}, read from its table in
+    res.loop_weights. Ports are numbered node by node in g's order.
     """
     if not g.is_reduced:
         raise ModelError("fisher_extend needs a reduced graph (degrees 2 and 3)")
@@ -178,11 +178,12 @@ def fisher_extend(g: ForneyGraph, res: BPResult) -> ExtendedGraph:
     edges = []
     for a in g.nodes:
         nbrs = g.neighbors[a]
-        for i, j in _GADGET_PAIRS[len(nbrs)]:
+        k = len(nbrs)
+        for i, j in _GADGET_PAIRS[k]:
             pair = (nbrs[i], nbrs[j])
+            w = float(res.loop_weights[a][(1 << (k - 1 - i)) | (1 << (k - 1 - j))])
             edges.append(ExtEdge(
-                port[(a, pair[0])], port[(a, pair[1])], "internal", mu_term(res, a, pair),
-                ("internal", a, pair),
+                port[(a, pair[0])], port[(a, pair[1])], "internal", w, ("internal", a, pair),
             ))
     for a, b in g.edges:
         edges.append(ExtEdge(port[(a, b)], port[(b, a)], "external", 1.0, ("external", (a, b))))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bp import BPResult, mu_term
+from .bp import BPResult
 from .model import ForneyGraph, ModelError, _enumerate, canon_edge
 from .pfaffian import OrientationError, matching_sum, tutte_matrix
 from .planar import (
@@ -138,39 +138,28 @@ def triplet_nodes(g: ForneyGraph) -> tuple:
 
 
 def pfaffian_series(
-    g: ForneyGraph,
-    res: BPResult,
-    max_psi_size: int | None = None,
-    budget: int | None = None,
+    g: ForneyGraph, res: BPResult, max_psi_size: int | None = None
 ) -> PfaffianSeriesResult:
     """Evaluate removal-set terms in size order, lexicographic inside a size.
 
-    max_psi_size caps the removal-set cardinality, budget caps the number of
-    evaluated terms; either cut marks the result incomplete. Both must be
-    non-negative. The empty set is always first, so terms[0] is the
-    2-regular correction.
+    max_psi_size, which must be non-negative, caps the removal-set
+    cardinality; a cut marks the result incomplete. The empty set is always
+    first, so terms[0] is the 2-regular correction.
     """
-    for name, cap in (("max_psi_size", max_psi_size), ("budget", budget)):
-        if cap is not None and cap < 0:
-            raise ModelError(f"{name} must be non-negative, got {cap!r}")
+    if max_psi_size is not None and max_psi_size < 0:
+        raise ModelError(f"max_psi_size must be non-negative, got {max_psi_size!r}")
     if g.num_nodes and not g.is_reduced:
         raise ModelError("pfaffian_series needs a reduced graph")
     trips = triplet_nodes(g)
     limit = len(trips) if max_psi_size is None else min(max_psi_size, len(trips))
     o, K = _kasteleyn(g, res)
     removable = trips if limit >= 2 else ()
-    removed_weight = {
-        a: SignedLog.from_float(mu_term(res, a, res.neighbor_order[a])) for a in removable
-    }
+    removed_weight = {a: SignedLog.from_float(float(res.loop_weights[a][-1])) for a in removable}
     lines = _defect_lines(g, o, removable) if removable else {}
     terms = []
     total = SignedLog.zero()
-    complete = True
     for size in range(0, limit + 1, 2):
         for psi in itertools.combinations(trips, size):
-            if budget is not None and len(terms) >= budget:
-                complete = False
-                break
             flip = set()
             factor = SignedLog.one()
             for a in psi:
@@ -180,10 +169,7 @@ def pfaffian_series(
             term = PfaffianTerm(psi, zp, factor)
             terms.append(term)
             total = total + term.contribution
-        if not complete:
-            break
-    if limit < len(trips) - (1 if len(trips) % 2 else 0):
-        complete = False
+    complete = limit >= len(trips) - len(trips) % 2
     return PfaffianSeriesResult(tuple(terms), total, complete)
 
 
@@ -191,9 +177,9 @@ def _loop_scan(g: ForneyGraph, res: BPResult, regular_only: bool):
     """(masks, weights) of every generalized loop, in ascending mask order.
 
     Edge i of g.edges is bit i of a mask. Each node is a weight table and a
-    validity table over its edges: the empty subset weighs 1, an allowed
-    subset (size 2, or 3 unless regular_only) weighs its mu_term, anything
-    else is invalid with weight 0.
+    validity table over its edges: the empty subset and the allowed ones
+    (size 2, or 3 unless regular_only) keep their entry of the node's
+    res.loop_weights table, anything else is invalid with weight 0.
     """
     if any(g.degree(a) > 3 for a in g.nodes):
         raise ModelError("loop enumeration needs degrees at most 3")
@@ -211,11 +197,7 @@ def _loop_scan(g: ForneyGraph, res: BPResult, regular_only: bool):
         ok = size != 1
         if regular_only:
             ok &= size != 3
-        w = np.zeros(ok.shape)
-        for idx in zip(*np.nonzero(ok & (size > 0))):
-            w[idx] = mu_term(res, a, tuple(b for b, bit in zip(nbrs, idx) if bit))
-        w.flat[0] = 1.0
-        weights.append((positions, w))
+        weights.append((positions, np.where(ok, res.loop_weights[a].reshape(ok.shape), 0.0)))
         valids.append((positions, ok))
     masks, out = [], []
     chunks = zip(_enumerate(E, weights, np.multiply), _enumerate(E, valids, np.logical_and))

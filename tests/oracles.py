@@ -9,7 +9,10 @@ numpy array update per message, the form planarz.bp replaced with its
 slot kernel (it shares only the result type and the constants);
 reference_pfaffian is the eager Parlett-Reid kernel, one rank-2 update
 per pivot step, that planarz.pfaffian blocked into panels above its
-crossover (it shares only the result type and the pivot threshold).
+crossover (it shares only the result type and the pivot threshold);
+reference_mu_term is the loop weight of one (node, subset) pair straight
+from the magnetizations, the formula planarz.bp replaced with its
+cancellation-free tables.
 """
 
 from __future__ import annotations
@@ -222,6 +225,29 @@ def _reference_residual(g, cfg, dir_edges, tables, msgs):
     return max(1, -(-pops // len(dir_edges))), residual, True
 
 
+def reference_mu_term(res: BPResult, a: str, subset) -> float:
+    """Loop weight of node a against the neighbor subset S: the node-belief
+    average of prod_{b in S} (sigma_ab - m_ab), divided by
+    prod sqrt(1 - m_ab^2). Loses digits as |m| -> 1."""
+    order = res.neighbor_order[a]
+    k = len(order)
+    ms = [res.magnetizations[tuple(sorted((a, b)))] for b in subset]
+    belief = res.node_beliefs[a]
+    num = 0.0
+    for idx in range(belief.size):
+        w = float(belief[idx])
+        if w == 0.0:
+            continue
+        for b, m in zip(subset, ms):
+            sigma = 1.0 if (idx >> (k - 1 - order.index(b))) & 1 else -1.0
+            w *= sigma - m
+        num += w
+    den = 1.0
+    for m in ms:
+        den *= math.sqrt(1.0 - m * m)
+    return num / den
+
+
 def _log_safe(x: np.ndarray) -> np.ndarray:
     out = np.full(np.shape(x), -np.inf)
     np.log(x, out=out, where=np.asarray(x) > 0)
@@ -266,7 +292,7 @@ def _reference_finish(g, cfg, tables, msgs, converged, iterations, residual):
         mask = p > 0
         free_energy -= float(np.sum(p[mask] * _log_safe(p)[mask]))
 
-    return BPResult(
+    res = BPResult(
         converged=converged,
         iterations=iterations,
         final_residual=residual,
@@ -275,5 +301,13 @@ def _reference_finish(g, cfg, tables, msgs, converged, iterations, residual):
         edge_beliefs=edge_beliefs,
         magnetizations=magnetizations,
         neighbor_order={a: g.neighbors[a] for a in g.nodes},
+        loop_weights={},
         log_z_bp=-free_energy,
     )
+    for a, nbrs in res.neighbor_order.items():
+        k = len(nbrs)
+        res.loop_weights[a] = np.array([
+            reference_mu_term(res, a, [b for i, b in enumerate(nbrs) if s >> (k - 1 - i) & 1])
+            for s in range(1 << k)
+        ])
+    return res

@@ -22,15 +22,17 @@ from planarz import (
     exact_log_z,
     gen_grid,
     gen_spiderweb,
+    loop_correction,
     mu_term,
+    pfaffian_series,
     run_bp,
     run_bp_multistart,
     two_core,
 )
-from planarz.bp import BPNumericError, SaturationError
+from planarz.bp import BPNumericError
 
 from builders import cycle_forney, ladder_graph, random_planar_forney, random_tree_forney
-from oracles import reference_run_bp
+from oracles import reference_mu_term, reference_run_bp
 
 
 def test_exact_on_random_trees():
@@ -273,17 +275,49 @@ def test_mu_term_validates_subset():
         mu_term(res, "t1", ("t0", "b3"))  # not a neighbor
 
 
-def test_mu_term_saturation_raises():
-    # biased hard-equality tables pin every edge to -1, so |m| ~ 1
-    from planarz import ForneyGraph
+def test_loop_weight_tables_match_reference_formula():
+    # every entry of size 2 and 3 against the magnetization formula the
+    # tables replaced, away from saturation where that formula is accurate
+    models = [ladder_graph(seed=s) for s in range(3)]
+    models += [random_planar_forney(s) for s in range(5)]
+    for theta in (0.0, 1.0):
+        for seed in range(2):
+            params = ModelParams(beta=1.0, theta=theta, seed=seed)
+            models.append(two_core(gen_spiderweb(2, 3, params)[1])[0])
+            models.append(two_core(gen_grid(5, params)[1])[0])
+    checked = 0
+    for g in models:
+        res = run_bp(g, BPConfig())
+        for a in g.nodes:
+            nbrs = g.neighbors[a]
+            k = len(nbrs)
+            table = res.loop_weights[a]
+            assert table.shape == (1 << k,) and table[0] == 1.0
+            for s in range(1 << k):
+                subset = [b for i, b in enumerate(nbrs) if s >> (k - 1 - i) & 1]
+                if len(subset) in (2, 3):
+                    want = reference_mu_term(res, a, subset)
+                    assert table[s] == pytest.approx(want, rel=1e-12, abs=1e-14), (a, subset)
+                    checked += 1
+    assert checked > 1000
 
+
+def test_saturated_ring_loop_corrections_are_exact():
+    # biased equality tables push every edge to |m| = 1 - 5e-15, where
+    # 1 - m^2 keeps about one digit; the loop weights come from the log
+    # messages instead and both corrections stay exact on the single loop
     nbrs = {f"n{i}": (f"n{(i - 1) % 3}", f"n{(i + 1) % 3}") for i in range(3)}
-    tabs = {a: np.array([10.0, 1e-14, 1e-14, 1e-13]) for a in nbrs}
-    g = ForneyGraph(nbrs, tabs)
+    g = ForneyGraph(nbrs, {a: np.array([1.0, 1e-7, 1e-7, 3.0]) for a in nbrs})
     res = run_bp(g, BPConfig())
-    assert abs(res.magnetizations[("n0", "n1")]) > 1 - 1e-12
-    with pytest.raises(SaturationError):
-        mu_term(res, "n0", ("n1", "n2"))
+    assert res.converged
+    assert abs(res.magnetizations[("n0", "n1")]) > 1 - 1e-14
+    exact = exact_log_z(g)
+    series = pfaffian_series(g, res)
+    assert series.complete and series.z_total.sign == 1
+    assert res.log_z_bp + series.z_total.log_magnitude == pytest.approx(exact, rel=1e-10)
+    total, count = loop_correction(g, res)
+    assert count == 1 and total > 1.0
+    assert res.log_z_bp + math.log(total) == pytest.approx(exact, rel=1e-10)
 
 
 def test_dump_beliefs_contains_all_rows():

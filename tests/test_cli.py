@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from planarz.cli import main
@@ -68,6 +69,38 @@ def test_solve_forney_model(tmp_path, capsys):
     code, out, _ = _run(capsys, "oracle", "--model", str(model), "--exact")
     want = float(_value(out, "log_z"))
     assert got == pytest.approx(want, rel=1e-10)
+
+
+def _wheel(hub_table):
+    # planar wheel W4 in normal form: hub h of degree 4, rim r0..r3 of degree 3
+    rng = np.random.default_rng(5)
+    edges = [f"edge h r{i}\n" for i in range(4)] + [f"edge r{i} r{(i + 1) % 4}\n" for i in range(4)]
+    factors = ["factor h " + " ".join(map(str, hub_table)) + "\n"]
+    factors += [f"factor r{i} " + " ".join(map(str, rng.uniform(0.5, 2.0, 8))) + "\n" for i in range(4)]
+    return "forney 5\n" + "".join(edges + factors)
+
+
+def test_forney_model_of_degree_four(tmp_path, capsys):
+    # an equality-like degree-4 hub is split like factor-graph input is
+    model = tmp_path / "w4.txt"
+    model.write_text(_wheel([2.0] + [0.0] * 14 + [1.0]))
+    code, out, _ = _run(capsys, "oracle", "--model", str(model), "--exact")
+    assert code == 0
+    want = float(_value(out, "log_z"))
+    for method in ("pfaffian", "z_empty"):
+        code, out, _ = _run(capsys, "solve", "--model", str(model), "--method", method)
+        assert code == 0, method
+        if method == "pfaffian":
+            assert float(_value(out, "log_z")) == pytest.approx(want, rel=1e-10)
+    code, out, _ = _run(capsys, "oracle", "--model", str(model), "--loops")
+    assert code == 0
+    assert float(_value(out, "log_z")) == pytest.approx(want, rel=1e-10)
+    # a general hub table cannot be split; BP and the exact oracle still run
+    model.write_text(_wheel(np.linspace(0.5, 2.0, 16)))
+    for argv in (("solve", "--method", "bp"), ("oracle", "--exact")):
+        code, out, _ = _run(capsys, *argv, "--model", str(model))
+        assert code == 0, argv
+        assert math.isfinite(float(_value(out, "log_z")))
 
 
 def test_solve_exact_method(tmp_path, capsys):

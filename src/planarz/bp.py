@@ -18,7 +18,7 @@ from operator import mul
 
 import numpy as np
 
-from .model import ForneyGraph, ModelError
+from .model import ForneyGraph, ModelError, _log_safe
 
 SCHEDULES = ("fixed", "random", "parallel", "residual")
 
@@ -196,11 +196,6 @@ def _run_residual(g, cfg, dir_edges, slot, lo, hi, message):
         for d in dependents[j]:
             o0, o1 = cand[d] = message(d)
             resid[d] = max(abs(o0 - lo[d]), abs(o1 - hi[d]))
-
-
-def _log_safe(x: np.ndarray, zero: float = -np.inf) -> np.ndarray:
-    """Elementwise log, with `zero` where x is 0."""
-    return np.log(x, out=np.full(np.shape(x), zero), where=x > 0)
 
 
 def _finish(g, cfg, slot, lo, hi, converged, iterations, residual):

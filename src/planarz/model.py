@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -367,12 +366,9 @@ def two_core(g: ForneyGraph) -> tuple[ForneyGraph, float]:
     return core, log_const
 
 
-def _log_table(t: np.ndarray) -> np.ndarray:
-    out = np.full(t.shape, -np.inf)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        np.log(t, out=out, where=t > 0)
-    return out
+def _log_safe(x: np.ndarray, zero: float = -np.inf) -> np.ndarray:
+    """Elementwise log, with `zero` where x is 0."""
+    return np.log(x, out=np.full(np.shape(x), zero), where=x > 0)
 
 
 def _enumerate(n: int, tables, ufunc):
@@ -447,7 +443,7 @@ def exact_log_z(g: ForneyGraph) -> float:
         nbrs = g.neighbors[a]
         if nbrs:
             positions = [edge_pos[canon_edge(a, b)] for b in nbrs]
-            log_tables.append((positions, _log_table(g.tables[a])))
+            log_tables.append((positions, _log_safe(g.tables[a])))
         else:
             base_log += float(np.log(g.tables[a][0]))  # _check_table: the one entry is > 0
     return base_log + _log_sum_exp(E, log_tables)
@@ -466,5 +462,5 @@ def exact_log_z_factor(fg: FactorGraph) -> float:
         raise ModelError(f"exact enumeration capped at {MAX_ENUM_VARIABLES} variables, got {n}")
     var_pos = {v: i for i, v in enumerate(fg.variables)}
     return _log_sum_exp(
-        n, [([var_pos[v] for v in f.scope], _log_table(f.table)) for f in fg.factors]
+        n, [([var_pos[v] for v in f.scope], _log_safe(f.table)) for f in fg.factors]
     )

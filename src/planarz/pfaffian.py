@@ -139,7 +139,7 @@ def _eager_pivots(m: np.ndarray, tol: float):
 
 def tutte_matrix(o: OrientedPlanarGraph) -> np.ndarray:
     """Skew weighted adjacency of the oriented extended graph: A[t, h] = w and
-    A[h, t] = -w for each edge directed t -> h; dummy edges weigh 0.
+    A[h, t] = -w for each edge directed t -> h.
 
     Parallel edges would share one entry, so they are rejected.
     """

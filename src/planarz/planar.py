@@ -1,17 +1,17 @@
 """Planar machinery: embeddings, node-splitting gadgets, edge orientation.
 
 The pipeline goes reduced graph -> split gadgets (one 2-node gadget per
-degree-2 node, one triangle per degree-3 node) -> dummy edges joining
-components -> rotation-system embedding -> orientation making every bounded
-face odd when walked clockwise. Perfect matchings of the extended graph then
-line up with the even-degree loop structure of the source graph. Only the
+degree-2 node, one triangle per degree-3 node) -> rotation-system embedding
+-> orientation making every bounded face odd when walked clockwise, one
+root face per component. Perfect matchings of the extended graph then line
+up with the even-degree loop structure of the source graph. Only the
 removal-free graph of a model is built, embedded and oriented: a removal
 set's graph is its subgraph induced on the kept ports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import networkx as nx
 
@@ -33,9 +33,7 @@ class ExtEdge:
 
     u: int
     v: int
-    kind: str  # internal | external | dummy
     weight: float
-    origin: tuple
 
     def key(self) -> tuple[int, int]:
         return (self.u, self.v) if self.u < self.v else (self.v, self.u)
@@ -46,8 +44,9 @@ class ExtendedGraph:
     """Port graph produced by splitting nodes of a reduced source graph.
 
     Vertex i is labels[i] = (source node, facing neighbor), and port maps
-    each label back to i. Gadget-internal edges carry loop weights, external
-    edges weight 1, dummy edges weight 0.
+    each label back to i. An edge is gadget-internal when both its ports
+    belong to one source node and then carries a loop weight; an external
+    edge joins two nodes' ports and weighs 1.
     """
 
     num_vertices: int
@@ -55,21 +54,14 @@ class ExtendedGraph:
     edges: tuple
     port: dict  # label -> vertex
 
-    def adjacency(self) -> list[list[int]]:
-        adj = [[] for _ in range(self.num_vertices)]
-        for e in self.edges:
-            adj[e.u].append(e.v)
-            adj[e.v].append(e.u)
-        return adj
-
 
 @dataclass(frozen=True)
 class PlanarEmbedding:
-    """Rotation system plus traced faces for a planar graph."""
+    """Rotation system plus traced faces for a planar graph; every
+    component has its own faces, its outer one included."""
 
     rotation: tuple  # per vertex, neighbor tuple in cyclic order
     faces: tuple  # per face, tuple of directed edges (u, v)
-    external_face: int
 
 
 @dataclass(frozen=True)
@@ -79,7 +71,7 @@ class OrientedPlanarGraph:
     ext: ExtendedGraph
     embedding: PlanarEmbedding
     orientation: dict  # canonical (u, v) -> (tail, head)
-    dual_tree: dict  # bounded face -> (parent face, canonical edge crossed to reach it)
+    dual_tree: dict  # face -> (parent face, canonical edge crossed to reach it); roots absent
 
 
 def _trace_faces(num_vertices, rotation):
@@ -155,8 +147,7 @@ def embed(num_vertices: int, edges) -> PlanarEmbedding:
         if nv - e_count.get(root, 0) + f_count.get(root, 0) != 2:
             raise NonPlanarError("rotation system violates Euler's formula")
 
-    best = max(range(len(faces)), key=lambda i: (len(faces[i]), -i))
-    return PlanarEmbedding(rotation, faces, best)
+    return PlanarEmbedding(rotation, faces)
 
 
 _GADGET_PAIRS = {2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
@@ -182,11 +173,9 @@ def fisher_extend(g: ForneyGraph, res: BPResult) -> ExtendedGraph:
         for i, j in _GADGET_PAIRS[k]:
             pair = (nbrs[i], nbrs[j])
             w = float(res.loop_weights[a][(1 << (k - 1 - i)) | (1 << (k - 1 - j))])
-            edges.append(ExtEdge(
-                port[(a, pair[0])], port[(a, pair[1])], "internal", w, ("internal", a, pair),
-            ))
+            edges.append(ExtEdge(port[(a, pair[0])], port[(a, pair[1])], w))
     for a, b in g.edges:
-        edges.append(ExtEdge(port[(a, b)], port[(b, a)], "external", 1.0, ("external", (a, b))))
+        edges.append(ExtEdge(port[(a, b)], port[(b, a)], 1.0))
 
     return ExtendedGraph(len(labels), tuple(labels), tuple(edges), port)
 
@@ -240,77 +229,56 @@ def reference_matching(g: ForneyGraph, ext: ExtendedGraph, removed=()):
 def orient(ext: ExtendedGraph) -> OrientedPlanarGraph:
     """Direct every edge so each bounded face has an odd clockwise count.
 
-    Each further component is joined to vertex 0 by a zero-weight dummy
-    edge before the one embedding: face parity needs a connected graph, not
-    a biconnected one.
+    Every edge starts out pointing to its larger endpoint. A depth-first
+    walk across edges then grows a spanning forest of the dual, rooted in
+    each component's largest face, which serves as that component's outer
+    face. Faces are fixed leaves first: each flips the edge it was reached
+    across, if need be, to make its own count odd. The forest is kept on
+    the result: a path up it from any face reaches its component's root.
 
-    Spanning-tree edges point toward their larger endpoint. Faces are then
-    visited in post-order over the dual tree built from the non-tree edges
-    (rooted at the external face); each face fixes the one undirected edge
-    it still has so its own parity comes out odd. The dual tree is kept on
-    the result: a path up it from any face reaches the external face.
+    A non-planar model raises NonPlanarError whose witness is the model
+    edges that the Kuratowski subgraph runs through.
     """
-    n = ext.num_vertices
-    adj = [set(a) for a in ext.adjacency()]
-    tree = set()
-    dummies = []
-    seen = [False] * n
-    for root in range(n):
-        if seen[root]:
-            continue
-        if root:
-            dummies.append(ExtEdge(0, root, "dummy", 0.0, ("dummy", len(dummies))))
-            tree.add((0, root))
-        seen[root] = True
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v in sorted(adj[u]):
-                if not seen[v]:
-                    seen[v] = True
-                    tree.add((min(u, v), max(u, v)))
-                    stack.append(v)
-    if dummies:
-        ext = replace(ext, edges=ext.edges + tuple(dummies))
-    emb = embed(n, [e.key() for e in ext.edges])
+    try:
+        emb = embed(ext.num_vertices, [e.key() for e in ext.edges])
+    except NonPlanarError as exc:
+        if not exc.witness_edges:
+            raise
+        nodes = [(ext.labels[u][0], ext.labels[v][0]) for u, v in exc.witness_edges]
+        witness = sorted({canon_edge(a, b) for a, b in nodes if a != b})
+        raise NonPlanarError(
+            f"model is not planar; Kuratowski witness has {len(witness)} model edges",
+            witness_edges=witness,
+        ) from None
+    faces = emb.faces
+    face_of = {de: fi for fi, walk in enumerate(faces) for de in walk}
+    orientation = {e.key(): e.key() for e in ext.edges}  # tail = smaller endpoint
 
-    orientation = {e: e for e in tree}  # tail = smaller endpoint
-
-    face_of = {}
-    for fi, walk in enumerate(emb.faces):
-        for de in walk:
-            face_of[de] = fi
-
-    dual = {fi: [] for fi in range(len(emb.faces))}
-    for u, v in {e.key() for e in ext.edges}:
-        if (u, v) in tree:
-            continue
-        f1, f2 = face_of[(u, v)], face_of[(v, u)]
-        if f1 == f2:
-            raise ModelError(f"non-tree edge ({u}, {v}) borders a single face")
-        dual[f1].append((f2, (u, v)))
-        dual[f2].append((f1, (u, v)))
-
-    root = emb.external_face
     dual_tree = {}
     order = []
-    stack = [root]
-    while stack:
-        fi = stack.pop()
-        order.append(fi)
-        for nf, e in sorted(dual[fi]):
-            if nf != root and nf not in dual_tree:
-                dual_tree[nf] = (fi, e)
-                stack.append(nf)
-    if len(dual_tree) + 1 != len(emb.faces):
-        raise ModelError("dual graph across non-tree edges is not connected")
+    seen = set()
+    for root in sorted(range(len(faces)), key=lambda i: (-len(faces[i]), i)):
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [root]
+        while stack:
+            fi = stack.pop()
+            order.append(fi)
+            for x, y in faces[fi]:
+                nf = face_of[(y, x)]
+                if nf not in seen:
+                    seen.add(nf)
+                    dual_tree[nf] = (fi, (min(x, y), max(x, y)))
+                    stack.append(nf)
 
-    for fi in reversed(order[1:]):  # order[0] is the external face
+    for fi in reversed(order):
+        if fi not in dual_tree:
+            continue  # a root
         u, v = dual_tree[fi][1]
-        walk = emb.faces[fi]
         cw = 0
         this_dir = None
-        for x, y in walk:
+        for x, y in faces[fi]:
             key = (min(x, y), max(x, y))
             if key == (u, v):
                 this_dir = (x, y)
@@ -323,10 +291,11 @@ def orient(ext: ExtendedGraph) -> OrientedPlanarGraph:
 
 
 def face_parity_violations(o: OrientedPlanarGraph) -> list[int]:
-    """Indices of bounded faces whose clockwise count is even (should be none)."""
+    """Indices of faces below a root of o.dual_tree, one root per component,
+    whose clockwise count is even (should be none)."""
     bad = []
     for fi, walk in enumerate(o.embedding.faces):
-        if fi == o.embedding.external_face:
+        if fi not in o.dual_tree:
             continue
         cw = sum(
             1 for x, y in walk if o.orientation[(min(x, y), max(x, y))] == (x, y)

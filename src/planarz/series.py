@@ -80,7 +80,7 @@ def _kasteleyn(g: ForneyGraph, res: BPResult):
 
 def _defect_lines(g: ForneyGraph, o: OrientedPlanarGraph, nodes) -> dict:
     """Per node, the edges crossed by the dual-tree path from a face at its
-    last port to the external face.
+    last port to the root face of its component.
 
     With every bounded face clockwise-odd, a cycle's clockwise count is one
     plus the number of vertices inside it, mod 2. Removing a gadget drops

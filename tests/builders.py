@@ -109,8 +109,6 @@ def random_planar_vertex_graph(seed: int) -> tuple[int, list[tuple[int, int]]]:
 
 def plain_extended(num_vertices: int, edges) -> ExtendedGraph:
     """Wrap a plain vertex graph as a weight-1 extended graph."""
-    ext_edges = tuple(
-        ExtEdge(u, v, "internal", 1.0, ("internal", f"v{u}", (f"v{v}",))) for u, v in edges
-    )
+    ext_edges = tuple(ExtEdge(u, v, 1.0) for u, v in edges)
     labels = tuple((f"v{i}", "") for i in range(num_vertices))
     return ExtendedGraph(num_vertices, labels, ext_edges, {lbl: i for i, lbl in enumerate(labels)})

@@ -74,8 +74,8 @@ def matching_count(num_vertices: int, edges) -> int:
 
 
 def kasteleyn_matrix(o) -> np.ndarray:
-    """Unit-weight skew matrix of an oriented graph, dummy edges included:
-    with a Kasteleyn orientation |Pf| counts its perfect matchings."""
+    """Unit-weight skew matrix of an oriented graph: with a Kasteleyn
+    orientation |Pf| counts its perfect matchings."""
     a = np.zeros((o.ext.num_vertices, o.ext.num_vertices))
     for e in o.ext.edges:
         tail, head = o.orientation[e.key()]

@@ -1,4 +1,4 @@
-"""Planar machinery: embedding, node splitting, dummy edges, orientation.
+"""Planar machinery: embedding, node splitting, orientation.
 
 The orientation test is the load-bearing one: a correct odd-clockwise
 parity on every bounded face is exactly what makes the matching Pfaffian
@@ -10,11 +10,13 @@ import importlib
 import itertools
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 
 from planarz import (
     BPConfig,
+    ForneyGraph,
     NonPlanarError,
     embed,
     face_parity_violations,
@@ -32,7 +34,7 @@ from builders import (
     random_planar_forney,
     random_planar_vertex_graph,
 )
-from oracles import kasteleyn_matrix, matching_count, matching_sum
+from oracles import kasteleyn_matrix, matching_count
 
 pfaffian_module = importlib.import_module("planarz.pfaffian")
 series_module = importlib.import_module("planarz.series")
@@ -63,6 +65,20 @@ def test_embed_rejects_k5_with_witness():
     assert len(exc.value.witness_edges) > 0
     witness = set(exc.value.witness_edges)
     assert witness <= {(min(u, v), max(u, v)) for u, v in edges}
+
+
+def test_orient_witness_names_model_edges():
+    # K3,3 as a Forney model: the Kuratowski witness found among the gadget
+    # ports is reported as the model edges it runs through
+    neighbors = {f"a{i}": ("b0", "b1", "b2") for i in range(3)}
+    neighbors.update({f"b{i}": ("a0", "a1", "a2") for i in range(3)})
+    g = ForneyGraph(neighbors, {a: np.ones(8) for a in neighbors})
+    with pytest.raises(NonPlanarError) as exc:
+        orient(fisher_extend(g, run_bp(g, BPConfig())))
+    witness = exc.value.witness_edges
+    assert set(witness) <= set(g.edges)
+    assert not nx.check_planarity(nx.Graph(witness))[0]
+    assert f"witness has {len(witness)} model edges" in str(exc.value)
 
 
 def test_random_planar_graphs_embed():
@@ -97,15 +113,15 @@ def test_fisher_gadget_weights():
     g = ladder_graph(seed=3)
     res = _bp(g)
     ext = fisher_extend(g, res)
-    internals = [e for e in ext.edges if e.kind == "internal"]
-    externals = [e for e in ext.edges if e.kind == "external"]
+    # an edge is internal exactly when both its ports belong to one node
+    internals = [e for e in ext.edges if ext.labels[e.u][0] == ext.labels[e.v][0]]
+    externals = [e for e in ext.edges if ext.labels[e.u][0] != ext.labels[e.v][0]]
     assert all(e.weight == 1.0 for e in externals)
     assert len(externals) == g.num_edges
     # every internal weight is the loop weight of its port pair
     for e in internals:
-        kind, node, pair = e.origin
-        assert kind == "internal"
-        assert e.weight == pytest.approx(mu_term(res, node, pair), rel=1e-14)
+        (node, b), (_, c) = ext.labels[e.u], ext.labels[e.v]
+        assert e.weight == pytest.approx(mu_term(res, node, (b, c)), rel=1e-14)
     # degree-2 nodes contribute 1 internal edge, degree-3 nodes 3
     assert len(internals) == sum(1 if g.degree(a) == 2 else 3 for a in g.nodes)
 
@@ -125,7 +141,8 @@ def test_fisher_extend_removal(monkeypatch):
     assert minor.shape == (len(kept), len(kept)) == (o.ext.num_vertices - 6,) * 2
     # externals on removed nodes are gone too: each removed degree-3 node
     # kills its 3 externals, but the t1-t2 edge is shared
-    external = {e.key() for e in o.ext.edges if e.kind == "external"}
+    labels = o.ext.labels
+    external = {e.key() for e in o.ext.edges if labels[e.u][0] != labels[e.v][0]}
     entries = {(kept[i], kept[j]) for i, j in zip(*np.nonzero(np.triu(minor)))}
     assert len(entries & external) == g.num_edges - 5
 
@@ -140,36 +157,29 @@ def test_ladder_extended_graph_has_eight_matchings():
     assert count == 8
 
 
-# ---------------------------------------------------------------- dummy edges
+# ---------------------------------------------------------------- components
 
 
-def test_orient_joins_components_with_zero_weight_dummies():
-    edges = []
-    for base in (0, 4):
-        for i in range(4):
-            edges.append((base + i, base + (i + 1) % 4))
-    ext = plain_extended(8, edges)
-    before = matching_sum(8, [(e.u, e.v, e.weight) for e in ext.edges])
-    o = orient(ext)
-    dummies = [e for e in o.ext.edges if e.kind == "dummy"]
-    assert len(dummies) == 1
-    assert all(e.weight == 0.0 for e in dummies)
-    after = matching_sum(o.ext.num_vertices, [(e.u, e.v, e.weight) for e in o.ext.edges])
-    assert after == pytest.approx(before)
-
-
-def test_orient_adds_no_dummy_to_connected_graph():
-    # a square, and two triangles sharing the cut vertex 0
-    for n, edges in (
-        (4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
-        (5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]),
+def test_orient_roots_one_face_per_component():
+    # a square, two triangles sharing the cut vertex 0, and two disjoint
+    # squares: the graph is oriented as given, and each component's dual
+    # forest has one root, the one face left unchecked
+    square = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    for n, edges, components in (
+        (4, square, 1),
+        (5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)], 1),
+        (8, square + [(u + 4, v + 4) for u, v in square], 2),
     ):
         ext = plain_extended(n, edges)
-        assert orient(ext).ext is ext
+        o = orient(ext)
+        assert o.ext is ext
+        roots = [fi for fi in range(len(o.embedding.faces)) if fi not in o.dual_tree]
+        assert len(roots) == components
+        assert face_parity_violations(o) == []
 
 
 def test_orient_embeds_once(monkeypatch):
-    # the dummies go in before the one embedding, connected or not
+    # one embedding of the graph as given, connected or not
     real = planar_module.embed
     calls = []
     monkeypatch.setattr(planar_module, "embed", lambda *args: calls.append(args) or real(*args))
@@ -198,8 +208,8 @@ def _glued(a, b, how):
 
 
 def test_orient_cut_vertex_bridge_and_disjoint_union():
-    # face parity needs a connected graph only: cut vertices and bridges
-    # stay, components are joined by one zero-weight dummy each
+    # cut vertices and bridges stay, and each component of a disjoint
+    # union is oriented around its own root face
     small = [(3, [(0, 1), (1, 2), (2, 0)]), (4, [(0, 1), (1, 2), (2, 3), (3, 0)])]
     small += [random_planar_vertex_graph(seed) for seed in range(12)]
     checked = 0
@@ -213,7 +223,7 @@ def test_orient_cut_vertex_bridge_and_disjoint_union():
             pf = pfaffian(kasteleyn_matrix(o))
             want = matching_count(n, [(e.u, e.v) for e in o.ext.edges])
             assert math.exp(pf.log_magnitude) == pytest.approx(want, rel=1e-10, abs=0)
-            # dummies weigh zero: the weighted Pfaffian counts the glued graph's matchings
+            # unit weights: the weighted Pfaffian counts the glued graph's matchings
             z = pfaffian(tutte_matrix(o))
             assert abs(z.to_float()) == pytest.approx(matching_count(n, edges), rel=1e-10)
             checked += 1

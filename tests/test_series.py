@@ -265,8 +265,8 @@ def test_reference_matching_sign_matches_kasteleyn():
     # ports, with the removed nodes' defect lines flipped. Its sign comes
     # from one reference matching, which must agree with the unit-weight
     # Pfaffian of that flipped, sliced matrix. Without a reference matching
-    # only dummy edges could complete one, so the weighted Pfaffian, where
-    # dummies weigh zero, vanishes
+    # the sliced graph has no perfect matching, so its weighted Pfaffian
+    # vanishes
     checked = 0
     for g in _series_models():
         res = _bp(g)
@@ -317,7 +317,7 @@ def test_corrupted_orientation_raises(monkeypatch):
 
     def corrupted(ext):
         o = real(ext)
-        walk = o.embedding.faces[1 if o.embedding.external_face == 0 else 0]
+        walk = o.embedding.faces[next(iter(o.dual_tree))]
         x, y = next((x, y) for x, y in walk if (y, x) not in walk)
         key = (min(x, y), max(x, y))
         o.orientation[key] = o.orientation[key][::-1]
@@ -371,6 +371,25 @@ def test_series_matches_exact_where_defect_lines_matter():
         assert series.complete and series.z_total.sign == 1
         est = log_const + res.log_z_bp + series.z_total.log_magnitude
         assert est == pytest.approx(exact_log_z_factor(fg), rel=1e-10), f"seed {seed}"
+
+
+def test_series_matches_exact_on_two_components():
+    # two disjoint ladders: each component's faces hang off its own root
+    # face, and a removal set spanning both flips both components' lines
+    for seed in range(3):
+        neighbors, tables = {}, {}
+        for tag, part in (("p", ladder_graph(seed=seed)), ("q", ladder_graph(seed=seed + 10))):
+            for a in part.nodes:
+                neighbors[tag + a] = tuple(tag + b for b in part.neighbors[a])
+                tables[tag + a] = part.tables[a]
+        g = ForneyGraph(neighbors, tables)
+        res = _bp(g)
+        series = pfaffian_series(g, res)
+        assert series.complete and series.z_total.sign == 1
+        both = [t for t in series.terms if {a[0] for a in t.psi} == {"p", "q"}]
+        assert sum(t.contribution.sign != 0 for t in both) > 0
+        est = res.log_z_bp + series.z_total.log_magnitude
+        assert est == pytest.approx(exact_log_z(g), rel=1e-10), f"seed {seed}"
 
 
 def test_series_computes_each_loop_weight_once(monkeypatch):

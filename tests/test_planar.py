@@ -34,7 +34,7 @@ from builders import (
     random_planar_forney,
     random_planar_vertex_graph,
 )
-from oracles import kasteleyn_matrix, matching_count
+from oracles import kasteleyn_matrix, matching_count, matching_sum
 
 pfaffian_module = importlib.import_module("planarz.pfaffian")
 series_module = importlib.import_module("planarz.series")
@@ -160,22 +160,41 @@ def test_ladder_extended_graph_has_eight_matchings():
 # ---------------------------------------------------------------- components
 
 
-def test_orient_roots_one_face_per_component():
-    # a square, two triangles sharing the cut vertex 0, and two disjoint
-    # squares: the graph is oriented as given, and each component's dual
-    # forest has one root, the one face left unchecked
-    square = [(0, 1), (1, 2), (2, 3), (3, 0)]
-    for n, edges, components in (
-        (4, square, 1),
-        (5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)], 1),
-        (8, square + [(u + 4, v + 4) for u, v in square], 2),
+def _roots(o):
+    return [fi for fi in range(len(o.embedding.faces)) if fi not in o.dual_tree]
+
+
+def test_orient_adds_no_dummy_to_connected_graph():
+    # a square, and two triangles sharing the cut vertex 0: the graph is
+    # oriented as given, around one root face
+    for n, edges in (
+        (4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+        (5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]),
     ):
         ext = plain_extended(n, edges)
         o = orient(ext)
         assert o.ext is ext
-        roots = [fi for fi in range(len(o.embedding.faces)) if fi not in o.dual_tree]
-        assert len(roots) == components
+        assert len(_roots(o)) == 1
         assert face_parity_violations(o) == []
+
+
+def test_orient_roots_one_face_per_component():
+    # two disjoint squares are oriented as given, with one root face in
+    # each component's dual forest, and keep their weighted matching sum
+    edges = []
+    for base in (0, 4):
+        for i in range(4):
+            edges.append((base + i, base + (i + 1) % 4))
+    ext = plain_extended(8, edges)
+    before = matching_sum(8, [(e.u, e.v, e.weight) for e in ext.edges])
+    o = orient(ext)
+    assert o.ext is ext
+    assert len(_roots(o)) == 2
+    assert face_parity_violations(o) == []
+    after = matching_sum(o.ext.num_vertices, [(e.u, e.v, e.weight) for e in o.ext.edges])
+    assert after == pytest.approx(before)
+    z = pfaffian(tutte_matrix(o))
+    assert abs(z.to_float()) == pytest.approx(before, rel=1e-10)
 
 
 def test_orient_embeds_once(monkeypatch):

@@ -7,19 +7,17 @@ with partial pivoting (congruence transforms of determinant one, row/column
 swaps tracked in the sign), so only pivot magnitudes are multiplied and
 everything stays in log space.
 
-Each pivot step is a rank-2 update of the trailing matrix. Applied one at
-a time those updates are memory-bound, so above CROSSOVER the elimination
-is blocked (Wimmer 2012, arXiv:1102.3440): the updates of up to PANEL
-steps are held as pending columns U, V, only the two rows a step needs
-are formed from them, and one matrix product applies the whole panel.
-Trailing blocks of dimension at most CROSSOVER take the eager step, where
-the panel bookkeeping costs more than it saves; every matrix of that size
-gets exactly the eager results.
+Each pivot step is one eager rank-2 update, confined to the step's active
+window: the rows and columns from the step's own up to the last nonzero
+column of any pivot row so far. Everything outside the window is an exact
+zero that the update would leave unchanged, so the pivots match the full
+eager elimination bit for bit. A banded matrix, such as a Kasteleyn matrix
+in fisher_extend's breadth-first port order, keeps the window about as
+wide as its band.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -28,10 +26,6 @@ from .planar import OrientedPlanarGraph
 from .slog import SignedLog
 
 PIVOT_THRESHOLD = 1e-12
-PANEL = 32  # pivot steps whose rank-2 updates one flush applies
-# trailing dimension at or below which steps are eager (measured break-even
-# 80-90 on a 2-core box); even, so the eager steps start on a pivot pair
-CROSSOVER = 80
 
 
 class OrientationError(RuntimeError):
@@ -46,9 +40,10 @@ def pfaffian(a) -> SignedLog:
     dimension gives exactly zero. A best pivot below
     PIVOT_THRESHOLD * max(1, |A|_max) declares the matrix singular.
 
-    Pivot steps run in panels of PANEL while the trailing dimension exceeds
-    CROSSOVER, then eagerly; the Pfaffian is the product of the pivots,
-    each negated when its step swapped rows.
+    Step k works on the window [k, hi), where hi only grows: past the last
+    nonzero column of rows k and k + 1 (tracked through each pivot swap),
+    and past k + 1. The Pfaffian is the product of the pivots, each negated
+    when its step swapped rows.
     """
     m = np.array(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -64,77 +59,32 @@ def pfaffian(a) -> SignedLog:
         return SignedLog.zero()
 
     tol = PIVOT_THRESHOLD * max(1.0, float(np.abs(m).max()))
+    # last nonzero column per row; n - 1 for an all-zero row, which stays zero
+    last = (n - 1 - (m[:, ::-1] != 0).argmax(axis=1)).tolist()
     sign = 1
     log_mag = 0.0
-    for piv in itertools.chain(_blocked_pivots(m, tol), _eager_pivots(m, tol)):
-        if piv == 0.0:
-            return SignedLog.zero()
-        sign = -sign if piv < 0 else sign
-        log_mag += math.log(abs(piv))
-    return SignedLog(sign, log_mag)
-
-
-def _blocked_pivots(m: np.ndarray, tol: float):
-    """Signed pivots of the steps that leave a trailing block above CROSSOVER.
-
-    The true trailing matrix is m + U V^T - V U^T, with U = z[:, :p] and
-    V = z[:, PANEL:PANEL + p] holding the p pending updates; rows of m and
-    z are swapped together. Yields 0.0 and stops on a pivot below tol. m
-    ends holding the trailing block with every update applied.
-    """
-    n = m.shape[0]
-    stop = n - CROSSOVER
-    z = np.zeros((n, 2 * PANEL))
-    p = 0
-    for k in range(0, stop, 2):
-        u, v = z[:, :p], z[:, PANEL : PANEL + p]
-        row = m[k, k + 1 :] + v[k + 1 :] @ u[k] - u[k + 1 :] @ v[k]
-        j = int(np.abs(row).argmax())
-        if abs(row[j]) < tol:
-            yield 0.0
-            return
-        flip = 1
-        if j:
-            kp = k + 1 + j
-            m[[k + 1, kp], k + 1 :] = m[[kp, k + 1], k + 1 :]
-            m[k + 1 :, [k + 1, kp]] = m[k + 1 :, [kp, k + 1]]
-            z[[k + 1, kp]] = z[[kp, k + 1]]
-            row[[0, j]] = row[[j, 0]]
-            flip = -1
-        piv = row[0]
-        z[k + 2 :, p] = m[k + 1, k + 2 :] + v[k + 2 :] @ u[k + 1] - u[k + 2 :] @ v[k + 1]
-        z[k + 2 :, PANEL + p] = row[1:] / piv
-        p += 1
-        if p == PANEL or k + 2 == stop:
-            t = z[k + 2 :, :p] @ z[k + 2 :, PANEL : PANEL + p].T
-            m[k + 2 :, k + 2 :] += t - t.T
-            p = 0
-        yield flip * piv
-
-
-def _eager_pivots(m: np.ndarray, tol: float):
-    """Signed pivots of the last trailing block, of dimension at most
-    CROSSOVER, one rank-2 update per step; yields 0.0 and stops on a pivot
-    below tol."""
-    n = m.shape[0]
-    for k in range(max(0, n - CROSSOVER), n - 1, 2):
-        col = np.abs(m[k + 1 :, k])
+    hi = 0
+    for k in range(0, n - 1, 2):
+        hi = max(hi, last[k] + 1, last[k + 1] + 1, k + 2)
+        col = np.abs(m[k + 1 : hi, k])
         kp = k + 1 + int(col.argmax())
         if col[kp - k - 1] < tol:
-            yield 0.0
-            return
-        flip = 1
+            return SignedLog.zero()
         if kp != k + 1:
-            m[[k + 1, kp], :] = m[[kp, k + 1], :]
-            m[:, [k + 1, kp]] = m[:, [kp, k + 1]]
-            flip = -1
+            # the window must take in row kp's nonzeros before the swap
+            last[k + 1], last[kp] = last[kp], last[k + 1]
+            hi = max(hi, last[k + 1] + 1)
+            m[[k + 1, kp], k:hi] = m[[kp, k + 1], k:hi]
+            m[k:hi, [k + 1, kp]] = m[k:hi, [kp, k + 1]]
+            sign = -sign
         piv = m[k, k + 1]
-        if k + 2 < n:
-            tau = m[k, k + 2 :] / piv
-            row = m[k + 1, k + 2 :]
-            t = np.outer(row, tau)
-            m[k + 2 :, k + 2 :] += t - t.T
-        yield flip * piv
+        sign = -sign if piv < 0 else sign
+        log_mag += math.log(abs(piv))
+        if k + 2 < hi:
+            tau = m[k, k + 2 : hi] / piv
+            t = np.outer(m[k + 1, k + 2 : hi], tau)
+            m[k + 2 : hi, k + 2 : hi] += t - t.T
+    return SignedLog(sign, log_mag)
 
 
 def tutte_matrix(o: OrientedPlanarGraph) -> np.ndarray:

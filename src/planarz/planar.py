@@ -153,17 +153,42 @@ def embed(num_vertices: int, edges) -> PlanarEmbedding:
 _GADGET_PAIRS = {2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
 
 
+def _bfs(g: ForneyGraph, root) -> list:
+    order, seen = [root], {root}
+    for a in order:
+        for b in g.neighbors[a]:
+            if b not in seen:
+                seen.add(b)
+                order.append(b)
+    return order
+
+
+def _level_order(g: ForneyGraph) -> list:
+    """g's nodes in reverse breadth-first order, one component at a time,
+    each searched from a pseudo-peripheral node: the last node reached from
+    the component's first node in g.nodes. Nodes of one level sit together,
+    so edges only join nearby positions (Cuthill & McKee 1969)."""
+    order, seen = [], set()
+    for a in g.nodes:
+        if a not in seen:
+            comp = _bfs(g, _bfs(g, a)[-1])[::-1]
+            seen.update(comp)
+            order += comp
+    return order
+
+
 def fisher_extend(g: ForneyGraph, res: BPResult) -> ExtendedGraph:
     """Split every node into its matching gadget.
 
     Degree-2 nodes become two ports joined by one weighted edge; degree-3
     nodes become a triangle whose edge between the ports facing b and c
     carries the node's loop weight against {b, c}, read from its table in
-    res.loop_weights. Ports are numbered node by node in g's order.
+    res.loop_weights. Ports are numbered node by node, in _level_order, so
+    the Tutte matrix is banded and every principal minor of it too.
     """
     if not g.is_reduced:
         raise ModelError("fisher_extend needs a reduced graph (degrees 2 and 3)")
-    labels = [(a, b) for a in g.nodes for b in g.neighbors[a]]
+    labels = [(a, b) for a in _level_order(g) for b in g.neighbors[a]]
     port = {lbl: i for i, lbl in enumerate(labels)}
 
     edges = []

@@ -8,8 +8,9 @@ Pfaffian path's matrix; reference_run_bp is belief propagation with one
 numpy array update per message, the form planarz.bp replaced with its
 slot kernel (it shares only the result type and the constants);
 reference_pfaffian is the eager Parlett-Reid kernel, one rank-2 update
-per pivot step, that planarz.pfaffian blocked into panels above its
-crossover (it shares only the result type and the pivot threshold);
+of the whole trailing matrix per pivot step, that planarz.pfaffian
+confines to each step's active window (it shares only the result type
+and the pivot threshold);
 reference_mu_term is the loop weight of one (node, subset) pair straight
 from the magnetizations, the formula planarz.bp replaced with its
 cancellation-free tables.

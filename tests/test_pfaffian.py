@@ -26,7 +26,6 @@ from planarz import (
     tutte_matrix,
     two_core,
 )
-from planarz.pfaffian import CROSSOVER, PANEL
 from builders import ladder_graph, plain_extended, random_planar_vertex_graph
 from oracles import kasteleyn_matrix, matching_count, reference_pfaffian
 
@@ -88,36 +87,46 @@ def test_pf_squared_is_det():
 
 
 def test_pf_squared_is_det_on_a_16x16_grid():
-    a = _grid_tutte(16, 0.0)
-    assert a.shape == (2304, 2304)
-    pf = pfaffian(a)
-    sign, logdet = np.linalg.slogdet(a)
-    assert sign == 1.0 and pf.sign != 0
-    assert 2.0 * pf.log_magnitude == pytest.approx(logdet, rel=1e-10)
+    # and on a 24 x 24 one, the V ~ 10^4 scale: 5376 ports, zero field
+    for n, dim in ((16, 2304), (24, 5376)):
+        a = _grid_tutte(n, 0.0)
+        assert a.shape == (dim, dim)
+        pf = pfaffian(a)
+        sign, logdet = np.linalg.slogdet(a)
+        assert sign == 1.0 and pf.sign != 0
+        assert 2.0 * pf.log_magnitude == pytest.approx(logdet, rel=1e-10)
 
 
 def test_pfaffian_matches_reference_kernel():
-    # sizes straddle the crossover and a panel flush; at 300 pivots come
-    # from rows beyond the current panel
-    sizes = (2, 4, CROSSOVER - 2, CROSSOVER, CROSSOVER + 2,
-             CROSSOVER + 2 * PANEL - 2, CROSSOVER + 2 * PANEL + 2, 300)
-    cases = [_random_skew(n, seed=n + 1) for n in sizes]
+    # the window holds every entry the full eager step could change, so
+    # each pivot and each updated float is the reference's, bit for bit
+    rng = np.random.default_rng(11)
+    cases = [_random_skew(n, seed=n + 1) for n in (2, 4, 78, 80, 82, 142, 146, 300)]
     cases += [_grid_tutte(n, theta) for n in (8, 12) for theta in (0.0, 1.0)]
+    for n in (40, 120, 300):
+        # sparse, then symmetrically permuted: rows reach far past the band
+        m = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.06)
+        p = rng.permutation(n)
+        cases.append((m - m.T)[np.ix_(p, p)])
+    for b in range(1, 6):
+        m = np.triu(rng.normal(size=(100, 100)), 1)
+        m[np.triu_indices(100, b + 1)] = 0.0
+        cases.append(m - m.T)
     for a in cases:
-        pf, want = pfaffian(a), reference_pfaffian(a)
-        assert pf.sign == want.sign != 0
-        if len(a) <= CROSSOVER:
-            assert pf == want
-        else:
-            assert pf.log_magnitude == pytest.approx(want.log_magnitude, rel=1e-10)
-    # B J B^T of rank n/2: the zero pivot turns up once in the eager tail
-    # and once while panels are still running
+        assert pfaffian(a) == reference_pfaffian(a) != SignedLog.zero()
+    # singular: B J B^T of rank n/2, and a block-diagonal matrix whose rows
+    # 14-19, 34-43 and 58-59 are all zero
+    singular = []
     for n, r in ((130, 64), (300, 150)):
-        rng = np.random.default_rng(n)
         b, j = rng.normal(size=(n, r)), rng.normal(size=(r, r))
         m = b @ (j - j.T) @ b.T
-        m = (m - m.T) / 2
-        assert pfaffian(m) == reference_pfaffian(m) == SignedLog.zero()
+        singular.append((m - m.T) / 2)
+    m = np.zeros((60, 60))
+    for lo in (0, 20, 44):
+        m[lo : lo + 14, lo : lo + 14] = _random_skew(14, seed=lo)
+    singular.append(m)
+    for a in singular:
+        assert pfaffian(a) == reference_pfaffian(a) == SignedLog.zero()
 
 
 def test_row_col_swap_flips_sign():

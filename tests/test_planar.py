@@ -17,15 +17,18 @@ import pytest
 from planarz import (
     BPConfig,
     ForneyGraph,
+    ModelParams,
     NonPlanarError,
     embed,
     face_parity_violations,
     fisher_extend,
+    gen_grid,
     mu_term,
     orient,
     pfaffian,
     run_bp,
     tutte_matrix,
+    two_core,
 )
 
 from builders import (
@@ -124,6 +127,19 @@ def test_fisher_gadget_weights():
         assert e.weight == pytest.approx(mu_term(res, node, (b, c)), rel=1e-14)
     # degree-2 nodes contribute 1 internal edge, degree-3 nodes 3
     assert len(internals) == sum(1 if g.degree(a) == 2 else 3 for a in g.nodes)
+
+
+def test_fisher_extend_ports_make_a_banded_tutte_matrix():
+    # each Pfaffian step works on a window about as wide as the band, so the
+    # port order must keep it narrow: half-bandwidth 29 and 55 here
+    for n in (8, 16):
+        core, _ = two_core(gen_grid(n, ModelParams(beta=1.0, theta=0.0, seed=0))[1])
+        ext = fisher_extend(core, _bp(core))
+        nodes = [a for a, _ in ext.labels]
+        runs = [a for i, a in enumerate(nodes) if i == 0 or a != nodes[i - 1]]
+        assert sorted(runs) == sorted(core.nodes)  # each node's ports contiguous
+        rows, cols = np.nonzero(tutte_matrix(orient(ext)))
+        assert np.abs(rows - cols).max() <= 5 * n
 
 
 def test_fisher_extend_removal(monkeypatch):

@@ -331,8 +331,11 @@ def two_core(g: ForneyGraph) -> tuple[ForneyGraph, float]:
 
     Returns (core, log_constant) with Z(g) = exp(log_constant) * Z(core).
     A fully absorbed component leaves its scalar weight in the constant; a
-    zero scalar means Z = 0 and is rejected.
+    zero scalar means Z = 0 and is rejected. A graph with nothing to strip
+    is its own core.
     """
+    if all(len(n) > 1 for n in g.neighbors.values()):
+        return g, 0.0
     nbrs = {a: list(g.neighbors[a]) for a in g.nodes}
     tabs = dict(g.tables)
     alive = set(g.nodes)

@@ -45,20 +45,24 @@ def pfaffian(a) -> SignedLog:
     and past k + 1. The Pfaffian is the product of the pivots, each negated
     when its step swapped rows.
     """
-    m = np.array(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("entries must be finite")
-    if not np.array_equal(m.T, -m):
-        raise ValueError("matrix is not skew-symmetric")
-    n = m.shape[0]
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"need a square matrix, got shape {a.shape}")
+    n = a.shape[0]
     if n == 0:
         return SignedLog.one()
+    lo, top = float(a.min()), float(a.max())  # NaN if any entry is
+    if not (math.isfinite(lo) and math.isfinite(top)):
+        raise ValueError("entries must be finite")
+    # the copy is -a^T, equal to a exactly when a is skew: no other dense
+    # float array is needed to check it
+    m = np.negative(a.T, order="C")
+    if not np.array_equal(m, a):
+        raise ValueError("matrix is not skew-symmetric")
     if n % 2 == 1:
         return SignedLog.zero()
 
-    tol = PIVOT_THRESHOLD * max(1.0, float(np.abs(m).max()))
+    tol = PIVOT_THRESHOLD * max(1.0, top, -lo)  # |A|_max
     # last nonzero column per row; n - 1 for an all-zero row, which stays zero
     last = (n - 1 - (m[:, ::-1] != 0).argmax(axis=1)).tolist()
     sign = 1

@@ -1,12 +1,14 @@
 """Planar machinery: embeddings, node-splitting gadgets, edge orientation.
 
-The pipeline goes reduced graph -> split gadgets (one 2-node gadget per
-degree-2 node, one triangle per degree-3 node) -> rotation-system embedding
--> orientation making every bounded face odd when walked clockwise, one
-root face per component. Perfect matchings of the extended graph then line
-up with the even-degree loop structure of the source graph. Only the
-removal-free graph of a model is built, embedded and oriented: a removal
-set's graph is its subgraph induced on the kept ports.
+The pipeline goes reduced graph -> its rotation-system embedding (the one
+planarity test, and the only networkx call) -> split gadgets (one 2-node
+gadget per degree-2 node, one triangle per degree-3 node) with that
+rotation lifted onto their ports -> orientation making every bounded face
+odd when walked clockwise, one root face per component. Perfect matchings
+of the extended graph then line up with the even-degree loop structure of
+the source graph. Only the removal-free graph of a model is built,
+embedded and oriented: a removal set's graph is its subgraph induced on
+the kept ports.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ class ExtendedGraph:
     labels: tuple
     edges: tuple
     port: dict  # label -> vertex
+    rotation: tuple  # per vertex, neighbor tuple in cyclic order of a planar embedding
 
 
 @dataclass(frozen=True)
@@ -74,11 +77,15 @@ class OrientedPlanarGraph:
     dual_tree: dict  # face -> (parent face, canonical edge crossed to reach it); roots absent
 
 
-def _trace_faces(num_vertices, rotation):
+def _planar_faces(rotation) -> tuple:
+    """Faces of a rotation system, each a walk of directed edges, after a
+    per-component Euler check: the rotation is planar iff each component
+    has V - E + F = 2, its outer face counted. Raises NonPlanarError."""
+    n = len(rotation)
     pos = [{b: i for i, b in enumerate(nbrs)} for nbrs in rotation]
     faces = []
     seen = set()
-    for u in range(num_vertices):
+    for u in range(n):
         for v in rotation[u]:
             if (u, v) in seen:
                 continue
@@ -90,6 +97,27 @@ def _trace_faces(num_vertices, rotation):
                 nxt = rotation[y][(pos[y][x] + 1) % len(rotation[y])]
                 x, y = y, nxt
             faces.append(tuple(walk))
+
+    comp = list(range(n))
+
+    def find(x):
+        while comp[x] != x:
+            comp[x] = comp[comp[x]]
+            x = comp[x]
+        return x
+
+    for u in range(n):
+        for v in rotation[u]:
+            comp[find(u)] = find(v)
+    # 2(V - E + F) per component: each vertex adds 2 - degree, each face 2
+    euler = {}
+    for u in range(n):
+        root = find(u)
+        euler[root] = euler.get(root, 0) + 2 - len(rotation[u])
+    for face in faces:
+        euler[find(face[0][0])] += 2
+    if any(chi != 4 for chi in euler.values()):
+        raise NonPlanarError("rotation system violates Euler's formula")
     return tuple(faces)
 
 
@@ -98,7 +126,9 @@ def embed(num_vertices: int, edges) -> PlanarEmbedding:
 
     The rotation is networkx's, checked per component against Euler's
     formula. Non-planar input raises NonPlanarError carrying a Kuratowski
-    witness. Every vertex must touch an edge.
+    witness. Every vertex must touch an edge. This is the pipeline's one
+    planarity test: fisher_extend runs it once per model, on the model
+    graph, and lifts the rotation onto the gadget ports.
     """
     key_edges = sorted({(min(u, v), max(u, v)) for u, v in edges})
     if not key_edges:
@@ -119,35 +149,7 @@ def embed(num_vertices: int, edges) -> PlanarEmbedding:
             witness_edges=sorted(tuple(sorted(e)) for e in cert.edges()),
         )
     rotation = tuple(tuple(cert.neighbors_cw_order(v)) for v in range(num_vertices))
-    faces = _trace_faces(num_vertices, rotation)
-
-    # per-component Euler check: the rotation system is planar iff each
-    # component satisfies V - E + F = 2 with its own outer face
-    comp = list(range(num_vertices))
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    for u, v in key_edges:
-        comp[find(u)] = find(v)
-    v_count = {}
-    e_count = {}
-    f_count = {}
-    for v in range(num_vertices):
-        v_count[find(v)] = v_count.get(find(v), 0) + 1
-    for u, v in key_edges:
-        e_count[find(u)] = e_count.get(find(u), 0) + 1
-    for face in faces:
-        root = find(face[0][0])
-        f_count[root] = f_count.get(root, 0) + 1
-    for root, nv in v_count.items():
-        if nv - e_count.get(root, 0) + f_count.get(root, 0) != 2:
-            raise NonPlanarError("rotation system violates Euler's formula")
-
-    return PlanarEmbedding(rotation, faces)
+    return PlanarEmbedding(rotation, _planar_faces(rotation))
 
 
 _GADGET_PAIRS = {2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
@@ -178,16 +180,26 @@ def _level_order(g: ForneyGraph) -> list:
 
 
 def fisher_extend(g: ForneyGraph, res: BPResult) -> ExtendedGraph:
-    """Split every node into its matching gadget.
+    """Split every node into its matching gadget, embedded in the plane.
 
     Degree-2 nodes become two ports joined by one weighted edge; degree-3
     nodes become a triangle whose edge between the ports facing b and c
     carries the node's loop weight against {b, c}, read from its table in
     res.loop_weights. Ports are numbered node by node, in _level_order, so
     the Tutte matrix is banded and every principal minor of it too.
+
+    g itself is embedded, nodes numbered by position in g.nodes, and its
+    rotation is lifted onto the ports: each gadget sits at its node, so the
+    port facing b lists its external edge to b first, then the node's other
+    ports going backwards round the node's rotation. (Going forwards gives
+    the mirror image, just as planar.) A non-planar model raises
+    NonPlanarError whose witness is the model edges of the Kuratowski
+    subgraph.
     """
     if not g.is_reduced:
         raise ModelError("fisher_extend needs a reduced graph (degrees 2 and 3)")
+    if not g.nodes:
+        return ExtendedGraph(0, (), (), {}, ())
     labels = [(a, b) for a in _level_order(g) for b in g.neighbors[a]]
     port = {lbl: i for i, lbl in enumerate(labels)}
 
@@ -202,7 +214,22 @@ def fisher_extend(g: ForneyGraph, res: BPResult) -> ExtendedGraph:
     for a, b in g.edges:
         edges.append(ExtEdge(port[(a, b)], port[(b, a)], 1.0))
 
-    return ExtendedGraph(len(labels), tuple(labels), tuple(edges), port)
+    index = {a: i for i, a in enumerate(g.nodes)}
+    try:
+        emb = embed(g.num_nodes, [(index[a], index[b]) for a, b in g.edges])
+    except NonPlanarError as exc:
+        witness = sorted(canon_edge(g.nodes[u], g.nodes[v]) for u, v in exc.witness_edges)
+        raise NonPlanarError(
+            f"model is not planar; Kuratowski witness has {len(witness)} model edges",
+            witness_edges=witness,
+        ) from None
+    rotation = [None] * len(labels)
+    for a in g.nodes:
+        ring = [g.nodes[j] for j in emb.rotation[index[a]]]
+        for i, b in enumerate(ring):
+            back = tuple(port[(a, ring[i - d])] for d in range(1, len(ring)))
+            rotation[port[(a, b)]] = (port[(b, a)],) + back
+    return ExtendedGraph(len(labels), tuple(labels), tuple(edges), port, tuple(rotation))
 
 
 def reference_matching(g: ForneyGraph, ext: ExtendedGraph, removed=()):
@@ -261,20 +288,11 @@ def orient(ext: ExtendedGraph) -> OrientedPlanarGraph:
     across, if need be, to make its own count odd. The forest is kept on
     the result: a path up it from any face reaches its component's root.
 
-    A non-planar model raises NonPlanarError whose witness is the model
-    edges that the Kuratowski subgraph runs through.
+    The faces are traced from ext.rotation and checked per component
+    against Euler's formula, as in embed; a rotation that fails raises
+    NonPlanarError. No planarity test runs here.
     """
-    try:
-        emb = embed(ext.num_vertices, [e.key() for e in ext.edges])
-    except NonPlanarError as exc:
-        if not exc.witness_edges:
-            raise
-        nodes = [(ext.labels[u][0], ext.labels[v][0]) for u, v in exc.witness_edges]
-        witness = sorted({canon_edge(a, b) for a, b in nodes if a != b})
-        raise NonPlanarError(
-            f"model is not planar; Kuratowski witness has {len(witness)} model edges",
-            witness_edges=witness,
-        ) from None
+    emb = PlanarEmbedding(ext.rotation, _planar_faces(ext.rotation))
     faces = emb.faces
     face_of = {de: fi for fi, walk in enumerate(faces) for de in walk}
     orientation = {e.key(): e.key() for e in ext.edges}  # tail = smaller endpoint

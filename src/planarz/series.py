@@ -157,7 +157,6 @@ def pfaffian_series(
     removed_weight = {a: SignedLog.from_float(float(res.loop_weights[a][-1])) for a in removable}
     lines = _defect_lines(g, o, removable) if removable else {}
     terms = []
-    total = SignedLog.zero()
     for size in range(0, limit + 1, 2):
         for psi in itertools.combinations(trips, size):
             flip = set()
@@ -166,9 +165,8 @@ def pfaffian_series(
                 flip ^= lines[a]
                 factor = factor * removed_weight[a]
             zp = _matching_correction(g, o, K, psi, flip)
-            term = PfaffianTerm(psi, zp, factor)
-            terms.append(term)
-            total = total + term.contribution
+            terms.append(PfaffianTerm(psi, zp, factor))
+    total = SignedLog.sum(t.contribution for t in terms)
     complete = limit >= len(trips) - len(trips) % 2
     return PfaffianSeriesResult(tuple(terms), total, complete)
 

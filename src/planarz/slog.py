@@ -43,6 +43,21 @@ class SignedLog:
             raise ValueError("cannot represent NaN")
         return SignedLog(1 if x > 0 else -1, math.log(abs(x)))
 
+    @staticmethod
+    def sum(values) -> "SignedLog":
+        """Sum as one compensated reduction: the nonzero values, scaled by
+        the largest magnitude, are added exactly rounded by math.fsum. So
+        cancellation costs no more than each scaled value's own rounding,
+        and values that cancel exactly sum to exactly zero."""
+        nonzero = [v for v in values if v.sign]
+        if not nonzero:
+            return SignedLog.zero()
+        top = max(v.log_magnitude for v in nonzero)
+        s = math.fsum(v.sign * math.exp(v.log_magnitude - top) for v in nonzero)
+        if s == 0.0:
+            return SignedLog.zero()
+        return SignedLog(1 if s > 0 else -1, top + math.log(abs(s)))
+
     def to_float(self) -> float:
         # overflows to +-inf past ~exp(709); callers at scale keep the log form
         return self.sign * math.exp(self.log_magnitude)
@@ -52,19 +67,6 @@ class SignedLog:
         if s == 0:
             return SignedLog.zero()
         return SignedLog(s, self.log_magnitude + other.log_magnitude)
-
-    def __add__(self, other: "SignedLog") -> "SignedLog":
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        big, small = (self, other) if self.log_magnitude >= other.log_magnitude else (other, self)
-        d = small.log_magnitude - big.log_magnitude  # <= 0
-        if self.sign == other.sign:
-            return SignedLog(big.sign, big.log_magnitude + math.log1p(math.exp(d)))
-        if d == 0.0:
-            return SignedLog.zero()
-        return SignedLog(big.sign, big.log_magnitude + math.log1p(-math.exp(d)))
 
     def __neg__(self) -> "SignedLog":
         return SignedLog(-self.sign, self.log_magnitude)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from planarz import ForneyGraph
-from planarz.planar import ExtEdge, ExtendedGraph
+from planarz.planar import ExtEdge, ExtendedGraph, embed
 
 LADDER_NEIGHBORS = {
     "t0": ("t1", "b0"),
@@ -108,7 +108,10 @@ def random_planar_vertex_graph(seed: int) -> tuple[int, list[tuple[int, int]]]:
 
 
 def plain_extended(num_vertices: int, edges) -> ExtendedGraph:
-    """Wrap a plain vertex graph as a weight-1 extended graph."""
+    """Wrap a plain vertex graph as a weight-1 extended graph, embedded by
+    embed."""
     ext_edges = tuple(ExtEdge(u, v, 1.0) for u, v in edges)
     labels = tuple((f"v{i}", "") for i in range(num_vertices))
-    return ExtendedGraph(num_vertices, labels, ext_edges, {lbl: i for i, lbl in enumerate(labels)})
+    port = {lbl: i for i, lbl in enumerate(labels)}
+    rotation = embed(num_vertices, edges).rotation
+    return ExtendedGraph(num_vertices, labels, ext_edges, port, rotation)

@@ -21,6 +21,7 @@ from planarz import (
     exact_log_z,
     exact_log_z_factor,
     factor_to_forney,
+    gen_grid,
     grid_factor_graph,
     reduce_degree,
     two_core,
@@ -278,6 +279,18 @@ def test_two_core_absorbs_trees():
     core, log_const = two_core(g)
     assert set(core.nodes) == {"a", "b", "c"}
     assert log_const + exact_log_z(core) == pytest.approx(exact_log_z(g), rel=1e-12)
+
+
+def test_two_core_of_a_core_is_itself():
+    # nothing to strip: the input itself comes back, with no constant; the
+    # field nodes hanging off a theta = 1 grid are still absorbed
+    flat = gen_grid(4, ModelParams(beta=1.0, theta=0.0, seed=0))[1]
+    core, log_const = two_core(flat)
+    assert core is flat and log_const == 0.0
+    g = gen_grid(4, ModelParams(beta=1.0, theta=1.0, seed=0))[1]
+    core, _ = two_core(g)
+    assert core is not g and core.num_nodes == g.num_nodes - 16
+    assert two_core(core)[0] is core
 
 
 def test_two_core_of_tree_is_empty():

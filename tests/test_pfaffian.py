@@ -6,6 +6,7 @@ knows nothing about.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -95,6 +96,20 @@ def test_pf_squared_is_det_on_a_16x16_grid():
         sign, logdet = np.linalg.slogdet(a)
         assert sign == 1.0 and pf.sign != 0
         assert 2.0 * pf.log_magnitude == pytest.approx(logdet, rel=1e-10)
+
+
+def test_pfaffian_peaks_at_one_copy_of_its_input():
+    # the working copy is the one dense n x n array pfaffian allocates:
+    # validation runs in row blocks, not on a full temporary like -a
+    a = _grid_tutte(16, 0.0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pfaffian(a)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * a.nbytes
 
 
 def test_pfaffian_matches_reference_kernel():

@@ -9,6 +9,7 @@ planar graphs rather than trusted.
 import importlib
 import itertools
 import math
+from dataclasses import replace
 
 import networkx as nx
 import numpy as np
@@ -32,6 +33,7 @@ from planarz import (
 )
 
 from builders import (
+    cycle_forney,
     ladder_graph,
     plain_extended,
     random_planar_forney,
@@ -41,7 +43,6 @@ from oracles import kasteleyn_matrix, matching_count, matching_sum
 
 pfaffian_module = importlib.import_module("planarz.pfaffian")
 series_module = importlib.import_module("planarz.series")
-planar_module = importlib.import_module("planarz.planar")
 
 
 # ---------------------------------------------------------------- embedding
@@ -214,17 +215,69 @@ def test_orient_roots_one_face_per_component():
 
 
 def test_orient_embeds_once(monkeypatch):
-    # one embedding of the graph as given, connected or not
-    real = planar_module.embed
+    # the one planarity test runs in fisher_extend, on the model graph; orient
+    # traces its faces from the rotation it is given, connected or not
+    real = nx.check_planarity
     calls = []
-    monkeypatch.setattr(planar_module, "embed", lambda *args: calls.append(args) or real(*args))
+
+    def check_planarity(G, **kwargs):
+        calls.append(G.number_of_nodes())
+        return real(G, **kwargs)
+
+    monkeypatch.setattr(nx, "check_planarity", check_planarity)
+    for g in (ladder_graph(seed=0), random_planar_forney(4)):
+        calls.clear()
+        ext = fisher_extend(g, _bp(g))
+        assert calls == [g.num_nodes]
+        calls.clear()
+        o = orient(ext)
+        assert calls == [] and o.embedding.rotation is ext.rotation
+        assert face_parity_violations(o) == []
     square = [(0, 1), (1, 2), (2, 3), (3, 0)]
     for n, edges in ((4, square), (8, square + [(u + 4, v + 4) for u, v in square])):
+        ext = plain_extended(n, edges)
         calls.clear()
-        o = orient(plain_extended(n, edges))
-        assert len(calls) == 1
-        assert sorted(calls[0][1]) == sorted(e.key() for e in o.ext.edges)
+        o = orient(ext)
+        assert calls == [] and o.embedding.rotation is ext.rotation
         assert face_parity_violations(o) == []
+
+
+def _disjoint_union(g, h):
+    neighbors, tables = {}, {}
+    for tag, model in (("x", g), ("y", h)):
+        for a in model.nodes:
+            neighbors[tag + a] = tuple(tag + b for b in model.neighbors[a])
+            tables[tag + a] = model.tables[a]
+    return ForneyGraph(neighbors, tables)
+
+
+def test_fisher_extend_rotation_is_planar_per_component():
+    # networkx checks the lifted rotation on its own: every component has
+    # V - E + F = 2, counting its own outer face
+    for g, parts in (
+        (_disjoint_union(ladder_graph(seed=1), random_planar_forney(5)), 2),
+        (cycle_forney(7), 1),
+    ):
+        ext = fisher_extend(g, _bp(g))
+        emb = nx.PlanarEmbedding()
+        emb.set_data({v: list(nbrs) for v, nbrs in enumerate(ext.rotation)})
+        emb.check_structure()
+        assert sorted(emb.edges()) == sorted(x for e in ext.edges for x in (e.key(), e.key()[::-1]))
+        assert nx.number_connected_components(emb.to_undirected()) == parts
+        faces = orient(ext).embedding.faces
+        assert ext.num_vertices - len(ext.edges) + len(faces) == 2 * parts
+
+
+def test_orient_rejects_a_corrupted_rotation():
+    # one gadget port turned the other way round: the rotation is no longer
+    # planar, and the Euler check in orient says so
+    g = ladder_graph(seed=0)
+    ext = fisher_extend(g, _bp(g))
+    v = next(v for v, nbrs in enumerate(ext.rotation) if len(nbrs) == 3)
+    rotation = list(ext.rotation)
+    rotation[v] = rotation[v][::-1]
+    with pytest.raises(NonPlanarError, match="Euler"):
+        orient(replace(ext, rotation=tuple(rotation)))
 
 
 def _glued(a, b, how):

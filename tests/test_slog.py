@@ -1,6 +1,8 @@
 """Sign-and-log scalar arithmetic."""
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -31,20 +33,9 @@ def test_mul_matches_float(x, y):
     assert got == pytest.approx(x * y, rel=1e-12)
 
 
-@given(nonzero, nonzero)
-def test_add_matches_float(x, y):
-    got = (SignedLog.from_float(x) + SignedLog.from_float(y)).to_float()
-    assert got == pytest.approx(x + y, rel=1e-9, abs=1e-12)
-
-
-def test_add_exact_cancellation():
-    a = SignedLog.from_float(7.25)
-    assert (a + (-a)).sign == 0
-
-
 def test_zero_is_identity_and_absorbing():
     a = SignedLog.from_float(-3.0)
-    assert (a + SignedLog.zero()).to_float() == pytest.approx(-3.0, rel=1e-15)
+    assert SignedLog.sum([a, SignedLog.zero()]).to_float() == pytest.approx(-3.0, rel=1e-15)
     assert (a * SignedLog.zero()).sign == 0
 
 
@@ -55,6 +46,32 @@ def test_huge_magnitudes_survive():
     c = a * b
     assert c.sign == -1
     assert c.log_magnitude == pytest.approx(1100.0)
-    s = c + SignedLog(1, 1100.0 + math.log(2.0))
+    s = SignedLog.sum([c, SignedLog(1, 1100.0 + math.log(2.0))])
     assert s.sign == 1
     assert s.log_magnitude == pytest.approx(1100.0)
+
+
+def test_sum_matches_the_exact_sum():
+    # one compensated reduction: however far the values cancel, the error
+    # is each scaled value's own rounding, a few ulps of its magnitude
+    eps = 2.0**-52
+    rng = random.Random(3)
+    for trial in range(300):
+        xs = [rng.choice((-1, 1)) * rng.uniform(0.5, 2.0) for _ in range(rng.randint(1, 40))]
+        if trial % 2:
+            # cancel all but about a millionth of the largest value
+            xs.append(float(-sum(map(Fraction, xs)) + Fraction(rng.uniform(-2e-6, 2e-6))))
+        exact = sum(map(Fraction, xs))
+        got = SignedLog.sum([SignedLog.from_float(x) for x in xs])
+        assert got.sign == (exact > 0) - (exact < 0)
+        assert abs(Fraction(got.to_float()) - exact) <= 8 * eps * sum(map(abs, xs))
+
+
+def test_sum_of_values_that_cancel_is_exactly_zero():
+    rng = random.Random(4)
+    for _ in range(50):
+        xs = [rng.uniform(-1e6, 1e6) for _ in range(rng.randint(1, 20))]
+        values = [SignedLog.from_float(x) for x in xs + [-x for x in xs]] + [SignedLog.zero()]
+        rng.shuffle(values)
+        assert SignedLog.sum(values) == SignedLog.zero()
+    assert SignedLog.sum([]) == SignedLog.zero() == SignedLog.sum([SignedLog.zero()])

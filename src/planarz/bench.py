@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from .bp import BPConfig, SCHEDULES, run_bp, run_bp_multistart
+from .bp import BPConfig, run_bp
 from .model import (
     FactorGraph,
     ForneyGraph,
@@ -155,8 +155,6 @@ def error_metric(log_est: float, log_exact: float) -> float:
 def solve_forney(
     g: ForneyGraph,
     method: str = "z_empty",
-    schedule: str | None = None,
-    seed: int = 0,
     max_psi_size: int | None = None,
     threshold: float = 1e-14,
     max_iterations: int = 10000,
@@ -164,8 +162,10 @@ def solve_forney(
     """Run one estimator on a Forney model and return a flat result dict.
 
     Keys: log_z (None when the estimate is undefined), bp_iterations,
-    converged, note. The two-core constant from dangling-tree absorption is
-    folded back into every estimate.
+    converged, note. BP runs once, on the two-core; a run that does not
+    converge within max_iterations sweeps notes bp-not-converged and the
+    estimate still comes from its final messages. The two-core constant
+    from dangling-tree absorption is folded back into every estimate.
     """
     if method not in METHODS:
         raise ModelError(f"unknown method {method!r}")
@@ -174,13 +174,7 @@ def solve_forney(
         return {"log_z": log_z, "bp_iterations": 0, "converged": True, "note": ""}
 
     core, log_const = two_core(g)
-    cfg = BPConfig(
-        schedule=schedule or "fixed",
-        threshold=threshold,
-        max_iterations=max_iterations,
-        seed=seed,
-    )
-    res = run_bp(core, cfg) if schedule else run_bp_multistart(core, cfg)
+    res = run_bp(core, BPConfig(threshold=threshold, max_iterations=max_iterations))
     out = {
         "log_z": None,
         "bp_iterations": res.iterations,
@@ -226,7 +220,6 @@ _DEFAULTS = {
     "methods": "z_empty",
     "attractive": "false",
     "max_psi": "",
-    "schedule": "",
     "threshold": "1e-14",
     "max_iterations": "10000",
 }
@@ -279,15 +272,12 @@ def parse_config(text: str) -> dict:
             raise ModelError(f"unknown method {m!r}")
     cfg["attractive"] = _parse_bool(raw["attractive"])
     cfg["max_psi"] = _number("max_psi", raw["max_psi"], int) if raw["max_psi"] else None
-    cfg["schedule"] = raw["schedule"]
-    if cfg["schedule"] and cfg["schedule"] not in SCHEDULES:
-        raise ModelError(f"unknown schedule {raw['schedule']!r}")
     cfg["threshold"] = _number("threshold", raw["threshold"])
     cfg["max_iterations"] = _number("max_iterations", raw["max_iterations"], int)
     for key in ("betas", "thetas"):
         _require(key, all(math.isfinite(x) for x in cfg[key]), "finite")
     _require("max_psi", cfg["max_psi"] is None or cfg["max_psi"] >= 0, "non-negative")
-    _require("threshold", cfg["threshold"] > 0, "positive")
+    _require("threshold", 0 < cfg["threshold"] < math.inf, "finite and positive")
     _require("max_iterations", cfg["max_iterations"] >= 1, "at least 1")
     return cfg
 
@@ -383,8 +373,6 @@ def run_experiment(cfg: dict) -> list[dict]:
                         r = solve_forney(
                             g,
                             method=method,
-                            schedule=cfg["schedule"] or None,
-                            seed=seed,
                             max_psi_size=cfg["max_psi"],
                             threshold=cfg["threshold"],
                             max_iterations=cfg["max_iterations"],

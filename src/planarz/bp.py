@@ -3,9 +3,9 @@
 Messages live on directed edges as normalized 2-vectors over the edge
 variable (index 0 is -1, index 1 is +1), kept as two flat lists of floats
 indexed by directed-edge slot. Each run compiles the node tables into one
-message kernel over those slots, and all four update schedules call it;
-convergence means the largest absolute message change in a sweep dropped
-below the threshold. Beliefs, free-energy style quantities and every node's
+message kernel over those slots and applies it in residual order, the
+largest pending message change first; convergence means no pending change
+reaches the threshold. Beliefs, free-energy style quantities and every node's
 loop-weight table are evaluated from the log messages, all nodes of one
 degree at a time.
 """
@@ -13,14 +13,12 @@ degree at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import mul
 
 import numpy as np
 
 from .model import ForneyGraph, ModelError, _log_safe
-
-SCHEDULES = ("fixed", "random", "parallel", "residual")
 
 MESSAGE_FLOOR = 1e-300
 
@@ -31,16 +29,12 @@ class BPNumericError(RuntimeError):
 
 @dataclass(frozen=True)
 class BPConfig:
-    schedule: str = "fixed"
     threshold: float = 1e-14
     max_iterations: int = 10000
-    seed: int = 0
 
     def __post_init__(self):
-        if self.schedule not in SCHEDULES:
-            raise ValueError(f"unknown schedule {self.schedule!r}, pick one of {SCHEDULES}")
-        if self.threshold <= 0 or self.max_iterations < 1:
-            raise ValueError("threshold must be positive and max_iterations at least 1")
+        if not 0 < self.threshold < math.inf or self.max_iterations < 1:
+            raise ValueError("threshold must be positive and finite, and max_iterations at least 1")
 
 
 @dataclass
@@ -48,7 +42,6 @@ class BPResult:
     converged: bool
     iterations: int
     final_residual: float
-    schedule: str
     node_beliefs: dict = field(repr=False)
     edge_beliefs: dict = field(repr=False)
     magnetizations: dict = field(repr=False)
@@ -129,55 +122,21 @@ def _compile(g: ForneyGraph):
 
 
 def run_bp(g: ForneyGraph, cfg: BPConfig = BPConfig()) -> BPResult:
-    """Run loopy BP until the message residual falls below cfg.threshold.
+    """Residual belief propagation (Elidan, McGraw & Koller 2006) until no
+    pending message change reaches cfg.threshold.
 
-    Messages start uniform and no damping is applied. A non-converged run
-    still returns beliefs from the final messages so callers can compare
-    residuals across schedules.
+    Messages start uniform and no damping is applied. Each slot keeps one
+    candidate message and one residual, the largest change applying that
+    candidate would make, so memory is O(slots). Each update applies the
+    slot with the largest residual, the lowest slot on ties, and recomputes
+    the candidates of the messages it feeds. A sweep is one update per slot;
+    a run that exhausts cfg.max_iterations sweeps still returns beliefs
+    from its final messages, flagged as not converged.
     """
     dir_edges, slot, lo, hi, message = _compile(g)
     n = len(dir_edges)
-
-    iterations = 0
-    residual = math.inf
-    converged = False
-    if not dir_edges:
-        converged, residual = True, 0.0
-    elif cfg.schedule == "residual":
-        iterations, residual, converged = _run_residual(g, cfg, dir_edges, slot, lo, hi, message)
-    else:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([cfg.seed])))
-        order = range(n)
-        for sweep in range(cfg.max_iterations):
-            if cfg.schedule == "random":
-                order = rng.permutation(n).tolist()
-            fresh = [message(j) for j in order] if cfg.schedule == "parallel" else None
-            residual = 0.0
-            for t, j in enumerate(order):
-                o0, o1 = message(j) if fresh is None else fresh[t]
-                d = max(abs(o0 - lo[j]), abs(o1 - hi[j]))
-                if d > residual:
-                    residual = d
-                lo[j] = o0
-                hi[j] = o1
-            iterations = sweep + 1
-            if residual < cfg.threshold:
-                converged = True
-                break
-
-    return _finish(g, cfg, slot, lo, hi, converged, iterations, residual)
-
-
-def _run_residual(g, cfg, dir_edges, slot, lo, hi, message):
-    """Largest-residual-first updates (Elidan, McGraw & Koller 2006).
-
-    Each slot keeps one candidate message and one residual, the largest
-    change applying that candidate would make, so memory is O(slots).
-    Each update applies the slot with the largest residual, the lowest
-    slot on ties, and recomputes the candidates of the messages it feeds.
-    A sweep is n updates.
-    """
-    n = len(dir_edges)
+    if not n:
+        return _finish(g, slot, lo, hi, True, 0, 0.0)
     dependents = [[slot[(b, c)] for c in g.neighbors[b] if c != a] for a, b in dir_edges]
     cand = [message(j) for j in range(n)]
     resid = np.array([max(abs(o0 - lo[j]), abs(o1 - hi[j])) for j, (o0, o1) in enumerate(cand)])
@@ -187,9 +146,9 @@ def _run_residual(g, cfg, dir_edges, slot, lo, hi, message):
         j = int(resid.argmax())
         residual = float(resid[j])
         if residual < cfg.threshold:
-            return max(1, -(-updates // n)), residual, True
+            return _finish(g, slot, lo, hi, True, max(1, -(-updates // n)), residual)
         if updates >= budget:
-            return cfg.max_iterations, residual, False
+            return _finish(g, slot, lo, hi, False, cfg.max_iterations, residual)
         updates += 1
         lo[j], hi[j] = cand[j]
         resid[j] = 0.0
@@ -198,7 +157,7 @@ def _run_residual(g, cfg, dir_edges, slot, lo, hi, message):
             resid[d] = max(abs(o0 - lo[d]), abs(o1 - hi[d]))
 
 
-def _finish(g, cfg, slot, lo, hi, converged, iterations, residual):
+def _finish(g, slot, lo, hi, converged, iterations, residual):
     """Beliefs, magnetizations, loop weights and the Bethe free energy from
     the slots, with all nodes of one degree handled as one array."""
     msgs = np.array([lo, hi]).T
@@ -252,7 +211,6 @@ def _finish(g, cfg, slot, lo, hi, converged, iterations, residual):
         converged=converged,
         iterations=iterations,
         final_residual=residual,
-        schedule=cfg.schedule,
         node_beliefs={a: node_beliefs[a] for a in g.nodes},
         edge_beliefs=edge_beliefs,
         magnetizations=magnetizations,
@@ -285,23 +243,6 @@ def _loop_weights(b: np.ndarray, h: np.ndarray) -> np.ndarray:
     w = w.reshape(n, 1 << k)
     w[:, 0] = 1.0
     return w
-
-
-def run_bp_multistart(g: ForneyGraph, cfg: BPConfig = BPConfig()) -> BPResult:
-    """Try every schedule in a fixed cascade; first converged run wins.
-
-    If none converges, the run with the smallest final residual is returned
-    (earlier schedule on ties). The winning schedule is recorded on the
-    result.
-    """
-    best = None
-    for schedule in SCHEDULES:
-        res = run_bp(g, replace(cfg, schedule=schedule))
-        if res.converged:
-            return res
-        if best is None or res.final_residual < best.final_residual:
-            best = res
-    return best
 
 
 def mu_term(res: BPResult, a: str, subset) -> float:

@@ -22,7 +22,7 @@ from .bench import (
     solve_forney,
     spiderweb_factor_graph,
 )
-from .bp import SCHEDULES, BPConfig, run_bp_multistart
+from .bp import run_bp
 from .model import (
     FactorGraph,
     ModelError,
@@ -57,8 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--model", required=True)
     s.add_argument("--method", choices=METHODS, default="z_empty")
     s.add_argument("--max-psi", type=int, default=None, help="cap removal-set size")
-    s.add_argument("--schedule", choices=SCHEDULES, default=None)
-    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--threshold", type=float, default=1e-14)
     s.add_argument("--max-iterations", type=int, default=10000)
 
@@ -67,7 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mode = o.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exact", action="store_true", help="enumerate all states")
     mode.add_argument("--loops", action="store_true", help="enumerate all generalized loops")
-    o.add_argument("--seed", type=int, default=0)
 
     r = sub.add_parser("run", help="run a config-driven experiment sweep")
     r.add_argument("--config", required=True)
@@ -119,8 +116,6 @@ def _cmd_solve(args) -> int:
     r = solve_forney(
         g,
         method=args.method,
-        schedule=args.schedule,
-        seed=args.seed,
         max_psi_size=args.max_psi,
         threshold=args.threshold,
         max_iterations=args.max_iterations,
@@ -145,7 +140,7 @@ def _cmd_oracle(args) -> int:
         _emit(sys.stdout, [("oracle", "exact"), ("log_z", log_z)])
         return 0
     core, log_const = two_core(g)
-    res = run_bp_multistart(core, BPConfig(seed=args.seed))
+    res = run_bp(core)
     total, count = loop_correction(core, res)
     pairs = [
         ("oracle", "loops"),

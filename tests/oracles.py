@@ -4,9 +4,10 @@ Deliberately naive implementations: they share no code with the path they
 check, so agreement is evidence, not tautology. brute_log_z_factor sums
 every spin assignment in linear space; the matching sums are recursive
 brute force; the Kasteleyn matrix is the unit-weight form of the
-Pfaffian path's matrix; reference_run_bp is belief propagation with one
-numpy array update per message, the form planarz.bp replaced with its
-slot kernel (it shares only the result type and the constants);
+Pfaffian path's matrix; reference_run_bp is residual belief propagation
+with one numpy array update per message and a lazy heap of residuals, the
+form planarz.bp replaced with its slot kernel and residual array (it
+shares only the result type and the constants);
 reference_pfaffian is the eager Parlett-Reid kernel, one rank-2 update
 of the whole trailing matrix per pivot step, that planarz.pfaffian
 confines to each step's active window (it shares only the result type
@@ -146,42 +147,19 @@ def _new_message(tables, neighbors, msgs, a: str, b: str) -> np.ndarray:
 
 
 def reference_run_bp(g, cfg: BPConfig = BPConfig()) -> BPResult:
-    """Loopy BP with messages as a dict of 2-element numpy arrays and one
-    numpy marginalization per update: the same schedules, checks and
-    finish pass as planarz.bp.run_bp, written without its message kernel.
+    """Residual BP with messages as a dict of 2-element numpy arrays, one
+    numpy marginalization per update and a lazy heap of residuals: the
+    same update order, checks and finish pass as planarz.bp.run_bp,
+    written without its message kernel or residual array.
     """
     dir_edges = [de for a, b in g.edges for de in ((a, b), (b, a))]
     tables = {a: g.tables[a].reshape((2,) * g.degree(a)) for a in g.nodes}
     msgs = {de: np.array([0.5, 0.5]) for de in dir_edges}
 
-    iterations = 0
-    residual = math.inf
-    converged = False
-    if not dir_edges:
-        converged, residual = True, 0.0
-    elif cfg.schedule == "residual":
+    iterations, residual, converged = 0, 0.0, True
+    if dir_edges:
         iterations, residual, converged = _reference_residual(g, cfg, dir_edges, tables, msgs)
-    else:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([cfg.seed])))
-        for sweep in range(cfg.max_iterations):
-            order = dir_edges
-            if cfg.schedule == "random":
-                order = [dir_edges[i] for i in rng.permutation(len(dir_edges))]
-            if cfg.schedule == "parallel":
-                fresh = {de: _new_message(tables, g.neighbors, msgs, *de) for de in order}
-            residual = 0.0
-            for de in order:
-                new = fresh[de] if cfg.schedule == "parallel" else _new_message(
-                    tables, g.neighbors, msgs, *de
-                )
-                residual = max(residual, float(np.abs(new - msgs[de]).max()))
-                msgs[de] = new
-            iterations = sweep + 1
-            if residual < cfg.threshold:
-                converged = True
-                break
-
-    return _reference_finish(g, cfg, tables, msgs, converged, iterations, residual)
+    return _reference_finish(g, tables, msgs, converged, iterations, residual)
 
 
 def _reference_residual(g, cfg, dir_edges, tables, msgs):
@@ -255,7 +233,7 @@ def _log_safe(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _reference_finish(g, cfg, tables, msgs, converged, iterations, residual):
+def _reference_finish(g, tables, msgs, converged, iterations, residual):
     node_beliefs = {}
     for a in g.nodes:
         nbrs = g.neighbors[a]
@@ -297,7 +275,6 @@ def _reference_finish(g, cfg, tables, msgs, converged, iterations, residual):
         converged=converged,
         iterations=iterations,
         final_residual=residual,
-        schedule=cfg.schedule,
         node_beliefs=node_beliefs,
         edge_beliefs=edge_beliefs,
         magnetizations=magnetizations,

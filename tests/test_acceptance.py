@@ -26,7 +26,6 @@ from planarz import (
     pfaffian_series,
     reduce_degree,
     run_bp,
-    run_bp_multistart,
     solve_forney,
     term_ranking,
     triplet_nodes,
@@ -85,7 +84,7 @@ def test_full_series_matches_exact_and_loop_sum():
         g = random_planar_forney(seed)
         assert len(triplet_nodes(g)) <= 6
         assert g.num_edges <= 24
-        res = run_bp_multistart(g, BPConfig())
+        res = run_bp(g, BPConfig())
         assert res.converged, f"seed {seed}"
         series = pfaffian_series(g, res)
         assert series.complete
@@ -192,7 +191,7 @@ def test_correction_dominates_bp_on_attractive_fields():
         fg, g = gen_grid(n, params)
         exact = exact_log_z_factor(fg)
         core, log_const = two_core(g)
-        res = run_bp_multistart(core, BPConfig(max_iterations=1500))
+        res = run_bp(core, BPConfig(max_iterations=1500))
         if not res.converged:
             continue
         converged += 1
@@ -278,7 +277,7 @@ def test_prism_series_term_dominance():
         core, log_const = two_core(g)
         assert core.num_edges == 24
         assert len(triplet_nodes(core)) == 6
-        res = run_bp_multistart(core, BPConfig())
+        res = run_bp(core, BPConfig())
         assert res.converged, f"beta {beta}"
         series = pfaffian_series(core, res)
         assert series.complete

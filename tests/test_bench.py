@@ -20,11 +20,13 @@ from planarz import (
     grid_factor_graph,
     parse_config,
     rows_to_csv,
+    run_bp,
     run_experiment,
     solve_forney,
     spiderweb_factor_graph,
     two_core,
 )
+from planarz import bench
 from planarz.bench import normal_draws, _rng
 
 
@@ -102,6 +104,23 @@ def test_generated_forney_is_planar_pipeline_ready():
         assert r["log_z"] is not None
 
 
+def test_solve_runs_bp_once(monkeypatch):
+    # spiderweb(2,6), beta 1, theta 0.1, seed 0 does not converge in 20
+    # sweeps; the solve reports that after one BP run, with no retries
+    _, g = gen_spiderweb(2, 6, ModelParams(beta=1.0, theta=0.1, seed=0))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return run_bp(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "run_bp", counted)
+    r = solve_forney(g, method="bp", max_iterations=20)
+    assert len(calls) == 1
+    assert (r["bp_iterations"], r["converged"], r["note"]) == (20, False, "bp-not-converged")
+    assert math.isfinite(r["log_z"])
+
+
 def test_beta_zero_grid_counts_states():
     fg, g = gen_grid(3, ModelParams(beta=0.0, theta=0.0, seed=0))
     assert exact_log_z_factor(fg) == pytest.approx(9 * math.log(2.0), rel=1e-12)
@@ -160,7 +179,6 @@ def test_parse_config_rejections():
         "generator = grid\nsizes = 3\nbetas = 1\nbogus = 2\n",
         "generator = torus\nsizes = 3\nbetas = 1\n",
         "generator = grid\nsizes = 3\nbetas = 1\nmethods = magic\n",
-        "generator = grid\nsizes = 3\nbetas = 1\nschedule = chaotic\n",
         "generator = spiderweb\nsizes = 3\nbetas = 1\n",
         "generator = grid\nsizes = 3\nbetas = one\n",
         "generator = grid\nsizes = 3\nbetas = 1\nseeds = 0..x\n",
@@ -173,6 +191,8 @@ def test_parse_config_rejections():
     ):
         with pytest.raises(ModelError):
             parse_config(text)
+    with pytest.raises(ModelError, match="unknown key 'schedule'"):
+        parse_config("generator = grid\nsizes = 3\nbetas = 1\nschedule = chaotic\n")
 
 
 def test_parse_config_names_the_key_of_a_bad_number():
@@ -181,6 +201,8 @@ def test_parse_config_names_the_key_of_a_bad_number():
         ("seeds", "generator = grid\nsizes = 3\nbetas = 1\nseeds = 0..x\n"),
         ("sizes", "generator = spiderweb\nsizes = 1:x\nbetas = 1\n"),
         ("threshold", "generator = grid\nsizes = 3\nbetas = 1\nthreshold = tiny\n"),
+        ("threshold", "generator = grid\nsizes = 3\nbetas = 1\nthreshold = inf\n"),
+        ("threshold", "generator = grid\nsizes = 3\nbetas = 1\nthreshold = nan\n"),
     ):
         with pytest.raises(ModelError, match=repr(key)):
             parse_config(text)

@@ -1,4 +1,4 @@
-"""Belief propagation: exactness on trees, schedules, beliefs, loop weights.
+"""Belief propagation: exactness on trees, convergence, beliefs, loop weights.
 
 BP is exact on trees, so 100 random trees at rel 1e-10 pin down the
 message updates, the belief normalization, and the free energy in one
@@ -17,7 +17,6 @@ from planarz import (
     ForneyGraph,
     ModelError,
     ModelParams,
-    SCHEDULES,
     dump_beliefs,
     exact_log_z,
     gen_grid,
@@ -26,7 +25,6 @@ from planarz import (
     mu_term,
     pfaffian_series,
     run_bp,
-    run_bp_multistart,
     two_core,
 )
 from planarz.bp import BPNumericError
@@ -65,62 +63,43 @@ def test_tree_beliefs_are_exact_marginals():
     )
 
 
-def test_all_schedules_agree_when_converged():
-    g = ladder_graph(seed=5)
-    values = {}
-    for s in SCHEDULES:
-        res = run_bp(g, BPConfig(schedule=s))
-        assert res.converged, s
-        values[s] = res.log_z_bp
-    base = values["fixed"]
-    for s, v in values.items():
-        assert v == pytest.approx(base, abs=100 * 1e-14), s
-
-
-def test_parallel_may_need_more_sweeps_than_residual():
-    g = random_planar_forney(12)
-    it = {}
-    for s in ("parallel", "residual"):
-        res = run_bp(g, BPConfig(schedule=s))
-        assert res.converged
-        it[s] = res.iterations
-    assert it["residual"] <= it["parallel"]
-
-
-def test_unconverged_flagged_not_raised():
-    # two nodes, strongly repulsive symmetric tables, parallel schedule
-    # oscillates; the run must report rather than raise
-    g = cycle_forney(4, seed=9, spread=3.0)
-    res = run_bp(g, BPConfig(schedule="parallel", max_iterations=20))
-    assert res.iterations == 20 or res.converged
-    if not res.converged:
-        assert res.final_residual > 0
-
-
-def test_multistart_prefers_first_converged():
-    g = ladder_graph(seed=2)
-    res = run_bp_multistart(g, BPConfig())
-    assert res.converged
-    assert res.schedule == "fixed"
-
-
 def _known_gap_core():
-    # spiderweb(2,6), beta 1, theta 0.1, seed 0: no schedule converges in
-    # the first few hundred sweeps
+    # spiderweb(2,6), beta 1, theta 0.1, seed 0: BP does not converge on
+    # it within 2,000 sweeps
     return two_core(gen_spiderweb(2, 6, ModelParams(beta=1.0, theta=0.1, seed=0))[1])[0]
 
 
-def test_multistart_falls_back_to_smallest_residual():
+def test_unconverged_flagged_not_raised():
+    # the Known-gap core does not converge in 20 sweeps: the run must
+    # report that, with beliefs from its final messages, rather than raise
     core = _known_gap_core()
-    runs = {s: run_bp(core, BPConfig(schedule=s, max_iterations=10)) for s in SCHEDULES}
-    assert not any(r.converged for r in runs.values())
-    best = min(SCHEDULES, key=lambda s: runs[s].final_residual)
-    assert best == "residual"
-    res = run_bp_multistart(core, BPConfig(max_iterations=10))
+    res = run_bp(core, BPConfig(max_iterations=20))
     assert not res.converged
-    assert (res.schedule, res.final_residual, res.log_z_bp) == (
-        best, runs[best].final_residual, runs[best].log_z_bp
-    )
+    assert res.iterations == 20
+    assert res.final_residual >= BPConfig().threshold
+    assert math.isfinite(res.log_z_bp)
+
+
+def test_converges_where_fixed_sweeps_did_not():
+    # in-order sweeps over every message do not converge on the two
+    # spiderwebs within 10,000 sweeps and need 2,713 on the grid;
+    # largest-residual-first updates need at most 114
+    cases = [
+        gen_spiderweb(2, 6, ModelParams(beta=2.0, theta=0.5, seed=7))[1],
+        gen_grid(6, ModelParams(beta=2.0, theta=0.5, seed=1))[1],
+        gen_spiderweb(2, 4, ModelParams(beta=2.0, theta=0.1, seed=0))[1],
+    ]
+    for g in cases:
+        res = run_bp(two_core(g)[0], BPConfig())
+        assert res.converged and res.iterations <= 200, res.iterations
+
+
+def test_config_rejects_non_finite_threshold():
+    for bad in (math.inf, math.nan, 0.0, -1e-14):
+        with pytest.raises(ValueError, match="threshold must be positive and finite"):
+            BPConfig(threshold=bad)
+    with pytest.raises(ValueError, match="max_iterations at least 1"):
+        BPConfig(max_iterations=0)
 
 
 def test_residual_memory_does_not_grow_with_sweeps():
@@ -128,7 +107,7 @@ def test_residual_memory_does_not_grow_with_sweeps():
     peaks = []
     for sweeps in (25, 100):
         tracemalloc.start()
-        res = run_bp(core, BPConfig(schedule="residual", max_iterations=sweeps))
+        res = run_bp(core, BPConfig(max_iterations=sweeps))
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
         assert not res.converged and res.iterations == sweeps
@@ -174,37 +153,30 @@ def _kernel_cases():
 
 
 def test_kernel_matches_reference_bp():
-    # the slot kernel against the numpy array update it replaced: same
-    # sweeps under every schedule, same fixed point
+    # the slot kernel and residual array against the numpy array update and
+    # heap they replaced: same sweeps, same fixed point
     for g, kw in _kernel_cases():
-        for s in SCHEDULES:
-            cfg = BPConfig(schedule=s, **kw)
-            res, ref = run_bp(g, cfg), reference_run_bp(g, cfg)
-            assert (res.iterations, res.converged, res.schedule) == (
-                ref.iterations, ref.converged, ref.schedule
-            ), (g, s)
-            np.testing.assert_allclose(res.log_z_bp, ref.log_z_bp, rtol=1e-12, atol=0)
-            for e in g.edges:
-                np.testing.assert_allclose(
-                    res.edge_beliefs[e], ref.edge_beliefs[e], rtol=1e-12, atol=0
-                )
-                np.testing.assert_allclose(
-                    res.magnetizations[e], ref.magnetizations[e], rtol=1e-12, atol=0
-                )
+        cfg = BPConfig(**kw)
+        res, ref = run_bp(g, cfg), reference_run_bp(g, cfg)
+        assert (res.iterations, res.converged) == (ref.iterations, ref.converged), g
+        np.testing.assert_allclose(res.log_z_bp, ref.log_z_bp, rtol=1e-12, atol=0)
+        for e in g.edges:
+            np.testing.assert_allclose(
+                res.edge_beliefs[e], ref.edge_beliefs[e], rtol=1e-12, atol=0
+            )
+            np.testing.assert_allclose(
+                res.magnetizations[e], ref.magnetizations[e], rtol=1e-12, atol=0
+            )
 
 
 def test_unnormalizable_message_names_the_edge():
     # K4 whose node a allows only all +1 and b, c, d only all -1: their
     # messages floor a's +1 input at MESSAGE_FLOOR, and the first message
-    # out of a with two floored inputs underflows to a zero sum. Which
-    # message that is depends on the schedule's order
+    # out of a with two floored inputs underflows to a zero sum
     nbrs = {a: tuple(b for b in "abcd" if b != a) for a in "abcd"}
     g = ForneyGraph(nbrs, {a: np.eye(8)[7 if a == "a" else 0] for a in nbrs})
-    expected = {"fixed": "'a'->'d'", "random": "'a'->'c'", "parallel": "'a'->'b'",
-                "residual": "'a'->'d'"}
-    for s in SCHEDULES:
-        with pytest.raises(BPNumericError, match=f"message {expected[s]} is not normalizable"):
-            run_bp(g, BPConfig(schedule=s))
+    with pytest.raises(BPNumericError, match="message 'a'->'d' is not normalizable"):
+        run_bp(g, BPConfig())
 
 
 def test_magnetization_matches_edge_belief():

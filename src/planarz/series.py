@@ -4,8 +4,11 @@ z_empty evaluates the even-degree (2-regular) correction through one
 matching problem. pfaffian_series adds the remaining terms: every even
 subset of degree-3 nodes contributes its own matching problem times the
 loop weights of the removed nodes. All of a model's matching problems share
-one oriented gadget graph: a removal set's problem is a principal minor of
-its Tutte matrix, with the defect lines of the removed nodes negated.
+one oriented gadget graph with Tutte matrix K: a removal set's problem is a
+principal minor of K, with the defect lines of the removed nodes negated.
+The series takes Pf(K) and K^-1 once; every other term is a small Pfaffian
+over the minor's border (pfaffian.bordered_pfaffian), or the dense minor
+itself where that border cancels.
 
 enumerate_loops and loop_correction are the exhaustive oracle for both: the
 edges are the enumerated variables of the model's chunked enumeration
@@ -16,6 +19,7 @@ subsets.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -23,7 +27,14 @@ import numpy as np
 
 from .bp import BPResult
 from .model import ForneyGraph, ModelError, _enumerate, canon_edge
-from .pfaffian import OrientationError, matching_sum, tutte_matrix
+from .pfaffian import (
+    OrientationError,
+    bordered_pfaffian,
+    matching_sign,
+    matching_sum,
+    pfaffian_with_inverse,
+    tutte_matrix,
+)
 from .planar import (
     OrientedPlanarGraph,
     face_parity_violations,
@@ -63,6 +74,7 @@ class PfaffianSeriesResult:
     terms: tuple
     z_total: SignedLog
     complete: bool
+    dense_terms: int
 
 
 def _kasteleyn(g: ForneyGraph, res: BPResult):
@@ -133,6 +145,30 @@ def z_empty(g: ForneyGraph, res: BPResult) -> SignedLog:
     return _matching_correction(g, *_kasteleyn(g, res))
 
 
+def _series_term(g: ForneyGraph, o, K, base, psi, flip):
+    """(z_psi, whether it took the dense minor) for one removal set.
+
+    A term with a reference matching is bordered_pfaffian's minor over the
+    removed ports and the kept flipped edges, signed by that matching in
+    the minor; base is (Pf(K), K^-1 or None). Without base, or when
+    bordered_pfaffian declines, the term is _matching_correction's.
+    """
+    if o is None:
+        return SignedLog.one(), False
+    matching = reference_matching(g, o.ext, psi)
+    if matching is None:
+        return SignedLog.zero(), False
+    labels = o.ext.labels
+    ports = sorted(o.ext.port[(a, b)] for a in psi for b in g.neighbors[a])
+    kept = [(u, v) for u, v in flip if K[u, v] and labels[u][0] not in psi and labels[v][0] not in psi]
+    pf = None if base is None else bordered_pfaffian(K, *base, ports, kept)
+    if pf is None:
+        return _matching_correction(g, o, K, psi, flip), True
+    pairs = [o.orientation[k][::-1] if k in flip else o.orientation[k] for k in matching]
+    at = [(t - bisect.bisect(ports, t), h - bisect.bisect(ports, h)) for t, h in pairs]
+    return SignedLog(matching_sign(at) * pf.sign, pf.log_magnitude), False
+
+
 def triplet_nodes(g: ForneyGraph) -> tuple:
     return tuple(sorted(a for a in g.nodes if g.degree(a) == 3))
 
@@ -144,7 +180,10 @@ def pfaffian_series(
 
     max_psi_size, which must be non-negative, caps the removal-set
     cardinality; a cut marks the result incomplete. The empty set is always
-    first, so terms[0] is the 2-regular correction.
+    first, so terms[0] is the 2-regular correction. dense_terms counts the
+    nonzero terms past the first that took the dense minor instead of the
+    bordered Pfaffian: every one of them when K is singular or its inverse
+    not finite, else those whose border cancels.
     """
     if max_psi_size is not None and max_psi_size < 0:
         raise ModelError(f"max_psi_size must be non-negative, got {max_psi_size!r}")
@@ -153,10 +192,14 @@ def pfaffian_series(
     trips = triplet_nodes(g)
     limit = len(trips) if max_psi_size is None else min(max_psi_size, len(trips))
     o, K = _kasteleyn(g, res)
+    base = None  # with no perfect matching K is singular: Pf(K) is noise
+    if o is not None and reference_matching(g, o.ext) is not None:
+        base = pfaffian_with_inverse(K)
     removable = trips if limit >= 2 else ()
     removed_weight = {a: SignedLog.from_float(float(res.loop_weights[a][-1])) for a in removable}
     lines = _defect_lines(g, o, removable) if removable else {}
     terms = []
+    dense = 0
     for size in range(0, limit + 1, 2):
         for psi in itertools.combinations(trips, size):
             flip = set()
@@ -164,11 +207,12 @@ def pfaffian_series(
             for a in psi:
                 flip ^= lines[a]
                 factor = factor * removed_weight[a]
-            zp = _matching_correction(g, o, K, psi, flip)
+            zp, on_minor = _series_term(g, o, K, base, psi, flip)
+            dense += on_minor
             terms.append(PfaffianTerm(psi, zp, factor))
     total = SignedLog.sum(t.contribution for t in terms)
     complete = limit >= len(trips) - len(trips) % 2
-    return PfaffianSeriesResult(tuple(terms), total, complete)
+    return PfaffianSeriesResult(tuple(terms), total, complete, dense)
 
 
 def _loop_scan(g: ForneyGraph, res: BPResult, regular_only: bool):

@@ -12,6 +12,8 @@ reference_pfaffian is the eager Parlett-Reid kernel, one rank-2 update
 of the whole trailing matrix per pivot step, that planarz.pfaffian
 confines to each step's active window (it shares only the result type
 and the pivot threshold);
+exact_pfaffian is Parlett-Reid elimination in rational arithmetic, exact
+for the floats a matrix stores;
 reference_mu_term is the loop weight of one (node, subset) pair straight
 from the magnetizations, the formula planarz.bp replaced with its
 cancellation-free tables.
@@ -22,6 +24,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -124,6 +127,36 @@ def reference_pfaffian(a) -> SignedLog:
             t = np.outer(row, tau)
             m[k + 2 :, k + 2 :] += t - t.T
     return SignedLog(sign, log_mag)
+
+
+def exact_pfaffian(a) -> Fraction:
+    """Pfaffian of a skew array, each float entry taken as the rational it
+    stores: Parlett-Reid elimination in Fractions, pivoting on the first
+    nonzero entry below the diagonal and skipping zero products, so no
+    rounding enters anywhere."""
+    m = [[Fraction(x) for x in row] for row in np.asarray(a, dtype=float).tolist()]
+    n = len(m)
+    if n % 2 == 1:
+        return Fraction(0)
+    pf = Fraction(1)
+    for k in range(0, n - 1, 2):
+        kp = next((i for i in range(k + 1, n) if m[i][k]), None)
+        if kp is None:
+            return Fraction(0)
+        if kp != k + 1:
+            m[k + 1], m[kp] = m[kp], m[k + 1]
+            for row in m:
+                row[k + 1], row[kp] = row[kp], row[k + 1]
+            pf = -pf
+        piv = m[k][k + 1]
+        pf *= piv
+        tau = {j: m[k][j] / piv for j in range(k + 2, n) if m[k][j]}
+        row = {i: m[k + 1][i] for i in range(k + 2, n) if m[k + 1][i]}
+        for i, r in row.items():
+            for j, t in tau.items():
+                m[i][j] += r * t
+                m[j][i] -= r * t
+    return pf
 
 
 def _new_message(tables, neighbors, msgs, a: str, b: str) -> np.ndarray:

@@ -27,6 +27,7 @@ from planarz import (
     tutte_matrix,
     two_core,
 )
+from planarz.pfaffian import bordered_pfaffian, pfaffian_with_inverse
 from builders import ladder_graph, plain_extended, random_planar_vertex_graph
 from oracles import kasteleyn_matrix, matching_count, reference_pfaffian
 
@@ -142,6 +143,45 @@ def test_pfaffian_matches_reference_kernel():
     singular.append(m)
     for a in singular:
         assert pfaffian(a) == reference_pfaffian(a) == SignedLog.zero()
+
+
+def test_bordered_pfaffian_matches_the_minor():
+    # any even set of removed indices and any flipped pairs among the kept
+    # ones: the border's Pfaffian, signed and scaled, is the minor's
+    rng = np.random.default_rng(5)
+    compared = 0
+    for trial in range(40):
+        n = int(rng.integers(4, 24)) // 2 * 2
+        a = _random_skew(n, seed=trial)
+        pf, inverse = pfaffian_with_inverse(a)
+        removed = sorted(rng.choice(n, size=int(rng.integers(0, n // 2)) * 2, replace=False).tolist())
+        kept = [v for v in range(n) if v not in removed]
+        flip = [tuple(sorted(rng.choice(kept, size=2, replace=False).tolist())) for _ in range(3)]
+        flip = list(dict.fromkeys(flip))[: int(rng.integers(0, 4))]
+        minor = a.copy()
+        for u, v in flip:
+            minor[u, v], minor[v, u] = -minor[u, v], -minor[v, u]
+        want = pfaffian(minor[np.ix_(kept, kept)])
+        got = bordered_pfaffian(a, pf, inverse, removed, flip)
+        if got is None:  # the border cancelled
+            continue
+        assert got.sign == want.sign
+        assert got.log_magnitude == pytest.approx(want.log_magnitude, abs=1e-12)
+        compared += 1
+    assert compared >= 30
+    assert bordered_pfaffian(a, pf, inverse, [], []) is pf
+    assert bordered_pfaffian(a, pf, None, [], []) is pf
+    assert bordered_pfaffian(a, pf, None, [0, 1], []) is None
+
+
+def test_singular_matrix_has_no_inverse():
+    a = np.zeros((4, 4))
+    a[0, 1], a[1, 0] = 1.0, -1.0
+    pf, inverse = pfaffian_with_inverse(a)
+    assert pf.sign == 0 and inverse is None
+    pf, inverse = pfaffian_with_inverse(_random_skew(6, seed=1))
+    assert pf.sign != 0 and np.array_equal(inverse, -inverse.T)
+    assert np.allclose(inverse @ _random_skew(6, seed=1), np.eye(6))
 
 
 def test_row_col_swap_flips_sign():

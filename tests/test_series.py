@@ -7,6 +7,7 @@ hand derivation.
 """
 
 import importlib
+import math
 from collections import Counter
 
 import networkx as nx
@@ -23,6 +24,7 @@ from planarz import (
     exact_log_z,
     exact_log_z_factor,
     fisher_extend,
+    gen_grid,
     gen_spiderweb,
     loop_correction,
     matching_sign,
@@ -39,7 +41,7 @@ from planarz import (
 )
 from planarz.series import format_term_log
 from builders import cycle_forney, ladder_graph, random_planar_forney
-from oracles import kasteleyn_matrix
+from oracles import exact_pfaffian, kasteleyn_matrix
 
 bp_module = importlib.import_module("planarz.bp")
 pfaffian_module = importlib.import_module("planarz.pfaffian")
@@ -310,6 +312,100 @@ def test_loopless_removal_set_skips_the_pfaffian(monkeypatch):
     assert term.z_psi.sign == 0 and term.contribution.sign == 0
     # one Pfaffian for each of the other terms except the loopless (b1, t2)
     assert len(dims) == len(series.terms) - 2
+
+
+def _term_flips(g, o, psi):
+    lines = series_module._defect_lines(g, o, psi)
+    flip = set()
+    for a in psi:
+        flip ^= lines[a]
+    return flip
+
+
+def _bordered_models():
+    for g in _series_models():  # it has spiderweb(2, 3) seed 0
+        yield g, None
+    for seed in (1, 2):
+        _, g = gen_spiderweb(2, 3, ModelParams(beta=0.5, theta=0.5, seed=seed))
+        yield two_core(g)[0], None
+    for seed in range(2):
+        _, g = gen_grid(4, ModelParams(beta=1.0, theta=1.0, seed=seed))
+        yield two_core(g)[0], 4
+
+
+def test_series_terms_match_the_dense_minor():
+    # each term but the empty set's is a small Pfaffian over its border,
+    # or the dense minor where that border cancels; either way it keeps the
+    # dense minor's sign and exact zeros, and its digits next to the total
+    checked = 0
+    for g, cap in _bordered_models():
+        res = _bp(g)
+        series = pfaffian_series(g, res, cap)
+        o, K = series_module._kasteleyn(g, res)
+        total = series.z_total.log_magnitude
+        for term in series.terms:
+            dense = series_module._matching_correction(g, o, K, term.psi, _term_flips(g, o, term.psi))
+            assert term.z_psi.sign == dense.sign, term.psi
+            if dense.sign == 0:
+                continue
+            scale = term.triplet_factor.log_magnitude - total
+            got, want = (math.exp(z.log_magnitude + scale) for z in (term.z_psi, dense))
+            assert got == pytest.approx(want, rel=0, abs=1e-12), term.psi
+            checked += 1
+    assert checked >= 3000
+
+
+def test_cancelling_border_falls_back_to_the_dense_minor():
+    # the 4x4 grid term whose border Pfaffian is about 3e-9 of its
+    # Hadamard bound: Z + G[T, T] has lost its digits there, so the term
+    # is the dense minor's, which matches exact rational arithmetic
+    _, g = gen_grid(4, ModelParams(beta=1.0, theta=1.0, seed=1))
+    g = two_core(g)[0]
+    res = _bp(g)
+    series = pfaffian_series(g, res, max_psi_size=4)
+    assert series.dense_terms >= 1
+    psi = ("delta_x1_1_s1", "delta_x1_2_s0", "delta_x2_2_s0", "delta_x2_3_s0")
+    term = next(t for t in series.terms if t.psi == psi)
+    o, K = series_module._kasteleyn(g, res)
+    flip = _term_flips(g, o, psi)
+    base = pfaffian_module.pfaffian_with_inverse(K)
+    assert series_module._series_term(g, o, K, base, psi, flip)[1]
+    kept = [v for v, (a, _) in enumerate(o.ext.labels) if a not in psi]
+    at = {v: i for i, v in enumerate(kept)}
+    minor = K[np.ix_(kept, kept)]
+    for u, v in flip:
+        if u in at and v in at:
+            minor[[at[u], at[v]], [at[v], at[u]]] *= -1
+    exact = exact_pfaffian(minor)
+    pairs = [o.orientation[k][::-1] if k in flip else o.orientation[k] for k in reference_matching(g, o.ext, psi)]
+    sign = matching_sign([(at[t], at[h]) for t, h in pairs])
+    assert term.z_psi.sign == sign * (1 if exact > 0 else -1)
+    log_exact = math.log(abs(exact.numerator)) - math.log(exact.denominator)
+    assert log_exact == pytest.approx(-29.5, abs=0.1)
+    assert term.z_psi.log_magnitude == pytest.approx(log_exact, rel=0, abs=1e-12)
+
+
+def test_series_takes_one_pfaffian_of_the_full_matrix(monkeypatch):
+    # Pf(K) once, then per nonzero term one Pfaffian over its border: the
+    # removed ports and both ends of each flipped edge that is kept
+    _, g = gen_spiderweb(1, 4, ModelParams(beta=0.5, theta=0.5, seed=0))
+    g = two_core(g)[0]
+    res = _bp(g)
+    real = pfaffian_module.pfaffian
+    dims = []
+    monkeypatch.setattr(pfaffian_module, "pfaffian", lambda a: dims.append(len(a)) or real(a))
+    series = pfaffian_series(g, res)
+    o, K = series_module._kasteleyn(g, res)
+    n = len(K)
+    assert dims[0] == n and dims.count(n) == 1
+    bounds = []
+    for term in series.terms[1:]:
+        if term.z_psi.sign == 0:
+            continue
+        kept = [e for e in _term_flips(g, o, term.psi) if not ({o.ext.labels[x][0] for x in e} & set(term.psi))]
+        bounds.append(3 * len(term.psi) + 2 * len(kept))
+    assert len(dims) == 1 + len(bounds) and len(bounds) > 20
+    assert all(d <= b for d, b in zip(dims[1:], bounds))
 
 
 def test_corrupted_orientation_raises(monkeypatch):

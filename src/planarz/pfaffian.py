@@ -15,9 +15,12 @@ eager elimination bit for bit. A banded matrix, such as a Kasteleyn matrix
 in fisher_extend's breadth-first port order, keeps the window about as
 wide as its band.
 
-bordered_pfaffian takes a principal minor's Pfaffian, some of its entries
-negated, from the full matrix's Pfaffian and inverse: one small Pfaffian
-over a border of the removed indices and the negated entries.
+minor_pfaffian is the one source of a principal minor's Pfaffian, some
+of its entries negated. Given the full matrix's Pfaffian and inverse
+(skew_inverse), it is bordered_pfaffian's: one small Pfaffian over a
+border of the removed indices and the negated entries. Without the
+inverse, or where that border cancels, it is the dense minor's, and with
+nothing removed the full matrix's.
 """
 
 from __future__ import annotations
@@ -115,7 +118,7 @@ def tutte_matrix(o: OrientedPlanarGraph) -> np.ndarray:
     edges = o.ext.edges
     if len({e.key() for e in edges}) != len(edges):
         raise ValueError("parallel edges: each port pair may carry one edge")
-    tail, head = np.array([o.orientation[e.key()] for e in edges]).T
+    tail, head = np.array([o.orientation[e.key()] for e in edges], dtype=np.intp).reshape(-1, 2).T
     w = np.array([e.weight for e in edges])
     a = np.zeros((o.ext.num_vertices,) * 2)
     a[np.r_[tail, head], np.r_[head, tail]] = np.r_[w, -w]
@@ -144,36 +147,20 @@ def matching_sign(pairs) -> int:
     return sign
 
 
-def matching_sum(a, pairs) -> SignedLog:
-    """Weighted perfect-matching sum of a Kasteleyn-oriented skew array.
-
-    Every perfect matching then carries the same sign in Pf(a), so the sum
-    is Pf(a) times the sign of any one of them: pairs, written (tail, head)
-    as indices of a; a itself is not modified.
-    """
-    pf = pfaffian(a)
-    return SignedLog(matching_sign(pairs) * pf.sign, pf.log_magnitude)
-
-
-def pfaffian_with_inverse(a):
-    """(Pf(a), a^-1 made exactly skew as (G - G^T) / 2) for a skew array;
-    the inverse is None when Pf(a) is zero or the inverse is not finite."""
-    pf = pfaffian(a)
-    if pf.sign == 0:
-        return pf, None
+def skew_inverse(a):
+    """a^-1 made exactly skew as (G - G^T) / 2, or None when a is singular
+    or its inverse is not finite."""
     try:
         g = np.linalg.inv(a)
     except np.linalg.LinAlgError:
-        return pf, None
-    if not np.isfinite(g).all():
-        return pf, None
-    return pf, (g - g.T) * 0.5
+        return None
+    return (g - g.T) * 0.5 if np.isfinite(g).all() else None
 
 
 def bordered_pfaffian(a, pf: SignedLog, inverse, removed, flip):
     """Pf of a's principal minor without the sorted indices removed, with
     the entries at each (u, v) in flip negated; the ends of flip are kept
-    and a[u, v] is nonzero. (pf, inverse) is pfaffian_with_inverse(a).
+    and a[u, v] is nonzero. pf is Pf(a) and inverse is skew_inverse(a).
 
     Border a with one unit column per removed index r, whose border vertex
     can only match r, and with two border vertices per flipped edge, joined
@@ -209,3 +196,27 @@ def bordered_pfaffian(a, pf: SignedLog, inverse, removed, flip):
     negative = m * (m - 1) // 2 + crossings + sum(x < 0 for x in scale)
     sign = pf.sign * pf_s.sign * (-1) ** negative
     return SignedLog(sign, pf.log_magnitude + pf_s.log_magnitude + sum(math.log(abs(x)) for x in scale))
+
+
+def minor_pfaffian(a, removed, flip, base=None):
+    """(Pf of a's principal minor without the sorted indices removed, with
+    the entries at each (u, v) in flip negated, whether it took the dense
+    minor); the ends of flip are kept and a[u, v] is nonzero.
+
+    With base = (Pf(a), skew_inverse(a) or None) it is bordered_pfaffian's
+    minor unless that declines; otherwise it is the dense flipped minor,
+    which is a itself when nothing is removed or negated.
+    """
+    if base is not None:
+        pf = bordered_pfaffian(a, *base, removed, flip)
+        if pf is not None:
+            return pf, False
+    if not len(removed) and not flip:
+        return pfaffian(a), True
+    keep = np.ones(a.shape[0], dtype=bool)
+    keep[removed] = False
+    at = np.cumsum(keep) - 1  # index of each kept row in the minor
+    minor = a[np.ix_(keep, keep)]
+    for u, v in flip:
+        minor[[at[u], at[v]], [at[v], at[u]]] *= -1
+    return pfaffian(minor), True

@@ -1,14 +1,16 @@
 """Loop corrections to the BP partition function estimate.
 
-z_empty evaluates the even-degree (2-regular) correction through one
-matching problem. pfaffian_series adds the remaining terms: every even
-subset of degree-3 nodes contributes its own matching problem times the
-loop weights of the removed nodes. All of a model's matching problems share
-one oriented gadget graph with Tutte matrix K: a removal set's problem is a
-principal minor of K, with the defect lines of the removed nodes negated.
-The series takes Pf(K) and K^-1 once; every other term is a small Pfaffian
-over the minor's border (pfaffian.bordered_pfaffian), or the dense minor
-itself where that border cancels.
+pfaffian_series sums the removal-set terms: every even subset of degree-3
+nodes contributes its own matching problem times the loop weights of the
+removed nodes. z_empty is its first term, the empty set's: the
+even-degree (2-regular) correction. All of a model's matching problems
+share one oriented gadget graph with Tutte matrix K: a removal set's
+problem is a principal minor of K, with the defect lines of the removed
+nodes negated. Every term, the empty set's included, takes one reference
+matching, one Pfaffian from pfaffian.minor_pfaffian and one sign. The
+empty set's is Pf(K) itself; past it, the series takes K^-1 once, and
+every other term is a small Pfaffian over the minor's border, or the dense
+minor itself where that border cancels.
 
 enumerate_loops and loop_correction are the exhaustive oracle for both: the
 edges are the enumerated variables of the model's chunked enumeration
@@ -29,10 +31,9 @@ from .bp import BPResult
 from .model import ForneyGraph, ModelError, _enumerate, canon_edge
 from .pfaffian import (
     OrientationError,
-    bordered_pfaffian,
     matching_sign,
-    matching_sum,
-    pfaffian_with_inverse,
+    minor_pfaffian,
+    skew_inverse,
     tutte_matrix,
 )
 from .planar import (
@@ -79,11 +80,8 @@ class PfaffianSeriesResult:
 
 def _kasteleyn(g: ForneyGraph, res: BPResult):
     """(o, K): g's removal-free gadget graph oriented with every bounded face
-    checked odd, and its Tutte matrix; (None, None) for an empty graph."""
-    ext = fisher_extend(g, res)
-    if ext.num_vertices == 0:
-        return None, None
-    o = orient(ext)
+    checked odd, and its Tutte matrix."""
+    o = orient(fisher_extend(g, res))
     bad = face_parity_violations(o)
     if bad:
         raise OrientationError(f"bounded faces {bad} have an even clockwise count")
@@ -110,63 +108,36 @@ def _defect_lines(g: ForneyGraph, o: OrientedPlanarGraph, nodes) -> dict:
     return lines
 
 
-def _matching_correction(g: ForneyGraph, o, K, removed=(), flip=frozenset()) -> SignedLog:
-    """Perfect-matching sum of o's graph minus the ports of the removed nodes.
-
-    That graph is induced on the kept ports, so its matrix is K's principal
-    minor on them, with the entries on the edges in flip (which only
-    removals bring) negated to keep it Kasteleyn; with nothing removed it is
-    K itself, which pfaffian copies. An empty graph sums to one; one without
-    perfect matchings sums to zero without a Pfaffian.
-    """
-    if o is None:
-        return SignedLog.one()
-    matching = reference_matching(g, o.ext, removed)
-    if matching is None:
-        return SignedLog.zero()
-    kept = [v for v, (a, _) in enumerate(o.ext.labels) if a not in removed]
-    at = dict(zip(kept, range(len(kept))))
-    minor = K
-    if removed:
-        minor = K[np.ix_(kept, kept)]
-        for u, v in flip:
-            if u in at and v in at:
-                minor[[at[u], at[v]], [at[v], at[u]]] *= -1
-    pairs = [o.orientation[k][::-1] if k in flip else o.orientation[k] for k in matching]
-    return matching_sum(minor, [(at[t], at[h]) for t, h in pairs])
-
-
 def z_empty(g: ForneyGraph, res: BPResult) -> SignedLog:
-    """The 2-regular loop correction: 1 plus the sum over even-degree loops.
+    """The 2-regular loop correction: 1 plus the sum over even-degree loops,
+    the series' removal-free term.
 
     Multiply exp of its log against Z^BP to get the corrected estimate. An
     empty core (tree after absorption) gives exactly 1.
     """
-    return _matching_correction(g, *_kasteleyn(g, res))
+    return pfaffian_series(g, res, max_psi_size=0).terms[0].z_psi
 
 
-def _series_term(g: ForneyGraph, o, K, base, psi, flip):
+def _term(g: ForneyGraph, o, K, base, psi, flip):
     """(z_psi, whether it took the dense minor) for one removal set.
 
-    A term with a reference matching is bordered_pfaffian's minor over the
-    removed ports and the kept flipped edges, signed by that matching in
-    the minor; base is (Pf(K), K^-1 or None). Without base, or when
-    bordered_pfaffian declines, the term is _matching_correction's.
+    z_psi is the perfect-matching sum of o's graph minus the ports of the
+    nodes in psi: minor_pfaffian's minor of K over those ports, with the
+    kept edges of flip negated to keep it Kasteleyn, signed by one
+    reference matching in the minor. Kept port v is row v minus the number
+    of removed ports below it. Without a reference matching the term is an
+    exact zero that takes no Pfaffian.
     """
-    if o is None:
-        return SignedLog.one(), False
     matching = reference_matching(g, o.ext, psi)
     if matching is None:
         return SignedLog.zero(), False
     labels = o.ext.labels
     ports = sorted(o.ext.port[(a, b)] for a in psi for b in g.neighbors[a])
     kept = [(u, v) for u, v in flip if K[u, v] and labels[u][0] not in psi and labels[v][0] not in psi]
-    pf = None if base is None else bordered_pfaffian(K, *base, ports, kept)
-    if pf is None:
-        return _matching_correction(g, o, K, psi, flip), True
+    pf, on_minor = minor_pfaffian(K, ports, kept, base)
     pairs = [o.orientation[k][::-1] if k in flip else o.orientation[k] for k in matching]
     at = [(t - bisect.bisect(ports, t), h - bisect.bisect(ports, h)) for t, h in pairs]
-    return SignedLog(matching_sign(at) * pf.sign, pf.log_magnitude), False
+    return SignedLog(matching_sign(at) * pf.sign, pf.log_magnitude), on_minor
 
 
 def triplet_nodes(g: ForneyGraph) -> tuple:
@@ -188,13 +159,12 @@ def pfaffian_series(
     if max_psi_size is not None and max_psi_size < 0:
         raise ModelError(f"max_psi_size must be non-negative, got {max_psi_size!r}")
     if g.num_nodes and not g.is_reduced:
-        raise ModelError("pfaffian_series needs a reduced graph")
+        raise ModelError("the series needs a reduced graph (degrees 2 and 3)")
     trips = triplet_nodes(g)
     limit = len(trips) if max_psi_size is None else min(max_psi_size, len(trips))
     o, K = _kasteleyn(g, res)
-    base = None  # with no perfect matching K is singular: Pf(K) is noise
-    if o is not None and reference_matching(g, o.ext) is not None:
-        base = pfaffian_with_inverse(K)
+    pf = minor_pfaffian(K, (), ())[0]
+    base = (pf, skew_inverse(K) if pf.sign and limit >= 2 else None)
     removable = trips if limit >= 2 else ()
     removed_weight = {a: SignedLog.from_float(float(res.loop_weights[a][-1])) for a in removable}
     lines = _defect_lines(g, o, removable) if removable else {}
@@ -207,7 +177,7 @@ def pfaffian_series(
             for a in psi:
                 flip ^= lines[a]
                 factor = factor * removed_weight[a]
-            zp, on_minor = _series_term(g, o, K, base, psi, flip)
+            zp, on_minor = _term(g, o, K, base, psi, flip)
             dense += on_minor
             terms.append(PfaffianTerm(psi, zp, factor))
     total = SignedLog.sum(t.contribution for t in terms)

@@ -14,6 +14,11 @@ confines to each step's active window (it shares only the result type
 and the pivot threshold);
 exact_pfaffian is Parlett-Reid elimination in rational arithmetic, exact
 for the floats a matrix stores;
+dense_minor_term is a series term the way it reads on paper: the removal
+set's principal minor of the Tutte matrix with its defect lines negated,
+one dense Pfaffian, and the sign of a reference matching (it shares
+pfaffian, matching_sign and reference_matching with the series, and none
+of its bordering, choice of Pfaffian source or port renumbering);
 reference_mu_term is the loop weight of one (node, subset) pair straight
 from the magnetizations, the formula planarz.bp replaced with its
 cancellation-free tables.
@@ -29,7 +34,8 @@ from fractions import Fraction
 import numpy as np
 
 from planarz.bp import MESSAGE_FLOOR, BPConfig, BPNumericError, BPResult
-from planarz.pfaffian import PIVOT_THRESHOLD
+from planarz.pfaffian import PIVOT_THRESHOLD, matching_sign, pfaffian
+from planarz.planar import reference_matching
 from planarz.slog import SignedLog
 
 
@@ -157,6 +163,34 @@ def exact_pfaffian(a) -> Fraction:
                 m[i][j] += r * t
                 m[j][i] -= r * t
     return pf
+
+
+def flipped_minor(o, K, removed, flip):
+    """(minor, kept): K sliced to the ports of the nodes not in removed,
+    with the entries of each edge in flip whose ends are both kept negated;
+    kept lists the ports in minor order."""
+    kept = [v for v, (a, _) in enumerate(o.ext.labels) if a not in removed]
+    at = {v: i for i, v in enumerate(kept)}
+    minor = K[np.ix_(kept, kept)]
+    for u, v in flip:
+        if u in at and v in at:
+            minor[at[u], at[v]], minor[at[v], at[u]] = -minor[at[u], at[v]], -minor[at[v], at[u]]
+    return minor, kept
+
+
+def dense_minor_term(g, o, K, removed, flip) -> SignedLog:
+    """Perfect-matching sum of o's graph minus the ports of the removed
+    nodes: the flipped minor's Pfaffian times the sign of one reference
+    matching in it (each edge in flip written head to tail); exactly zero
+    without a reference matching."""
+    matching = reference_matching(g, o.ext, removed)
+    if matching is None:
+        return SignedLog.zero()
+    minor, kept = flipped_minor(o, K, removed, flip)
+    at = {v: i for i, v in enumerate(kept)}
+    pairs = [o.orientation[k][::-1] if k in flip else o.orientation[k] for k in matching]
+    pf = pfaffian(minor)
+    return SignedLog(matching_sign([(at[t], at[h]) for t, h in pairs]) * pf.sign, pf.log_magnitude)
 
 
 def _new_message(tables, neighbors, msgs, a: str, b: str) -> np.ndarray:

@@ -14,20 +14,20 @@ import pytest
 
 from planarz import (
     BPConfig,
+    ForneyGraph,
     ModelParams,
     OrientationError,
     SignedLog,
     fisher_extend,
     gen_grid,
     matching_sign,
-    matching_sum,
     orient,
     pfaffian,
     run_bp,
     tutte_matrix,
     two_core,
 )
-from planarz.pfaffian import bordered_pfaffian, pfaffian_with_inverse
+from planarz.pfaffian import bordered_pfaffian, minor_pfaffian, skew_inverse
 from builders import ladder_graph, plain_extended, random_planar_vertex_graph
 from oracles import kasteleyn_matrix, matching_count, reference_pfaffian
 
@@ -153,7 +153,7 @@ def test_bordered_pfaffian_matches_the_minor():
     for trial in range(40):
         n = int(rng.integers(4, 24)) // 2 * 2
         a = _random_skew(n, seed=trial)
-        pf, inverse = pfaffian_with_inverse(a)
+        pf, inverse = pfaffian(a), skew_inverse(a)
         removed = sorted(rng.choice(n, size=int(rng.integers(0, n // 2)) * 2, replace=False).tolist())
         kept = [v for v in range(n) if v not in removed]
         flip = [tuple(sorted(rng.choice(kept, size=2, replace=False).tolist())) for _ in range(3)]
@@ -162,9 +162,12 @@ def test_bordered_pfaffian_matches_the_minor():
         for u, v in flip:
             minor[u, v], minor[v, u] = -minor[u, v], -minor[v, u]
         want = pfaffian(minor[np.ix_(kept, kept)])
+        assert minor_pfaffian(a, removed, flip) == (want, True)
         got = bordered_pfaffian(a, pf, inverse, removed, flip)
         if got is None:  # the border cancelled
+            assert minor_pfaffian(a, removed, flip, (pf, inverse)) == (want, True)
             continue
+        assert minor_pfaffian(a, removed, flip, (pf, inverse)) == (got, False)
         assert got.sign == want.sign
         assert got.log_magnitude == pytest.approx(want.log_magnitude, abs=1e-12)
         compared += 1
@@ -177,11 +180,11 @@ def test_bordered_pfaffian_matches_the_minor():
 def test_singular_matrix_has_no_inverse():
     a = np.zeros((4, 4))
     a[0, 1], a[1, 0] = 1.0, -1.0
-    pf, inverse = pfaffian_with_inverse(a)
-    assert pf.sign == 0 and inverse is None
-    pf, inverse = pfaffian_with_inverse(_random_skew(6, seed=1))
-    assert pf.sign != 0 and np.array_equal(inverse, -inverse.T)
-    assert np.allclose(inverse @ _random_skew(6, seed=1), np.eye(6))
+    assert pfaffian(a).sign == 0 and skew_inverse(a) is None
+    b = _random_skew(6, seed=1)
+    inverse = skew_inverse(b)
+    assert pfaffian(b).sign != 0 and np.array_equal(inverse, -inverse.T)
+    assert np.allclose(inverse @ b, np.eye(6))
 
 
 def test_row_col_swap_flips_sign():
@@ -238,6 +241,12 @@ def test_pfaffian_leaves_input_unchanged():
     assert pfaffian(a.tolist()) == first
 
 
+def test_tutte_matrix_of_the_empty_graph_is_0x0():
+    a = tutte_matrix(orient(fisher_extend(ForneyGraph({}, {}), None)))
+    assert a.shape == (0, 0)
+    assert pfaffian(a) == SignedLog.one()
+
+
 def test_tutte_matrix_rejects_duplicate_port_pairs():
     o = orient(plain_extended(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
     assert tutte_matrix(o).shape == (4, 4)
@@ -276,18 +285,11 @@ def test_ladder_gadget_matrices():
     assert a_hat.shape == b_hat.shape
 
 
-def test_matching_sum_sign_rules():
-    neg = np.array([[0.0, -2.0], [2.0, 0.0]])
-    zero = np.zeros((2, 2))
-    # the reference matching fixes the sign: Pf(A) * sign(t1 h1 t2 h2 ...)
-    z = matching_sum(neg, [(0, 1)])
-    assert z.sign == -1
-    assert z.to_float() == pytest.approx(-2.0)
-    z2 = matching_sum(neg, [(1, 0)])
-    assert z2.sign == 1
-    assert z2.to_float() == pytest.approx(2.0)
-    # weighted sum vanishing while matchings exist is fine
-    assert matching_sum(zero, [(0, 1)]).sign == 0
+def test_matching_sign_rules():
+    # a pair written head first flips the sign: sign(t1 h1 t2 h2 ...)
+    assert matching_sign([(0, 1)]) == 1
+    assert matching_sign([(1, 0)]) == -1
+    assert matching_sign([]) == 1
     # closed form a12 a34 - a13 a24 + a14 a23 gives the pairing signs
     assert matching_sign([(0, 1), (2, 3)]) == 1
     assert matching_sign([(0, 2), (1, 3)]) == -1

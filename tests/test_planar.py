@@ -39,10 +39,9 @@ from builders import (
     random_planar_forney,
     random_planar_vertex_graph,
 )
-from oracles import kasteleyn_matrix, matching_count, matching_sum
+from oracles import flipped_minor, kasteleyn_matrix, matching_count, matching_sum
 
 pfaffian_module = importlib.import_module("planarz.pfaffian")
-series_module = importlib.import_module("planarz.series")
 
 
 # ---------------------------------------------------------------- embedding
@@ -149,12 +148,15 @@ def test_fisher_extend_removal(monkeypatch):
     g = ladder_graph(seed=3)
     res = _bp(g)
     o = orient(fisher_extend(g, res))
+    K = tutte_matrix(o)
+    minor, kept = flipped_minor(o, K, ("t1", "t2"), ())
+    # the series' own dense minor is that slice
     real = pfaffian_module.pfaffian
     seen = []
     monkeypatch.setattr(pfaffian_module, "pfaffian", lambda a: seen.append(a) or real(a))
-    series_module._matching_correction(g, o, tutte_matrix(o), ("t1", "t2"))
-    (minor,) = seen
-    kept = [v for v, (a, _) in enumerate(o.ext.labels) if a not in ("t1", "t2")]
+    removed = sorted(set(range(o.ext.num_vertices)) - set(kept))
+    pfaffian_module.minor_pfaffian(K, removed, ())
+    assert len(seen) == 1 and np.array_equal(seen[0], minor)
     assert minor.shape == (len(kept), len(kept)) == (o.ext.num_vertices - 6,) * 2
     # externals on removed nodes are gone too: each removed degree-3 node
     # kills its 3 externals, but the t1-t2 edge is shared

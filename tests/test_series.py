@@ -41,7 +41,7 @@ from planarz import (
 )
 from planarz.series import format_term_log
 from builders import cycle_forney, ladder_graph, random_planar_forney
-from oracles import exact_pfaffian, kasteleyn_matrix
+from oracles import dense_minor_term, exact_pfaffian, flipped_minor, kasteleyn_matrix
 
 bp_module = importlib.import_module("planarz.bp")
 pfaffian_module = importlib.import_module("planarz.pfaffian")
@@ -344,7 +344,7 @@ def test_series_terms_match_the_dense_minor():
         o, K = series_module._kasteleyn(g, res)
         total = series.z_total.log_magnitude
         for term in series.terms:
-            dense = series_module._matching_correction(g, o, K, term.psi, _term_flips(g, o, term.psi))
+            dense = dense_minor_term(g, o, K, term.psi, _term_flips(g, o, term.psi))
             assert term.z_psi.sign == dense.sign, term.psi
             if dense.sign == 0:
                 continue
@@ -368,14 +368,10 @@ def test_cancelling_border_falls_back_to_the_dense_minor():
     term = next(t for t in series.terms if t.psi == psi)
     o, K = series_module._kasteleyn(g, res)
     flip = _term_flips(g, o, psi)
-    base = pfaffian_module.pfaffian_with_inverse(K)
-    assert series_module._series_term(g, o, K, base, psi, flip)[1]
-    kept = [v for v, (a, _) in enumerate(o.ext.labels) if a not in psi]
+    base = (pfaffian(K), pfaffian_module.skew_inverse(K))
+    assert series_module._term(g, o, K, base, psi, flip)[1]
+    minor, kept = flipped_minor(o, K, psi, flip)
     at = {v: i for i, v in enumerate(kept)}
-    minor = K[np.ix_(kept, kept)]
-    for u, v in flip:
-        if u in at and v in at:
-            minor[[at[u], at[v]], [at[v], at[u]]] *= -1
     exact = exact_pfaffian(minor)
     pairs = [o.orientation[k][::-1] if k in flip else o.orientation[k] for k in reference_matching(g, o.ext, psi)]
     sign = matching_sign([(at[t], at[h]) for t, h in pairs])
@@ -383,6 +379,39 @@ def test_cancelling_border_falls_back_to_the_dense_minor():
     log_exact = math.log(abs(exact.numerator)) - math.log(exact.denominator)
     assert log_exact == pytest.approx(-29.5, abs=0.1)
     assert term.z_psi.log_magnitude == pytest.approx(log_exact, rel=0, abs=1e-12)
+
+
+def test_each_term_takes_one_reference_matching(monkeypatch):
+    # the empty set's term included, and a term that falls back to the
+    # dense minor keeps the reference matching it already has
+    _, g = gen_grid(4, ModelParams(beta=1.0, theta=1.0, seed=1))
+    g = two_core(g)[0]
+    res = _bp(g)
+    real = series_module.reference_matching
+    calls = []
+    monkeypatch.setattr(series_module, "reference_matching", lambda *a: calls.append(1) or real(*a))
+    series = pfaffian_series(g, res, max_psi_size=4)
+    assert len(series.terms) == len(calls) == 1941
+    assert series.dense_terms == 92
+
+
+def test_z_empty_is_the_series_first_term(monkeypatch):
+    # one Pfaffian, of K itself, and no inverse: a series capped below a
+    # removal set takes nothing that only removal sets use
+    real = pfaffian_module.pfaffian
+    dims, inverses = [], []
+    monkeypatch.setattr(pfaffian_module, "pfaffian", lambda a: dims.append(len(a)) or real(a))
+    real_inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(1) or real_inv(a))
+    for g in _series_models():
+        res = _bp(g)
+        n = fisher_extend(g, res).num_vertices
+        for run in (lambda: z_empty(g, res), lambda: pfaffian_series(g, res, max_psi_size=1)):
+            dims.clear()
+            inverses.clear()
+            run()
+            assert dims == [n] and not inverses
+        assert z_empty(g, res) == pfaffian_series(g, res).terms[0].z_psi
 
 
 def test_series_takes_one_pfaffian_of_the_full_matrix(monkeypatch):

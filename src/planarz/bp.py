@@ -2,18 +2,20 @@
 
 Messages live on directed edges as normalized 2-vectors over the edge
 variable (index 0 is -1, index 1 is +1), kept as two flat lists of floats
-indexed by directed-edge slot. Each run compiles the node tables into one
-message kernel over those slots and applies it in residual order, the
-largest pending message change first; convergence means no pending change
-reaches the threshold. Beliefs, free-energy style quantities and every node's
-loop-weight table are evaluated from the log messages, all nodes of one
-degree at a time.
+indexed by directed-edge slot. Each run compiles every slot's update into
+one coefficient tuple and applies the updates in residual order, the
+largest pending message change first, lowest slot on ties, taken from a
+binary max-heap of residuals that is compacted to O(slots) entries;
+convergence means no pending change reaches the threshold. Beliefs,
+free-energy style quantities and every node's loop-weight table are
+evaluated from the log messages, all nodes of one degree at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from operator import mul
 
 import numpy as np
@@ -51,74 +53,39 @@ class BPResult:
 
 
 def _compile(g: ForneyGraph):
-    """Directed-edge slots, their {directed edge: slot} map, and the
-    message kernel that updates them.
+    """Directed-edge slots, their {directed edge: slot} map, and one
+    coefficient tuple per slot for run_bp's message update.
 
     Slots 2e and 2e + 1 hold a -> b and b -> a for the e-th edge (a, b) of
-    g.edges; lo[j] and hi[j] are slot j's message at -1 and +1, uniform at
-    the start. For a -> b the kernel keeps a's table with the outgoing
-    variable first as two rows over the other variables (a's neighbor order,
-    first most significant), and the slots of the messages into a from
-    those other neighbors, in the same order.
+    g.edges. For a -> b the tuple holds a's table with the outgoing
+    variable first as two rows u, v over the other variables (a's neighbor
+    order, first most significant), and the slots of the messages into a
+    from those other neighbors, in the same order:
+      degree 2: (2, s, u0, u1, v0, v1);
+      degree 3: (3, paired, s1, s2, u0, .., u3, v0, .., v3), paired when
+        b is a's middle neighbor;
+      otherwise: (0, slots, u, v).
     """
     dir_edges = [de for a, b in g.edges for de in ((a, b), (b, a))]
     slot = {de: j for j, de in enumerate(dir_edges)}
     flat = {a: g.tables[a].tolist() for a in g.nodes}
-    rows0, rows1, ins, middle = [], [], [], []
+    kernel = []
     for a, b in dir_edges:
         nbrs = g.neighbors[a]
         shift = len(nbrs) - 1 - nbrs.index(b)  # bit of the outgoing variable
         low = (1 << shift) - 1
         rest = [((r & ~low) << 1) | (r & low) for r in range(1 << (len(nbrs) - 1))]
         t = flat[a]
-        rows0.append([t[x] for x in rest])
-        rows1.append([t[x | (1 << shift)] for x in rest])
-        ins.append([slot[(c, a)] for c in nbrs if c != b])
-        middle.append(len(nbrs) == 3 and shift == 1)  # numpy sums these in pairs
-    lo = [0.5] * len(dir_edges)
-    hi = [0.5] * len(dir_edges)
-
-    def message(j: int) -> tuple[float, float]:
-        """New message on slot j from the current messages: marginalize the
-        sender's table against its other inputs, normalize, floor.
-
-        Degrees 2 and 3, all that a reduced graph has, are written out with
-        the rounding of a numpy marginalization of the table (inputs
-        multiplied in one at a time, in neighbor order; variables after the
-        outgoing one summed first), so messages and sweep counts match that
-        array form, tests/oracles.reference_run_bp, bit for bit. Other
-        degrees contract a weight list of the inputs' products.
-        """
-        x, r0, r1 = ins[j], rows0[j], rows1[j]
-        if len(x) == 1:
-            l, h = lo[x[0]], hi[x[0]]
-            o0 = r0[0] * l + r0[1] * h
-            o1 = r1[0] * l + r1[1] * h
-        elif len(x) == 2:
-            l1, h1, l2, h2 = lo[x[0]], hi[x[0]], lo[x[1]], hi[x[1]]
-            a0, a1, a2, a3 = r0[0] * l1 * l2, r0[1] * l1 * h2, r0[2] * h1 * l2, r0[3] * h1 * h2
-            b0, b1, b2, b3 = r1[0] * l1 * l2, r1[1] * l1 * h2, r1[2] * h1 * l2, r1[3] * h1 * h2
-            if middle[j]:
-                o0, o1 = (a0 + a1) + (a2 + a3), (b0 + b1) + (b2 + b3)
-            else:
-                o0, o1 = a0 + a1 + a2 + a3, b0 + b1 + b2 + b3
+        u = [t[x] for x in rest]
+        v = [t[x | (1 << shift)] for x in rest]
+        ins = [slot[(c, a)] for c in nbrs if c != b]
+        if len(nbrs) == 2:
+            kernel.append((2, *ins, *u, *v))
+        elif len(nbrs) == 3:
+            kernel.append((3, shift == 1, *ins, *u, *v))
         else:
-            w = [1.0]
-            for s in x:
-                l, h = lo[s], hi[s]
-                w = [v for y in w for v in (y * l, y * h)]
-            o0 = sum(map(mul, r0, w))
-            o1 = sum(map(mul, r1, w))
-        s = o0 + o1
-        if not math.isfinite(s) or s <= 0.0:
-            a, b = dir_edges[j]
-            raise BPNumericError(f"message {a!r}->{b!r} is not normalizable (sum={s!r})")
-        o0 = max(o0 / s, MESSAGE_FLOOR)
-        o1 = max(o1 / s, MESSAGE_FLOOR)
-        s = o0 + o1
-        return o0 / s, o1 / s
-
-    return dir_edges, slot, lo, hi, message
+            kernel.append((0, ins, u, v))
+    return dir_edges, slot, kernel
 
 
 def run_bp(g: ForneyGraph, cfg: BPConfig = BPConfig()) -> BPResult:
@@ -127,34 +94,108 @@ def run_bp(g: ForneyGraph, cfg: BPConfig = BPConfig()) -> BPResult:
 
     Messages start uniform and no damping is applied. Each slot keeps one
     candidate message and one residual, the largest change applying that
-    candidate would make, so memory is O(slots). Each update applies the
-    slot with the largest residual, the lowest slot on ties, and recomputes
-    the candidates of the messages it feeds. A sweep is one update per slot;
-    a run that exhausts cfg.max_iterations sweeps still returns beliefs
-    from its final messages, flagged as not converged.
+    candidate would make. Each update applies the slot with the largest
+    residual, the lowest slot on ties, and recomputes the candidates of the
+    messages it feeds. Updates come from a binary heap of (-residual, slot)
+    entries with lazy deletion: an entry is live while its slot's residual
+    still equals it, and zero residuals are never pushed. Once the heap
+    holds more than four entries per slot it is rebuilt from the live
+    residuals, so memory stays O(slots) however long the run. A sweep is
+    one update per slot; a run that exhausts cfg.max_iterations sweeps
+    still returns beliefs from its final messages, flagged as not
+    converged.
+
+    Degrees 2 and 3, all that a reduced graph has, are written out with the
+    rounding of a numpy marginalization of the table (inputs multiplied in
+    one at a time, in neighbor order; variables after the outgoing one
+    summed first), so messages and sweep counts match that array form,
+    tests/oracles.reference_run_bp, bit for bit. Other degrees contract a
+    weight list of the inputs' products.
     """
-    dir_edges, slot, lo, hi, message = _compile(g)
+    dir_edges, slot, kernel = _compile(g)
     n = len(dir_edges)
+    lo = [0.5] * n  # slot j's message at -1 and +1
+    hi = [0.5] * n
     if not n:
         return _finish(g, slot, lo, hi, True, 0, 0.0)
     dependents = [[slot[(b, c)] for c in g.neighbors[b] if c != a] for a, b in dir_edges]
-    cand = [message(j) for j in range(n)]
-    resid = np.array([max(abs(o0 - lo[j]), abs(o1 - hi[j])) for j, (o0, o1) in enumerate(cand)])
+    new_lo, new_hi = lo[:], hi[:]  # candidates
+    resid = [0.0] * n
+    heap = []
+    cap = 4 * n  # heap size at which it is rebuilt from the live residuals
+    threshold, budget = cfg.threshold, cfg.max_iterations * n
+    inf, floor = math.inf, MESSAGE_FLOOR
     updates = 0
-    budget = cfg.max_iterations * n
+    todo = range(n)  # every slot first, then the dependents of each update
     while True:
-        j = int(resid.argmax())
-        residual = float(resid[j])
-        if residual < cfg.threshold:
+        # new candidate on each slot in todo: marginalize the sender's table
+        # against its other inputs, normalize, floor
+        for d in todo:
+            c = kernel[d]
+            if c[0] == 2:
+                _, i, u0, u1, v0, v1 = c
+                l, h = lo[i], hi[i]
+                o0 = u0 * l + u1 * h
+                o1 = v0 * l + v1 * h
+            elif c[0] == 3:
+                _, paired, i1, i2, u0, u1, u2, u3, v0, v1, v2, v3 = c
+                l1, h1, l2, h2 = lo[i1], hi[i1], lo[i2], hi[i2]
+                a0, a1, a2, a3 = u0 * l1 * l2, u1 * l1 * h2, u2 * h1 * l2, u3 * h1 * h2
+                b0, b1, b2, b3 = v0 * l1 * l2, v1 * l1 * h2, v2 * h1 * l2, v3 * h1 * h2
+                if paired:  # numpy sums these in pairs
+                    o0, o1 = (a0 + a1) + (a2 + a3), (b0 + b1) + (b2 + b3)
+                else:
+                    o0, o1 = a0 + a1 + a2 + a3, b0 + b1 + b2 + b3
+            else:
+                _, ins, u, v = c
+                w = [1.0]
+                for i in ins:
+                    l, h = lo[i], hi[i]
+                    w = [x for y in w for x in (y * l, y * h)]
+                o0 = sum(map(mul, u, w))
+                o1 = sum(map(mul, v, w))
+            s = o0 + o1
+            if not 0.0 < s < inf:
+                a, b = dir_edges[d]
+                raise BPNumericError(f"message {a!r}->{b!r} is not normalizable (sum={s!r})")
+            o0 = o0 / s
+            if o0 < floor:
+                o0 = floor
+            o1 = o1 / s
+            if o1 < floor:
+                o1 = floor
+            s = o0 + o1
+            o0 = new_lo[d] = o0 / s
+            o1 = new_hi[d] = o1 / s
+            r = o0 - lo[d]
+            if r < 0.0:
+                r = -r
+            o1 = o1 - hi[d]
+            if o1 < 0.0:
+                o1 = -o1
+            if o1 > r:
+                r = o1
+            resid[d] = r
+            if r:
+                heappush(heap, (-r, d))
+        if len(heap) > cap:
+            heap = [(-r, d) for d, r in enumerate(resid) if r]
+            heapify(heap)
+        while heap:
+            r, j = heappop(heap)
+            if resid[j] == -r:  # live
+                residual = -r
+                break
+        else:
+            residual = 0.0  # every residual is zero
+        if residual < threshold:
             return _finish(g, slot, lo, hi, True, max(1, -(-updates // n)), residual)
         if updates >= budget:
             return _finish(g, slot, lo, hi, False, cfg.max_iterations, residual)
         updates += 1
-        lo[j], hi[j] = cand[j]
+        lo[j], hi[j] = new_lo[j], new_hi[j]
         resid[j] = 0.0
-        for d in dependents[j]:
-            o0, o1 = cand[d] = message(d)
-            resid[d] = max(abs(o0 - lo[d]), abs(o1 - hi[d]))
+        todo = dependents[j]
 
 
 def _finish(g, slot, lo, hi, converged, iterations, residual):
@@ -262,13 +303,3 @@ def mu_term(res: BPResult, a: str, subset) -> float:
             raise ModelError(f"{b!r} is not a neighbor of {a!r}")
         idx |= 1 << (len(order) - 1 - order.index(b))
     return float(res.loop_weights[a][idx])
-
-
-def dump_beliefs(res: BPResult) -> str:
-    """Text dump of all node and edge beliefs, 17 significant digits."""
-    lines = []
-    for a, b in res.node_beliefs.items():
-        lines.append("node " + a + " " + " ".join(f"{v:.17g}" for v in b))
-    for (a, b), p in res.edge_beliefs.items():
-        lines.append(f"edge {a} {b} {p[0]:.17g} {p[1]:.17g}")
-    return "\n".join(lines) + "\n"

@@ -5,9 +5,11 @@ check, so agreement is evidence, not tautology. brute_log_z_factor sums
 every spin assignment in linear space; the matching sums are recursive
 brute force; the Kasteleyn matrix is the unit-weight form of the
 Pfaffian path's matrix; reference_run_bp is residual belief propagation
-with one numpy array update per message and a lazy heap of residuals, the
-form planarz.bp replaced with its slot kernel and residual array (it
-shares only the result type and the constants);
+with one numpy array update per message, kept in a dict by directed edge,
+and a heap of residuals whose stale entries are told apart by per-message
+version counters, where planarz.bp inlines its arithmetic over flat slot
+lists and tests an entry against the slot's current residual (it shares
+only the result type and the constants);
 reference_pfaffian is the eager Parlett-Reid kernel, one rank-2 update
 of the whole trailing matrix per pivot step, that planarz.pfaffian
 confines to each step's active window (it shares only the result type
@@ -217,7 +219,7 @@ def reference_run_bp(g, cfg: BPConfig = BPConfig()) -> BPResult:
     """Residual BP with messages as a dict of 2-element numpy arrays, one
     numpy marginalization per update and a lazy heap of residuals: the
     same update order, checks and finish pass as planarz.bp.run_bp,
-    written without its message kernel or residual array.
+    written without its slot lists, coefficient tuples or inlined update.
     """
     dir_edges = [de for a, b in g.edges for de in ((a, b), (b, a))]
     tables = {a: g.tables[a].reshape((2,) * g.degree(a)) for a in g.nodes}

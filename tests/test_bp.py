@@ -17,7 +17,6 @@ from planarz import (
     ForneyGraph,
     ModelError,
     ModelParams,
-    dump_beliefs,
     exact_log_z,
     gen_grid,
     gen_spiderweb,
@@ -150,15 +149,22 @@ def _kernel_cases():
     for seed in range(4):
         yield gen_grid(5, ModelParams(beta=1.0, theta=1.0, seed=seed))[1], {}
         yield gen_spiderweb(1, 4, ModelParams(beta=0.5, theta=0.5, seed=seed))[1], {}
+    # every initial message is (4/7, 3/7): 12 residuals tie, and only the
+    # lowest-slot rule fixes the order in which they are applied
+    ring = {f"n{i}": (f"n{(i - 1) % 6}", f"n{(i + 1) % 6}") for i in range(6)}
+    tied = ForneyGraph(ring, {a: np.array([3.0, 1.0, 1.0, 2.0]) for a in ring})
+    yield tied, {}
+    yield tied, {"max_iterations": 1}
 
 
 def test_kernel_matches_reference_bp():
-    # the slot kernel and residual array against the numpy array update and
-    # heap they replaced: same sweeps, same fixed point
+    # the inlined slot kernel and residual heap against a numpy array
+    # update per message and a versioned heap: same sweeps, same fixed point
     for g, kw in _kernel_cases():
         cfg = BPConfig(**kw)
         res, ref = run_bp(g, cfg), reference_run_bp(g, cfg)
         assert (res.iterations, res.converged) == (ref.iterations, ref.converged), g
+        assert res.final_residual == ref.final_residual, g
         np.testing.assert_allclose(res.log_z_bp, ref.log_z_bp, rtol=1e-12, atol=0)
         for e in g.edges:
             np.testing.assert_allclose(
@@ -291,10 +297,3 @@ def test_saturated_ring_loop_corrections_are_exact():
     assert count == 1 and total > 1.0
     assert res.log_z_bp + math.log(total) == pytest.approx(exact, rel=1e-10)
 
-
-def test_dump_beliefs_contains_all_rows():
-    g = ladder_graph(seed=0)
-    res = run_bp(g, BPConfig())
-    text = dump_beliefs(res)
-    assert text.count("node ") == g.num_nodes
-    assert text.count("edge ") == g.num_edges

@@ -31,6 +31,7 @@ from .model import (
     two_core,
 )
 from .series import loop_correction, pfaffian_series, z_empty
+from .slog import SignedLog
 
 METHODS = ("bp", "z_empty", "pfaffian", "exact", "loop_oracle")
 
@@ -82,16 +83,22 @@ def _field_table(h: float) -> np.ndarray:
 def _draw_factors(variables, pairs, params: ModelParams, field_id) -> FactorGraph:
     """Pair factors with couplings N(0, beta/2), in the order of pairs, then
     for theta > 0 one field N(0, beta*theta) per variable, in the order of
-    variables, named field_id(variable). Draws follow that order."""
+    variables, named field_id(variable). Draws follow that order. A draw
+    whose table exp cannot represent raises ModelError naming the factor."""
     gen = _rng(params.seed, 0)
     js = normal_draws(gen, len(pairs), math.sqrt(params.beta / 2.0))
-    factors = []
-    for (fid, scope), j in zip(pairs, js):
-        factors.append((fid, scope, _pair_table(abs(j) if params.attractive else j)))
+    draws = [(fid, scope, _pair_table, j) for (fid, scope), j in zip(pairs, js)]
     if params.theta > 0:
         hs = normal_draws(gen, len(variables), math.sqrt(params.beta * params.theta))
-        for v, h in zip(variables, hs):
-            factors.append((field_id(v), (v,), _field_table(abs(h) if params.attractive else h)))
+        draws += [(field_id(v), (v,), _field_table, h) for v, h in zip(variables, hs)]
+    factors = []
+    for fid, scope, table, x in draws:
+        try:
+            factors.append((fid, scope, table(abs(x) if params.attractive else x)))
+        except OverflowError:
+            raise ModelError(
+                f"table of {fid!r} overflows: exp(±{abs(x):.6g}) is out of range"
+            ) from None
     return FactorGraph(variables, factors)
 
 
@@ -194,12 +201,8 @@ def solve_forney(
             out["note"] = _join_note(out["note"], f"series-truncated-{len(series.terms)}-terms")
     else:  # loop_oracle
         total, count = loop_correction(core, res)
+        corr = SignedLog.from_float(total)
         out["note"] = _join_note(out["note"], f"loops-{count}")
-        if total <= 0:
-            out["note"] = _join_note(out["note"], "nonpositive-correction")
-            return out
-        out["log_z"] = base + math.log(total)
-        return out
     if corr.sign <= 0:
         out["note"] = _join_note(out["note"], "nonpositive-correction")
         return out

@@ -1,16 +1,16 @@
 """Command line front end.
 
 Subcommands: gen (sample an instance to a model file), solve (estimate
-log Z for one model), oracle (exact or exhaustive-loop reference values),
-run (config-driven experiment sweep to CSV). Exit code 0 means every
-requested quantity was produced; 1 flags an unreadable, malformed or
-non-planar input; 2 flags partial failure.
+log Z for one model; the methods exact and loop_oracle give the reference
+values), run (config-driven experiment sweep to CSV). Exit code 0 means
+every requested quantity was produced; 1 flags an unreadable, malformed or
+non-planar input; 2 flags an estimate that is unavailable or a partial
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .bench import (
@@ -22,19 +22,17 @@ from .bench import (
     solve_forney,
     spiderweb_factor_graph,
 )
-from .bp import run_bp
+from .bp import BPNumericError
 from .model import (
     FactorGraph,
     ModelError,
     ModelParams,
-    exact_log_z,
     exact_log_z_factor,
     factor_to_forney,
     reduce_degree,
-    two_core,
 )
 from .io import read_model, write_factor_graph, write_model
-from .series import loop_correction
+from .pfaffian import OrientationError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,12 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--threshold", type=float, default=1e-14)
     s.add_argument("--max-iterations", type=int, default=10000)
 
-    o = sub.add_parser("oracle", help="reference values by exhaustive enumeration")
-    o.add_argument("--model", required=True)
-    mode = o.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--exact", action="store_true", help="enumerate all states")
-    mode.add_argument("--loops", action="store_true", help="enumerate all generalized loops")
-
     r = sub.add_parser("run", help="run a config-driven experiment sweep")
     r.add_argument("--config", required=True)
     r.add_argument("--out", help="CSV output path (default stdout)")
@@ -79,7 +71,7 @@ def _load_forney(path: str):
         return model, reduce_degree(factor_to_forney(model))
     try:
         return None, reduce_degree(model)
-    except ModelError:  # a general high-degree table: BP and --exact still take it as is
+    except ModelError:  # a general high-degree table: bp and exact still take it as is
         return None, model
 
 
@@ -133,29 +125,6 @@ def _cmd_solve(args) -> int:
     return 0 if r["log_z"] is not None else 2
 
 
-def _cmd_oracle(args) -> int:
-    fg, g = _load_forney(args.model)
-    if args.exact:
-        log_z = exact_log_z_factor(fg) if fg is not None else exact_log_z(g)
-        _emit(sys.stdout, [("oracle", "exact"), ("log_z", log_z)])
-        return 0
-    core, log_const = two_core(g)
-    res = run_bp(core)
-    total, count = loop_correction(core, res)
-    pairs = [
-        ("oracle", "loops"),
-        ("loop_count", count),
-        ("correction", total),
-        ("converged", res.converged),
-    ]
-    if total > 0:
-        pairs.append(("log_z", log_const + res.log_z_bp + math.log(total)))
-    else:
-        pairs.append(("log_z", "unavailable"))
-    _emit(sys.stdout, pairs)
-    return 0 if total > 0 and res.converged else 2
-
-
 def _cmd_run(args) -> int:
     with open(args.config) as fh:
         cfg = parse_config(fh.read())
@@ -179,12 +148,13 @@ def main(argv=None) -> int:
             return _cmd_gen(args)
         if args.command == "solve":
             return _cmd_solve(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
         return _cmd_run(args)
     except (ValueError, OSError) as exc:  # ModelError and NonPlanarError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (BPNumericError, OrientationError) as exc:  # as run's failed:<class> rows
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -3,12 +3,13 @@
 The pipeline goes reduced graph -> its rotation-system embedding (the one
 planarity test, and the only networkx call) -> split gadgets (one 2-node
 gadget per degree-2 node, one triangle per degree-3 node) with that
-rotation lifted onto their ports -> orientation making every bounded face
-odd when walked clockwise, one root face per component. Perfect matchings
-of the extended graph then line up with the even-degree loop structure of
-the source graph. Only the removal-free graph of a model is built,
-embedded and oriented: a removal set's graph is its subgraph induced on
-the kept ports.
+rotation lifted onto their ports -> the lifted rotation's faces, traced
+once per model and checked against Euler's formula -> orientation making
+every bounded face odd when walked clockwise, one root face per component.
+Perfect matchings of the extended graph then line up with the even-degree
+loop structure of the source graph. Only the removal-free graph of a model
+is built, embedded and oriented: a removal set's graph is its subgraph
+induced on the kept ports.
 """
 
 from __future__ import annotations
@@ -121,14 +122,15 @@ def _planar_faces(rotation) -> tuple:
     return tuple(faces)
 
 
-def embed(num_vertices: int, edges) -> PlanarEmbedding:
-    """Planar embedding as a rotation system with traced faces.
+def embed(num_vertices: int, edges) -> tuple:
+    """Planar embedding as a rotation system: per vertex, its neighbors in
+    clockwise order, as networkx's planarity test gives them.
 
-    The rotation is networkx's, checked per component against Euler's
-    formula. Non-planar input raises NonPlanarError carrying a Kuratowski
-    witness. Every vertex must touch an edge. This is the pipeline's one
-    planarity test: fisher_extend runs it once per model, on the model
-    graph, and lifts the rotation onto the gadget ports.
+    Non-planar input raises NonPlanarError carrying a Kuratowski witness.
+    Every vertex must touch an edge. This is the pipeline's one planarity
+    test: fisher_extend runs it once per model, on the model graph, and
+    lifts the rotation onto the gadget ports. No faces are traced here;
+    orient traces the lifted rotation's faces, once per model.
     """
     key_edges = sorted({(min(u, v), max(u, v)) for u, v in edges})
     if not key_edges:
@@ -148,8 +150,7 @@ def embed(num_vertices: int, edges) -> PlanarEmbedding:
             f"graph is not planar; Kuratowski witness has {cert.number_of_edges()} edges",
             witness_edges=sorted(tuple(sorted(e)) for e in cert.edges()),
         )
-    rotation = tuple(tuple(cert.neighbors_cw_order(v)) for v in range(num_vertices))
-    return PlanarEmbedding(rotation, _planar_faces(rotation))
+    return tuple(tuple(cert.neighbors_cw_order(v)) for v in range(num_vertices))
 
 
 _GADGET_PAIRS = {2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
@@ -192,9 +193,11 @@ def fisher_extend(g: ForneyGraph, res: BPResult) -> ExtendedGraph:
     rotation is lifted onto the ports: each gadget sits at its node, so the
     port facing b lists its external edge to b first, then the node's other
     ports going backwards round the node's rotation. (Going forwards gives
-    the mirror image, just as planar.) A non-planar model raises
-    NonPlanarError whose witness is the model edges of the Kuratowski
-    subgraph.
+    the mirror image, just as planar.) g's faces are not traced: lifting
+    keeps V - E + F of every component, each face of g giving one port
+    face and each triangle adding one, so orient's trace of the ports is
+    the model's one. A non-planar model raises NonPlanarError whose
+    witness is the model edges of the Kuratowski subgraph.
     """
     if not g.is_reduced:
         raise ModelError("fisher_extend needs a reduced graph (degrees 2 and 3)")
@@ -216,7 +219,7 @@ def fisher_extend(g: ForneyGraph, res: BPResult) -> ExtendedGraph:
 
     index = {a: i for i, a in enumerate(g.nodes)}
     try:
-        emb = embed(g.num_nodes, [(index[a], index[b]) for a, b in g.edges])
+        model_rotation = embed(g.num_nodes, [(index[a], index[b]) for a, b in g.edges])
     except NonPlanarError as exc:
         witness = sorted(canon_edge(g.nodes[u], g.nodes[v]) for u, v in exc.witness_edges)
         raise NonPlanarError(
@@ -225,7 +228,7 @@ def fisher_extend(g: ForneyGraph, res: BPResult) -> ExtendedGraph:
         ) from None
     rotation = [None] * len(labels)
     for a in g.nodes:
-        ring = [g.nodes[j] for j in emb.rotation[index[a]]]
+        ring = [g.nodes[j] for j in model_rotation[index[a]]]
         for i, b in enumerate(ring):
             back = tuple(port[(a, ring[i - d])] for d in range(1, len(ring)))
             rotation[port[(a, b)]] = (port[(b, a)],) + back
@@ -288,9 +291,9 @@ def orient(ext: ExtendedGraph) -> OrientedPlanarGraph:
     across, if need be, to make its own count odd. The forest is kept on
     the result: a path up it from any face reaches its component's root.
 
-    The faces are traced from ext.rotation and checked per component
-    against Euler's formula, as in embed; a rotation that fails raises
-    NonPlanarError. No planarity test runs here.
+    The faces are traced from ext.rotation, the one face trace per model,
+    and checked per component against Euler's formula; a rotation that
+    fails raises NonPlanarError. No planarity test runs here.
     """
     emb = PlanarEmbedding(ext.rotation, _planar_faces(ext.rotation))
     faces = emb.faces

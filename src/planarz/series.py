@@ -242,18 +242,3 @@ def loop_correction(g: ForneyGraph, res: BPResult, regular_only: bool = False):
     """(1 + sum of loop weights, loop count) without materializing terms."""
     _, weights = _loop_scan(g, res, regular_only)
     return 1.0 + float(weights.sum()), weights.size
-
-
-def term_ranking(terms) -> list:
-    """Terms by descending contribution magnitude; ties keep input order."""
-    return sorted(terms, key=lambda t: t.contribution.log_magnitude, reverse=True)
-
-
-def format_term_log(terms) -> str:
-    """One line per term: removal set, sign, log magnitude."""
-    lines = []
-    for t in terms:
-        psi = ",".join(t.psi) if t.psi else "-"
-        c = t.contribution
-        lines.append(f"psi {psi} sign {c.sign:+d} log {c.log_magnitude:.17g}")
-    return "\n".join(lines) + "\n"

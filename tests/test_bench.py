@@ -63,6 +63,14 @@ def test_grid_zero_theta_has_no_fields():
     assert all(len(f.scope) == 2 for f in fg.factors)
 
 
+def test_overflowing_tables_name_the_factor():
+    # exp past ~709 is not a float; the first factor drawn that far is named
+    with pytest.raises(ModelError, match="table of 'J0_0_h' overflows"):
+        grid_factor_graph(2, ModelParams(beta=1e7))
+    with pytest.raises(ModelError, match="table of 'h_hub' overflows"):
+        spiderweb_factor_graph(1, 3, ModelParams(beta=1.0, theta=1e8))
+
+
 def test_attractive_tables_favor_agreement():
     fg = grid_factor_graph(3, ModelParams(beta=2.0, theta=0.4, attractive=True, seed=5))
     for f in fg.factors:

@@ -37,12 +37,12 @@ def test_gen_solve_oracle_round_trip(tmp_path, capsys):
     est = float(_value(out, "log_z"))
     assert _value(out, "converged") == "true"
 
-    code, out, _ = _run(capsys, "oracle", "--model", str(model), "--exact")
+    code, out, _ = _run(capsys, "solve", "--model", str(model), "--method", "exact")
     assert code == 0
     exact = float(_value(out, "log_z"))
     assert abs(est - exact) / abs(exact) < 1e-3
 
-    code, out, _ = _run(capsys, "oracle", "--model", str(model), "--loops")
+    code, out, _ = _run(capsys, "solve", "--model", str(model), "--method", "loop_oracle")
     assert code == 0
     loop_est = float(_value(out, "log_z"))
     assert abs(loop_est - est) < 1e-6
@@ -66,9 +66,26 @@ def test_solve_forney_model(tmp_path, capsys):
     code, out, _ = _run(capsys, "solve", "--model", str(model), "--method", "pfaffian")
     assert code == 0
     got = float(_value(out, "log_z"))
-    code, out, _ = _run(capsys, "oracle", "--model", str(model), "--exact")
+    code, out, _ = _run(capsys, "solve", "--model", str(model), "--method", "exact")
     want = float(_value(out, "log_z"))
     assert got == pytest.approx(want, rel=1e-10)
+
+
+def test_unnormalizable_messages_exit_two(tmp_path, capsys):
+    # a table at the top of the float range overflows BP's first message sum
+    model = tmp_path / "big.txt"
+    model.write_text(
+        "forney 3\n"
+        "edge a b\nedge b c\nedge c a\n"
+        "factor a 1e308 1e308 1e308 1e308\n"
+        "factor b 1 0.7 0.7 1\n"
+        "factor c 1 0.9 0.9 1\n"
+    )
+    for method in ("bp", "z_empty"):
+        code, out, err = _run(capsys, "solve", "--model", str(model), "--method", method)
+        assert code == 2, method
+        assert out == ""
+        assert err.startswith("error: message 'a'->'b' is not normalizable"), err
 
 
 def _wheel(hub_table):
@@ -84,7 +101,7 @@ def test_forney_model_of_degree_four(tmp_path, capsys):
     # an equality-like degree-4 hub is split like factor-graph input is
     model = tmp_path / "w4.txt"
     model.write_text(_wheel([2.0] + [0.0] * 14 + [1.0]))
-    code, out, _ = _run(capsys, "oracle", "--model", str(model), "--exact")
+    code, out, _ = _run(capsys, "solve", "--model", str(model), "--method", "exact")
     assert code == 0
     want = float(_value(out, "log_z"))
     for method in ("pfaffian", "z_empty"):
@@ -92,12 +109,12 @@ def test_forney_model_of_degree_four(tmp_path, capsys):
         assert code == 0, method
         if method == "pfaffian":
             assert float(_value(out, "log_z")) == pytest.approx(want, rel=1e-10)
-    code, out, _ = _run(capsys, "oracle", "--model", str(model), "--loops")
+    code, out, _ = _run(capsys, "solve", "--model", str(model), "--method", "loop_oracle")
     assert code == 0
     assert float(_value(out, "log_z")) == pytest.approx(want, rel=1e-10)
     # a general hub table cannot be split; BP and the exact oracle still run
     model.write_text(_wheel(np.linspace(0.5, 2.0, 16)))
-    for argv in (("solve", "--method", "bp"), ("oracle", "--exact")):
+    for argv in (("solve", "--method", "bp"), ("solve", "--method", "exact")):
         code, out, _ = _run(capsys, *argv, "--model", str(model))
         assert code == 0, argv
         assert math.isfinite(float(_value(out, "log_z")))
@@ -129,6 +146,13 @@ def test_missing_model_file_errors(capsys):
     code, _, err = _run(capsys, "solve", "--model", "/nonexistent/x.txt")
     assert code == 1
     assert "error:" in err
+
+
+def test_overflowing_gen_errors(capsys):
+    code, out, err = _run(capsys, "gen", "--grid", "2", "--beta", "1e7")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: table of 'J0_0_h' overflows")
 
 
 def test_bad_config_errors(tmp_path, capsys):

@@ -30,7 +30,9 @@ from planarz import (
     run_bp,
     tutte_matrix,
     two_core,
+    z_empty,
 )
+from planarz.planar import _planar_faces
 
 from builders import (
     cycle_forney,
@@ -48,17 +50,17 @@ pfaffian_module = importlib.import_module("planarz.pfaffian")
 
 
 def test_embed_square_faces():
-    emb = embed(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert len(emb.faces) == 2
-    assert all(len(f) == 4 for f in emb.faces)
+    faces = _planar_faces(embed(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+    assert len(faces) == 2
+    assert all(len(f) == 4 for f in faces)
 
 
 def test_embed_euler_formula_per_component():
     # two disjoint triangles: V - E + F = 2 per component, faces add up
     edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
-    emb = embed(6, edges)
+    faces = _planar_faces(embed(6, edges))
     # each component contributes its own outer face: 2 bounded + 2 outer
-    assert len(emb.faces) == 4
+    assert len(faces) == 4
 
 
 def test_embed_rejects_k5_with_witness():
@@ -87,9 +89,9 @@ def test_orient_witness_names_model_edges():
 def test_random_planar_graphs_embed():
     for seed in range(30):
         n, edges = random_planar_vertex_graph(seed)
-        emb = embed(n, edges)
+        faces = _planar_faces(embed(n, edges))
         # connected graph: V - E + F = 2
-        assert n - len(edges) + len(emb.faces) == 2
+        assert n - len(edges) + len(faces) == 2
 
 
 # ---------------------------------------------------------------- gadgets
@@ -280,6 +282,22 @@ def test_orient_rejects_a_corrupted_rotation():
     rotation[v] = rotation[v][::-1]
     with pytest.raises(NonPlanarError, match="Euler"):
         orient(replace(ext, rotation=tuple(rotation)))
+
+
+def test_one_face_trace_per_model(monkeypatch):
+    # embed gives the model's rotation only; orient traces the lifted
+    # rotation's faces, and its Euler check is the model's only one
+    planar_module = importlib.import_module("planarz.planar")
+    calls = []
+
+    def counted(rotation):
+        calls.append(len(rotation))
+        return _planar_faces(rotation)
+
+    monkeypatch.setattr(planar_module, "_planar_faces", counted)
+    g = ladder_graph(seed=0)
+    z_empty(g, _bp(g))
+    assert calls == [sum(len(g.neighbors[a]) for a in g.nodes)]
 
 
 def _glued(a, b, how):

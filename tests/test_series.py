@@ -33,13 +33,11 @@ from planarz import (
     pfaffian_series,
     reference_matching,
     run_bp,
-    term_ranking,
     triplet_nodes,
     tutte_matrix,
     two_core,
     z_empty,
 )
-from planarz.series import format_term_log
 from builders import cycle_forney, ladder_graph, random_planar_forney
 from oracles import dense_minor_term, exact_pfaffian, flipped_minor, kasteleyn_matrix
 
@@ -226,27 +224,6 @@ def test_series_rejects_negative_caps():
 def test_triplet_nodes_sorted():
     g = ladder_graph(seed=0)
     assert triplet_nodes(g) == ("b1", "b2", "t1", "t2")
-
-
-def test_term_ranking_descending():
-    g = ladder_graph(seed=11)
-    res = _bp(g)
-    series = pfaffian_series(g, res)
-    ranked = term_ranking(series.terms)
-    mags = [t.contribution.log_magnitude for t in ranked]
-    assert mags == sorted(mags, reverse=True)
-    assert ranked[0].psi == ()
-
-
-def test_format_term_log_lines():
-    g = ladder_graph(seed=0)
-    res = _bp(g)
-    series = pfaffian_series(g, res)
-    text = format_term_log(series.terms)
-    lines = text.strip().split("\n")
-    assert len(lines) == len(series.terms)
-    assert lines[0].startswith("psi - sign")
-    assert "b1,b2" in text
 
 
 # ------------------------------------------------- one Pfaffian per term

@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from .bp import BPConfig, run_bp
+from .bp import run_bp
 from .model import (
     FactorGraph,
     ForneyGraph,
@@ -160,16 +160,18 @@ def error_metric(log_est: float, log_exact: float) -> float:
 
 
 def solve_forney(
-    g: ForneyGraph,
+    model: FactorGraph | ForneyGraph,
     method: str = "z_empty",
     max_psi_size: int | None = None,
-    threshold: float = 1e-14,
     max_iterations: int = 10000,
 ) -> dict:
-    """Run one estimator on a Forney model and return a flat result dict.
+    """Run one estimator on a model as read and return a flat result dict.
 
     Keys: log_z (None when the estimate is undefined), bp_iterations,
-    converged, note. BP runs once, on the two-core; a run that does not
+    converged, note. exact enumerates the model as given: a factor graph
+    through its factor-level oracle, a normal-form graph through its edge
+    variables. Every other method runs on the reduced normal form (see
+    _normal_form). BP runs once, on its two-core; a run that does not
     converge within max_iterations sweeps notes bp-not-converged and the
     estimate still comes from its final messages. The two-core constant
     from dangling-tree absorption is folded back into every estimate.
@@ -177,11 +179,14 @@ def solve_forney(
     if method not in METHODS:
         raise ModelError(f"unknown method {method!r}")
     if method == "exact":
-        log_z = exact_log_z(g)
+        if isinstance(model, FactorGraph):
+            log_z = exact_log_z_factor(model)
+        else:
+            log_z = exact_log_z(model)
         return {"log_z": log_z, "bp_iterations": 0, "converged": True, "note": ""}
 
-    core, log_const = two_core(g)
-    res = run_bp(core, BPConfig(threshold=threshold, max_iterations=max_iterations))
+    core, log_const = two_core(_normal_form(model))
+    res = run_bp(core, max_iterations=max_iterations)
     out = {
         "log_z": None,
         "bp_iterations": res.iterations,
@@ -210,6 +215,17 @@ def solve_forney(
     return out
 
 
+def _normal_form(model: FactorGraph | ForneyGraph) -> ForneyGraph:
+    """The model as a normal-form graph with every node of degree above
+    three split; one whose general table cannot be split is kept as given,
+    which bp still runs on."""
+    g = factor_to_forney(model) if isinstance(model, FactorGraph) else model
+    try:
+        return reduce_degree(g)
+    except ModelError:
+        return g
+
+
 def _join_note(a: str, b: str) -> str:
     return f"{a};{b}" if a else b
 
@@ -223,7 +239,6 @@ _DEFAULTS = {
     "methods": "z_empty",
     "attractive": "false",
     "max_psi": "",
-    "threshold": "1e-14",
     "max_iterations": "10000",
 }
 
@@ -275,12 +290,10 @@ def parse_config(text: str) -> dict:
             raise ModelError(f"unknown method {m!r}")
     cfg["attractive"] = _parse_bool(raw["attractive"])
     cfg["max_psi"] = _number("max_psi", raw["max_psi"], int) if raw["max_psi"] else None
-    cfg["threshold"] = _number("threshold", raw["threshold"])
     cfg["max_iterations"] = _number("max_iterations", raw["max_iterations"], int)
     for key in ("betas", "thetas"):
         _require(key, all(math.isfinite(x) for x in cfg[key]), "finite")
     _require("max_psi", cfg["max_psi"] is None or cfg["max_psi"] >= 0, "non-negative")
-    _require("threshold", 0 < cfg["threshold"] < math.inf, "finite and positive")
     _require("max_iterations", cfg["max_iterations"] >= 1, "at least 1")
     return cfg
 
@@ -325,12 +338,8 @@ def _parse_bool(text: str) -> bool:
 def _instance(cfg: dict, size, beta: float, theta: float, seed: int):
     params = ModelParams(beta=beta, theta=theta, attractive=cfg["attractive"], seed=seed)
     if cfg["generator"] == "grid":
-        fg, g = gen_grid(size, params)
-        label = str(size)
-    else:
-        fg, g = gen_spiderweb(size[0], size[1], params)
-        label = f"{size[0]}:{size[1]}"
-    return fg, g, label
+        return grid_factor_graph(size, params), str(size)
+    return spiderweb_factor_graph(size[0], size[1], params), f"{size[0]}:{size[1]}"
 
 
 def _fmt_cell(v) -> str:
@@ -347,43 +356,36 @@ def run_experiment(cfg: dict) -> list[dict]:
     """Sweep the config grid and return data rows plus per-cell summaries.
 
     Cells iterate in (size, beta, theta) product order with seeds inside;
-    each instance produces one row per method. logz_exact comes from the
-    factor-graph oracle when the instance fits under the enumeration cap.
+    each instance produces one row per method, every method solving the
+    instance's factor graph. logz_exact comes from the factor-graph oracle
+    when the instance fits under the enumeration cap, and an exact row's
+    wall_ms is the time of that enumeration.
     """
     rows = []
     for size, beta, theta in itertools.product(cfg["sizes"], cfg["betas"], cfg["thetas"]):
         cell_rows = {m: [] for m in cfg["methods"]}
         label = None
         for seed in cfg["seeds"]:
-            fg, g, label = _instance(cfg, size, beta, theta, seed)
-            log_exact = None
-            if fg.num_variables <= MAX_ENUM_VARIABLES:
-                log_exact = exact_log_z_factor(fg)
+            fg, label = _instance(cfg, size, beta, theta, seed)
+            exact, exact_ms = _exact_row(fg)
+            log_exact = exact["log_z"]
             for method in cfg["methods"]:
-                t0 = time.perf_counter()
                 note = ""
                 if method == "exact":
-                    # the factor-level oracle scales with variables, not
-                    # with the reduced graph's edge count
-                    r = {
-                        "log_z": log_exact,
-                        "bp_iterations": 0,
-                        "converged": True,
-                        "note": "" if log_exact is not None else "exact-unavailable",
-                    }
+                    r, wall_ms = exact, exact_ms
                 else:
+                    t0 = time.perf_counter()
                     try:
                         r = solve_forney(
-                            g,
+                            fg,
                             method=method,
                             max_psi_size=cfg["max_psi"],
-                            threshold=cfg["threshold"],
                             max_iterations=cfg["max_iterations"],
                         )
                     except (ValueError, RuntimeError) as exc:
                         r = {"log_z": None, "bp_iterations": 0, "converged": False, "note": ""}
                         note = f"failed:{type(exc).__name__}"
-                wall_ms = (time.perf_counter() - t0) * 1000.0
+                    wall_ms = (time.perf_counter() - t0) * 1000.0
                 note = _join_note(r["note"], note) if note else r["note"]
                 err = None
                 if r["log_z"] is not None and log_exact is not None:
@@ -429,6 +431,22 @@ def run_experiment(cfg: dict) -> list[dict]:
                     }
                 )
     return rows
+
+
+def _exact_row(fg: FactorGraph) -> tuple[dict, float | None]:
+    """The exact method's result on fg and the milliseconds its enumeration
+    took; above MAX_ENUM_VARIABLES nothing is enumerated, the result notes
+    exact-unavailable and the time is None."""
+    if fg.num_variables > MAX_ENUM_VARIABLES:
+        return {
+            "log_z": None,
+            "bp_iterations": 0,
+            "converged": True,
+            "note": "exact-unavailable",
+        }, None
+    t0 = time.perf_counter()
+    r = solve_forney(fg, method="exact")
+    return r, (time.perf_counter() - t0) * 1000.0
 
 
 def rows_to_csv(rows) -> str:

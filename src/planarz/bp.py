@@ -6,7 +6,9 @@ indexed by directed-edge slot. Each run compiles every slot's update into
 one coefficient tuple and applies the updates in residual order, the
 largest pending message change first, lowest slot on ties, taken from a
 binary max-heap of residuals that is compacted to O(slots) entries;
-convergence means no pending change reaches the threshold. Beliefs,
+convergence means no pending change reaches RESIDUAL_THRESHOLD. The
+threshold is fixed: the loop series is exact only at a fixed point, and a
+looser one would leave its error unreported. Beliefs,
 free-energy style quantities and every node's loop-weight table are
 evaluated from the log messages, all nodes of one degree at a time.
 """
@@ -23,20 +25,11 @@ import numpy as np
 from .model import ForneyGraph, ModelError, _log_safe
 
 MESSAGE_FLOOR = 1e-300
+RESIDUAL_THRESHOLD = 1e-14  # a run converges once no pending change reaches it
 
 
 class BPNumericError(RuntimeError):
     """Messages left the representable range (NaN, overflow, or all-zero)."""
-
-
-@dataclass(frozen=True)
-class BPConfig:
-    threshold: float = 1e-14
-    max_iterations: int = 10000
-
-    def __post_init__(self):
-        if not 0 < self.threshold < math.inf or self.max_iterations < 1:
-            raise ValueError("threshold must be positive and finite, and max_iterations at least 1")
 
 
 @dataclass
@@ -88,9 +81,10 @@ def _compile(g: ForneyGraph):
     return dir_edges, slot, kernel
 
 
-def run_bp(g: ForneyGraph, cfg: BPConfig = BPConfig()) -> BPResult:
+def run_bp(g: ForneyGraph, max_iterations: int = 10000) -> BPResult:
     """Residual belief propagation (Elidan, McGraw & Koller 2006) until no
-    pending message change reaches cfg.threshold.
+    pending message change reaches RESIDUAL_THRESHOLD, or for at most
+    max_iterations sweeps (at least 1, else ValueError).
 
     Messages start uniform and no damping is applied. Each slot keeps one
     candidate message and one residual, the largest change applying that
@@ -101,7 +95,7 @@ def run_bp(g: ForneyGraph, cfg: BPConfig = BPConfig()) -> BPResult:
     still equals it, and zero residuals are never pushed. Once the heap
     holds more than four entries per slot it is rebuilt from the live
     residuals, so memory stays O(slots) however long the run. A sweep is
-    one update per slot; a run that exhausts cfg.max_iterations sweeps
+    one update per slot; a run that exhausts max_iterations sweeps
     still returns beliefs from its final messages, flagged as not
     converged.
 
@@ -112,6 +106,8 @@ def run_bp(g: ForneyGraph, cfg: BPConfig = BPConfig()) -> BPResult:
     tests/oracles.reference_run_bp, bit for bit. Other degrees contract a
     weight list of the inputs' products.
     """
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be at least 1")
     dir_edges, slot, kernel = _compile(g)
     n = len(dir_edges)
     lo = [0.5] * n  # slot j's message at -1 and +1
@@ -123,7 +119,7 @@ def run_bp(g: ForneyGraph, cfg: BPConfig = BPConfig()) -> BPResult:
     resid = [0.0] * n
     heap = []
     cap = 4 * n  # heap size at which it is rebuilt from the live residuals
-    threshold, budget = cfg.threshold, cfg.max_iterations * n
+    threshold, budget = RESIDUAL_THRESHOLD, max_iterations * n
     inf, floor = math.inf, MESSAGE_FLOOR
     updates = 0
     todo = range(n)  # every slot first, then the dependents of each update
@@ -191,7 +187,7 @@ def run_bp(g: ForneyGraph, cfg: BPConfig = BPConfig()) -> BPResult:
         if residual < threshold:
             return _finish(g, slot, lo, hi, True, max(1, -(-updates // n)), residual)
         if updates >= budget:
-            return _finish(g, slot, lo, hi, False, cfg.max_iterations, residual)
+            return _finish(g, slot, lo, hi, False, max_iterations, residual)
         updates += 1
         lo[j], hi[j] = new_lo[j], new_hi[j]
         resid[j] = 0.0

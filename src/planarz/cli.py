@@ -3,9 +3,10 @@
 Subcommands: gen (sample an instance to a model file), solve (estimate
 log Z for one model; the methods exact and loop_oracle give the reference
 values), run (config-driven experiment sweep to CSV). Exit code 0 means
-every requested quantity was produced; 1 flags an unreadable, malformed or
-non-planar input; 2 flags an estimate that is unavailable or a partial
-failure.
+every requested quantity was produced; 1 flags a usage error (an unknown
+option, method or subcommand, or an invalid option value) or an
+unreadable, malformed or non-planar input; 2 flags an estimate that is
+unavailable or a partial failure.
 """
 
 from __future__ import annotations
@@ -23,20 +24,22 @@ from .bench import (
     spiderweb_factor_graph,
 )
 from .bp import BPNumericError
-from .model import (
-    FactorGraph,
-    ModelError,
-    ModelParams,
-    exact_log_z_factor,
-    factor_to_forney,
-    reduce_degree,
-)
+from .model import ModelParams
 from .io import read_model, write_factor_graph, write_model
 from .pfaffian import OrientationError
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 1; 2 means an unavailable
+    estimate here. Subcommand parsers are built from this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="planarz", description=__doc__)
+    p = _Parser(prog="planarz", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="sample a model instance and write it out")
@@ -55,24 +58,12 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--model", required=True)
     s.add_argument("--method", choices=METHODS, default="z_empty")
     s.add_argument("--max-psi", type=int, default=None, help="cap removal-set size")
-    s.add_argument("--threshold", type=float, default=1e-14)
     s.add_argument("--max-iterations", type=int, default=10000)
 
     r = sub.add_parser("run", help="run a config-driven experiment sweep")
     r.add_argument("--config", required=True)
     r.add_argument("--out", help="CSV output path (default stdout)")
     return p
-
-
-def _load_forney(path: str):
-    """(factor graph or None, reduced normal-form graph) of a model file."""
-    model = read_model(path)
-    if isinstance(model, FactorGraph):
-        return model, reduce_degree(factor_to_forney(model))
-    try:
-        return None, reduce_degree(model)
-    except ModelError:  # a general high-degree table: bp and exact still take it as is
-        return None, model
 
 
 def _emit(out, pairs) -> None:
@@ -100,16 +91,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    fg, g = _load_forney(args.model)
-    if args.method == "exact" and fg is not None:
-        log_z = exact_log_z_factor(fg)
-        _emit(sys.stdout, [("method", "exact"), ("log_z", log_z)])
-        return 0
     r = solve_forney(
-        g,
+        read_model(args.model),
         method=args.method,
         max_psi_size=args.max_psi,
-        threshold=args.threshold,
         max_iterations=args.max_iterations,
     )
     _emit(

@@ -60,20 +60,13 @@ class ExtendedGraph:
 
 
 @dataclass(frozen=True)
-class PlanarEmbedding:
-    """Rotation system plus traced faces for a planar graph; every
-    component has its own faces, its outer one included."""
-
-    rotation: tuple  # per vertex, neighbor tuple in cyclic order
-    faces: tuple  # per face, tuple of directed edges (u, v)
-
-
-@dataclass(frozen=True)
 class OrientedPlanarGraph:
-    """Extended graph with an embedding and a parity-correct edge orientation."""
+    """Extended graph with the faces of its rotation and a parity-correct
+    edge orientation; every component has its own faces, its outer one
+    included."""
 
     ext: ExtendedGraph
-    embedding: PlanarEmbedding
+    faces: tuple  # per face, tuple of directed edges (u, v)
     orientation: dict  # canonical (u, v) -> (tail, head)
     dual_tree: dict  # face -> (parent face, canonical edge crossed to reach it); roots absent
 
@@ -292,11 +285,11 @@ def orient(ext: ExtendedGraph) -> OrientedPlanarGraph:
     the result: a path up it from any face reaches its component's root.
 
     The faces are traced from ext.rotation, the one face trace per model,
-    and checked per component against Euler's formula; a rotation that
-    fails raises NonPlanarError. No planarity test runs here.
+    checked per component against Euler's formula and kept on the result;
+    a rotation that fails raises NonPlanarError. No planarity test runs
+    here.
     """
-    emb = PlanarEmbedding(ext.rotation, _planar_faces(ext.rotation))
-    faces = emb.faces
+    faces = _planar_faces(ext.rotation)
     face_of = {de: fi for fi, walk in enumerate(faces) for de in walk}
     orientation = {e.key(): e.key() for e in ext.edges}  # tail = smaller endpoint
 
@@ -333,14 +326,14 @@ def orient(ext: ExtendedGraph) -> OrientedPlanarGraph:
                 cw += 1
         orientation[(u, v)] = this_dir if cw % 2 == 0 else (this_dir[1], this_dir[0])
 
-    return OrientedPlanarGraph(ext, emb, orientation, dual_tree)
+    return OrientedPlanarGraph(ext, faces, orientation, dual_tree)
 
 
 def face_parity_violations(o: OrientedPlanarGraph) -> list[int]:
     """Indices of faces below a root of o.dual_tree, one root per component,
     whose clockwise count is even (should be none)."""
     bad = []
-    for fi, walk in enumerate(o.embedding.faces):
+    for fi, walk in enumerate(o.faces):
         if fi not in o.dual_tree:
             continue
         cw = sum(

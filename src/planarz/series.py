@@ -98,7 +98,7 @@ def _defect_lines(g: ForneyGraph, o: OrientedPlanarGraph, nodes) -> dict:
     on the cycles around it: exactly those the line crosses an odd number of
     times, so negating the line's edges restores it.
     """
-    face = {x: fi for fi, walk in enumerate(o.embedding.faces) for x, _ in walk}
+    face = {x: fi for fi, walk in enumerate(o.faces) for x, _ in walk}
     lines = {}
     for a in nodes:
         fi, lines[a] = face[o.ext.port[(a, g.neighbors[a][-1])]], set()

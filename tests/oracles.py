@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from planarz.bp import MESSAGE_FLOOR, BPConfig, BPNumericError, BPResult
+from planarz.bp import MESSAGE_FLOOR, RESIDUAL_THRESHOLD, BPNumericError, BPResult
 from planarz.pfaffian import PIVOT_THRESHOLD, matching_sign, pfaffian
 from planarz.planar import reference_matching
 from planarz.slog import SignedLog
@@ -215,7 +215,7 @@ def _new_message(tables, neighbors, msgs, a: str, b: str) -> np.ndarray:
     return out / out.sum()
 
 
-def reference_run_bp(g, cfg: BPConfig = BPConfig()) -> BPResult:
+def reference_run_bp(g, max_iterations: int = 10000) -> BPResult:
     """Residual BP with messages as a dict of 2-element numpy arrays, one
     numpy marginalization per update and a lazy heap of residuals: the
     same update order, checks and finish pass as planarz.bp.run_bp,
@@ -227,11 +227,13 @@ def reference_run_bp(g, cfg: BPConfig = BPConfig()) -> BPResult:
 
     iterations, residual, converged = 0, 0.0, True
     if dir_edges:
-        iterations, residual, converged = _reference_residual(g, cfg, dir_edges, tables, msgs)
+        iterations, residual, converged = _reference_residual(
+            g, max_iterations, dir_edges, tables, msgs
+        )
     return _reference_finish(g, tables, msgs, converged, iterations, residual)
 
 
-def _reference_residual(g, cfg, dir_edges, tables, msgs):
+def _reference_residual(g, max_iterations, dir_edges, tables, msgs):
     """Largest-residual-first updates; ties go to the lower edge index."""
     index = {de: i for i, de in enumerate(dir_edges)}
     dependents = {
@@ -246,7 +248,7 @@ def _reference_residual(g, cfg, dir_edges, tables, msgs):
         cand[de] = new
         heapq.heappush(heap, (-r, index[de], 0, de))
     pops = 0
-    budget = cfg.max_iterations * len(dir_edges)
+    budget = max_iterations * len(dir_edges)
     residual = math.inf
     while heap:
         neg_r, _, ver, de = heap[0]
@@ -254,10 +256,10 @@ def _reference_residual(g, cfg, dir_edges, tables, msgs):
             heapq.heappop(heap)
             continue
         residual = -neg_r
-        if residual < cfg.threshold:
+        if residual < RESIDUAL_THRESHOLD:
             return max(1, -(-pops // len(dir_edges))), residual, True
         if pops >= budget:
-            return cfg.max_iterations, residual, False
+            return max_iterations, residual, False
         heapq.heappop(heap)
         pops += 1
         msgs[de] = cand[de]

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from planarz import (
-    BPConfig,
     ModelParams,
     error_metric,
     exact_log_z,
@@ -83,7 +82,7 @@ def test_full_series_matches_exact_and_loop_sum():
         g = random_planar_forney(seed)
         assert len(triplet_nodes(g)) <= 6
         assert g.num_edges <= 24
-        res = run_bp(g, BPConfig())
+        res = run_bp(g)
         assert res.converged, f"seed {seed}"
         series = pfaffian_series(g, res)
         assert series.complete
@@ -163,7 +162,7 @@ def test_bp_exact_on_trees():
     for seed in range(100):
         size = 2 + seed % 14
         g = random_tree_forney(size, seed=1000 + seed)
-        res = run_bp(g, BPConfig())
+        res = run_bp(g)
         assert res.converged, f"seed {seed}"
         err = error_metric(res.log_z_bp, exact_log_z(g))
         assert err <= 1e-10, f"seed {seed}: err {err:.3e}"
@@ -190,7 +189,7 @@ def test_correction_dominates_bp_on_attractive_fields():
         fg, g = gen_grid(n, params)
         exact = exact_log_z_factor(fg)
         core, log_const = two_core(g)
-        res = run_bp(core, BPConfig(max_iterations=1500))
+        res = run_bp(core, max_iterations=1500)
         if not res.converged:
             continue
         converged += 1
@@ -276,7 +275,7 @@ def test_prism_series_term_dominance():
         core, log_const = two_core(g)
         assert core.num_edges == 24
         assert len(triplet_nodes(core)) == 6
-        res = run_bp(core, BPConfig())
+        res = run_bp(core)
         assert res.converged, f"beta {beta}"
         series = pfaffian_series(core, res)
         assert series.complete

@@ -6,6 +6,7 @@ the correction pipeline will trip them.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -129,6 +130,17 @@ def test_solve_runs_bp_once(monkeypatch):
     assert math.isfinite(r["log_z"])
 
 
+def test_solve_takes_either_model_kind():
+    # every method but exact reduces a factor graph to the normal form the
+    # generator returns; exact enumerates each kind as given
+    fg, g = gen_grid(2, ModelParams(beta=1.0, theta=0.1, seed=3))
+    for method in ("bp", "z_empty", "pfaffian", "loop_oracle"):
+        assert solve_forney(fg, method=method) == solve_forney(g, method=method), method
+    by_factor = solve_forney(fg, method="exact")
+    assert by_factor["log_z"] == exact_log_z_factor(fg)
+    assert by_factor["log_z"] == pytest.approx(solve_forney(g, method="exact")["log_z"], rel=1e-12)
+
+
 def test_beta_zero_grid_counts_states():
     fg, g = gen_grid(3, ModelParams(beta=0.0, theta=0.0, seed=0))
     assert exact_log_z_factor(fg) == pytest.approx(9 * math.log(2.0), rel=1e-12)
@@ -191,7 +203,6 @@ def test_parse_config_rejections():
         "generator = grid\nsizes = 3\nbetas = one\n",
         "generator = grid\nsizes = 3\nbetas = 1\nseeds = 0..x\n",
         "generator = grid\nsizes = 3.5\nbetas = 1\n",
-        "generator = grid\nsizes = 3\nbetas = 1\nthreshold = 0\n",
         "generator = grid\nsizes = 3\nbetas = 1\nmax_iterations = 0\n",
         "generator = grid\nsizes = 3\nbetas = 1\nmax_psi = -1\n",
         "generator = grid\nsizes = 3\nbetas = nan\n",
@@ -199,8 +210,9 @@ def test_parse_config_rejections():
     ):
         with pytest.raises(ModelError):
             parse_config(text)
-    with pytest.raises(ModelError, match="unknown key 'schedule'"):
-        parse_config("generator = grid\nsizes = 3\nbetas = 1\nschedule = chaotic\n")
+    for key in ("schedule", "threshold"):  # BP's threshold is a constant, not a setting
+        with pytest.raises(ModelError, match=f"unknown key '{key}'"):
+            parse_config(f"generator = grid\nsizes = 3\nbetas = 1\n{key} = 1e-3\n")
 
 
 def test_parse_config_names_the_key_of_a_bad_number():
@@ -208,9 +220,6 @@ def test_parse_config_names_the_key_of_a_bad_number():
         ("betas", "generator = grid\nsizes = 3\nbetas = one\n"),
         ("seeds", "generator = grid\nsizes = 3\nbetas = 1\nseeds = 0..x\n"),
         ("sizes", "generator = spiderweb\nsizes = 1:x\nbetas = 1\n"),
-        ("threshold", "generator = grid\nsizes = 3\nbetas = 1\nthreshold = tiny\n"),
-        ("threshold", "generator = grid\nsizes = 3\nbetas = 1\nthreshold = inf\n"),
-        ("threshold", "generator = grid\nsizes = 3\nbetas = 1\nthreshold = nan\n"),
     ):
         with pytest.raises(ModelError, match=repr(key)):
             parse_config(text)
@@ -249,6 +258,21 @@ def test_correction_beats_bp_in_summary():
     rows = run_experiment(_small_cfg())
     mean = {r["method"]: r["error"] for r in rows if r["row"] == "mean"}
     assert mean["z_empty"] < mean["bp"]
+
+
+def test_exact_row_times_its_enumeration(monkeypatch):
+    # the exact row's wall_ms is the enumeration that produced logz_exact
+    real = bench.exact_log_z_factor
+
+    def slow(fg):
+        time.sleep(0.05)
+        return real(fg)
+
+    monkeypatch.setattr(bench, "exact_log_z_factor", slow)
+    rows = run_experiment(_small_cfg())
+    exact = [r for r in rows if r["row"] == "data" and r["method"] == "exact"]
+    assert len(exact) == 2
+    assert all(r["wall_ms"] >= 50.0 for r in exact), [r["wall_ms"] for r in exact]
 
 
 def test_csv_deterministic_excluding_wall():

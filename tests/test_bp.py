@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from planarz import (
-    BPConfig,
     ForneyGraph,
     ModelError,
     ModelParams,
@@ -26,7 +25,7 @@ from planarz import (
     run_bp,
     two_core,
 )
-from planarz.bp import BPNumericError
+from planarz.bp import RESIDUAL_THRESHOLD, BPNumericError
 
 from builders import cycle_forney, ladder_graph, random_planar_forney, random_tree_forney
 from oracles import reference_mu_term, reference_run_bp
@@ -36,14 +35,14 @@ def test_exact_on_random_trees():
     for seed in range(100):
         size = 2 + seed % 14
         g = random_tree_forney(size, seed=seed)
-        res = run_bp(g, BPConfig())
+        res = run_bp(g)
         assert res.converged
         assert res.log_z_bp == pytest.approx(exact_log_z(g), rel=1e-10)
 
 
 def test_tree_beliefs_are_exact_marginals():
     g = random_tree_forney(7, seed=3)
-    res = run_bp(g, BPConfig())
+    res = run_bp(g)
     # brute-force edge marginal for one edge
     e = g.edges[0]
     num = {-1: 0.0, 1: 0.0}
@@ -72,10 +71,10 @@ def test_unconverged_flagged_not_raised():
     # the Known-gap core does not converge in 20 sweeps: the run must
     # report that, with beliefs from its final messages, rather than raise
     core = _known_gap_core()
-    res = run_bp(core, BPConfig(max_iterations=20))
+    res = run_bp(core, max_iterations=20)
     assert not res.converged
     assert res.iterations == 20
-    assert res.final_residual >= BPConfig().threshold
+    assert res.final_residual >= RESIDUAL_THRESHOLD
     assert math.isfinite(res.log_z_bp)
 
 
@@ -89,16 +88,13 @@ def test_converges_where_fixed_sweeps_did_not():
         gen_spiderweb(2, 4, ModelParams(beta=2.0, theta=0.1, seed=0))[1],
     ]
     for g in cases:
-        res = run_bp(two_core(g)[0], BPConfig())
+        res = run_bp(two_core(g)[0])
         assert res.converged and res.iterations <= 200, res.iterations
 
 
-def test_config_rejects_non_finite_threshold():
-    for bad in (math.inf, math.nan, 0.0, -1e-14):
-        with pytest.raises(ValueError, match="threshold must be positive and finite"):
-            BPConfig(threshold=bad)
-    with pytest.raises(ValueError, match="max_iterations at least 1"):
-        BPConfig(max_iterations=0)
+def test_run_bp_rejects_zero_max_iterations():
+    with pytest.raises(ValueError, match="max_iterations must be at least 1"):
+        run_bp(cycle_forney(3, seed=0), max_iterations=0)
 
 
 def test_residual_memory_does_not_grow_with_sweeps():
@@ -106,7 +102,7 @@ def test_residual_memory_does_not_grow_with_sweeps():
     peaks = []
     for sweeps in (25, 100):
         tracemalloc.start()
-        res = run_bp(core, BPConfig(max_iterations=sweeps))
+        res = run_bp(core, max_iterations=sweeps)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
         assert not res.converged and res.iterations == sweeps
@@ -117,7 +113,7 @@ def test_empty_graph():
     from planarz import ForneyGraph
 
     g = ForneyGraph({}, {})
-    res = run_bp(g, BPConfig())
+    res = run_bp(g)
     assert res.converged
     assert res.log_z_bp == 0.0
 
@@ -125,7 +121,7 @@ def test_empty_graph():
 def test_bethe_consistency_on_cycle():
     # single cycle: marginal of node belief must match edge belief
     g = cycle_forney(5, seed=4)
-    res = run_bp(g, BPConfig())
+    res = run_bp(g)
     assert res.converged
     for a in g.nodes:
         nb = res.node_beliefs[a]
@@ -161,8 +157,7 @@ def test_kernel_matches_reference_bp():
     # the inlined slot kernel and residual heap against a numpy array
     # update per message and a versioned heap: same sweeps, same fixed point
     for g, kw in _kernel_cases():
-        cfg = BPConfig(**kw)
-        res, ref = run_bp(g, cfg), reference_run_bp(g, cfg)
+        res, ref = run_bp(g, **kw), reference_run_bp(g, **kw)
         assert (res.iterations, res.converged) == (ref.iterations, ref.converged), g
         assert res.final_residual == ref.final_residual, g
         np.testing.assert_allclose(res.log_z_bp, ref.log_z_bp, rtol=1e-12, atol=0)
@@ -182,12 +177,12 @@ def test_unnormalizable_message_names_the_edge():
     nbrs = {a: tuple(b for b in "abcd" if b != a) for a in "abcd"}
     g = ForneyGraph(nbrs, {a: np.eye(8)[7 if a == "a" else 0] for a in nbrs})
     with pytest.raises(BPNumericError, match="message 'a'->'d' is not normalizable"):
-        run_bp(g, BPConfig())
+        run_bp(g)
 
 
 def test_magnetization_matches_edge_belief():
     g = ladder_graph(seed=7)
-    res = run_bp(g, BPConfig())
+    res = run_bp(g)
     for e, m in res.magnetizations.items():
         p = res.edge_beliefs[e]
         assert m == pytest.approx(p[1] - p[0], abs=1e-14)
@@ -198,7 +193,7 @@ def test_magnetization_matches_edge_belief():
 
 def test_mu_term_independent_recomputation():
     g = ladder_graph(seed=1)
-    res = run_bp(g, BPConfig())
+    res = run_bp(g)
     a = "t1"
     nbrs = res.neighbor_order[a]
     subset = (nbrs[0], nbrs[2])
@@ -224,9 +219,9 @@ def test_mu_term_antisymmetry_under_global_flip():
     from planarz import ForneyGraph
 
     g = ladder_graph(seed=8)
-    res = run_bp(g, BPConfig())
+    res = run_bp(g)
     g2 = ForneyGraph(g.neighbors, {a: g.tables[a][::-1].copy() for a in g.nodes})
-    res2 = run_bp(g2, BPConfig())
+    res2 = run_bp(g2)
     assert res.converged and res2.converged
     for e, m in res.magnetizations.items():
         assert res2.magnetizations[e] == pytest.approx(-m, abs=1e-12)
@@ -244,7 +239,7 @@ def test_mu_term_antisymmetry_under_global_flip():
 
 def test_mu_term_validates_subset():
     g = ladder_graph(seed=0)
-    res = run_bp(g, BPConfig())
+    res = run_bp(g)
     with pytest.raises(ModelError):
         mu_term(res, "t1", ("t0",))  # size 1
     with pytest.raises(ModelError):
@@ -265,7 +260,7 @@ def test_loop_weight_tables_match_reference_formula():
             models.append(two_core(gen_grid(5, params)[1])[0])
     checked = 0
     for g in models:
-        res = run_bp(g, BPConfig())
+        res = run_bp(g)
         for a in g.nodes:
             nbrs = g.neighbors[a]
             k = len(nbrs)
@@ -286,7 +281,7 @@ def test_saturated_ring_loop_corrections_are_exact():
     # messages instead and both corrections stay exact on the single loop
     nbrs = {f"n{i}": (f"n{(i - 1) % 3}", f"n{(i + 1) % 3}") for i in range(3)}
     g = ForneyGraph(nbrs, {a: np.array([1.0, 1e-7, 1e-7, 3.0]) for a in nbrs})
-    res = run_bp(g, BPConfig())
+    res = run_bp(g)
     assert res.converged
     assert abs(res.magnetizations[("n0", "n1")]) > 1 - 1e-14
     exact = exact_log_z(g)

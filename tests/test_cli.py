@@ -54,15 +54,18 @@ def test_gen_to_stdout(capsys):
     assert out.startswith("factorgraph 4")
 
 
+_CYCLE = (
+    "forney 3\n"
+    "edge a b\nedge b c\nedge c a\n"
+    "factor a 1 0.5 0.5 1\n"
+    "factor b 1 0.7 0.7 1\n"
+    "factor c 1 0.9 0.9 1\n"
+)
+
+
 def test_solve_forney_model(tmp_path, capsys):
     model = tmp_path / "f.txt"
-    model.write_text(
-        "forney 3\n"
-        "edge a b\nedge b c\nedge c a\n"
-        "factor a 1 0.5 0.5 1\n"
-        "factor b 1 0.7 0.7 1\n"
-        "factor c 1 0.9 0.9 1\n"
-    )
+    model.write_text(_CYCLE)
     code, out, _ = _run(capsys, "solve", "--model", str(model), "--method", "pfaffian")
     assert code == 0
     got = float(_value(out, "log_z"))
@@ -120,6 +123,26 @@ def test_forney_model_of_degree_four(tmp_path, capsys):
         assert math.isfinite(float(_value(out, "log_z")))
 
 
+def test_unsplittable_factor_runs_bp(tmp_path, capsys):
+    # a general table over four variables cannot be split, in a factor-graph
+    # file as in a Forney one: bp and exact run on it, the series names it
+    model = tmp_path / "fg4.txt"
+    rng = np.random.default_rng(1)
+    lines = ["factorgraph 4"] + [f"var x{i}" for i in range(4)]
+    lines.append("factor F x0 x1 x2 x3 " + " ".join(map(str, rng.uniform(0.5, 2.0, 16))))
+    for i in range(4):
+        table = " ".join(map(str, rng.uniform(0.5, 2.0, 4)))
+        lines.append(f"factor J{i} x{i} x{(i + 1) % 4} {table}")
+    model.write_text("\n".join(lines) + "\n")
+    for method in ("bp", "exact"):
+        code, out, _ = _run(capsys, "solve", "--model", str(model), "--method", method)
+        assert code == 0, method
+        assert math.isfinite(float(_value(out, "log_z")))
+    code, _, err = _run(capsys, "solve", "--model", str(model), "--method", "z_empty")
+    assert code == 1
+    assert "reduced graph" in err
+
+
 def test_solve_exact_method(tmp_path, capsys):
     model = tmp_path / "m.txt"
     _run(capsys, "gen", "--grid", "3", "--beta", "0.5", "--out", str(model))
@@ -165,7 +188,7 @@ def test_bad_config_errors(tmp_path, capsys):
 
 def test_out_of_range_config_errors(tmp_path, capsys):
     cfg = tmp_path / "bad.txt"
-    cfg.write_text("generator = grid\nsizes = 3\nbetas = 1\nthreshold = 0\nmax_psi = -1\n")
+    cfg.write_text("generator = grid\nsizes = 3\nbetas = 1\nmax_psi = -1\n")
     out_csv = tmp_path / "r.csv"
     code, _, err = _run(capsys, "run", "--config", str(cfg), "--out", str(out_csv))
     assert code == 1
@@ -188,10 +211,43 @@ def test_non_planar_model_errors(tmp_path, capsys):
 def test_invalid_bp_option_errors(tmp_path, capsys):
     model = tmp_path / "m.txt"
     _run(capsys, "gen", "--grid", "3", "--beta", "1", "--out", str(model))
-    for bad in ("0", "inf", "nan"):  # inf would report convergence after one sweep
-        code, _, err = _run(capsys, "solve", "--model", str(model), "--threshold", bad)
-        assert code == 1, bad
-        assert "error: threshold must be positive" in err
+    code, _, err = _run(capsys, "solve", "--model", str(model), "--max-iterations", "0")
+    assert code == 1
+    assert "error: max_iterations must be at least 1" in err
+
+
+def test_usage_errors_exit_one(tmp_path, capsys):
+    # exit 2 means an unavailable estimate, so argparse's usage errors take 1;
+    # BP's threshold is a constant, and setting it is one of them
+    model = tmp_path / "m.txt"
+    _run(capsys, "gen", "--grid", "3", "--beta", "1", "--out", str(model))
+    for extra in (("--threshold", "1e-3"), ("--method", "nope")):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--model", str(model), *extra])
+        assert exc.value.code == 1, extra
+        assert "error" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+
+
+def test_exact_record_is_the_same_for_both_file_kinds(tmp_path, capsys):
+    grid = tmp_path / "g.txt"
+    _run(
+        capsys,
+        "gen", "--grid", "2", "--beta", "1", "--theta", "0.1",
+        "--seed", "3", "--out", str(grid),
+    )
+    cycle = tmp_path / "f.txt"
+    cycle.write_text(_CYCLE)
+    records = []
+    for model in (grid, cycle):
+        code, out, _ = _run(capsys, "solve", "--model", str(model), "--method", "exact")
+        assert code == 0
+        records.append([line.split(" ", 1) for line in out.splitlines()])
+    assert [k for k, _ in records[0]] == [k for k, _ in records[1]]
+    assert [k for k, _ in records[0]] == ["method", "log_z", "bp_iterations", "converged", "note"]
+    assert records[0][3:] == [["converged", "true"], ["note", "-"]]
 
 
 def test_negative_max_psi_errors(tmp_path, capsys):

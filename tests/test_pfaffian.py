@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from planarz import (
-    BPConfig,
     ForneyGraph,
     ModelParams,
     OrientationError,
@@ -41,7 +40,7 @@ def _random_skew(n, seed):
 def _grid_tutte(n, theta):
     # the Tutte matrix z_empty takes the Pfaffian of on an n x n grid
     core, _ = two_core(gen_grid(n, ModelParams(beta=1.0, theta=theta, seed=0))[1])
-    return tutte_matrix(orient(fisher_extend(core, run_bp(core, BPConfig()))))
+    return tutte_matrix(orient(fisher_extend(core, run_bp(core))))
 
 
 def test_two_by_two():
@@ -276,7 +275,7 @@ def test_kasteleyn_pf_counts_matchings():
 
 def test_ladder_gadget_matrices():
     g = ladder_graph(seed=0)
-    res = run_bp(g, BPConfig())
+    res = run_bp(g)
     o = orient(fisher_extend(g, res))
     b_hat = kasteleyn_matrix(o)
     assert math.exp(pfaffian(b_hat).log_magnitude) == pytest.approx(8.0, rel=1e-12)

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from planarz import (
-    BPConfig,
     ForneyGraph,
     ModelParams,
     NonPlanarError,
@@ -79,7 +78,7 @@ def test_orient_witness_names_model_edges():
     neighbors.update({f"b{i}": ("a0", "a1", "a2") for i in range(3)})
     g = ForneyGraph(neighbors, {a: np.ones(8) for a in neighbors})
     with pytest.raises(NonPlanarError) as exc:
-        orient(fisher_extend(g, run_bp(g, BPConfig())))
+        orient(fisher_extend(g, run_bp(g)))
     witness = exc.value.witness_edges
     assert set(witness) <= set(g.edges)
     assert not nx.check_planarity(nx.Graph(witness))[0]
@@ -98,7 +97,7 @@ def test_random_planar_graphs_embed():
 
 
 def _bp(g):
-    res = run_bp(g, BPConfig())
+    res = run_bp(g)
     assert res.converged
     return res
 
@@ -182,7 +181,7 @@ def test_ladder_extended_graph_has_eight_matchings():
 
 
 def _roots(o):
-    return [fi for fi in range(len(o.embedding.faces)) if fi not in o.dual_tree]
+    return [fi for fi in range(len(o.faces)) if fi not in o.dual_tree]
 
 
 def test_orient_adds_no_dummy_to_connected_graph():
@@ -235,14 +234,14 @@ def test_orient_embeds_once(monkeypatch):
         assert calls == [g.num_nodes]
         calls.clear()
         o = orient(ext)
-        assert calls == [] and o.embedding.rotation is ext.rotation
+        assert calls == [] and o.ext is ext
         assert face_parity_violations(o) == []
     square = [(0, 1), (1, 2), (2, 3), (3, 0)]
     for n, edges in ((4, square), (8, square + [(u + 4, v + 4) for u, v in square])):
         ext = plain_extended(n, edges)
         calls.clear()
         o = orient(ext)
-        assert calls == [] and o.embedding.rotation is ext.rotation
+        assert calls == [] and o.ext is ext
         assert face_parity_violations(o) == []
 
 
@@ -268,7 +267,7 @@ def test_fisher_extend_rotation_is_planar_per_component():
         emb.check_structure()
         assert sorted(emb.edges()) == sorted(x for e in ext.edges for x in (e.key(), e.key()[::-1]))
         assert nx.number_connected_components(emb.to_undirected()) == parts
-        faces = orient(ext).embedding.faces
+        faces = orient(ext).faces
         assert ext.num_vertices - len(ext.edges) + len(faces) == 2 * parts
 
 

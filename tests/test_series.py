@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from planarz import (
-    BPConfig,
     ForneyGraph,
     ModelError,
     ModelParams,
@@ -47,7 +46,7 @@ series_module = importlib.import_module("planarz.series")
 
 
 def _bp(g):
-    res = run_bp(g, BPConfig())
+    res = run_bp(g)
     assert res.converged
     return res
 
@@ -419,7 +418,7 @@ def test_corrupted_orientation_raises(monkeypatch):
 
     def corrupted(ext):
         o = real(ext)
-        walk = o.embedding.faces[next(iter(o.dual_tree))]
+        walk = o.faces[next(iter(o.dual_tree))]
         x, y = next((x, y) for x, y in walk if (y, x) not in walk)
         key = (min(x, y), max(x, y))
         o.orientation[key] = o.orientation[key][::-1]

@@ -24,6 +24,7 @@ from .model import (
     MAX_ENUM_VARIABLES,
     ModelError,
     ModelParams,
+    _is_equality_like,
     exact_log_z,
     exact_log_z_factor,
     factor_to_forney,
@@ -144,12 +145,12 @@ def spiderweb_factor_graph(rings: int, spokes: int, params: ModelParams) -> Fact
 
 def gen_grid(n: int, params: ModelParams) -> tuple[FactorGraph, ForneyGraph]:
     fg = grid_factor_graph(n, params)
-    return fg, reduce_degree(factor_to_forney(fg))
+    return fg, _normal_form(fg)
 
 
 def gen_spiderweb(rings: int, spokes: int, params: ModelParams) -> tuple[FactorGraph, ForneyGraph]:
     fg = spiderweb_factor_graph(rings, spokes, params)
-    return fg, reduce_degree(factor_to_forney(fg))
+    return fg, _normal_form(fg)
 
 
 def error_metric(log_est: float, log_exact: float) -> float:
@@ -168,7 +169,9 @@ def solve_forney(
     """Run one estimator on a model as read and return a flat result dict.
 
     Keys: log_z (None when the estimate is undefined), bp_iterations,
-    converged, note. exact enumerates the model as given: a factor graph
+    converged, note. Every method rejects a max_iterations below 1 and a
+    negative max_psi_size with a ModelError, before it runs, whether it
+    uses them or not. exact enumerates the model as given: a factor graph
     through its factor-level oracle, a normal-form graph through its edge
     variables. Every other method runs on the reduced normal form (see
     _normal_form). BP runs once, on its two-core; a run that does not
@@ -178,6 +181,10 @@ def solve_forney(
     """
     if method not in METHODS:
         raise ModelError(f"unknown method {method!r}")
+    if max_iterations < 1:
+        raise ModelError("max_iterations must be at least 1")
+    if max_psi_size is not None and max_psi_size < 0:
+        raise ModelError(f"max_psi_size must be non-negative, got {max_psi_size!r}")
     if method == "exact":
         if isinstance(model, FactorGraph):
             log_z = exact_log_z_factor(model)
@@ -217,13 +224,13 @@ def solve_forney(
 
 def _normal_form(model: FactorGraph | ForneyGraph) -> ForneyGraph:
     """The model as a normal-form graph with every node of degree above
-    three split; one whose general table cannot be split is kept as given,
-    which bp still runs on."""
+    three split. A graph with a node above degree three whose table is not
+    equality-like cannot be split and is kept as given, which bp still runs
+    on; any other error of reduce_degree propagates."""
     g = factor_to_forney(model) if isinstance(model, FactorGraph) else model
-    try:
-        return reduce_degree(g)
-    except ModelError:
+    if any(g.degree(a) > 3 and not _is_equality_like(g.tables[a]) for a in g.nodes):
         return g
+    return reduce_degree(g)
 
 
 def _join_note(a: str, b: str) -> str:

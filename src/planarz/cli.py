@@ -16,6 +16,7 @@ import sys
 
 from .bench import (
     METHODS,
+    _fmt_cell,
     grid_factor_graph,
     parse_config,
     rows_to_csv,
@@ -66,15 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _emit(out, pairs) -> None:
-    for key, value in pairs:
-        if isinstance(value, float):
-            value = f"{value:.17g}"
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
-        print(f"{key} {value}", file=out)
-
-
 def _cmd_gen(args) -> int:
     params = ModelParams(
         beta=args.beta, theta=args.theta, attractive=args.attractive, seed=args.seed
@@ -97,16 +89,14 @@ def _cmd_solve(args) -> int:
         max_psi_size=args.max_psi,
         max_iterations=args.max_iterations,
     )
-    _emit(
-        sys.stdout,
-        [
-            ("method", args.method),
-            ("log_z", r["log_z"] if r["log_z"] is not None else "unavailable"),
-            ("bp_iterations", r["bp_iterations"]),
-            ("converged", r["converged"]),
-            ("note", r["note"] or "-"),
-        ],
-    )
+    for key, value in (
+        ("method", args.method),
+        ("log_z", r["log_z"] if r["log_z"] is not None else "unavailable"),
+        ("bp_iterations", r["bp_iterations"]),
+        ("converged", r["converged"]),
+        ("note", r["note"] or "-"),
+    ):
+        print(f"{key} {_fmt_cell(value)}")
     return 0 if r["log_z"] is not None else 2
 
 

@@ -49,11 +49,12 @@ def _check_table(owner: str, table, k: int) -> np.ndarray:
         raise ModelError(
             f"table of {owner!r} has shape {t.shape}, expected ({1 << k},) for {k} neighbors"
         )
-    if not np.all(np.isfinite(t)):
+    lo, hi = t.min(), t.max()  # a NaN anywhere makes both NaN
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ModelError(f"table of {owner!r} has non-finite entries")
-    if np.any(t < 0):
+    if lo < 0:
         raise ModelError(f"table of {owner!r} has negative entries")
-    if not np.any(t > 0):
+    if hi == 0:
         raise ModelError(f"table of {owner!r} is identically zero")
     return t
 
@@ -413,43 +414,20 @@ def _enumerate(n: int, tables, ufunc):
         yield out
 
 
-def _log_sum_exp(n: int, log_tables) -> float:
-    """log of the sum over all 2^n assignments of exp(sum of log tables)."""
-    parts = []
-    for e in _enumerate(n, log_tables, np.add):
-        m = float(e.max())
-        if m == -math.inf:
-            parts.append(-math.inf)
-        else:
-            parts.append(m + math.log(float(np.exp(e - m).sum())))
-    m = max(parts)
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(sum(math.exp(p - m) for p in parts))
-
-
 def exact_log_z(g: ForneyGraph) -> float:
     """log Z by exhaustive enumeration over the edge variables.
 
-    Refuses graphs with more than 30 edges. The edges are the enumerated
-    variables (edge i of g.edges is bit i) and each node's log table is a
-    factor over its edges; degree-0 nodes add their constant. Accumulation
-    is in log space, so huge and tiny weights are both safe.
+    Refuses graphs with more than 30 edges. Otherwise this is
+    exact_log_z_factor of g read as a factor graph over its edges: the
+    variables are g.edges, in order, and each node is one factor whose
+    scope is its edges in neighbor order and whose table is the node's
+    table; a degree-0 node is a factor with an empty scope.
     """
     E = g.num_edges
     if E > MAX_ENUM_VARIABLES:
         raise ModelError(f"exact enumeration capped at {MAX_ENUM_VARIABLES} edges, got {E}")
-    edge_pos = {e: i for i, e in enumerate(g.edges)}
-    base_log = 0.0
-    log_tables = []
-    for a in g.nodes:
-        nbrs = g.neighbors[a]
-        if nbrs:
-            positions = [edge_pos[canon_edge(a, b)] for b in nbrs]
-            log_tables.append((positions, _log_safe(g.tables[a])))
-        else:
-            base_log += float(np.log(g.tables[a][0]))  # _check_table: the one entry is > 0
-    return base_log + _log_sum_exp(E, log_tables)
+    factors = [(a, [canon_edge(a, b) for b in g.neighbors[a]], g.tables[a]) for a in g.nodes]
+    return exact_log_z_factor(FactorGraph(g.edges, factors))
 
 
 def exact_log_z_factor(fg: FactorGraph) -> float:
@@ -464,6 +442,15 @@ def exact_log_z_factor(fg: FactorGraph) -> float:
     if n > MAX_ENUM_VARIABLES:
         raise ModelError(f"exact enumeration capped at {MAX_ENUM_VARIABLES} variables, got {n}")
     var_pos = {v: i for i, v in enumerate(fg.variables)}
-    return _log_sum_exp(
-        n, [([var_pos[v] for v in f.scope], _log_safe(f.table)) for f in fg.factors]
-    )
+    log_tables = [([var_pos[v] for v in f.scope], _log_safe(f.table)) for f in fg.factors]
+    parts = []
+    for e in _enumerate(n, log_tables, np.add):
+        m = float(e.max())
+        if m == -math.inf:
+            parts.append(-math.inf)
+        else:
+            parts.append(m + math.log(float(np.exp(e - m).sum())))
+    m = max(parts)
+    if m == -math.inf:
+        return -math.inf
+    return m + math.log(sum(math.exp(p - m) for p in parts))

@@ -115,46 +115,56 @@ def _planar_faces(rotation) -> tuple:
     return tuple(faces)
 
 
-def embed(num_vertices: int, edges) -> tuple:
-    """Planar embedding as a rotation system: per vertex, its neighbors in
-    clockwise order, as networkx's planarity test gives them.
+def embed(vertices, edges) -> tuple:
+    """Planar embedding as a rotation system: per vertex of vertices, in
+    that order, its neighbors in clockwise order, as networkx's planarity
+    test gives them. Vertices are any hashable ids; the edges join them.
 
-    Non-planar input raises NonPlanarError carrying a Kuratowski witness.
-    Every vertex must touch an edge. This is the pipeline's one planarity
-    test: fisher_extend runs it once per model, on the model graph, and
-    lifts the rotation onto the gadget ports. No faces are traced here;
-    orient traces the lifted rotation's faces, once per model.
+    Non-planar input raises NonPlanarError whose witness is the Kuratowski
+    subgraph's edges as sorted canon_edge pairs. Every vertex must touch
+    an edge. This is the pipeline's one planarity test: fisher_extend runs
+    it once per model, on the model graph, and lifts the rotation onto the
+    gadget ports. No faces are traced here; orient traces the lifted
+    rotation's faces, once per model.
     """
-    key_edges = sorted({(min(u, v), max(u, v)) for u, v in edges})
+    vertices = tuple(vertices)
+    pos = {v: i for i, v in enumerate(vertices)}
+    key_edges = set()  # by their ends' positions, the order networkx sees
+    for u, v in edges:
+        if u not in pos or v not in pos or u == v:
+            raise ModelError(f"bad edge ({u}, {v})")
+        key_edges.add((min(pos[u], pos[v]), max(pos[u], pos[v])))
     if not key_edges:
         raise ModelError("embed needs at least one edge")
-    for u, v in key_edges:
-        if not (0 <= u < num_vertices and 0 <= v < num_vertices) or u == v:
-            raise ModelError(f"bad edge ({u}, {v})")
-    if len({x for e in key_edges for x in e}) != num_vertices:
+    if len({x for e in key_edges for x in e}) != len(vertices):
         raise ModelError("embed does not accept isolated vertices")
 
     G = nx.Graph()
-    G.add_nodes_from(range(num_vertices))
-    G.add_edges_from(key_edges)
+    G.add_nodes_from(vertices)
+    G.add_edges_from((vertices[i], vertices[j]) for i, j in sorted(key_edges))
     ok, cert = nx.check_planarity(G, counterexample=True)
     if not ok:
+        witness = sorted(canon_edge(u, v) for u, v in cert.edges())
         raise NonPlanarError(
-            f"graph is not planar; Kuratowski witness has {cert.number_of_edges()} edges",
-            witness_edges=sorted(tuple(sorted(e)) for e in cert.edges()),
+            f"model is not planar; Kuratowski witness has {len(witness)} model edges",
+            witness_edges=witness,
         )
-    return tuple(tuple(cert.neighbors_cw_order(v)) for v in range(num_vertices))
+    return tuple(tuple(cert.neighbors_cw_order(v)) for v in vertices)
 
 
 _GADGET_PAIRS = {2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
 
 
-def _bfs(g: ForneyGraph, root) -> list:
-    order, seen = [root], {root}
+def _bfs(g: ForneyGraph, root, parent: dict) -> list:
+    """Nodes reached from root in breadth-first order, root first, skipping
+    every node already in parent; records each reached node's parent
+    there, None for root."""
+    parent[root] = None
+    order = [root]
     for a in order:
         for b in g.neighbors[a]:
-            if b not in seen:
-                seen.add(b)
+            if b not in parent:
+                parent[b] = a
                 order.append(b)
     return order
 
@@ -164,12 +174,10 @@ def _level_order(g: ForneyGraph) -> list:
     each searched from a pseudo-peripheral node: the last node reached from
     the component's first node in g.nodes. Nodes of one level sit together,
     so edges only join nearby positions (Cuthill & McKee 1969)."""
-    order, seen = [], set()
+    order, seen = [], {}
     for a in g.nodes:
         if a not in seen:
-            comp = _bfs(g, _bfs(g, a)[-1])[::-1]
-            seen.update(comp)
-            order += comp
+            order += _bfs(g, _bfs(g, a, {})[-1], seen)[::-1]
     return order
 
 
@@ -182,14 +190,14 @@ def fisher_extend(g: ForneyGraph, res: BPResult) -> ExtendedGraph:
     res.loop_weights. Ports are numbered node by node, in _level_order, so
     the Tutte matrix is banded and every principal minor of it too.
 
-    g itself is embedded, nodes numbered by position in g.nodes, and its
-    rotation is lifted onto the ports: each gadget sits at its node, so the
-    port facing b lists its external edge to b first, then the node's other
-    ports going backwards round the node's rotation. (Going forwards gives
-    the mirror image, just as planar.) g's faces are not traced: lifting
-    keeps V - E + F of every component, each face of g giving one port
-    face and each triangle adding one, so orient's trace of the ports is
-    the model's one. A non-planar model raises NonPlanarError whose
+    g itself is embedded, embed(g.nodes, g.edges), and its rotation is
+    lifted onto the ports: each gadget sits at its node, so the port facing
+    b lists its external edge to b first, then the node's other ports going
+    backwards round the node's rotation. (Going forwards gives the mirror
+    image, just as planar.) g's faces are not traced: lifting keeps
+    V - E + F of every component, each face of g giving one port face and
+    each triangle adding one, so orient's trace of the ports is the
+    model's one. A non-planar model raises embed's NonPlanarError, whose
     witness is the model edges of the Kuratowski subgraph.
     """
     if not g.is_reduced:
@@ -210,18 +218,8 @@ def fisher_extend(g: ForneyGraph, res: BPResult) -> ExtendedGraph:
     for a, b in g.edges:
         edges.append(ExtEdge(port[(a, b)], port[(b, a)], 1.0))
 
-    index = {a: i for i, a in enumerate(g.nodes)}
-    try:
-        model_rotation = embed(g.num_nodes, [(index[a], index[b]) for a, b in g.edges])
-    except NonPlanarError as exc:
-        witness = sorted(canon_edge(g.nodes[u], g.nodes[v]) for u, v in exc.witness_edges)
-        raise NonPlanarError(
-            f"model is not planar; Kuratowski witness has {len(witness)} model edges",
-            witness_edges=witness,
-        ) from None
     rotation = [None] * len(labels)
-    for a in g.nodes:
-        ring = [g.nodes[j] for j in model_rotation[index[a]]]
+    for a, ring in zip(g.nodes, embed(g.nodes, g.edges)):
         for i, b in enumerate(ring):
             back = tuple(port[(a, ring[i - d])] for d in range(1, len(ring)))
             rotation[port[(a, b)]] = (port[(b, a)],) + back
@@ -245,17 +243,11 @@ def reference_matching(g: ForneyGraph, ext: ExtendedGraph, removed=()):
     port = ext.port
     odd = {a: sum(b in removed for b in g.neighbors[a]) % 2 == 1 for a in kept}
     loop = set()
-    parent = {}
+    parent = dict.fromkeys(removed)
     for root in kept:
         if root in parent:
             continue
-        parent[root] = None
-        order = [root]  # breadth-first: every node after its parent
-        for a in order:
-            for b in g.neighbors[a]:
-                if b not in removed and b not in parent:
-                    parent[b] = a
-                    order.append(b)
+        order = _bfs(g, root, parent)  # every node after its parent
         for a in reversed(order[1:]):
             if odd[a]:
                 loop.add(canon_edge(a, parent[a]))

@@ -158,8 +158,6 @@ def pfaffian_series(
     """
     if max_psi_size is not None and max_psi_size < 0:
         raise ModelError(f"max_psi_size must be non-negative, got {max_psi_size!r}")
-    if g.num_nodes and not g.is_reduced:
-        raise ModelError("the series needs a reduced graph (degrees 2 and 3)")
     trips = triplet_nodes(g)
     limit = len(trips) if max_psi_size is None else min(max_psi_size, len(trips))
     o, K = _kasteleyn(g, res)

@@ -67,6 +67,3 @@ class SignedLog:
         if s == 0:
             return SignedLog.zero()
         return SignedLog(s, self.log_magnitude + other.log_magnitude)
-
-    def __neg__(self) -> "SignedLog":
-        return SignedLog(-self.sign, self.log_magnitude)

@@ -113,4 +113,4 @@ def plain_extended(num_vertices: int, edges) -> ExtendedGraph:
     ext_edges = tuple(ExtEdge(u, v, 1.0) for u, v in edges)
     labels = tuple((f"v{i}", "") for i in range(num_vertices))
     port = {lbl: i for i, lbl in enumerate(labels)}
-    return ExtendedGraph(num_vertices, labels, ext_edges, port, embed(num_vertices, edges))
+    return ExtendedGraph(num_vertices, labels, ext_edges, port, embed(range(num_vertices), edges))

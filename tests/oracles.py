@@ -2,14 +2,16 @@
 
 Deliberately naive implementations: they share no code with the path they
 check, so agreement is evidence, not tautology. brute_log_z_factor sums
-every spin assignment in linear space; the matching sums are recursive
-brute force; the Kasteleyn matrix is the unit-weight form of the
-Pfaffian path's matrix; reference_run_bp is residual belief propagation
-with one numpy array update per message, kept in a dict by directed edge,
-and a heap of residuals whose stale entries are told apart by per-message
-version counters, where planarz.bp inlines its arithmetic over flat slot
-lists and tests an entry against the slot's current residual (it shares
-only the result type and the constants);
+every spin assignment in linear space; transfer_log_z eliminates the
+variables one at a time in listed order, a row transfer matrix on a grid;
+the matching sums are recursive brute force; the Kasteleyn matrix is the
+unit-weight form of the Pfaffian path's matrix; reference_run_bp is
+residual belief propagation with one numpy array update per message,
+kept in a dict by directed edge, and a heap of residuals whose stale
+entries are told apart by per-message version counters, where planarz.bp
+inlines its arithmetic over flat slot lists and tests an entry against
+the slot's current residual (it shares only the result type and the
+constants);
 reference_pfaffian is the eager Parlett-Reid kernel, one rank-2 update
 of the whole trailing matrix per pivot step, that planarz.pfaffian
 confines to each step's active window (it shares only the result type
@@ -56,6 +58,46 @@ def brute_log_z_factor(fg) -> float:
             p *= f.table[idx]
         total += p
     return math.log(total) if total > 0 else -math.inf
+
+
+def transfer_log_z(fg) -> float:
+    """log Z of a FactorGraph by eliminating its variables in listed order.
+
+    One log table over the live variables grows a spin axis per variable
+    entered; a factor is added once its last variable has entered, and a
+    live variable is summed out, by logaddexp over its two spins, as soon
+    as no factor still to come uses it. On the row-major variables of a
+    grid this is the row transfer matrix over at most n + 1 live spins.
+    Raises ValueError past 20 live variables.
+    """
+    rank = {v: i for i, v in enumerate(fg.variables)}
+    due = {v: [] for v in fg.variables}
+    left = dict.fromkeys(fg.variables, 0)
+    log_z = 0.0
+    for f in fg.factors:
+        if not f.scope:
+            log_z += float(_log_safe(f.table)[0])
+            continue
+        due[max(f.scope, key=rank.__getitem__)].append(f)
+        for v in f.scope:
+            left[v] += 1
+    live = []  # axis i of acc belongs to live[i]
+    acc = np.zeros(())
+    for v in fg.variables:
+        live.append(v)
+        if len(live) > 20:
+            raise ValueError("more than 20 live variables")
+        acc = np.stack([acc, acc], axis=-1)
+        for f in due[v]:
+            k = len(f.scope)
+            t = _log_safe(f.table).reshape((2,) * k + (1,) * (len(live) - k))
+            acc = acc + np.moveaxis(t, range(k), [live.index(u) for u in f.scope])
+            for u in f.scope:
+                left[u] -= 1
+        for u in [u for u in live if not left[u]]:
+            acc = np.logaddexp(*np.moveaxis(acc, live.index(u), 0))
+            live.remove(u)
+    return log_z + float(acc)
 
 
 def matching_sum(num_vertices: int, edges) -> float:

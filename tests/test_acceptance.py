@@ -38,13 +38,15 @@ from builders import (
     random_planar_vertex_graph,
     random_tree_forney,
 )
-from oracles import kasteleyn_matrix, matching_count
+from oracles import kasteleyn_matrix, matching_count, transfer_log_z
 
 
 def test_zero_field_grid_correction_is_exact():
     # 50 pairwise grids without fields: the corrected estimate must agree
-    # with exhaustive enumeration to 1e-8 relative in log Z, and each
-    # correction pipeline run must finish within a second
+    # with the exact log Z to 1e-8 relative, and each correction pipeline
+    # run must finish within a second. The exact values come from the row
+    # transfer matrix, checked against exhaustive enumeration on the first
+    # instance
     betas = (0.5, 1.0, 2.0)
     worst = 0.0
     slowest = 0.0
@@ -53,7 +55,9 @@ def test_zero_field_grid_correction_is_exact():
         for seed in range(25):
             params = ModelParams(beta=betas[seed % 3], theta=0.0, seed=seed)
             fg, g = gen_grid(n, params)
-            exact = exact_log_z_factor(fg)
+            exact = transfer_log_z(fg)
+            if count == 0:
+                assert exact == pytest.approx(exact_log_z_factor(fg), rel=1e-12)
             t0 = time.perf_counter()
             r = solve_forney(g, method="z_empty")
             dt = time.perf_counter() - t0
@@ -174,7 +178,9 @@ def test_correction_dominates_bp_on_attractive_fields():
     # 50 attractive grids with positive fields spread over temperature and
     # field strength: whenever BP converges the corrected estimate must be
     # at least as accurate, and with all-positive magnetizations the
-    # estimates must bracket from below: bp <= corrected <= exact
+    # estimates must bracket from below: bp <= corrected <= exact. The
+    # exact values come from the row transfer matrix, checked against
+    # exhaustive enumeration on the first instance
     thetas = (0.1, 1.0)
     betas = (0.1, 0.5, 1.0, 1.5, 2.0)
     sizes = (4, 5)
@@ -187,7 +193,9 @@ def test_correction_dominates_bp_on_attractive_fields():
         theta, beta, n = cells[idx % len(cells)]
         params = ModelParams(beta=beta, theta=theta, attractive=True, seed=300 + idx)
         fg, g = gen_grid(n, params)
-        exact = exact_log_z_factor(fg)
+        exact = transfer_log_z(fg)
+        if idx == 0:
+            assert exact == pytest.approx(exact_log_z_factor(fg), rel=1e-12)
         core, log_const = two_core(g)
         res = run_bp(core, max_iterations=1500)
         if not res.converged:

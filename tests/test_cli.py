@@ -1,11 +1,16 @@
 """Command line round trips and exit codes."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
 
+from planarz import bench
+from planarz.bp import BPNumericError
 from planarz.cli import main
+from planarz.io import read_model
+from planarz.slog import SignedLog
 
 
 def _run(capsys, *argv):
@@ -258,3 +263,82 @@ def test_negative_max_psi_errors(tmp_path, capsys):
     )
     assert code == 1
     assert "max_psi_size must be non-negative" in err
+
+
+def test_every_method_rejects_invalid_options(tmp_path, capsys):
+    # an option is checked before the method runs, whether it uses it or not
+    model = tmp_path / "g.txt"
+    _run(
+        capsys,
+        "gen", "--grid", "2", "--beta", "1", "--theta", "0.1",
+        "--seed", "3", "--out", str(model),
+    )
+    for method, option, value in (
+        ("exact", "--max-iterations", "0"),
+        ("z_empty", "--max-psi", "-1"),
+        ("bp", "--max-psi", "-1"),
+        ("exact", "--max-psi", "-5"),
+    ):
+        code, out, err = _run(
+            capsys, "solve", "--model", str(model), "--method", method, option, value
+        )
+        assert code == 1, (method, option)
+        assert out == ""
+        assert err.startswith("error:"), err
+
+
+# node a has degree 4 and an equality table, and its first chain node
+# would be named a_s0, which the model already uses
+_COLLISION = (
+    "forney 5\n"
+    "edge a b\nedge a c\nedge a d\nedge a a_s0\n"
+    "edge b c\nedge c d\nedge d a_s0\nedge a_s0 b\n"
+    "factor a 2" + " 0" * 14 + " 1\n"
+    + "".join(f"factor {v} 1 0.5 0.7 1 1 0.9 0.6 1\n" for v in ("b", "c", "d", "a_s0"))
+)
+
+
+def test_chain_name_collision_is_an_error(tmp_path, capsys):
+    # only a table that cannot be split keeps the graph as given
+    model = tmp_path / "collide.txt"
+    model.write_text(_COLLISION)
+    for method in ("bp", "z_empty"):
+        code, out, err = _run(capsys, "solve", "--model", str(model), "--method", method)
+        assert code == 1, method
+        assert out == ""
+        assert "generated chain id 'a_s0' collides with an existing node" in err
+
+
+def test_nonpositive_correction_exits_two(tmp_path, capsys, monkeypatch):
+    model = tmp_path / "f.txt"
+    model.write_text(_CYCLE)
+    monkeypatch.setattr(bench, "z_empty", lambda g, res: SignedLog(-1, 0.0))
+    r = bench.solve_forney(read_model(str(model)), method="z_empty")
+    assert r["log_z"] is None
+    assert r["note"] == "nonpositive-correction"
+    code, out, _ = _run(capsys, "solve", "--model", str(model), "--method", "z_empty")
+    assert code == 2
+    assert _value(out, "log_z") == "unavailable"
+    assert _value(out, "note") == "nonpositive-correction"
+
+
+def test_failed_solve_is_a_row_and_run_exits_two(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise BPNumericError("messages left the representable range")
+
+    monkeypatch.setattr(bench, "run_bp", fail)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(
+        "generator = grid\nsizes = 2\nbetas = 1\nthetas = 0.1\nseeds = 0\nmethods = bp exact\n"
+    )
+    out_csv = tmp_path / "r.csv"
+    code, _, _ = _run(capsys, "run", "--config", str(cfg), "--out", str(out_csv))
+    assert code == 2
+    rows = {
+        r["method"]: r
+        for r in csv.DictReader(out_csv.read_text().splitlines())
+        if r["row"] == "data"
+    }
+    assert rows["bp"]["logz_est"] == ""
+    assert rows["bp"]["note"] == "failed:BPNumericError"
+    assert rows["exact"]["logz_est"] != ""

@@ -7,6 +7,7 @@ under every structural transformation.
 """
 
 import importlib
+import itertools
 import math
 
 import numpy as np
@@ -26,10 +27,10 @@ from planarz import (
     reduce_degree,
     two_core,
 )
-from planarz.model import assignment_to_index, index_to_assignment
+from planarz.model import assignment_to_index, canon_edge, index_to_assignment
 
 from builders import cycle_forney, ladder_graph, random_planar_forney, random_tree_forney
-from oracles import brute_log_z_factor
+from oracles import brute_log_z_factor, transfer_log_z
 
 model_module = importlib.import_module("planarz.model")
 
@@ -116,6 +117,24 @@ def test_exact_matches_direct_sum_small():
     assert exact_log_z(g) == pytest.approx(math.log(total), rel=1e-12)
 
 
+def test_exact_z_degree_zero_node_is_a_constant():
+    # a degree-0 node is a factor with an empty scope: its one entry
+    # multiplies the sum over the other nodes' edges
+    tri = cycle_forney(3, seed=2)
+    g = ForneyGraph({**tri.neighbors, "d": ()}, {**tri.tables, "d": [2.5]})
+    total = 0.0
+    for spins in itertools.product((-1, 1), repeat=3):
+        value = dict(zip(tri.edges, spins))
+        p = 2.5
+        for a in tri.nodes:
+            idx = assignment_to_index(tuple(value[canon_edge(a, b)] for b in tri.neighbors[a]))
+            p *= tri.tables[a][idx]
+        total += p
+    assert exact_log_z(g) == pytest.approx(math.log(total), rel=1e-12)
+    alone = ForneyGraph({"d": ()}, {"d": [2.5]})
+    assert exact_log_z(alone) == pytest.approx(math.log(2.5), rel=1e-15)
+
+
 def test_factor_oracle_matches_independent_spins():
     fg = FactorGraph(
         ["x", "y"],
@@ -158,6 +177,14 @@ def test_factor_oracle_matches_brute_force_on_random_scopes():
         fg = FactorGraph(variables, factors)
         want = brute_log_z_factor(fg)
         assert exact_log_z_factor(fg) == pytest.approx(want, rel=1e-12), f"seed {seed}"
+        assert transfer_log_z(fg) == pytest.approx(want, rel=1e-12), f"seed {seed}"
+
+
+def test_transfer_oracle_matches_enumeration_on_grids():
+    # the grid acceptance tests take their exact values from it
+    for n, theta, attractive, seed in ((3, 1.0, False, 1), (4, 0.0, False, 0), (4, 1.0, True, 3)):
+        fg = grid_factor_graph(n, ModelParams(1.0, theta, attractive, seed))
+        assert transfer_log_z(fg) == pytest.approx(exact_log_z_factor(fg), rel=1e-12), n
 
 
 def test_factor_oracle_spans_the_chunk_split():
@@ -217,6 +244,19 @@ def test_factor_to_forney_marginalizes_single_occurrence():
     g = factor_to_forney(fg)
     assert g.degree("f") == 1
     np.testing.assert_allclose(g.tables["f"], [3.0, 7.0])
+
+
+def test_factor_to_forney_second_shared_variable_gets_an_equality_node():
+    # A and B share x and y: x is the direct edge, y goes through eq_y so
+    # the edges stay simple, and Z is kept
+    rng = np.random.default_rng(4)
+    fg = FactorGraph(
+        ["x", "y"],
+        [("A", ("x", "y"), rng.uniform(0.2, 2.0, 4)), ("B", ("y", "x"), rng.uniform(0.2, 2.0, 4))],
+    )
+    g = factor_to_forney(fg)
+    assert g.neighbors == {"A": ("B", "eq_y"), "B": ("eq_y", "A"), "eq_y": ("A", "B")}
+    assert exact_log_z(g) == pytest.approx(exact_log_z_factor(fg), rel=1e-12)
 
 
 def test_conversion_preserves_z():

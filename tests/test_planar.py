@@ -49,7 +49,7 @@ pfaffian_module = importlib.import_module("planarz.pfaffian")
 
 
 def test_embed_square_faces():
-    faces = _planar_faces(embed(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+    faces = _planar_faces(embed(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)]))
     assert len(faces) == 2
     assert all(len(f) == 4 for f in faces)
 
@@ -57,7 +57,7 @@ def test_embed_square_faces():
 def test_embed_euler_formula_per_component():
     # two disjoint triangles: V - E + F = 2 per component, faces add up
     edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
-    faces = _planar_faces(embed(6, edges))
+    faces = _planar_faces(embed(range(6), edges))
     # each component contributes its own outer face: 2 bounded + 2 outer
     assert len(faces) == 4
 
@@ -65,7 +65,7 @@ def test_embed_euler_formula_per_component():
 def test_embed_rejects_k5_with_witness():
     edges = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     with pytest.raises(NonPlanarError) as exc:
-        embed(5, edges)
+        embed(range(5), edges)
     assert len(exc.value.witness_edges) > 0
     witness = set(exc.value.witness_edges)
     assert witness <= {(min(u, v), max(u, v)) for u, v in edges}
@@ -88,7 +88,7 @@ def test_orient_witness_names_model_edges():
 def test_random_planar_graphs_embed():
     for seed in range(30):
         n, edges = random_planar_vertex_graph(seed)
-        faces = _planar_faces(embed(n, edges))
+        faces = _planar_faces(embed(range(n), edges))
         # connected graph: V - E + F = 2
         assert n - len(edges) + len(faces) == 2
 

@@ -1,7 +1,9 @@
-"""Signed log-space Pfaffians of dense skew-symmetric ndarrays.
+"""Signed log-space Pfaffians of skew-symmetric matrices, dense or sparse.
 
-Matrices are plain square arrays; pfaffian is the one place that checks
-them (finite and exactly skew) and the one place that copies them. The
+A matrix is a plain square array or a SparseSkew, its nonzero entries below
+the diagonal; tutte_entries reads one from an oriented graph and
+tutte_matrix spreads it into a dense array. pfaffian is the one place that
+checks a matrix (finite, and for an array square and exactly skew). The
 Pfaffian is computed by Parlett-Reid skew-symmetric tridiagonalization
 with partial pivoting (congruence transforms of determinant one, row/column
 swaps tracked in the sign), so only pivot magnitudes are multiplied and
@@ -10,10 +12,18 @@ everything stays in log space.
 Each pivot step is one eager rank-2 update, confined to the step's active
 window: the rows and columns from the step's own up to the last nonzero
 column of any pivot row so far. Everything outside the window is an exact
-zero that the update would leave unchanged, so the pivots match the full
+zero or an untouched entry of the input, so the pivots match the full
 eager elimination bit for bit. A banded matrix, such as a Kasteleyn matrix
 in fisher_extend's breadth-first port order, keeps the window about as
 wide as its band.
+
+The elimination runs on a front (Irons 1970): a dense square buffer over
+the rows and columns from some offset on, holding the window and the rows
+loaded ahead of it. An array is copied into a front that holds all of it.
+A SparseSkew starts from a small empty front and loads its entries a block
+of rows at a time, moving the front down past finished rows, and doubling
+it, when a window outgrows it; its Pfaffian takes memory in proportion to
+the window, not to n^2.
 
 minor_pfaffian is the one source of a principal minor's Pfaffian, some
 of its entries negated. Given the full matrix's Pfaffian and inverse
@@ -26,6 +36,7 @@ nothing removed the full matrix's.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +57,10 @@ PIVOT_THRESHOLD = 1e-12
 # does not see it; ROADMAP item 3 replaces this per-term test with an error
 # budget on the total
 HADAMARD_FRACTION = 1e-6
+# least side of a SparseSkew's front: it holds an 8x8 grid's windows
+# (under 64 wide) and the rows ahead of them, and a 32x32 grid's (up to 198
+# wide) after one or two doublings. Its size does not move the time
+FRONT = 128
 
 
 class OrientationError(RuntimeError):
@@ -53,44 +68,74 @@ class OrientationError(RuntimeError):
     clockwise count, so perfect matchings would not share one sign."""
 
 
-def pfaffian(a) -> SignedLog:
-    """Signed log-magnitude Pfaffian of a square, finite, skew-symmetric array.
+@dataclass(frozen=True)
+class SparseSkew:
+    """An n x n skew-symmetric matrix by its nonzero entries below the
+    diagonal: A[rows[i], cols[i]] = vals[i] = -A[cols[i], rows[i]], with
+    cols[i] < rows[i] and rows ascending. shape is (n, n), as an array's."""
 
-    The input is left unchanged: elimination runs on a float copy. Odd
-    dimension gives exactly zero. A best pivot below
+    shape: tuple
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+
+def pfaffian(a) -> SignedLog:
+    """Signed log-magnitude Pfaffian of a SparseSkew or of a square, finite,
+    skew-symmetric array.
+
+    The input is left unchanged: elimination runs on a front of float
+    copies. Odd dimension gives exactly zero. A best pivot below
     PIVOT_THRESHOLD * max(1, |A|_max) declares the matrix singular.
 
     Step k works on the window [k, hi), where hi only grows: past the last
     nonzero column of rows k and k + 1 (tracked through each pivot swap),
     and past k + 1. The Pfaffian is the product of the pivots, each negated
-    when its step swapped rows.
+    when its step swapped rows. The front m holds rows and columns
+    [off, top) of the working matrix; a window past top takes a new front.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if n == 0:
-        return SignedLog.one()
-    lo, top = float(a.min()), float(a.max())  # NaN if any entry is
-    if not (math.isfinite(lo) and math.isfinite(top)):
-        raise ValueError("entries must be finite")
-    # the copy is -a^T, equal to a exactly when a is skew: no other dense
-    # float array is needed to check it
-    m = np.negative(a.T, order="C")
-    if not np.array_equal(m, a):
-        raise ValueError("matrix is not skew-symmetric")
+    if isinstance(a, SparseSkew):
+        n = a.shape[0]
+        if not np.isfinite(a.vals).all():
+            raise ValueError("entries must be finite")
+        big = float(np.abs(a.vals).max(initial=0.0))
+        last = np.full(n, -1, dtype=np.intp)
+        np.maximum.at(last, a.rows, a.cols)
+        np.maximum.at(last, a.cols, a.rows)
+        last[last < 0] = n - 1  # an all-zero row, which stays zero
+        m, top = np.zeros((0, 0)), 0
+    else:
+        a = np.asarray(a, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"need a square matrix, got shape {a.shape}")
+        n = a.shape[0]
+        if n == 0:
+            return SignedLog.one()
+        lo, big = float(a.min()), float(a.max())  # NaN if any entry is
+        if not (math.isfinite(lo) and math.isfinite(big)):
+            raise ValueError("entries must be finite")
+        # the copy is -a^T, equal to a exactly when a is skew: no other
+        # dense float array is needed to check it
+        m, top = np.negative(a.T, order="C"), n
+        if not np.array_equal(m, a):
+            raise ValueError("matrix is not skew-symmetric")
+        big = max(big, -lo)
+        # last nonzero column per row; n - 1 for an all-zero row
+        last = n - 1 - (m[:, ::-1] != 0).argmax(axis=1)
     if n % 2 == 1:
         return SignedLog.zero()
 
-    tol = PIVOT_THRESHOLD * max(1.0, top, -lo)  # |A|_max
-    # last nonzero column per row; n - 1 for an all-zero row, which stays zero
-    last = (n - 1 - (m[:, ::-1] != 0).argmax(axis=1)).tolist()
+    tol = PIVOT_THRESHOLD * max(1.0, big)  # |A|_max
+    last = last.tolist()
     sign = 1
     log_mag = 0.0
-    hi = 0
+    hi = off = 0
     for k in range(0, n - 1, 2):
         hi = max(hi, last[k] + 1, last[k + 1] + 1, k + 2)
-        col = np.abs(m[k + 1 : hi, k])
+        if hi > top:
+            m, off, top = _refill(a, m, off, top, k, hi)
+        j, h = k - off, hi - off
+        col = np.abs(m[j + 1 : h, j])
         kp = k + 1 + int(col.argmax())
         if col[kp - k - 1] < tol:
             return SignedLog.zero()
@@ -98,36 +143,81 @@ def pfaffian(a) -> SignedLog:
             # the window must take in row kp's nonzeros before the swap
             last[k + 1], last[kp] = last[kp], last[k + 1]
             hi = max(hi, last[k + 1] + 1)
-            row = m[k + 1, k:hi].copy()
-            m[k + 1, k:hi] = m[kp, k:hi]
-            m[kp, k:hi] = row
-            col = m[k:hi, k + 1].copy()
-            m[k:hi, k + 1] = m[k:hi, kp]
-            m[k:hi, kp] = col
+            if hi > top:
+                m, off, top = _refill(a, m, off, top, k, hi)
+            j, h, q = k - off, hi - off, kp - off
+            row = m[j + 1, j:h].copy()
+            m[j + 1, j:h] = m[q, j:h]
+            m[q, j:h] = row
+            col = m[j:h, j + 1].copy()
+            m[j:h, j + 1] = m[j:h, q]
+            m[j:h, q] = col
             sign = -sign
-        piv = m[k, k + 1]
+        piv = m[j, j + 1]
         sign = -sign if piv < 0 else sign
         log_mag += math.log(abs(piv))
-        if k + 2 < hi:
-            tau = m[k, k + 2 : hi] / piv
-            t = m[k + 1, k + 2 : hi, None] * tau
-            m[k + 2 : hi, k + 2 : hi] += t - t.T
+        if j + 2 < h:
+            tau = m[j, j + 2 : h] / piv
+            t = m[j + 1, j + 2 : h, None] * tau
+            m[j + 2 : h, j + 2 : h] += t - t.T
     return SignedLog(sign, log_mag)
 
 
-def tutte_matrix(o: OrientedPlanarGraph) -> np.ndarray:
-    """Skew weighted adjacency of the oriented extended graph: A[t, h] = w and
-    A[h, t] = -w for each edge directed t -> h.
+def _refill(a: SparseSkew, m, off, top, k, hi):
+    """(m, off, top) for a new front from step k on that holds the window
+    [k, hi), with its rows and columns from off on loaded.
 
-    Parallel edges would share one entry, so they are rejected.
+    The old front's live rows, k to top, move to its corner; it is at least
+    FRONT wide, and twice as wide as the window. The rows from top to its
+    end are loaded from a, their entries mirrored above the diagonal. A
+    loaded row r, still past every window, holds a's own entries: its
+    columns below top are those of untouched rows or exact zeros, since
+    every pivot row and every swapped row has its last nonzero inside a
+    window, below r.
+    """
+    size = max(len(m), FRONT)
+    while size < 2 * (hi - k):
+        size *= 2
+    front = np.zeros((min(size, a.shape[0] - k),) * 2)
+    front[: top - k, : top - k] = m[k - off : top - off, k - off : top - off]
+    end = k + len(front)
+    lo, up = np.searchsorted(a.rows, (top, end))
+    r, c = a.rows[lo:up] - k, a.cols[lo:up] - k
+    front[r, c] = a.vals[lo:up]
+    front[c, r] = -a.vals[lo:up]
+    return front, k, end
+
+
+def tutte_entries(o: OrientedPlanarGraph) -> SparseSkew:
+    """The Tutte matrix of the oriented extended graph as a SparseSkew:
+    A[t, h] = w and A[h, t] = -w for each edge directed t -> h.
+
+    Parallel edges would share one entry, so they are rejected; a loop
+    edge of nonzero weight would sit on the diagonal, which is not skew.
+    Zero weights are dropped.
     """
     edges = o.ext.edges
     if len({e.key() for e in edges}) != len(edges):
         raise ValueError("parallel edges: each port pair may carry one edge")
     tail, head = np.array([o.orientation[e.key()] for e in edges], dtype=np.intp).reshape(-1, 2).T
-    w = np.array([e.weight for e in edges])
-    a = np.zeros((o.ext.num_vertices,) * 2)
-    a[np.r_[tail, head], np.r_[head, tail]] = np.r_[w, -w]
+    w = np.array([e.weight for e in edges], dtype=float)
+    nz = w != 0
+    tail, head, w = tail[nz], head[nz], w[nz]
+    if (tail == head).any():
+        raise ValueError("matrix is not skew-symmetric")
+    rows, cols, vals = np.maximum(tail, head), np.minimum(tail, head), np.where(tail > head, w, -w)
+    order = np.argsort(rows, kind="stable")
+    n = o.ext.num_vertices
+    return SparseSkew((n, n), rows[order], cols[order], vals[order])
+
+
+def tutte_matrix(o: OrientedPlanarGraph) -> np.ndarray:
+    """tutte_entries(o) as a dense n x n array, for the series' K^-1 and
+    its dense minors; Pf(K) alone needs only the entries."""
+    s = tutte_entries(o)
+    a = np.zeros(s.shape)
+    a[s.rows, s.cols] = s.vals
+    a[s.cols, s.rows] = -s.vals
     return a
 
 
@@ -211,7 +301,8 @@ def minor_pfaffian(a, removed, flip, base=None):
 
     With base = (Pf(a), skew_inverse(a) or None) it is bordered_pfaffian's
     minor unless that declines; otherwise it is the dense flipped minor,
-    which is a itself when nothing is removed or negated.
+    which is a itself when nothing is removed or negated. Only then may a
+    be a SparseSkew; any other minor takes a dense a.
     """
     if base is not None:
         pf = bordered_pfaffian(a, *base, removed, flip)

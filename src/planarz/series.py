@@ -10,7 +10,9 @@ nodes negated. Every term, the empty set's included, takes one reference
 matching, one Pfaffian from pfaffian.minor_pfaffian and one sign. The
 empty set's is Pf(K) itself; past it, the series takes K^-1 once, and
 every other term is a small Pfaffian over the minor's border, or the dense
-minor itself where that border cancels.
+minor itself where that border cancels. So K is built dense only when a
+removal set is evaluated; z_empty takes Pf(K) from the oriented edges
+(pfaffian.tutte_entries), without an n x n matrix.
 
 enumerate_loops and loop_correction are the exhaustive oracle for both: the
 edges are the enumerated variables of the model's chunked enumeration
@@ -34,6 +36,7 @@ from .pfaffian import (
     matching_sign,
     minor_pfaffian,
     skew_inverse,
+    tutte_entries,
     tutte_matrix,
 )
 from .planar import (
@@ -78,14 +81,14 @@ class PfaffianSeriesResult:
     dense_terms: int
 
 
-def _kasteleyn(g: ForneyGraph, res: BPResult):
-    """(o, K): g's removal-free gadget graph oriented with every bounded face
-    checked odd, and its Tutte matrix."""
+def _oriented(g: ForneyGraph, res: BPResult) -> OrientedPlanarGraph:
+    """g's removal-free gadget graph, oriented with every bounded face
+    checked odd."""
     o = orient(fisher_extend(g, res))
     bad = face_parity_violations(o)
     if bad:
         raise OrientationError(f"bounded faces {bad} have an even clockwise count")
-    return o, tutte_matrix(o)
+    return o
 
 
 def _defect_lines(g: ForneyGraph, o: OrientedPlanarGraph, nodes) -> dict:
@@ -160,7 +163,9 @@ def pfaffian_series(
         raise ModelError(f"max_psi_size must be non-negative, got {max_psi_size!r}")
     trips = triplet_nodes(g)
     limit = len(trips) if max_psi_size is None else min(max_psi_size, len(trips))
-    o, K = _kasteleyn(g, res)
+    o = _oriented(g, res)
+    # only removal sets take K^-1 and dense minors of K
+    K = tutte_matrix(o) if limit >= 2 else tutte_entries(o)
     pf = minor_pfaffian(K, (), ())[0]
     base = (pf, skew_inverse(K) if pf.sign and limit >= 2 else None)
     removable = trips if limit >= 2 else ()

@@ -19,6 +19,7 @@ from planarz import (
     SignedLog,
     fisher_extend,
     gen_grid,
+    gen_spiderweb,
     matching_sign,
     orient,
     pfaffian,
@@ -26,7 +27,14 @@ from planarz import (
     tutte_matrix,
     two_core,
 )
-from planarz.pfaffian import bordered_pfaffian, minor_pfaffian, skew_inverse
+from planarz.pfaffian import (
+    SparseSkew,
+    bordered_pfaffian,
+    minor_pfaffian,
+    skew_inverse,
+    tutte_entries,
+)
+from planarz.planar import ExtEdge
 from builders import ladder_graph, plain_extended, random_planar_vertex_graph
 from oracles import kasteleyn_matrix, matching_count, reference_pfaffian
 
@@ -37,10 +45,20 @@ def _random_skew(n, seed):
     return m - m.T
 
 
+def _grid_oriented(n, theta, seed=0):
+    # the oriented graph z_empty takes the Pfaffian of on an n x n grid
+    core, _ = two_core(gen_grid(n, ModelParams(beta=1.0, theta=theta, seed=seed))[1])
+    return orient(fisher_extend(core, run_bp(core)))
+
+
 def _grid_tutte(n, theta):
-    # the Tutte matrix z_empty takes the Pfaffian of on an n x n grid
-    core, _ = two_core(gen_grid(n, ModelParams(beta=1.0, theta=theta, seed=0))[1])
-    return tutte_matrix(orient(fisher_extend(core, run_bp(core))))
+    return tutte_matrix(_grid_oriented(n, theta))
+
+
+def _entries(a):
+    # a's nonzero entries below the diagonal, row by row
+    rows, cols = np.nonzero(np.tril(a, -1))
+    return SparseSkew(a.shape, rows, cols, a[rows, cols])
 
 
 def test_two_by_two():
@@ -112,6 +130,22 @@ def test_pfaffian_peaks_at_one_copy_of_its_input():
     assert peak <= 1.3 * a.nbytes
 
 
+def test_edge_pfaffian_peaks_at_its_front():
+    # Pf(K) from the edges holds a front a few windows wide and per-row
+    # state, never an n x n array: under 3% of one dense copy on 16x16
+    # grids (2,304 and 2,816 ports)
+    for theta in (0.0, 1.0):
+        s = tutte_entries(_grid_oriented(16, theta))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pfaffian(s)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.03 * s.shape[0] ** 2 * 8
+
+
 def test_pfaffian_matches_reference_kernel():
     # the window holds every entry the full eager step could change, so
     # each pivot and each updated float is the reference's, bit for bit
@@ -142,6 +176,54 @@ def test_pfaffian_matches_reference_kernel():
     singular.append(m)
     for a in singular:
         assert pfaffian(a) == reference_pfaffian(a) == SignedLog.zero()
+
+
+def _pool(size, gen, beta, theta):
+    # the oriented gadget graphs of a benchmark pool at seed 0: one model
+    # per instance seed drawn from the pool's seed
+    for s in np.random.SeedSequence(0).generate_state(size):
+        core, _ = two_core(gen(ModelParams(beta=beta, theta=theta, seed=int(s)))[1])
+        yield orient(fisher_extend(core, run_bp(core)))
+
+
+def test_edge_pfaffian_matches_the_dense_kernel():
+    # the front loads K's entries from the oriented edges a block of rows at
+    # a time, so every pivot is the dense elimination's, bit for bit
+    pools = [
+        (8, lambda p: gen_grid(8, p), 1.0, 0.0),  # grid_zero_field
+        (64, lambda p: gen_grid(5, p), 1.0, 1.0),  # grid_field
+        (16, lambda p: gen_spiderweb(1, 4, p), 0.5, 0.5),  # series_spiderweb
+    ]
+    checked = 0
+    for pool in pools:
+        for o in _pool(*pool):
+            a = tutte_matrix(o)
+            assert pfaffian(tutte_entries(o)) == pfaffian(a) == reference_pfaffian(a) != SignedLog.zero()
+            checked += 1
+    assert checked == 88
+    # grids whose windows move the front down 12 to 31 times, against the
+    # dense kernel, itself the reference's on the 8x8 and 12x12 grids of
+    # test_pfaffian_matches_reference_kernel
+    for n in (12, 16):
+        for theta in (0.0, 1.0):
+            o = _grid_oriented(n, theta)
+            assert pfaffian(tutte_entries(o)) == pfaffian(tutte_matrix(o)) != SignedLog.zero()
+
+
+def test_edge_pfaffian_moves_and_grows_its_front():
+    # a long band moves the front down many times; a dense matrix outgrows
+    # it at once. Rounded entries make ties and exact zeros
+    rng = np.random.default_rng(3)
+    m = np.triu(rng.normal(size=(2000, 2000)), 1)
+    m[np.triu_indices(2000, 6)] = 0.0
+    band = m - m.T
+    assert pfaffian(_entries(band)) == pfaffian(band) != SignedLog.zero()
+    m = np.round(rng.normal(size=(300, 300)), 1)
+    dense = np.triu(m, 1) - np.triu(m, 1).T
+    assert (dense == 0).sum() > 300 + 2 * 300
+    assert pfaffian(_entries(dense)) == pfaffian(dense) == reference_pfaffian(dense) != SignedLog.zero()
+    assert pfaffian(_entries(np.zeros((0, 0)))) == SignedLog.one()
+    assert pfaffian(_entries(_random_skew(5, seed=5))) == SignedLog.zero()
 
 
 def test_bordered_pfaffian_matches_the_minor():
@@ -246,12 +328,54 @@ def test_tutte_matrix_of_the_empty_graph_is_0x0():
     assert pfaffian(a) == SignedLog.one()
 
 
+def _weighted_square(weights, extra=()):
+    # the 4-cycle 0-1-2-3 with the given edge weights, plus extra edges
+    # already oriented
+    o = orient(plain_extended(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+    edges = tuple(replace(e, weight=w) for e, w in zip(o.ext.edges, weights)) + tuple(extra)
+    orientation = {**o.orientation, **{e.key(): (e.u, e.v) for e in extra}}
+    return replace(o, ext=replace(o.ext, edges=edges), orientation=orientation)
+
+
 def test_tutte_matrix_rejects_duplicate_port_pairs():
     o = orient(plain_extended(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
     assert tutte_matrix(o).shape == (4, 4)
     doubled = replace(o, ext=replace(o.ext, edges=o.ext.edges + (o.ext.edges[0],)))
-    with pytest.raises(ValueError, match="parallel"):
-        tutte_matrix(doubled)
+    for build in (tutte_entries, tutte_matrix):
+        with pytest.raises(ValueError, match="parallel"):
+            build(doubled)
+
+
+def test_edge_pfaffian_rejects_non_finite_weights():
+    for bad in (np.inf, -np.inf, np.nan):
+        o = _weighted_square([1.0, bad, 1.0, 1.0])
+        for a in (tutte_entries(o), tutte_matrix(o)):
+            with pytest.raises(ValueError, match="entries must be finite"):
+                pfaffian(a)
+
+
+def test_edge_pfaffian_rejects_a_loop_edge():
+    # a loop's entry would sit on the diagonal; one of weight zero has none
+    loop = ExtEdge(2, 2, 0.5)
+    with pytest.raises(ValueError, match="skew"):
+        tutte_entries(_weighted_square([1.0] * 4, [loop]))
+    o = _weighted_square([1.0] * 4, [replace(loop, weight=0.0)])
+    assert pfaffian(tutte_entries(o)) == pfaffian(tutte_matrix(o)) != SignedLog.zero()
+
+
+def test_edge_pfaffian_threshold_is_relative_to_the_largest_weight():
+    # the second pivot is w23 + w12 w30 / w01, about 1e-7, against a
+    # threshold of PIVOT_THRESHOLD (1e-12) times max(1, w01): 1e-8, then
+    # 1e-6; weights all 1e-13 fall below the floor of 1e-12
+    for w, zero in (([1e4] + [1e-7] * 3, False), ([1e6] + [1e-7] * 3, True), ([1e-13] * 4, True)):
+        o = _weighted_square(w)
+        pf = pfaffian(tutte_entries(o))
+        assert pf == pfaffian(tutte_matrix(o)) and (pf.sign == 0) == zero
+    # a zero weight is no entry, as in the dense matrix
+    o = _weighted_square([2.0, 0.0, 3.0, 0.5])
+    assert 0.0 not in tutte_entries(o).vals and len(tutte_entries(o).vals) == 3
+    assert pfaffian(tutte_entries(o)) == pfaffian(tutte_matrix(o))
+    assert abs(pfaffian(tutte_entries(o)).to_float()) == pytest.approx(6.0)
 
 
 # ------------------------------------------------------- matching counts

@@ -317,7 +317,8 @@ def test_series_terms_match_the_dense_minor():
     for g, cap in _bordered_models():
         res = _bp(g)
         series = pfaffian_series(g, res, cap)
-        o, K = series_module._kasteleyn(g, res)
+        o = series_module._oriented(g, res)
+        K = tutte_matrix(o)
         total = series.z_total.log_magnitude
         for term in series.terms:
             dense = dense_minor_term(g, o, K, term.psi, _term_flips(g, o, term.psi))
@@ -342,7 +343,8 @@ def test_cancelling_border_falls_back_to_the_dense_minor():
     assert series.dense_terms >= 1
     psi = ("delta_x1_1_s1", "delta_x1_2_s0", "delta_x2_2_s0", "delta_x2_3_s0")
     term = next(t for t in series.terms if t.psi == psi)
-    o, K = series_module._kasteleyn(g, res)
+    o = series_module._oriented(g, res)
+    K = tutte_matrix(o)
     flip = _term_flips(g, o, psi)
     base = (pfaffian(K), pfaffian_module.skew_inverse(K))
     assert series_module._term(g, o, K, base, psi, flip)[1]
@@ -376,7 +378,7 @@ def test_z_empty_is_the_series_first_term(monkeypatch):
     # removal set takes nothing that only removal sets use
     real = pfaffian_module.pfaffian
     dims, inverses = [], []
-    monkeypatch.setattr(pfaffian_module, "pfaffian", lambda a: dims.append(len(a)) or real(a))
+    monkeypatch.setattr(pfaffian_module, "pfaffian", lambda a: dims.append(a.shape[0]) or real(a))
     real_inv = np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(1) or real_inv(a))
     for g in _series_models():
@@ -390,6 +392,21 @@ def test_z_empty_is_the_series_first_term(monkeypatch):
         assert z_empty(g, res) == pfaffian_series(g, res).terms[0].z_psi
 
 
+def test_z_empty_builds_no_dense_matrix(monkeypatch):
+    # below a removal set Pf(K) is read from the oriented edges; only a
+    # series that evaluates removal sets builds the dense K
+    def refuse(o):
+        raise AssertionError("dense Tutte matrix built")
+
+    monkeypatch.setattr(series_module, "tutte_matrix", refuse)
+    for g in _series_models():
+        res = _bp(g)
+        z_empty(g, res)
+        pfaffian_series(g, res, max_psi_size=1)
+    with pytest.raises(AssertionError, match="dense"):
+        pfaffian_series(g, res, max_psi_size=2)
+
+
 def test_series_takes_one_pfaffian_of_the_full_matrix(monkeypatch):
     # Pf(K) once, then per nonzero term one Pfaffian over its border: the
     # removed ports and both ends of each flipped edge that is kept
@@ -400,7 +417,8 @@ def test_series_takes_one_pfaffian_of_the_full_matrix(monkeypatch):
     dims = []
     monkeypatch.setattr(pfaffian_module, "pfaffian", lambda a: dims.append(len(a)) or real(a))
     series = pfaffian_series(g, res)
-    o, K = series_module._kasteleyn(g, res)
+    o = series_module._oriented(g, res)
+    K = tutte_matrix(o)
     n = len(K)
     assert dims[0] == n and dims.count(n) == 1
     bounds = []

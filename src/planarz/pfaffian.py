@@ -102,7 +102,8 @@ def pfaffian(a) -> SignedLog:
         last = np.full(n, -1, dtype=np.intp)
         np.maximum.at(last, a.rows, a.cols)
         np.maximum.at(last, a.cols, a.rows)
-        last[last < 0] = n - 1  # an all-zero row, which stays zero
+        zero = last < 0  # an all-zero row, which stays zero
+        last[zero] = np.flatnonzero(zero)
         m, top = np.zeros((0, 0)), 0
     else:
         a = np.asarray(a, dtype=float)
@@ -120,8 +121,9 @@ def pfaffian(a) -> SignedLog:
         if not np.array_equal(m, a):
             raise ValueError("matrix is not skew-symmetric")
         big = max(big, -lo)
-        # last nonzero column per row; n - 1 for an all-zero row
-        last = n - 1 - (m[:, ::-1] != 0).argmax(axis=1)
+        # last nonzero column per row; its own index for an all-zero row
+        nz = m[:, ::-1] != 0
+        last = np.where(nz.any(axis=1), n - 1 - nz.argmax(axis=1), np.arange(n))
     if n % 2 == 1:
         return SignedLog.zero()
 

@@ -4,12 +4,15 @@ The pipeline goes reduced graph -> its rotation-system embedding (the one
 planarity test, and the only networkx call) -> split gadgets (one 2-node
 gadget per degree-2 node, one triangle per degree-3 node) with that
 rotation lifted onto their ports -> the lifted rotation's faces, traced
-once per model and checked against Euler's formula -> orientation making
+once per topology and checked against Euler's formula -> orientation making
 every bounded face odd when walked clockwise, one root face per component.
 Perfect matchings of the extended graph then line up with the even-degree
 loop structure of the source graph. Only the removal-free graph of a model
 is built, embedded and oriented: a removal set's graph is its subgraph
-induced on the kept ports.
+induced on the kept ports. Only the gadget-edge weights depend on BP
+(_weighted_edges), so the series builds this layout once per topology and
+reuses it while consecutive solves share it; fisher_extend and orient
+themselves keep nothing between calls.
 """
 
 from __future__ import annotations
@@ -123,9 +126,9 @@ def embed(vertices, edges) -> tuple:
     Non-planar input raises NonPlanarError whose witness is the Kuratowski
     subgraph's edges as sorted canon_edge pairs. Every vertex must touch
     an edge. This is the pipeline's one planarity test: fisher_extend runs
-    it once per model, on the model graph, and lifts the rotation onto the
-    gadget ports. No faces are traced here; orient traces the lifted
-    rotation's faces, once per model.
+    it on the model graph, once per topology, and lifts the rotation onto
+    the gadget ports. No faces are traced here; orient traces the lifted
+    rotation's faces, once per topology.
     """
     vertices = tuple(vertices)
     pos = {v: i for i, v in enumerate(vertices)}
@@ -206,24 +209,28 @@ def fisher_extend(g: ForneyGraph, res: BPResult) -> ExtendedGraph:
         return ExtendedGraph(0, (), (), {}, ())
     labels = [(a, b) for a in _level_order(g) for b in g.neighbors[a]]
     port = {lbl: i for i, lbl in enumerate(labels)}
-
-    edges = []
-    for a in g.nodes:
-        nbrs = g.neighbors[a]
-        k = len(nbrs)
-        for i, j in _GADGET_PAIRS[k]:
-            pair = (nbrs[i], nbrs[j])
-            w = float(res.loop_weights[a][(1 << (k - 1 - i)) | (1 << (k - 1 - j))])
-            edges.append(ExtEdge(port[(a, pair[0])], port[(a, pair[1])], w))
-    for a, b in g.edges:
-        edges.append(ExtEdge(port[(a, b)], port[(b, a)], 1.0))
-
     rotation = [None] * len(labels)
     for a, ring in zip(g.nodes, embed(g.nodes, g.edges)):
         for i, b in enumerate(ring):
             back = tuple(port[(a, ring[i - d])] for d in range(1, len(ring)))
             rotation[port[(a, b)]] = (port[(b, a)],) + back
-    return ExtendedGraph(len(labels), tuple(labels), tuple(edges), port, tuple(rotation))
+    return ExtendedGraph(len(labels), tuple(labels), _weighted_edges(g, port, res), port, tuple(rotation))
+
+
+def _weighted_edges(g: ForneyGraph, port: dict, res: BPResult) -> tuple:
+    """The edges of g's gadget graph on ports numbered by port: per node,
+    its gadget edges carrying res's loop weights, then one external edge
+    of weight 1 per edge of g. Only these weights depend on res."""
+    edges = []
+    for a in g.nodes:
+        nbrs = g.neighbors[a]
+        k = len(nbrs)
+        for i, j in _GADGET_PAIRS[k]:
+            w = float(res.loop_weights[a][(1 << (k - 1 - i)) | (1 << (k - 1 - j))])
+            edges.append(ExtEdge(port[(a, nbrs[i])], port[(a, nbrs[j])], w))
+    for a, b in g.edges:
+        edges.append(ExtEdge(port[(a, b)], port[(b, a)], 1.0))
+    return tuple(edges)
 
 
 def reference_matching(g: ForneyGraph, ext: ExtendedGraph, removed=()):
@@ -276,7 +283,7 @@ def orient(ext: ExtendedGraph) -> OrientedPlanarGraph:
     across, if need be, to make its own count odd. The forest is kept on
     the result: a path up it from any face reaches its component's root.
 
-    The faces are traced from ext.rotation, the one face trace per model,
+    The faces are traced from ext.rotation, the one face trace per topology,
     checked per component against Euler's formula and kept on the result;
     a rotation that fails raises NonPlanarError. No planarity test runs
     here.

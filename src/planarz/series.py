@@ -12,7 +12,10 @@ empty set's is Pf(K) itself; past it, the series takes K^-1 once, and
 every other term is a small Pfaffian over the minor's border, or the dense
 minor itself where that border cancels. So K is built dense only when a
 removal set is evaluated; z_empty takes Pf(K) from the oriented edges
-(pfaffian.tutte_entries), without an n x n matrix.
+(pfaffian.tutte_entries), without an n x n matrix. The oriented graph's
+layout depends on the model's topology alone: it is embedded, oriented and
+checked once per topology and reused while consecutive solves share it,
+with only the gadget-edge weights refilled from each BPResult.
 
 enumerate_loops and loop_correction are the exhaustive oracle for both: the
 edges are the enumerated variables of the model's chunked enumeration
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,6 +44,7 @@ from .pfaffian import (
 )
 from .planar import (
     OrientedPlanarGraph,
+    _weighted_edges,
     face_parity_violations,
     fisher_extend,
     orient,
@@ -81,13 +85,32 @@ class PfaffianSeriesResult:
     dense_terms: int
 
 
+# (topology key, OrientedPlanarGraph) of the last topology laid out, or None
+_layout = None
+
+
 def _oriented(g: ForneyGraph, res: BPResult) -> OrientedPlanarGraph:
     """g's removal-free gadget graph, oriented with every bounded face
-    checked odd."""
+    checked odd, with res's loop weights on its gadget edges.
+
+    The layout (ports, rotation, faces, orientation, dual forest) depends
+    on g's topology alone: it is built once per topology, where Euler's
+    formula and the face parity are checked, and reused while consecutive
+    calls share it, with only the edge weights refilled. The slot holds
+    one layout, stored only once both checks pass, and it is never
+    mutated.
+    """
+    global _layout
+    key = (g.nodes, tuple(g.neighbors[a] for a in g.nodes))
+    if _layout is not None and _layout[0] == key:
+        o = _layout[1]
+        return replace(o, ext=replace(o.ext, edges=_weighted_edges(g, o.ext.port, res)))
+    _layout = None
     o = orient(fisher_extend(g, res))
     bad = face_parity_violations(o)
     if bad:
         raise OrientationError(f"bounded faces {bad} have an even clockwise count")
+    _layout = (key, o)
     return o
 
 

@@ -146,6 +146,26 @@ def test_edge_pfaffian_peaks_at_its_front():
         assert peak < 0.03 * s.shape[0] ** 2 * 8
 
 
+def test_zero_row_keeps_the_front_small():
+    # an all-zero row ends its own window: isolating vertex 1 of a band-5
+    # matrix gives an exact zero from a front as small as the band's
+    rng = np.random.default_rng(3)
+    m = np.triu(rng.normal(size=(2000, 2000)), 1)
+    m[np.triu_indices(2000, 6)] = 0.0
+    m[1, :] = m[:, 1] = 0.0
+    band = m - m.T
+    s = _entries(band)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pf = pfaffian(s)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert pf == pfaffian(band) == SignedLog.zero()
+    assert peak < 2e6
+
+
 def test_pfaffian_matches_reference_kernel():
     # the window holds every entry the full eager step could change, so
     # each pivot and each updated float is the reference's, bit for bit

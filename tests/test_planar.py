@@ -285,7 +285,8 @@ def test_orient_rejects_a_corrupted_rotation():
 
 def test_one_face_trace_per_model(monkeypatch):
     # embed gives the model's rotation only; orient traces the lifted
-    # rotation's faces, and its Euler check is the model's only one
+    # rotation's faces, and its Euler check is the topology's only one:
+    # other tables on the same graph reuse the traced layout
     planar_module = importlib.import_module("planarz.planar")
     calls = []
 
@@ -294,8 +295,12 @@ def test_one_face_trace_per_model(monkeypatch):
         return _planar_faces(rotation)
 
     monkeypatch.setattr(planar_module, "_planar_faces", counted)
-    g = ladder_graph(seed=0)
-    z_empty(g, _bp(g))
+    cycle = cycle_forney(3, seed=0)  # another topology takes the kept layout's place
+    z_empty(cycle, _bp(cycle))
+    calls.clear()
+    for seed in (0, 1):
+        g = ladder_graph(seed=seed)
+        z_empty(g, _bp(g))
     assert calls == [sum(len(g.neighbors[a]) for a in g.nodes)]
 
 

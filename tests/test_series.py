@@ -18,6 +18,7 @@ from planarz import (
     ForneyGraph,
     ModelError,
     ModelParams,
+    NonPlanarError,
     OrientationError,
     enumerate_loops,
     exact_log_z,
@@ -431,6 +432,12 @@ def test_series_takes_one_pfaffian_of_the_full_matrix(monkeypatch):
     assert all(d <= b for d, b in zip(dims[1:], bounds))
 
 
+def _solve_another_topology():
+    # any solve of another topology takes the place of the one kept layout
+    g = cycle_forney(3, seed=0)
+    z_empty(g, _bp(g))
+
+
 def test_corrupted_orientation_raises(monkeypatch):
     real = series_module.orient
 
@@ -442,31 +449,52 @@ def test_corrupted_orientation_raises(monkeypatch):
         o.orientation[key] = o.orientation[key][::-1]
         return o
 
-    monkeypatch.setattr(series_module, "orient", corrupted)
     g = ladder_graph(seed=0)
     res = _bp(g)
+    _solve_another_topology()
+    monkeypatch.setattr(series_module, "orient", corrupted)
     with pytest.raises(OrientationError):
         z_empty(g, res)
     with pytest.raises(OrientationError):
         pfaffian_series(g, res)
+    # a layout that fails its parity check is not kept
+    monkeypatch.undo()
+    assert z_empty(g, res).sign == 1
 
 
 def test_series_runs_one_planarity_test(monkeypatch):
+    # once per topology, however many tables are solved on it
     real = nx.check_planarity
     calls = []
     monkeypatch.setattr(nx, "check_planarity", lambda *a, **k: calls.append(1) or real(*a, **k))
+    _solve_another_topology()
     for g in (ladder_graph(seed=0), random_planar_forney(4)):
         calls.clear()
         series = pfaffian_series(g, _bp(g))
         assert len(series.terms) > 1
         assert len(calls) == 1
+        z_empty(g, _bp(g))
+        assert len(calls) == 1
+    pfaffian_series(ladder_graph(seed=1), _bp(ladder_graph(seed=1)))
+    assert len(calls) == 2
+    # the same node ids joined by other edges are another topology
+    g = cycle_forney(6, seed=0)
+    ring = ("n0", "n2", "n4", "n1", "n3", "n5")
+    nbrs = {a: (ring[i - 1], ring[(i + 1) % 6]) for i, a in enumerate(ring)}
+    h = ForneyGraph({a: nbrs[a] for a in g.nodes}, g.tables)
+    for model in (g, h):
+        z_empty(model, _bp(model))
+    assert len(calls) == 4
 
 
 def test_series_orients_once(monkeypatch):
-    # every removal set's matrix is sliced from the removal-free graph's
+    # every removal set's matrix is sliced from the removal-free graph's,
+    # and a topology is oriented once: a second solve of it, with other
+    # tables or through z_empty after the series, orients nothing
     real = series_module.orient
     calls = []
     monkeypatch.setattr(series_module, "orient", lambda ext: calls.append(1) or real(ext))
+    _solve_another_topology()
     for g in (ladder_graph(seed=0), random_planar_forney(4)):
         res = _bp(g)
         calls.clear()
@@ -475,7 +503,67 @@ def test_series_orients_once(monkeypatch):
         assert len(calls) == 1
         calls.clear()
         z_empty(g, res)
-        assert len(calls) == 1
+        assert calls == []
+    g = ladder_graph(seed=1)
+    z_empty(g, _bp(g))
+    assert len(calls) == 1
+    z_empty(g, _bp(g))
+    pfaffian_series(g, _bp(g))
+    assert len(calls) == 1
+
+
+def _digits(series):
+    return [(t.z_psi.sign, t.z_psi.log_magnitude.hex()) for t in series.terms]
+
+
+def test_reused_layout_gives_the_cold_digits(monkeypatch):
+    # the 4x4 grids share one topology and differ in their tables; each is
+    # solved cold, right after another topology, and warm, right after a
+    # grid of another seed, and every term keeps its float digits
+    models = []
+    for seed in range(3):
+        _, g = gen_grid(4, ModelParams(beta=1.0, theta=1.0, seed=seed))
+        models.append((two_core(g)[0], 2))
+    _, g = gen_spiderweb(2, 3, ModelParams(beta=0.5, theta=0.5, seed=0))
+    models.append((two_core(g)[0], None))
+    cold = []
+    for g, cap in models:
+        res = _bp(g)
+        _solve_another_topology()
+        series = _digits(pfaffian_series(g, res, max_psi_size=cap))
+        _solve_another_topology()
+        cold.append((series, z_empty(g, res).log_magnitude.hex()))
+    real = series_module.orient
+    calls = []
+    monkeypatch.setattr(series_module, "orient", lambda ext: calls.append(1) or real(ext))
+    for _ in range(2):
+        for (g, cap), (series, z) in zip(models, cold):
+            res = _bp(g)
+            assert _digits(pfaffian_series(g, res, max_psi_size=cap)) == series
+            assert z_empty(g, res).log_magnitude.hex() == z == series[0][1]
+    # the grids share one layout, the spiderweb has its own
+    assert len(calls) == 2 * 2
+
+
+def test_non_planar_model_is_never_laid_out(monkeypatch):
+    # K3,3 fails the planarity test on every attempt, and the planar model
+    # solved next is laid out afresh, to the cold value
+    neighbors = {f"a{i}": ("b0", "b1", "b2") for i in range(3)}
+    neighbors.update({f"b{i}": ("a0", "a1", "a2") for i in range(3)})
+    k33 = ForneyGraph(neighbors, {a: np.ones(8) for a in neighbors})
+    g = ladder_graph(seed=0)
+    res = _bp(g)
+    _solve_another_topology()
+    cold = _digits(pfaffian_series(g, res))
+    real = nx.check_planarity
+    calls = []
+    monkeypatch.setattr(nx, "check_planarity", lambda *a, **k: calls.append(1) or real(*a, **k))
+    for _ in range(2):
+        with pytest.raises(NonPlanarError, match="not planar"):
+            z_empty(k33, run_bp(k33))
+    assert len(calls) == 2
+    assert _digits(pfaffian_series(g, res)) == cold
+    assert len(calls) == 3
 
 
 def test_series_matches_exact_where_defect_lines_matter():

@@ -8,6 +8,13 @@ converted so that every variable ends up on an edge.
 Factor tables are flat numpy arrays of length 2^k for a node with k
 neighbors, indexed lexicographically over assignments with -1 before +1 and
 the first neighbor most significant.
+
+A table is checked where it enters, by FactorGraph, by ForneyGraph and so by
+both file readers, and where a stage computes new values: factor_to_forney
+checks each table it sums a variable out of, two_core each table it absorbs a
+neighbor into. The graphs factor_to_forney, reduce_degree and two_core build
+are valid by construction and are not validated again; copied tables and
+equality tables are not checked a second time.
 """
 
 from __future__ import annotations
@@ -63,13 +70,20 @@ def canon_edge(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
+def _edges(neighbors: dict) -> tuple[tuple[str, str], ...]:
+    # adjacency is symmetric, so each edge shows up once with a < b
+    return tuple(sorted((a, b) for a, nbrs in neighbors.items() for b in nbrs if a < b))
+
+
 class ForneyGraph:
     """Normal-form model: nodes with ordered neighbor tuples and tables.
 
     neighbors maps node id to its ordered neighbor tuple; the order fixes the
     axis layout of the node's table. Adjacency must be symmetric, simple
     (no self loops or parallel edges), and every node needs a table with
-    2^degree non-negative finite entries, at least one positive.
+    2^degree non-negative finite entries, at least one positive. The
+    constructor checks all of this; the graphs the conversion stages derive
+    from a checked one skip it, through _derived.
     """
 
     def __init__(self, neighbors: dict, tables: dict):
@@ -100,9 +114,20 @@ class ForneyGraph:
             if a not in tables:
                 raise ModelError(f"missing table for node {a!r}")
             self.tables[a] = _check_table(a, tables[a], len(self.neighbors[a]))
-        self.edges: tuple[tuple[str, str], ...] = tuple(
-            sorted({canon_edge(a, b) for a in self.nodes for b in self.neighbors[a]})
-        )
+        self.edges: tuple[tuple[str, str], ...] = _edges(self.neighbors)
+
+    @classmethod
+    def _derived(cls, neighbors: dict, tables: dict) -> ForneyGraph:
+        """A graph valid by construction, as a stage built it from checked
+        ones: neighbors maps each node, in order, to its neighbor tuple and
+        tables to its float table. Both are stored as given; only edges is
+        computed."""
+        g = cls.__new__(cls)
+        g.nodes = tuple(neighbors)
+        g.neighbors = neighbors
+        g.tables = tables
+        g.edges = _edges(neighbors)
+        return g
 
     def degree(self, a: str) -> int:
         return len(self.neighbors[a])
@@ -261,13 +286,15 @@ def factor_to_forney(fg: FactorGraph) -> ForneyGraph:
         absorbed_axes = tuple(i for i, v in enumerate(f.scope) if len(occ[v]) == 1)
         t = f.table
         if absorbed_axes:
-            t = t.reshape((2,) * len(f.scope)).sum(axis=absorbed_axes).reshape(-1)
+            with np.errstate(over="ignore"):  # an overflow is reported just below
+                t = t.reshape((2,) * len(f.scope)).sum(axis=absorbed_axes).reshape(-1)
+            _check_table(f.id, t, len(kept))
         neighbors[f.id] = tuple(peer[(f.id, v)] for v in kept)
         tables[f.id] = t
     for name, nbrs, table in extra_nodes:
         neighbors[name] = nbrs
         tables[name] = table
-    return ForneyGraph(neighbors, tables)
+    return ForneyGraph._derived(neighbors, tables)
 
 
 def reduce_degree(g: ForneyGraph) -> ForneyGraph:
@@ -324,7 +351,7 @@ def reduce_degree(g: ForneyGraph) -> ForneyGraph:
             tables[chain[i]] = _equality_table(3)
         neighbors[chain[-1]] = (chain[-2], ext[-2], ext[-1])
         tables[chain[-1]] = _equality_table(3)
-    return ForneyGraph(neighbors, tables)
+    return ForneyGraph._derived(neighbors, tables)
 
 
 def two_core(g: ForneyGraph) -> tuple[ForneyGraph, float]:
@@ -332,40 +359,51 @@ def two_core(g: ForneyGraph) -> tuple[ForneyGraph, float]:
 
     Returns (core, log_constant) with Z(g) = exp(log_constant) * Z(core).
     A fully absorbed component leaves its scalar weight in the constant; a
-    zero scalar means Z = 0 and is rejected. A graph with nothing to strip
-    is its own core.
+    zero scalar means Z = 0 and is rejected, and so is one that overflowed.
+    The tables of the core nodes that absorbed a neighbor are checked, in
+    node order; the others are g's own. A graph with nothing to strip is
+    its own core.
     """
     if all(len(n) > 1 for n in g.neighbors.values()):
         return g, 0.0
     nbrs = {a: list(g.neighbors[a]) for a in g.nodes}
     tabs = dict(g.tables)
     alive = set(g.nodes)
+    grown = set()
     log_const = 0.0
     heap = [a for a in g.nodes if len(nbrs[a]) <= 1]
     heapq.heapify(heap)
-    while heap:
-        a = heapq.heappop(heap)
-        if a not in alive or len(nbrs[a]) > 1:
-            continue
-        if len(nbrs[a]) == 0:
-            val = float(tabs[a][0])
-            if val <= 0.0:
-                raise ModelError(f"absorbing node {a!r} leaves a zero weight; Z = 0")
-            log_const += math.log(val)
+    # an overflow, or inf times 0 after one, is reported by the checks below
+    with np.errstate(over="ignore", invalid="ignore"):
+        while heap:
+            a = heapq.heappop(heap)
+            if a not in alive or len(nbrs[a]) > 1:
+                continue
+            if len(nbrs[a]) == 0:
+                val = float(tabs[a][0])
+                if not math.isfinite(val):
+                    raise ModelError(f"table of {a!r} has non-finite entries")
+                if val <= 0.0:
+                    raise ModelError(f"absorbing node {a!r} leaves a zero weight; Z = 0")
+                log_const += math.log(val)
+                alive.remove(a)
+                continue
+            b = nbrs[a][0]
+            pos = nbrs[b].index(a)
+            db = len(nbrs[b])
+            tb = tabs[b].reshape((2,) * db)
+            tabs[b] = np.moveaxis(tb, pos, -1).dot(tabs[a]).reshape(-1)
+            grown.add(b)
+            nbrs[b].pop(pos)
             alive.remove(a)
-            continue
-        b = nbrs[a][0]
-        pos = nbrs[b].index(a)
-        db = len(nbrs[b])
-        tb = tabs[b].reshape((2,) * db)
-        tabs[b] = np.moveaxis(tb, pos, -1).dot(tabs[a]).reshape(-1)
-        nbrs[b].pop(pos)
-        alive.remove(a)
-        if len(nbrs[b]) <= 1:
-            heapq.heappush(heap, b)
-    core = ForneyGraph(
-        {a: tuple(nbrs[a]) for a in g.nodes if a in alive},
-        {a: tabs[a] for a in g.nodes if a in alive},
+            if len(nbrs[b]) <= 1:
+                heapq.heappush(heap, b)
+    core_nodes = [a for a in g.nodes if a in alive]
+    for a in core_nodes:
+        if a in grown:
+            _check_table(a, tabs[a], len(nbrs[a]))
+    core = ForneyGraph._derived(
+        {a: tuple(nbrs[a]) for a in core_nodes}, {a: tabs[a] for a in core_nodes}
     )
     return core, log_const
 

@@ -243,24 +243,26 @@ def reference_matching(g: ForneyGraph, ext: ExtendedGraph, removed=()):
     Its edges between kept nodes form a T-join, T the kept nodes with an odd
     number of removed neighbors, and every T-join is such a loop. One exists
     iff each component of g minus the removed nodes holds an even number of
-    T; the one inside a spanning forest takes O(V).
+    T; the one inside a spanning forest takes O(V). With T empty, as when
+    nothing is removed, the loop is empty and no forest is grown.
     """
     removed = set(removed)
     kept = [a for a in g.nodes if a not in removed]
     port = ext.port
     odd = {a: sum(b in removed for b in g.neighbors[a]) % 2 == 1 for a in kept}
     loop = set()
-    parent = dict.fromkeys(removed)
-    for root in kept:
-        if root in parent:
-            continue
-        order = _bfs(g, root, parent)  # every node after its parent
-        for a in reversed(order[1:]):
-            if odd[a]:
-                loop.add(canon_edge(a, parent[a]))
-                odd[parent[a]] = not odd[parent[a]]
-        if odd[root]:
-            return None
+    if any(odd.values()):  # else T is empty, and so is the loop
+        parent = dict.fromkeys(removed)
+        for root in kept:
+            if root in parent:
+                continue
+            order = _bfs(g, root, parent)  # every node after its parent
+            for a in reversed(order[1:]):
+                if odd[a]:
+                    loop.add(canon_edge(a, parent[a]))
+                    odd[parent[a]] = not odd[parent[a]]
+            if odd[root]:
+                return None
 
     pairs = []
     for a in kept:

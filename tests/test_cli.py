@@ -96,6 +96,42 @@ def test_unnormalizable_messages_exit_two(tmp_path, capsys):
         assert err.startswith("error: message 'a'->'b' is not normalizable"), err
 
 
+_SUMMED_OVERFLOW = (
+    "factorgraph 3\n"
+    "var x\nvar y\nvar z\n"
+    "factor f x y 1e308 1e308 1e308 1e308\n"
+    "factor g x z 1 2 3 4\n"
+    "factor h z x 1 1 1 1\n"
+)
+_ABSORBED_UNDERFLOW = (
+    "forney 4\n"
+    "edge a b\nedge b c\nedge b d\nedge c d\n"
+    "factor a 1e-200 1e-200\n"
+    "factor b" + " 1e-200" * 8 + "\n"
+    "factor c 1 2 3 4\n"
+    "factor d 1 2 3 4\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_SUMMED_OVERFLOW, "table of 'f' has non-finite entries"),
+        (_ABSORBED_UNDERFLOW, "table of 'b' is identically zero"),
+    ],
+    ids=["summed-overflow", "absorbed-underflow"],
+)
+def test_computed_table_faults_exit_one(tmp_path, capsys, text, message):
+    # a table the conversion computes leaves the float range: one error
+    # line and exit 1, with no RuntimeWarning before it
+    model = tmp_path / "m.txt"
+    model.write_text(text)
+    code, out, err = _run(capsys, "solve", "--model", str(model), "--method", "z_empty")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def _wheel(hub_table):
     # planar wheel W4 in normal form: hub h of degree 4, rim r0..r3 of degree 3
     rng = np.random.default_rng(5)

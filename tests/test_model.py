@@ -25,6 +25,7 @@ from planarz import (
     gen_grid,
     grid_factor_graph,
     reduce_degree,
+    solve_forney,
     two_core,
 )
 from planarz.model import assignment_to_index, canon_edge, index_to_assignment
@@ -360,3 +361,82 @@ def test_full_chain_preserves_z():
     want = exact_log_z_factor(fg)
     got = log_const + (exact_log_z(core) if core.num_nodes else 0.0)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+# ---------------------------------------------------------------- checks
+
+
+def test_each_table_is_checked_once(monkeypatch):
+    # FactorGraph checks the 65 factor tables of a 5x5 field grid; the
+    # stages after it copy those tables or build equality tables, and
+    # check nothing again. The solve's two_core checks only the 25 tables
+    # it recomputes, those of the nodes that absorb a field node
+    real = model_module._check_table
+    owners = []
+    monkeypatch.setattr(
+        model_module, "_check_table", lambda owner, *a: owners.append(owner) or real(owner, *a)
+    )
+    _, g = gen_grid(5, ModelParams(1.0, 1.0, seed=0))
+    assert len(owners) == 65
+    owners.clear()
+    solve_forney(g, method="z_empty")
+    absorbing = {a for a in g.nodes if any(b.startswith("h") for b in g.neighbors[a])}
+    assert len(absorbing) == 25
+    assert sorted(owners) == sorted(absorbing)
+
+
+def _absorbed_overflow():
+    # y occurs only in f: summing it out of f overflows
+    return factor_to_forney(
+        FactorGraph(
+            ["x", "y", "z"],
+            [
+                ("f", ("x", "y"), [1e308] * 4),
+                ("g", ("x", "z"), [1.0, 2.0, 3.0, 4.0]),
+                ("h", ("z", "x"), [1.0, 1.0, 1.0, 1.0]),
+            ],
+        )
+    )
+
+
+def _two_core_of(a, b):
+    # leaf a hangs off b, which stays in the core with c and d
+    nbrs = {"a": ("b",), "b": ("a", "c", "d"), "c": ("b", "d"), "d": ("b", "c")}
+    tabs = {"a": a, "b": b, "c": [1.0, 2.0, 3.0, 4.0], "d": [1.0, 2.0, 3.0, 4.0]}
+    return two_core(ForneyGraph(nbrs, tabs))
+
+
+def _tree_overflow():
+    # b absorbs a, overflows, and is left alone: no core, an infinite constant
+    return two_core(ForneyGraph({"a": ("b",), "b": ("a",)}, {"a": [1e308] * 2, "b": [1e308] * 2}))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (_absorbed_overflow, "table of 'f' has non-finite entries"),
+        (lambda: _two_core_of([1e308] * 2, [1e308] * 8), "table of 'b' has non-finite entries"),
+        (lambda: _two_core_of([1e-200] * 2, [1e-200] * 8), "table of 'b' is identically zero"),
+        (_tree_overflow, "table of 'b' has non-finite entries"),
+    ],
+)
+def test_computed_tables_are_checked(build, message):
+    # valid input tables whose sum or product leaves the float range; no
+    # RuntimeWarning comes first (tier-1 turns one into an error)
+    with pytest.raises(ModelError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_derived_graphs_pass_the_public_checks():
+    # each stage's unchecked output is what the checking constructor
+    # builds from the same neighbors and tables
+    fg = grid_factor_graph(4, ModelParams(1.0, 1.0, seed=2))
+    forney = factor_to_forney(fg)
+    reduced = reduce_degree(forney)
+    core, _ = two_core(reduced)
+    for h in (forney, reduced, core):
+        again = ForneyGraph(h.neighbors, h.tables)
+        assert again.nodes == h.nodes and again.neighbors == h.neighbors
+        assert again.edges == h.edges
+        assert all(again.tables[a] is h.tables[a] for a in h.nodes)

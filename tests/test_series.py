@@ -263,6 +263,10 @@ def test_reference_matching_sign_matches_kasteleyn():
             at = {v: i for i, v in enumerate(kept)}
             pf = pfaffian((sign * unit)[np.ix_(kept, kept)])
             matching = reference_matching(g, o.ext, term.psi)
+            if not term.psi:
+                # no odd node, no loop: every edge of g matches externally
+                port = o.ext.port
+                assert matching == [tuple(sorted((port[(a, b)], port[(b, a)]))) for a, b in g.edges]
             if matching is None:
                 assert pfaffian((sign * weighted)[np.ix_(kept, kept)]).sign == 0
                 assert term.z_psi.sign == 0

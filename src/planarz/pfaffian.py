@@ -1,36 +1,31 @@
-"""Signed log-space Pfaffians of skew-symmetric matrices, dense or sparse.
+"""Signed log-space Pfaffians of skew-symmetric matrices, from their entries.
 
-A matrix is a plain square array or a SparseSkew, its nonzero entries below
-the diagonal; tutte_entries reads one from an oriented graph and
-tutte_matrix spreads it into a dense array. pfaffian is the one place that
-checks a matrix (finite, and for an array square and exactly skew). The
-Pfaffian is computed by Parlett-Reid skew-symmetric tridiagonalization
-with partial pivoting (congruence transforms of determinant one, row/column
-swaps tracked in the sign), so only pivot magnitudes are multiplied and
+A matrix is a SparseSkew: its nonzero entries below the diagonal, in
+row-major order. SparseSkew.lower reads one from an array and
+tutte_entries from an oriented graph; tutte_matrix spreads the latter into
+the dense array that skew_inverse takes. pfaffian is the one place that
+checks a matrix. It runs Parlett-Reid skew-symmetric tridiagonalization
+with partial pivoting (congruence transforms of determinant one, swaps
+tracked in the sign), so only pivot magnitudes are multiplied and
 everything stays in log space.
 
 Each pivot step is one eager rank-2 update, confined to the step's active
 window: the rows and columns from the step's own up to the last nonzero
-column of any pivot row so far. Everything outside the window is an exact
-zero or an untouched entry of the input, so the pivots match the full
-eager elimination bit for bit. A banded matrix, such as a Kasteleyn matrix
-in fisher_extend's breadth-first port order, keeps the window about as
-wide as its band.
+column of any pivot row so far. Everything outside it is an exact zero or
+an untouched entry, so the pivots match the full eager elimination bit
+for bit. A banded matrix, such as a Kasteleyn matrix in fisher_extend's
+breadth-first port order, keeps the window about as wide as its band.
 
 The elimination runs on a front (Irons 1970): a dense square buffer over
 the rows and columns from some offset on, holding the window and the rows
-loaded ahead of it. An array is copied into a front that holds all of it.
-A SparseSkew starts from a small empty front and loads its entries a block
-of rows at a time, moving the front down past finished rows, and doubling
-it, when a window outgrows it; its Pfaffian takes memory in proportion to
-the window, not to n^2.
+loaded ahead of it a block at a time. It moves down past finished rows,
+and doubles, when a window outgrows it, so its memory follows the window,
+not n^2.
 
-minor_pfaffian is the one source of a principal minor's Pfaffian, some
-of its entries negated. Given the full matrix's Pfaffian and inverse
-(skew_inverse), it is bordered_pfaffian's: one small Pfaffian over a
-border of the removed indices and the negated entries. Without the
-inverse, or where that border cancels, it is the dense minor's, and with
-nothing removed the full matrix's.
+minor_pfaffian is the one source of a principal minor's Pfaffian, some of
+its entries negated: bordered_pfaffian's small Pfaffian over a border,
+given the full matrix's Pfaffian and inverse, or else the full minor's,
+built from the entries in O(E).
 """
 
 from __future__ import annotations
@@ -46,7 +41,7 @@ from .slog import SignedLog
 PIVOT_THRESHOLD = 1e-12
 # A border Pfaffian below this fraction of its Hadamard bound has lost its
 # digits to cancellation in Z + G[T, T], and bordered_pfaffian declines it.
-# Calibrated against the dense minors of 4x4 beta 1 theta 1 grids (|psi| <=
+# Calibrated against the full minors of 4x4 beta 1 theta 1 grids (|psi| <=
 # 4) and spiderweb(2, 3), (3, 6) and (1, 4) series: the worst term, at 3e-9
 # of its bound, was off by 2.7e-9 in log; on those models, above 1e-6 of
 # its bound no term was off by more than 2e-11. That is no accuracy
@@ -54,7 +49,7 @@ PIVOT_THRESHOLD = 1e-12
 # series with |psi| <= 2, term 4363, psi = (delta_x5_7_s0, delta_x6_6_s1),
 # passes this test yet is off by 3.8e-7 in log against
 # tests/oracles.dense_minor_term. It is e^-32.3 of z_total, so the total
-# does not see it; ROADMAP item 3 replaces this per-term test with an error
+# does not see it; ROADMAP item 2 replaces this per-term test with an error
 # budget on the total
 HADAMARD_FRACTION = 1e-6
 # least side of a SparseSkew's front: it holds an 8x8 grid's windows
@@ -72,17 +67,26 @@ class OrientationError(RuntimeError):
 class SparseSkew:
     """An n x n skew-symmetric matrix by its nonzero entries below the
     diagonal: A[rows[i], cols[i]] = vals[i] = -A[cols[i], rows[i]], with
-    cols[i] < rows[i] and rows ascending. shape is (n, n), as an array's."""
+    cols[i] < rows[i] and the keys rows * n + cols strictly increasing.
+    shape is (n, n), as an array's."""
 
     shape: tuple
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
 
+    @classmethod
+    def lower(cls, a: np.ndarray) -> SparseSkew:
+        """The nonzero entries of an array's strict lower triangle; the
+        rest of it is not read."""
+        rows, cols = np.nonzero(a)
+        low = cols < rows
+        rows, cols = rows[low], cols[low]
+        return cls(a.shape, rows, cols, a[rows, cols])
 
-def pfaffian(a) -> SignedLog:
-    """Signed log-magnitude Pfaffian of a SparseSkew or of a square, finite,
-    skew-symmetric array.
+
+def pfaffian(a: SparseSkew) -> SignedLog:
+    """Signed log-magnitude Pfaffian of a SparseSkew.
 
     The input is left unchanged: elimination runs on a front of float
     copies. Odd dimension gives exactly zero. A best pivot below
@@ -94,41 +98,30 @@ def pfaffian(a) -> SignedLog:
     when its step swapped rows. The front m holds rows and columns
     [off, top) of the working matrix; a window past top takes a new front.
     """
-    if isinstance(a, SparseSkew):
-        n = a.shape[0]
-        if not np.isfinite(a.vals).all():
-            raise ValueError("entries must be finite")
-        big = float(np.abs(a.vals).max(initial=0.0))
-        last = np.full(n, -1, dtype=np.intp)
-        np.maximum.at(last, a.rows, a.cols)
-        np.maximum.at(last, a.cols, a.rows)
-        zero = last < 0  # an all-zero row, which stays zero
-        last[zero] = np.flatnonzero(zero)
-        m, top = np.zeros((0, 0)), 0
-    else:
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"need a square matrix, got shape {a.shape}")
-        n = a.shape[0]
-        if n == 0:
-            return SignedLog.one()
-        lo, big = float(a.min()), float(a.max())  # NaN if any entry is
-        if not (math.isfinite(lo) and math.isfinite(big)):
-            raise ValueError("entries must be finite")
-        # the copy is -a^T, equal to a exactly when a is skew: no other
-        # dense float array is needed to check it
-        m, top = np.negative(a.T, order="C"), n
-        if not np.array_equal(m, a):
-            raise ValueError("matrix is not skew-symmetric")
-        big = max(big, -lo)
-        # last nonzero column per row; its own index for an all-zero row
-        nz = m[:, ::-1] != 0
-        last = np.where(nz.any(axis=1), n - 1 - nz.argmax(axis=1), np.arange(n))
+    if len(a.shape) != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"need a square matrix, got shape {a.shape}")
+    n, rows, cols, vals = a.shape[0], a.rows, a.cols, a.vals
+    if not len(rows) == len(cols) == len(vals):
+        raise ValueError("rows, cols and vals differ in length")
+    key = rows * n + cols
+    if (key[1:] <= key[:-1]).any():
+        raise ValueError("entries are not in strictly increasing row-major order")
+    # with the keys increasing, every row is below n when the last one is
+    if len(key) and not (cols.min() >= 0 and (cols < rows).all() and rows[-1] < n):
+        raise ValueError("an entry lies outside 0 <= col < row < n")
+    big = float(np.abs(vals).max(initial=0.0))  # |A|_max, NaN if any entry is
+    if not math.isfinite(big):
+        raise ValueError("entries must be finite")
     if n % 2 == 1:
         return SignedLog.zero()
 
-    tol = PIVOT_THRESHOLD * max(1.0, big)  # |A|_max
+    tol = PIVOT_THRESHOLD * max(1.0, big)
+    # per row, its last nonzero column past the diagonal, or -1: those
+    # before the diagonal lie inside any window that holds the row
+    last = np.full(n, -1, dtype=np.intp)
+    np.maximum.at(last, cols, rows)
     last = last.tolist()
+    m, top = np.zeros((0, 0)), 0
     sign = 1
     log_mag = 0.0
     hi = off = 0
@@ -208,14 +201,14 @@ def tutte_entries(o: OrientedPlanarGraph) -> SparseSkew:
     if (tail == head).any():
         raise ValueError("matrix is not skew-symmetric")
     rows, cols, vals = np.maximum(tail, head), np.minimum(tail, head), np.where(tail > head, w, -w)
-    order = np.argsort(rows, kind="stable")
     n = o.ext.num_vertices
+    order = np.argsort(rows * n + cols)
     return SparseSkew((n, n), rows[order], cols[order], vals[order])
 
 
 def tutte_matrix(o: OrientedPlanarGraph) -> np.ndarray:
-    """tutte_entries(o) as a dense n x n array, for the series' K^-1 and
-    its dense minors; Pf(K) alone needs only the entries."""
+    """tutte_entries(o) as a dense n x n array, for the series' K^-1;
+    every Pfaffian takes the entries."""
     s = tutte_entries(o)
     a = np.zeros(s.shape)
     a[s.rows, s.cols] = s.vals
@@ -255,17 +248,18 @@ def skew_inverse(a):
     return (g - g.T) * 0.5 if np.isfinite(g).all() else None
 
 
-def bordered_pfaffian(a, pf: SignedLog, inverse, removed, flip):
-    """Pf of a's principal minor without the sorted indices removed, with
-    the entries at each (u, v) in flip negated; the ends of flip are kept
-    and a[u, v] is nonzero. pf is Pf(a) and inverse is skew_inverse(a).
+def bordered_pfaffian(pf: SignedLog, inverse, removed, flip):
+    """Pf of a matrix A's principal minor without the sorted indices
+    removed, with the entries at each (u, v) in flip negated; flip maps
+    each such pair, its ends kept, to A[u, v] != 0. pf is Pf(A) and
+    inverse is skew_inverse(A).
 
-    Border a with one unit column per removed index r, whose border vertex
+    Border A with one unit column per removed index r, whose border vertex
     can only match r, and with two border vertices per flipped edge, joined
-    to u and v by unit entries and to each other by z = 1 / (2 a[u, v]).
+    to u and v by unit entries and to each other by z = 1 / (2 A[u, v]).
     Eliminating the border first gives the minor times z's product, with
-    the sign of moving each (r, border) pair to the front; eliminating a
-    first gives Pf(a) Pf(S), S = Z + G[T, T] with G = a^-1 and T the
+    the sign of moving each (r, border) pair to the front; eliminating A
+    first gives Pf(A) Pf(S), S = Z + G[T, T] with G = A^-1 and T the
     border's anchors (Wimmer 2012, arXiv:1102.3440). So only S takes a
     Pfaffian. None when there is a border but no inverse, or when Pf(S) is
     below HADAMARD_FRACTION of its Hadamard bound.
@@ -277,18 +271,17 @@ def bordered_pfaffian(a, pf: SignedLog, inverse, removed, flip):
         return None
     t = np.array([*removed, *(x for e in flip for x in e)], dtype=np.intp)
     s = inverse.take(t, 0).take(t, 1)
-    scale = []  # 1 / z per flipped edge
-    for p in range(m, len(t), 2):
-        scale.append(2.0 * a[t[p], t[p + 1]])
-        s[p, p + 1] += 1.0 / scale[-1]
+    scale = [2.0 * w for w in flip.values()]  # 1 / z per flipped edge
+    for p, x in zip(range(m, len(t), 2), scale):
+        s[p, p + 1] += 1.0 / x
         s[p + 1, p] = -s[p, p + 1]
-    pf_s = pfaffian(s)
+    pf_s = pfaffian(SparseSkew.lower(s))
     if pf_s.sign == 0:
         return None
     bound = 0.5 * float(np.log(np.linalg.norm(s, axis=1)).sum())
     if pf_s.log_magnitude < math.log(HADAMARD_FRACTION) + bound:
         return None
-    n = a.shape[0]
+    n = len(inverse)
     # kept indices above each removed one, r the i-th smallest
     crossings = sum(n - m - r + i for i, r in enumerate(removed))
     negative = m * (m - 1) // 2 + crossings + sum(x < 0 for x in scale)
@@ -296,26 +289,25 @@ def bordered_pfaffian(a, pf: SignedLog, inverse, removed, flip):
     return SignedLog(sign, pf.log_magnitude + pf_s.log_magnitude + sum(math.log(abs(x)) for x in scale))
 
 
-def minor_pfaffian(a, removed, flip, base=None):
+def minor_pfaffian(a: SparseSkew, removed, flip, base=None):
     """(Pf of a's principal minor without the sorted indices removed, with
-    the entries at each (u, v) in flip negated, whether it took the dense
-    minor); the ends of flip are kept and a[u, v] is nonzero.
+    the entries at each (u, v) in flip negated, whether it took the full
+    minor); flip maps each such pair, its ends kept, to a[u, v] != 0.
 
     With base = (Pf(a), skew_inverse(a) or None) it is bordered_pfaffian's
-    minor unless that declines; otherwise it is the dense flipped minor,
-    which is a itself when nothing is removed or negated. Only then may a
-    be a SparseSkew; any other minor takes a dense a.
+    minor unless that declines. Otherwise it is the full minor's, built
+    from a's entries in O(E): the flipped ones negated, the removed
+    indices' dropped and the kept indices renumbered in order.
     """
     if base is not None:
-        pf = bordered_pfaffian(a, *base, removed, flip)
+        pf = bordered_pfaffian(*base, removed, flip)
         if pf is not None:
             return pf, False
-    if not len(removed) and not flip:
-        return pfaffian(a), True
-    keep = np.ones(a.shape[0], dtype=bool)
-    keep[removed] = False
+    n = a.shape[0]
+    vals = a.vals.copy()
+    vals[np.searchsorted(a.rows * n + a.cols, [max(e) * n + min(e) for e in flip])] *= -1
+    keep = np.ones(n, dtype=bool)
+    keep[list(removed)] = False
     at = np.cumsum(keep) - 1  # index of each kept row in the minor
-    minor = a[np.ix_(keep, keep)]
-    for u, v in flip:
-        minor[[at[u], at[v]], [at[v], at[u]]] *= -1
-    return pfaffian(minor), True
+    live = keep[a.rows] & keep[a.cols]
+    return pfaffian(SparseSkew((int(keep.sum()),) * 2, at[a.rows[live]], at[a.cols[live]], vals[live])), True

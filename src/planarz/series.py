@@ -4,18 +4,18 @@ pfaffian_series sums the removal-set terms: every even subset of degree-3
 nodes contributes its own matching problem times the loop weights of the
 removed nodes. z_empty is its first term, the empty set's: the
 even-degree (2-regular) correction. All of a model's matching problems
-share one oriented gadget graph with Tutte matrix K: a removal set's
-problem is a principal minor of K, with the defect lines of the removed
-nodes negated. Every term, the empty set's included, takes one reference
-matching, one Pfaffian from pfaffian.minor_pfaffian and one sign. The
-empty set's is Pf(K) itself; past it, the series takes K^-1 once, and
-every other term is a small Pfaffian over the minor's border, or the dense
-minor itself where that border cancels. So K is built dense only when a
-removal set is evaluated; z_empty takes Pf(K) from the oriented edges
-(pfaffian.tutte_entries), without an n x n matrix. The oriented graph's
-layout depends on the model's topology alone: it is embedded, oriented and
-checked once per topology and reused while consecutive solves share it,
-with only the gadget-edge weights refilled from each BPResult.
+share one oriented gadget graph with Tutte matrix K, kept as its entries
+(pfaffian.tutte_entries): a removal set's problem is a principal minor of
+K, with the defect lines of the removed nodes negated. Every term, the
+empty set's included, takes one reference matching, one Pfaffian from
+pfaffian.minor_pfaffian and one sign. The empty set's is Pf(K) itself;
+past it, the series takes K^-1 once, and every other term is a small
+Pfaffian over the minor's border, or the full minor from the entries where
+that border cancels. K is built dense only for that one inverse, so
+z_empty never builds an n x n matrix. The oriented graph's layout depends
+on the model's topology alone: it is embedded, oriented and checked once
+per topology and reused while consecutive solves share it, with only the
+gadget-edge weights refilled from each BPResult.
 
 enumerate_loops and loop_correction are the exhaustive oracle for both: the
 edges are the enumerated variables of the model's chunked enumeration
@@ -79,6 +79,9 @@ class PfaffianTerm:
 
 @dataclass(frozen=True)
 class PfaffianSeriesResult:
+    """The terms in evaluation order, their total, whether no cap cut the
+    series, and how many terms took the full minor (see pfaffian_series)."""
+
     terms: tuple
     z_total: SignedLog
     complete: bool
@@ -144,14 +147,15 @@ def z_empty(g: ForneyGraph, res: BPResult) -> SignedLog:
     return pfaffian_series(g, res, max_psi_size=0).terms[0].z_psi
 
 
-def _term(g: ForneyGraph, o, K, base, psi, flip):
-    """(z_psi, whether it took the dense minor) for one removal set.
+def _term(g: ForneyGraph, o, K, weight, base, psi, flip):
+    """(z_psi, whether it took the full minor) for one removal set.
 
     z_psi is the perfect-matching sum of o's graph minus the ports of the
-    nodes in psi: minor_pfaffian's minor of K over those ports, with the
-    kept edges of flip negated to keep it Kasteleyn, signed by one
-    reference matching in the minor. Kept port v is row v minus the number
-    of removed ports below it. Without a reference matching the term is an
+    nodes in psi: minor_pfaffian's minor of K's entries over those ports,
+    with the kept edges of flip negated to keep it Kasteleyn, signed by one
+    reference matching in the minor. weight maps each nonzero entry's edge
+    (u, v), u < v, to K[u, v]. Kept port v is row v minus the number of
+    removed ports below it. Without a reference matching the term is an
     exact zero that takes no Pfaffian.
     """
     matching = reference_matching(g, o.ext, psi)
@@ -159,7 +163,7 @@ def _term(g: ForneyGraph, o, K, base, psi, flip):
         return SignedLog.zero(), False
     labels = o.ext.labels
     ports = sorted(o.ext.port[(a, b)] for a in psi for b in g.neighbors[a])
-    kept = [(u, v) for u, v in flip if K[u, v] and labels[u][0] not in psi and labels[v][0] not in psi]
+    kept = {e: weight[e] for e in flip if e in weight and labels[e[0]][0] not in psi and labels[e[1]][0] not in psi}
     pf, on_minor = minor_pfaffian(K, ports, kept, base)
     pairs = [o.orientation[k][::-1] if k in flip else o.orientation[k] for k in matching]
     at = [(t - bisect.bisect(ports, t), h - bisect.bisect(ports, h)) for t, h in pairs]
@@ -178,20 +182,21 @@ def pfaffian_series(
     max_psi_size, which must be non-negative, caps the removal-set
     cardinality; a cut marks the result incomplete. The empty set is always
     first, so terms[0] is the 2-regular correction. dense_terms counts the
-    nonzero terms past the first that took the dense minor instead of the
-    bordered Pfaffian: every one of them when K is singular or its inverse
-    not finite, else those whose border cancels.
+    nonzero terms past the first that took the full minor from the entries
+    instead of the bordered Pfaffian: every one of them when K is singular
+    or its inverse not finite, else those whose border cancels.
     """
     if max_psi_size is not None and max_psi_size < 0:
         raise ModelError(f"max_psi_size must be non-negative, got {max_psi_size!r}")
     trips = triplet_nodes(g)
     limit = len(trips) if max_psi_size is None else min(max_psi_size, len(trips))
     o = _oriented(g, res)
-    # only removal sets take K^-1 and dense minors of K
-    K = tutte_matrix(o) if limit >= 2 else tutte_entries(o)
-    pf = minor_pfaffian(K, (), ())[0]
-    base = (pf, skew_inverse(K) if pf.sign and limit >= 2 else None)
+    K = tutte_entries(o)
+    pf = minor_pfaffian(K, (), {})[0]
+    # only removal sets take K^-1, inverted from the dense K, and flip edges
     removable = trips if limit >= 2 else ()
+    base = (pf, skew_inverse(tutte_matrix(o)) if pf.sign and removable else None)
+    weight = dict(zip(zip(K.cols.tolist(), K.rows.tolist()), (-K.vals).tolist())) if removable else {}
     removed_weight = {a: SignedLog.from_float(float(res.loop_weights[a][-1])) for a in removable}
     lines = _defect_lines(g, o, removable) if removable else {}
     terms = []
@@ -203,7 +208,7 @@ def pfaffian_series(
             for a in psi:
                 flip ^= lines[a]
                 factor = factor * removed_weight[a]
-            zp, on_minor = _term(g, o, K, base, psi, flip)
+            zp, on_minor = _term(g, o, K, weight, base, psi, flip)
             dense += on_minor
             terms.append(PfaffianTerm(psi, zp, factor))
     total = SignedLog.sum(t.contribution for t in terms)

@@ -20,9 +20,10 @@ exact_pfaffian is Parlett-Reid elimination in rational arithmetic, exact
 for the floats a matrix stores;
 dense_minor_term is a series term the way it reads on paper: the removal
 set's principal minor of the Tutte matrix with its defect lines negated,
-one dense Pfaffian, and the sign of a reference matching (it shares
-pfaffian, matching_sign and reference_matching with the series, and none
-of its bordering, choice of Pfaffian source or port renumbering);
+sliced from the dense matrix, its Pfaffian, and the sign of a reference
+matching (it shares pfaffian, matching_sign and reference_matching with
+the series, and none of its bordering, choice of Pfaffian source or port
+renumbering);
 reference_mu_term is the loop weight of one (node, subset) pair straight
 from the magnetizations, the formula planarz.bp replaced with its
 cancellation-free tables.
@@ -38,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from planarz.bp import MESSAGE_FLOOR, RESIDUAL_THRESHOLD, BPNumericError, BPResult
-from planarz.pfaffian import PIVOT_THRESHOLD, matching_sign, pfaffian
+from planarz.pfaffian import PIVOT_THRESHOLD, SparseSkew, matching_sign, pfaffian
 from planarz.planar import reference_matching
 from planarz.slog import SignedLog
 
@@ -233,7 +234,7 @@ def dense_minor_term(g, o, K, removed, flip) -> SignedLog:
     minor, kept = flipped_minor(o, K, removed, flip)
     at = {v: i for i, v in enumerate(kept)}
     pairs = [o.orientation[k][::-1] if k in flip else o.orientation[k] for k in matching]
-    pf = pfaffian(minor)
+    pf = pfaffian(SparseSkew.lower(minor))
     return SignedLog(matching_sign([(at[t], at[h]) for t, h in pairs]) * pf.sign, pf.log_magnitude)
 
 

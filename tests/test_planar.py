@@ -19,6 +19,7 @@ from planarz import (
     ForneyGraph,
     ModelParams,
     NonPlanarError,
+    SparseSkew,
     embed,
     face_parity_violations,
     fisher_extend,
@@ -31,6 +32,7 @@ from planarz import (
     two_core,
     z_empty,
 )
+from planarz.pfaffian import tutte_entries
 from planarz.planar import _planar_faces
 
 from builders import (
@@ -151,13 +153,15 @@ def test_fisher_extend_removal(monkeypatch):
     o = orient(fisher_extend(g, res))
     K = tutte_matrix(o)
     minor, kept = flipped_minor(o, K, ("t1", "t2"), ())
-    # the series' own dense minor is that slice
+    # the series' own full minor, built from the entries, is that slice
     real = pfaffian_module.pfaffian
     seen = []
     monkeypatch.setattr(pfaffian_module, "pfaffian", lambda a: seen.append(a) or real(a))
     removed = sorted(set(range(o.ext.num_vertices)) - set(kept))
-    pfaffian_module.minor_pfaffian(K, removed, ())
-    assert len(seen) == 1 and np.array_equal(seen[0], minor)
+    pfaffian_module.minor_pfaffian(tutte_entries(o), removed, {})
+    want = SparseSkew.lower(minor)
+    assert len(seen) == 1 and seen[0].shape == want.shape
+    assert all(np.array_equal(getattr(seen[0], f), getattr(want, f)) for f in ("rows", "cols", "vals"))
     assert minor.shape == (len(kept), len(kept)) == (o.ext.num_vertices - 6,) * 2
     # externals on removed nodes are gone too: each removed degree-3 node
     # kills its 3 externals, but the t1-t2 edge is shared
@@ -213,7 +217,7 @@ def test_orient_roots_one_face_per_component():
     assert face_parity_violations(o) == []
     after = matching_sum(o.ext.num_vertices, [(e.u, e.v, e.weight) for e in o.ext.edges])
     assert after == pytest.approx(before)
-    z = pfaffian(tutte_matrix(o))
+    z = pfaffian(tutte_entries(o))
     assert abs(z.to_float()) == pytest.approx(before, rel=1e-10)
 
 
@@ -332,11 +336,11 @@ def test_orient_cut_vertex_bridge_and_disjoint_union():
                 continue
             o = orient(plain_extended(n, edges))
             assert face_parity_violations(o) == [], (how, n, edges)
-            pf = pfaffian(kasteleyn_matrix(o))
+            pf = pfaffian(SparseSkew.lower(kasteleyn_matrix(o)))
             want = matching_count(n, [(e.u, e.v) for e in o.ext.edges])
             assert math.exp(pf.log_magnitude) == pytest.approx(want, rel=1e-10, abs=0)
             # unit weights: the weighted Pfaffian counts the glued graph's matchings
-            z = pfaffian(tutte_matrix(o))
+            z = pfaffian(tutte_entries(o))
             assert abs(z.to_float()) == pytest.approx(matching_count(n, edges), rel=1e-10)
             checked += 1
     assert checked >= 90

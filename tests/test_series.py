@@ -8,6 +8,7 @@ hand derivation.
 
 import importlib
 import math
+import tracemalloc
 from collections import Counter
 
 import networkx as nx
@@ -20,6 +21,8 @@ from planarz import (
     ModelParams,
     NonPlanarError,
     OrientationError,
+    SignedLog,
+    SparseSkew,
     enumerate_loops,
     exact_log_z,
     exact_log_z_factor,
@@ -38,6 +41,7 @@ from planarz import (
     two_core,
     z_empty,
 )
+from planarz.pfaffian import tutte_entries
 from builders import cycle_forney, ladder_graph, random_planar_forney
 from oracles import dense_minor_term, exact_pfaffian, flipped_minor, kasteleyn_matrix
 
@@ -261,14 +265,14 @@ def test_reference_matching_sign_matches_kasteleyn():
                 sign[u, v] = sign[v, u] = -1
             kept = [v for v, (a, _) in enumerate(o.ext.labels) if a not in term.psi]
             at = {v: i for i, v in enumerate(kept)}
-            pf = pfaffian((sign * unit)[np.ix_(kept, kept)])
+            pf = pfaffian(SparseSkew.lower((sign * unit)[np.ix_(kept, kept)]))
             matching = reference_matching(g, o.ext, term.psi)
             if not term.psi:
                 # no odd node, no loop: every edge of g matches externally
                 port = o.ext.port
                 assert matching == [tuple(sorted((port[(a, b)], port[(b, a)]))) for a, b in g.edges]
             if matching is None:
-                assert pfaffian((sign * weighted)[np.ix_(kept, kept)]).sign == 0
+                assert pfaffian(SparseSkew.lower((sign * weighted)[np.ix_(kept, kept)])).sign == 0
                 assert term.z_psi.sign == 0
                 continue
             assert set(matching) <= {e.key() for e in o.ext.edges}
@@ -337,6 +341,34 @@ def test_series_terms_match_the_dense_minor():
     assert checked >= 3000
 
 
+def test_full_minor_is_built_from_the_entries():
+    # a term's fallback minor on a 16x16 grid (2,816 ports): K's entries
+    # with the removed ports' dropped, the kept ones renumbered and the
+    # flipped ones negated, never an n x n array; it is the dense minor's
+    _, g = gen_grid(16, ModelParams(beta=1.0, theta=1.0, seed=0))
+    g = two_core(g)[0]
+    o = orient(fisher_extend(g, _bp(g)))
+    trips = triplet_nodes(g)
+    psi = (trips[0], trips[-1])  # far apart: 63 kept flipped edges
+    flip = _term_flips(g, o, psi)
+    K, n = tutte_matrix(o), o.ext.num_vertices
+    labels = o.ext.labels
+    kept = {(u, v): K[u, v] for u, v in flip if K[u, v] and labels[u][0] not in psi and labels[v][0] not in psi}
+    ports = sorted(o.ext.port[(a, b)] for a in psi for b in g.neighbors[a])
+    entries = tutte_entries(o)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pf, full = pfaffian_module.minor_pfaffian(entries, ports, kept)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert full and len(ports) == 6 and len(kept) == 63
+    assert peak < 0.03 * n**2 * 8
+    minor, _ = flipped_minor(o, K, psi, flip)
+    assert pf == pfaffian(SparseSkew.lower(minor)) != SignedLog.zero()
+
+
 def test_cancelling_border_falls_back_to_the_dense_minor():
     # the 4x4 grid term whose border Pfaffian is about 3e-9 of its
     # Hadamard bound: Z + G[T, T] has lost its digits there, so the term
@@ -351,8 +383,10 @@ def test_cancelling_border_falls_back_to_the_dense_minor():
     o = series_module._oriented(g, res)
     K = tutte_matrix(o)
     flip = _term_flips(g, o, psi)
-    base = (pfaffian(K), pfaffian_module.skew_inverse(K))
-    assert series_module._term(g, o, K, base, psi, flip)[1]
+    entries = tutte_entries(o)
+    weight = {(u, v): K[u, v] for u, v in zip(*np.nonzero(np.triu(K)))}
+    base = (pfaffian(entries), pfaffian_module.skew_inverse(K))
+    assert series_module._term(g, o, entries, weight, base, psi, flip)[1]
     minor, kept = flipped_minor(o, K, psi, flip)
     at = {v: i for i, v in enumerate(kept)}
     exact = exact_pfaffian(minor)
@@ -420,7 +454,7 @@ def test_series_takes_one_pfaffian_of_the_full_matrix(monkeypatch):
     res = _bp(g)
     real = pfaffian_module.pfaffian
     dims = []
-    monkeypatch.setattr(pfaffian_module, "pfaffian", lambda a: dims.append(len(a)) or real(a))
+    monkeypatch.setattr(pfaffian_module, "pfaffian", lambda a: dims.append(a.shape[0]) or real(a))
     series = pfaffian_series(g, res)
     o = series_module._oriented(g, res)
     K = tutte_matrix(o)

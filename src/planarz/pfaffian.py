@@ -2,8 +2,8 @@
 
 A matrix is a SparseSkew: its nonzero entries below the diagonal, in
 row-major order. SparseSkew.lower reads one from an array and
-tutte_entries from an oriented graph; tutte_matrix spreads the latter into
-the dense array that skew_inverse takes. pfaffian is the one place that
+tutte_entries from an oriented graph; SparseSkew.dense spreads one back
+into the array that skew_inverse takes. pfaffian is the one place that
 checks a matrix. It runs Parlett-Reid skew-symmetric tridiagonalization
 with partial pivoting (congruence transforms of determinant one, swaps
 tracked in the sign), so only pivot magnitudes are multiplied and
@@ -42,14 +42,15 @@ PIVOT_THRESHOLD = 1e-12
 # A border Pfaffian below this fraction of its Hadamard bound has lost its
 # digits to cancellation in Z + G[T, T], and bordered_pfaffian declines it.
 # Calibrated against the full minors of 4x4 beta 1 theta 1 grids (|psi| <=
-# 4) and spiderweb(2, 3), (3, 6) and (1, 4) series: the worst term, at 3e-9
+# 4) and spiderweb(2, 3), (3, 6) and (1, 4) series: the worst term, at 2e-9
 # of its bound, was off by 2.7e-9 in log; on those models, above 1e-6 of
 # its bound no term was off by more than 2e-11. That is no accuracy
 # guarantee for accepted terms elsewhere: on the 8x8 beta 1 theta 1 seed 0
-# series with |psi| <= 2, term 4363, psi = (delta_x5_7_s0, delta_x6_6_s1),
-# passes this test yet is off by 3.8e-7 in log against
-# tests/oracles.dense_minor_term. It is e^-32.3 of z_total, so the total
-# does not see it; ROADMAP item 2 replaces this per-term test with an error
+# series with |psi| <= 2, term 4264, psi = (delta_x5_5_s0, delta_x5_7_s0),
+# passes this test yet is off by 1.8e-7 in log against
+# tests/oracles.dense_minor_term. It is e^-27.0 of z_total, so the total
+# does not see it (no accepted term there is off by more than 1.4e-17 of
+# z_total); ROADMAP item 2 replaces this per-term test with an error
 # budget on the total
 HADAMARD_FRACTION = 1e-6
 # least side of a SparseSkew's front: it holds an 8x8 grid's windows
@@ -83,6 +84,14 @@ class SparseSkew:
         low = cols < rows
         rows, cols = rows[low], cols[low]
         return cls(a.shape, rows, cols, a[rows, cols])
+
+    def dense(self) -> np.ndarray:
+        """The n x n array, lower's inverse: for the series' K^-1; every
+        Pfaffian takes the entries."""
+        a = np.zeros(self.shape)
+        a[self.rows, self.cols] = self.vals
+        a[self.cols, self.rows] = -self.vals
+        return a
 
 
 def pfaffian(a: SparseSkew) -> SignedLog:
@@ -204,16 +213,6 @@ def tutte_entries(o: OrientedPlanarGraph) -> SparseSkew:
     n = o.ext.num_vertices
     order = np.argsort(rows * n + cols)
     return SparseSkew((n, n), rows[order], cols[order], vals[order])
-
-
-def tutte_matrix(o: OrientedPlanarGraph) -> np.ndarray:
-    """tutte_entries(o) as a dense n x n array, for the series' K^-1;
-    every Pfaffian takes the entries."""
-    s = tutte_entries(o)
-    a = np.zeros(s.shape)
-    a[s.rows, s.cols] = s.vals
-    a[s.cols, s.rows] = -s.vals
-    return a
 
 
 def matching_sign(pairs) -> int:

@@ -5,7 +5,9 @@ planarity test, and the only networkx call) -> split gadgets (one 2-node
 gadget per degree-2 node, one triangle per degree-3 node) with that
 rotation lifted onto their ports -> the lifted rotation's faces, traced
 once per topology and checked against Euler's formula -> orientation making
-every bounded face odd when walked clockwise, one root face per component.
+every bounded face odd when walked clockwise, one root face per component,
+fixed along a breadth-first dual spanning forest. Every graph search
+here, over the model's nodes, the ports or the faces, runs through _bfs.
 Perfect matchings of the extended graph then line up with the even-degree
 loop structure of the source graph. Only the removal-free graph of a model
 is built, embedded and oriented: a removal set's graph is its subgraph
@@ -77,7 +79,8 @@ class OrientedPlanarGraph:
 def _planar_faces(rotation) -> tuple:
     """Faces of a rotation system, each a walk of directed edges, after a
     per-component Euler check: the rotation is planar iff each component
-    has V - E + F = 2, its outer face counted. Raises NonPlanarError."""
+    has V - E + F = 2, its outer face counted. A component is the vertices
+    one _bfs over the rotation reaches. Raises NonPlanarError."""
     n = len(rotation)
     pos = [{b: i for i, b in enumerate(nbrs)} for nbrs in rotation]
     faces = []
@@ -95,24 +98,17 @@ def _planar_faces(rotation) -> tuple:
                 x, y = y, nxt
             faces.append(tuple(walk))
 
-    comp = list(range(n))
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
+    comp, parent = [0] * n, {}
     for u in range(n):
-        for v in rotation[u]:
-            comp[find(u)] = find(v)
+        if u not in parent:
+            for x in _bfs(rotation, u, parent):
+                comp[x] = u
     # 2(V - E + F) per component: each vertex adds 2 - degree, each face 2
-    euler = {}
+    euler = dict.fromkeys(comp, 0)
     for u in range(n):
-        root = find(u)
-        euler[root] = euler.get(root, 0) + 2 - len(rotation[u])
+        euler[comp[u]] += 2 - len(rotation[u])
     for face in faces:
-        euler[find(face[0][0])] += 2
+        euler[comp[face[0][0]]] += 2
     if any(chi != 4 for chi in euler.values()):
         raise NonPlanarError("rotation system violates Euler's formula")
     return tuple(faces)
@@ -158,14 +154,16 @@ def embed(vertices, edges) -> tuple:
 _GADGET_PAIRS = {2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
 
 
-def _bfs(g: ForneyGraph, root, parent: dict) -> list:
+def _bfs(adj, root, parent: dict) -> list:
     """Nodes reached from root in breadth-first order, root first, skipping
     every node already in parent; records each reached node's parent
-    there, None for root."""
+    there, None for root. adj maps each node, by key or index, to its
+    neighbours: a ForneyGraph's neighbors, a rotation system, a face
+    adjacency."""
     parent[root] = None
     order = [root]
     for a in order:
-        for b in g.neighbors[a]:
+        for b in adj[a]:
             if b not in parent:
                 parent[b] = a
                 order.append(b)
@@ -180,7 +178,7 @@ def _level_order(g: ForneyGraph) -> list:
     order, seen = [], {}
     for a in g.nodes:
         if a not in seen:
-            order += _bfs(g, _bfs(g, a, {})[-1], seen)[::-1]
+            order += _bfs(g.neighbors, _bfs(g.neighbors, a, {})[-1], seen)[::-1]
     return order
 
 
@@ -256,7 +254,7 @@ def reference_matching(g: ForneyGraph, ext: ExtendedGraph, removed=()):
         for root in kept:
             if root in parent:
                 continue
-            order = _bfs(g, root, parent)  # every node after its parent
+            order = _bfs(g.neighbors, root, parent)  # every node after its parent
             for a in reversed(order[1:]):
                 if odd[a]:
                     loop.add(canon_edge(a, parent[a]))
@@ -278,12 +276,15 @@ def reference_matching(g: ForneyGraph, ext: ExtendedGraph, removed=()):
 def orient(ext: ExtendedGraph) -> OrientedPlanarGraph:
     """Direct every edge so each bounded face has an odd clockwise count.
 
-    Every edge starts out pointing to its larger endpoint. A depth-first
-    walk across edges then grows a spanning forest of the dual, rooted in
-    each component's largest face, which serves as that component's outer
-    face. Faces are fixed leaves first: each flips the edge it was reached
+    Every edge starts out pointing to its larger endpoint. A breadth-first
+    walk of the dual (_bfs over the faces, each adjacent to the faces
+    across its edges) then grows a spanning forest, rooted in each
+    component's largest face, which serves as that component's outer face.
+    A face is reached across the first edge of its parent's walk into it.
+    Faces are fixed leaves first: each flips the edge it was reached
     across, if need be, to make its own count odd. The forest is kept on
-    the result: a path up it from any face reaches its component's root.
+    the result: a path up it from any face is a shortest dual path to its
+    component's root.
 
     The faces are traced from ext.rotation, the one face trace per topology,
     checked per component against Euler's formula and kept on the result;
@@ -294,23 +295,16 @@ def orient(ext: ExtendedGraph) -> OrientedPlanarGraph:
     face_of = {de: fi for fi, walk in enumerate(faces) for de in walk}
     orientation = {e.key(): e.key() for e in ext.edges}  # tail = smaller endpoint
 
-    dual_tree = {}
-    order = []
-    seen = set()
+    dual = [[face_of[(y, x)] for x, y in walk] for walk in faces]
+    parent, order = {}, []
     for root in sorted(range(len(faces)), key=lambda i: (-len(faces[i]), i)):
-        if root in seen:
-            continue
-        seen.add(root)
-        stack = [root]
-        while stack:
-            fi = stack.pop()
-            order.append(fi)
-            for x, y in faces[fi]:
-                nf = face_of[(y, x)]
-                if nf not in seen:
-                    seen.add(nf)
-                    dual_tree[nf] = (fi, (min(x, y), max(x, y)))
-                    stack.append(nf)
+        if root not in parent:
+            order += _bfs(dual, root, parent)
+    dual_tree = {}
+    for fi in order:
+        for (x, y), nf in zip(faces[fi], dual[fi]):
+            if parent[nf] == fi and nf not in dual_tree:
+                dual_tree[nf] = (fi, (min(x, y), max(x, y)))
 
     for fi in reversed(order):
         if fi not in dual_tree:

@@ -40,7 +40,6 @@ from .pfaffian import (
     minor_pfaffian,
     skew_inverse,
     tutte_entries,
-    tutte_matrix,
 )
 from .planar import (
     OrientedPlanarGraph,
@@ -119,7 +118,8 @@ def _oriented(g: ForneyGraph, res: BPResult) -> OrientedPlanarGraph:
 
 def _defect_lines(g: ForneyGraph, o: OrientedPlanarGraph, nodes) -> dict:
     """Per node, the edges crossed by the dual-tree path from a face at its
-    last port to the root face of its component.
+    last port to the root face of its component: a shortest dual path,
+    since orient grows the forest breadth first.
 
     With every bounded face clockwise-odd, a cycle's clockwise count is one
     plus the number of vertices inside it, mod 2. Removing a gadget drops
@@ -195,7 +195,7 @@ def pfaffian_series(
     pf = minor_pfaffian(K, (), {})[0]
     # only removal sets take K^-1, inverted from the dense K, and flip edges
     removable = trips if limit >= 2 else ()
-    base = (pf, skew_inverse(tutte_matrix(o)) if pf.sign and removable else None)
+    base = (pf, skew_inverse(K.dense()) if pf.sign and removable else None)
     weight = dict(zip(zip(K.cols.tolist(), K.rows.tolist()), (-K.vals).tolist())) if removable else {}
     removed_weight = {a: SignedLog.from_float(float(res.loop_weights[a][-1])) for a in removable}
     lines = _defect_lines(g, o, removable) if removable else {}

@@ -29,7 +29,6 @@ from planarz import (
     orient,
     pfaffian,
     run_bp,
-    tutte_matrix,
     two_core,
 )
 from planarz.pfaffian import (
@@ -58,7 +57,7 @@ def _grid_oriented(n, theta, seed=0):
 
 
 def _grid_tutte(n, theta):
-    return tutte_matrix(_grid_oriented(n, theta))
+    return tutte_entries(_grid_oriented(n, theta)).dense()
 
 
 def _pf(a):
@@ -214,7 +213,7 @@ def test_edge_pfaffian_matches_the_dense_kernel():
     checked = 0
     for pool in pools:
         for o in _pool(*pool):
-            assert pfaffian(tutte_entries(o)) == reference_pfaffian(tutte_matrix(o)) != SignedLog.zero()
+            assert pfaffian(tutte_entries(o)) == reference_pfaffian(tutte_entries(o).dense()) != SignedLog.zero()
             checked += 1
     assert checked == 88
     # grids whose windows move the front down 12 to 31 times, against one
@@ -368,7 +367,7 @@ def test_pfaffian_leaves_input_unchanged():
 
 
 def test_tutte_matrix_of_the_empty_graph_is_0x0():
-    a = tutte_matrix(orient(fisher_extend(ForneyGraph({}, {}), None)))
+    a = tutte_entries(orient(fisher_extend(ForneyGraph({}, {}), None))).dense()
     assert a.shape == (0, 0)
     assert _pf(a) == SignedLog.one()
 
@@ -384,17 +383,16 @@ def _weighted_square(weights, extra=()):
 
 def test_tutte_matrix_rejects_duplicate_port_pairs():
     o = orient(plain_extended(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
-    assert tutte_matrix(o).shape == (4, 4)
+    assert tutte_entries(o).dense().shape == (4, 4)
     doubled = replace(o, ext=replace(o.ext, edges=o.ext.edges + (o.ext.edges[0],)))
-    for build in (tutte_entries, tutte_matrix):
-        with pytest.raises(ValueError, match="parallel"):
-            build(doubled)
+    with pytest.raises(ValueError, match="parallel"):
+        tutte_entries(doubled)
 
 
 def test_edge_pfaffian_rejects_non_finite_weights():
     for bad in (np.inf, -np.inf, np.nan):
         o = _weighted_square([1.0, bad, 1.0, 1.0])
-        for a in (tutte_entries(o), SparseSkew.lower(tutte_matrix(o))):
+        for a in (tutte_entries(o), SparseSkew.lower(tutte_entries(o).dense())):
             with pytest.raises(ValueError, match="entries must be finite"):
                 pfaffian(a)
 
@@ -405,7 +403,7 @@ def test_edge_pfaffian_rejects_a_loop_edge():
     with pytest.raises(ValueError, match="skew"):
         tutte_entries(_weighted_square([1.0] * 4, [loop]))
     o = _weighted_square([1.0] * 4, [replace(loop, weight=0.0)])
-    assert pfaffian(tutte_entries(o)) == _pf(tutte_matrix(o)) != SignedLog.zero()
+    assert pfaffian(tutte_entries(o)) == _pf(tutte_entries(o).dense()) != SignedLog.zero()
 
 
 def test_edge_pfaffian_threshold_is_relative_to_the_largest_weight():
@@ -415,11 +413,11 @@ def test_edge_pfaffian_threshold_is_relative_to_the_largest_weight():
     for w, zero in (([1e4] + [1e-7] * 3, False), ([1e6] + [1e-7] * 3, True), ([1e-13] * 4, True)):
         o = _weighted_square(w)
         pf = pfaffian(tutte_entries(o))
-        assert pf == _pf(tutte_matrix(o)) and (pf.sign == 0) == zero
+        assert pf == _pf(tutte_entries(o).dense()) and (pf.sign == 0) == zero
     # a zero weight is no entry, as in the dense matrix
     o = _weighted_square([2.0, 0.0, 3.0, 0.5])
     assert 0.0 not in tutte_entries(o).vals and len(tutte_entries(o).vals) == 3
-    assert pfaffian(tutte_entries(o)) == _pf(tutte_matrix(o))
+    assert pfaffian(tutte_entries(o)) == _pf(tutte_entries(o).dense())
     assert abs(pfaffian(tutte_entries(o)).to_float()) == pytest.approx(6.0)
 
 
@@ -448,7 +446,7 @@ def test_ladder_gadget_matrices():
     o = orient(fisher_extend(g, res))
     b_hat = kasteleyn_matrix(o)
     assert math.exp(_pf(b_hat).log_magnitude) == pytest.approx(8.0, rel=1e-12)
-    a_hat = tutte_matrix(o)
+    a_hat = tutte_entries(o).dense()
     # internal weights present, externals 1: matrices differ only there
     assert a_hat.shape == b_hat.shape
 

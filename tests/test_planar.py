@@ -28,7 +28,6 @@ from planarz import (
     orient,
     pfaffian,
     run_bp,
-    tutte_matrix,
     two_core,
     z_empty,
 )
@@ -141,7 +140,7 @@ def test_fisher_extend_ports_make_a_banded_tutte_matrix():
         nodes = [a for a, _ in ext.labels]
         runs = [a for i, a in enumerate(nodes) if i == 0 or a != nodes[i - 1]]
         assert sorted(runs) == sorted(core.nodes)  # each node's ports contiguous
-        rows, cols = np.nonzero(tutte_matrix(orient(ext)))
+        rows, cols = np.nonzero(tutte_entries(orient(ext)).dense())
         assert np.abs(rows - cols).max() <= 5 * n
 
 
@@ -151,7 +150,7 @@ def test_fisher_extend_removal(monkeypatch):
     g = ladder_graph(seed=3)
     res = _bp(g)
     o = orient(fisher_extend(g, res))
-    K = tutte_matrix(o)
+    K = tutte_entries(o).dense()
     minor, kept = flipped_minor(o, K, ("t1", "t2"), ())
     # the series' own full minor, built from the entries, is that slice
     real = pfaffian_module.pfaffian

@@ -37,7 +37,6 @@ from planarz import (
     reference_matching,
     run_bp,
     triplet_nodes,
-    tutte_matrix,
     two_core,
     z_empty,
 )
@@ -255,7 +254,7 @@ def test_reference_matching_sign_matches_kasteleyn():
         res = _bp(g)
         o = orient(fisher_extend(g, res))
         lines = series_module._defect_lines(g, o, triplet_nodes(g))
-        unit, weighted = kasteleyn_matrix(o), tutte_matrix(o)
+        unit, weighted = kasteleyn_matrix(o), tutte_entries(o).dense()
         for term in pfaffian_series(g, res).terms:
             flip = set()
             for a in term.psi:
@@ -327,7 +326,7 @@ def test_series_terms_match_the_dense_minor():
         res = _bp(g)
         series = pfaffian_series(g, res, cap)
         o = series_module._oriented(g, res)
-        K = tutte_matrix(o)
+        K = tutte_entries(o).dense()
         total = series.z_total.log_magnitude
         for term in series.terms:
             dense = dense_minor_term(g, o, K, term.psi, _term_flips(g, o, term.psi))
@@ -349,9 +348,9 @@ def test_full_minor_is_built_from_the_entries():
     g = two_core(g)[0]
     o = orient(fisher_extend(g, _bp(g)))
     trips = triplet_nodes(g)
-    psi = (trips[0], trips[-1])  # far apart: 63 kept flipped edges
+    psi = (trips[0], trips[-1])  # far apart: 6 kept flipped edges
     flip = _term_flips(g, o, psi)
-    K, n = tutte_matrix(o), o.ext.num_vertices
+    K, n = tutte_entries(o).dense(), o.ext.num_vertices
     labels = o.ext.labels
     kept = {(u, v): K[u, v] for u, v in flip if K[u, v] and labels[u][0] not in psi and labels[v][0] not in psi}
     ports = sorted(o.ext.port[(a, b)] for a in psi for b in g.neighbors[a])
@@ -363,10 +362,22 @@ def test_full_minor_is_built_from_the_entries():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert full and len(ports) == 6 and len(kept) == 63
+    assert full and len(ports) == 6 and len(kept) == 6
     assert peak < 0.03 * n**2 * 8
     minor, _ = flipped_minor(o, K, psi, flip)
     assert pf == pfaffian(SparseSkew.lower(minor)) != SignedLog.zero()
+
+
+def test_defect_lines_are_shortest_dual_paths():
+    # orient grows its dual forest breadth first, so a node's line is a
+    # shortest dual path to the root, the grid's outer face: on a 16x16
+    # grid no line crosses more than 8 edges
+    _, g = gen_grid(16, ModelParams(beta=1.0, theta=1.0, seed=0))
+    g = two_core(g)[0]
+    o = orient(fisher_extend(g, _bp(g)))
+    lines = series_module._defect_lines(g, o, triplet_nodes(g))
+    assert len(lines) == len(triplet_nodes(g)) > 0
+    assert max(len(line) for line in lines.values()) <= 8
 
 
 def test_cancelling_border_falls_back_to_the_dense_minor():
@@ -381,7 +392,7 @@ def test_cancelling_border_falls_back_to_the_dense_minor():
     psi = ("delta_x1_1_s1", "delta_x1_2_s0", "delta_x2_2_s0", "delta_x2_3_s0")
     term = next(t for t in series.terms if t.psi == psi)
     o = series_module._oriented(g, res)
-    K = tutte_matrix(o)
+    K = tutte_entries(o).dense()
     flip = _term_flips(g, o, psi)
     entries = tutte_entries(o)
     weight = {(u, v): K[u, v] for u, v in zip(*np.nonzero(np.triu(K)))}
@@ -409,7 +420,7 @@ def test_each_term_takes_one_reference_matching(monkeypatch):
     monkeypatch.setattr(series_module, "reference_matching", lambda *a: calls.append(1) or real(*a))
     series = pfaffian_series(g, res, max_psi_size=4)
     assert len(series.terms) == len(calls) == 1941
-    assert series.dense_terms == 92
+    assert series.dense_terms == 91
 
 
 def test_z_empty_is_the_series_first_term(monkeypatch):
@@ -434,10 +445,10 @@ def test_z_empty_is_the_series_first_term(monkeypatch):
 def test_z_empty_builds_no_dense_matrix(monkeypatch):
     # below a removal set Pf(K) is read from the oriented edges; only a
     # series that evaluates removal sets builds the dense K
-    def refuse(o):
+    def refuse(self):
         raise AssertionError("dense Tutte matrix built")
 
-    monkeypatch.setattr(series_module, "tutte_matrix", refuse)
+    monkeypatch.setattr(SparseSkew, "dense", refuse)
     for g in _series_models():
         res = _bp(g)
         z_empty(g, res)
@@ -457,7 +468,7 @@ def test_series_takes_one_pfaffian_of_the_full_matrix(monkeypatch):
     monkeypatch.setattr(pfaffian_module, "pfaffian", lambda a: dims.append(a.shape[0]) or real(a))
     series = pfaffian_series(g, res)
     o = series_module._oriented(g, res)
-    K = tutte_matrix(o)
+    K = tutte_entries(o).dense()
     n = len(K)
     assert dims[0] == n and dims.count(n) == 1
     bounds = []

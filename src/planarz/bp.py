@@ -2,15 +2,19 @@
 
 Messages live on directed edges as normalized 2-vectors over the edge
 variable (index 0 is -1, index 1 is +1), kept as two flat lists of floats
-indexed by directed-edge slot. Each run compiles every slot's update into
-one coefficient tuple and applies the updates in residual order, the
-largest pending message change first, lowest slot on ties, taken from a
-binary max-heap of residuals that is compacted to O(slots) entries;
-convergence means no pending change reaches RESIDUAL_THRESHOLD. The
-threshold is fixed: the loop series is exact only at a fixed point, and a
-looser one would leave its error unreported. Beliefs,
-free-energy style quantities and every node's loop-weight table are
-evaluated from the log messages, all nodes of one degree at a time.
+indexed by directed-edge slot. What depends on the graph's topology alone
+(the slots, the slots each update feeds, where each update reads the
+sender's table, the nodes grouped by degree) is one plan, built once per
+topology and kept on the per-topology record (model._topology) that the
+series shares. Each run only gathers its tables into one coefficient
+tuple per slot and applies the updates in residual order, the largest
+pending message change first, lowest slot on ties, taken from a binary
+max-heap of residuals that is compacted to O(slots) entries; convergence
+means no pending change reaches RESIDUAL_THRESHOLD. The threshold is
+fixed: the loop series is exact only at a fixed point, and a looser one
+would leave its error unreported. Beliefs, free-energy style quantities
+and every node's loop-weight table are evaluated from the log messages,
+all nodes of one degree at a time.
 """
 
 from __future__ import annotations
@@ -18,11 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from operator import mul
+from operator import itemgetter, mul
 
 import numpy as np
 
-from .model import ForneyGraph, ModelError, _log_safe
+from .model import ForneyGraph, ModelError, _log_safe, _topology
 
 MESSAGE_FLOOR = 1e-300
 RESIDUAL_THRESHOLD = 1e-14  # a run converges once no pending change reaches it
@@ -45,40 +49,74 @@ class BPResult:
     log_z_bp: float = 0.0
 
 
-def _compile(g: ForneyGraph):
-    """Directed-edge slots, their {directed edge: slot} map, and one
-    coefficient tuple per slot for run_bp's message update.
+@dataclass(frozen=True)
+class _Plan:
+    """What run_bp derives from a graph's topology alone (see _plan)."""
+
+    dir_edges: list  # slot -> directed edge
+    dependents: list  # slot -> the slots its message feeds
+    gathers: list  # slot -> (kernel head, sender's position in g.nodes, getter of u, v)
+    groups: list  # per degree: (nodes, slots into them, one row per node)
+
+
+def _plan(g: ForneyGraph) -> _Plan:
+    """run_bp's plan for g's topology, built in one pass over the slots.
 
     Slots 2e and 2e + 1 hold a -> b and b -> a for the e-th edge (a, b) of
-    g.edges. For a -> b the tuple holds a's table with the outgoing
-    variable first as two rows u, v over the other variables (a's neighbor
-    order, first most significant), and the slots of the messages into a
-    from those other neighbors, in the same order:
+    g.edges. run_bp's update of a -> b reads one kernel tuple: a's table
+    with the outgoing variable first as two rows u, v over the other
+    variables (a's neighbor order, first most significant), and the slots
+    of the messages into a from those other neighbors, in the same order:
       degree 2: (2, s, u0, u1, v0, v1);
       degree 3: (3, paired, s1, s2, u0, .., u3, v0, .., v3), paired when
         b is a's middle neighbor;
       otherwise: (0, slots, u, v).
+    The plan keeps each tuple as its head, the part before u, and a getter
+    of u and v from a's table, one getter per degree and outgoing variable
+    (_kernel fills them in); the slots each update feeds; and, for
+    _finish, the nodes of each degree with the slots into them, in
+    neighbor order.
     """
     dir_edges = [de for a, b in g.edges for de in ((a, b), (b, a))]
     slot = {de: j for j, de in enumerate(dir_edges)}
-    flat = {a: g.tables[a].tolist() for a in g.nodes}
-    kernel = []
+    position = {a: i for i, a in enumerate(g.nodes)}
+    getters = {}  # (degree, bit of the outgoing variable) -> getter of u, v
+    dependents, gathers = [], []
     for a, b in dir_edges:
         nbrs = g.neighbors[a]
-        shift = len(nbrs) - 1 - nbrs.index(b)  # bit of the outgoing variable
-        low = (1 << shift) - 1
-        rest = [((r & ~low) << 1) | (r & low) for r in range(1 << (len(nbrs) - 1))]
-        t = flat[a]
-        u = [t[x] for x in rest]
-        v = [t[x | (1 << shift)] for x in rest]
+        k = len(nbrs)
+        shift = k - 1 - nbrs.index(b)
+        get = getters.get((k, shift))
+        if get is None:
+            low = (1 << shift) - 1
+            u = [((r & ~low) << 1) | (r & low) for r in range(1 << (k - 1))]
+            v = [x | (1 << shift) for x in u]
+            get = getters[k, shift] = itemgetter(*u, *v) if k in (2, 3) else _rows(u, v)
         ins = [slot[(c, a)] for c in nbrs if c != b]
-        if len(nbrs) == 2:
-            kernel.append((2, *ins, *u, *v))
-        elif len(nbrs) == 3:
-            kernel.append((3, shift == 1, *ins, *u, *v))
-        else:
-            kernel.append((0, ins, u, v))
-    return dir_edges, slot, kernel
+        head = (2, *ins) if k == 2 else (3, shift == 1, *ins) if k == 3 else (0, ins)
+        gathers.append((head, position[a], get))
+        dependents.append([slot[(b, c)] for c in g.neighbors[b] if c != a])
+    by_degree = {}
+    for a in g.nodes:
+        by_degree.setdefault(len(g.neighbors[a]), []).append(a)
+    groups = []
+    for k, nodes in by_degree.items():
+        incoming = np.array(
+            [[slot[(c, a)] for c in g.neighbors[a]] for a in nodes], dtype=np.intp
+        ).reshape(len(nodes), k)
+        groups.append((nodes, incoming))
+    return _Plan(dir_edges, dependents, gathers, groups)
+
+
+def _rows(u, v):
+    """The generic kernel's getter: rows u and v of a table, as lists."""
+    return lambda t: ([t[x] for x in u], [t[x] for x in v])
+
+
+def _kernel(g: ForneyGraph, plan: _Plan) -> list:
+    """Every slot's kernel tuple (see _plan), from g's tables."""
+    tables = [g.tables[a].tolist() for a in g.nodes]
+    return [head + get(tables[i]) for head, i, get in plan.gathers]
 
 
 def run_bp(g: ForneyGraph, max_iterations: int = 10000) -> BPResult:
@@ -99,6 +137,12 @@ def run_bp(g: ForneyGraph, max_iterations: int = 10000) -> BPResult:
     still returns beliefs from its final messages, flagged as not
     converged.
 
+    The slots and everything else that depends on g's topology alone come
+    from one plan (_plan), built on the first run of a topology and kept
+    on its record (model._topology); a run that shares the kept topology,
+    whatever its tables, only gathers them into the kernel tuples
+    (_kernel).
+
     Degrees 2 and 3, all that a reduced graph has, are written out with the
     rounding of a numpy marginalization of the table (inputs multiplied in
     one at a time, in neighbor order; variables after the outgoing one
@@ -108,13 +152,17 @@ def run_bp(g: ForneyGraph, max_iterations: int = 10000) -> BPResult:
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
-    dir_edges, slot, kernel = _compile(g)
+    top = _topology(g)
+    if top.bp is None:
+        top.bp = _plan(g)
+    plan = top.bp
+    dir_edges, dependents = plan.dir_edges, plan.dependents
     n = len(dir_edges)
     lo = [0.5] * n  # slot j's message at -1 and +1
     hi = [0.5] * n
     if not n:
-        return _finish(g, slot, lo, hi, True, 0, 0.0)
-    dependents = [[slot[(b, c)] for c in g.neighbors[b] if c != a] for a, b in dir_edges]
+        return _finish(g, plan, lo, hi, True, 0, 0.0)
+    kernel = _kernel(g, plan)
     new_lo, new_hi = lo[:], hi[:]  # candidates
     resid = [0.0] * n
     heap = []
@@ -185,32 +233,27 @@ def run_bp(g: ForneyGraph, max_iterations: int = 10000) -> BPResult:
         else:
             residual = 0.0  # every residual is zero
         if residual < threshold:
-            return _finish(g, slot, lo, hi, True, max(1, -(-updates // n)), residual)
+            return _finish(g, plan, lo, hi, True, max(1, -(-updates // n)), residual)
         if updates >= budget:
-            return _finish(g, slot, lo, hi, False, max_iterations, residual)
+            return _finish(g, plan, lo, hi, False, max_iterations, residual)
         updates += 1
         lo[j], hi[j] = new_lo[j], new_hi[j]
         resid[j] = 0.0
         todo = dependents[j]
 
 
-def _finish(g, slot, lo, hi, converged, iterations, residual):
+def _finish(g, plan, lo, hi, converged, iterations, residual):
     """Beliefs, magnetizations, loop weights and the Bethe free energy from
     the slots, with all nodes of one degree handled as one array."""
     msgs = np.array([lo, hi]).T
     log_msgs = np.log(msgs)  # the kernel floors every message, so all are > 0
     log_p = log_msgs[0::2] + log_msgs[1::2]  # per edge, unnormalized log (p-, p+)
     h = 0.5 * (log_p[:, 0] - log_p[:, 1])
-    by_degree = {}
-    for a in g.nodes:
-        by_degree.setdefault(g.degree(a), []).append(a)
     node_beliefs = {}
     node_energy = {}
     loop_weights = {}
-    for k, nodes in by_degree.items():
-        incoming = np.array(
-            [[slot[(c, a)] for c in g.neighbors[a]] for a in nodes], dtype=np.intp
-        ).reshape(len(nodes), k)
+    for nodes, incoming in plan.groups:
+        k = incoming.shape[1]
         logf = _log_safe(np.array([g.tables[a] for a in nodes]))
         logb = logf.reshape((len(nodes),) + (2,) * k)
         for i in range(k):

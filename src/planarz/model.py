@@ -149,6 +149,32 @@ class ForneyGraph:
         return f"ForneyGraph({self.num_nodes} nodes, {self.num_edges} edges)"
 
 
+@dataclass(eq=False)
+class _Topology:
+    """What solves derive from a graph's topology alone, its nodes with
+    their neighbor tuples: run_bp's plan (bp) and the series' checked
+    layout (layout), each None until first built. Solves of one topology
+    with other tables share it and only refill values."""
+
+    key: tuple
+    bp: object = None
+    layout: object = None
+
+
+# the _Topology of the last topology solved: the one per-topology slot
+_last_topology = None
+
+
+def _topology(g: ForneyGraph) -> _Topology:
+    """The record of g's topology: the kept one while consecutive solves
+    share the topology, else a new, empty one that takes its slot."""
+    global _last_topology
+    key = (g.nodes, tuple(g.neighbors[a] for a in g.nodes))
+    if _last_topology is None or _last_topology.key != key:
+        _last_topology = _Topology(key)
+    return _last_topology
+
+
 @dataclass(frozen=True, eq=False)
 class Factor:
     """One factor of a factor graph: ordered variable scope plus table."""

@@ -2,12 +2,13 @@
 
 A matrix is a SparseSkew: its nonzero entries below the diagonal, in
 row-major order. SparseSkew.lower reads one from an array and
-tutte_entries from an oriented graph; SparseSkew.dense spreads one back
-into the array that skew_inverse takes. pfaffian is the one place that
-checks a matrix. It runs Parlett-Reid skew-symmetric tridiagonalization
-with partial pivoting (congruence transforms of determinant one, swaps
-tracked in the sign), so only pivot magnitudes are multiplied and
-everything stays in log space.
+tutte_entries from an oriented graph: its TuttePattern (the entries'
+places and signs, fixed by the orientation) filled with the edge weights.
+SparseSkew.dense spreads one back into the array that skew_inverse takes.
+pfaffian is the one place that checks a matrix. It runs Parlett-Reid
+skew-symmetric tridiagonalization with partial pivoting (congruence
+transforms of determinant one, swaps tracked in the sign), so only pivot
+magnitudes are multiplied and everything stays in log space.
 
 Each pivot step is one eager rank-2 update, confined to the step's active
 window: the rows and columns from the step's own up to the last nonzero
@@ -192,27 +193,51 @@ def _refill(a: SparseSkew, m, off, top, k, hi):
     return front, k, end
 
 
-def tutte_entries(o: OrientedPlanarGraph) -> SparseSkew:
-    """The Tutte matrix of the oriented extended graph as a SparseSkew:
-    A[t, h] = w and A[h, t] = -w for each edge directed t -> h.
+@dataclass(frozen=True)
+class TuttePattern:
+    """Where an oriented graph's edges sit in its Tutte matrix, apart from
+    their weights: entry i, at (rows[i], cols[i]) in row-major order, is
+    sign[i] times the weight of edge edge[i] of ext.edges, with sign +1
+    where that edge points from the larger port to the smaller."""
 
-    Parallel edges would share one entry, so they are rejected; a loop
-    edge of nonzero weight would sit on the diagonal, which is not skew.
-    Zero weights are dropped.
-    """
+    shape: tuple
+    rows: np.ndarray
+    cols: np.ndarray
+    sign: np.ndarray
+    edge: np.ndarray
+
+    def entries(self, weights: np.ndarray) -> SparseSkew:
+        """The matrix for one weight per edge, in ext.edges order, as a
+        SparseSkew: zero weights are dropped, and a loop edge of nonzero
+        weight would sit on the diagonal, which is not skew."""
+        w = weights[self.edge]
+        nz = w != 0
+        rows, cols = self.rows[nz], self.cols[nz]
+        if (rows == cols).any():
+            raise ValueError("matrix is not skew-symmetric")
+        return SparseSkew(self.shape, rows, cols, self.sign[nz] * w[nz])
+
+
+def tutte_pattern(o: OrientedPlanarGraph) -> TuttePattern:
+    """The TuttePattern of the oriented extended graph: A[t, h] = w and
+    A[h, t] = -w for each edge directed t -> h. Parallel edges would share
+    one entry, so they are rejected."""
     edges = o.ext.edges
     if len({e.key() for e in edges}) != len(edges):
         raise ValueError("parallel edges: each port pair may carry one edge")
     tail, head = np.array([o.orientation[e.key()] for e in edges], dtype=np.intp).reshape(-1, 2).T
-    w = np.array([e.weight for e in edges], dtype=float)
-    nz = w != 0
-    tail, head, w = tail[nz], head[nz], w[nz]
-    if (tail == head).any():
-        raise ValueError("matrix is not skew-symmetric")
-    rows, cols, vals = np.maximum(tail, head), np.minimum(tail, head), np.where(tail > head, w, -w)
+    rows, cols = np.maximum(tail, head), np.minimum(tail, head)
     n = o.ext.num_vertices
     order = np.argsort(rows * n + cols)
-    return SparseSkew((n, n), rows[order], cols[order], vals[order])
+    sign = np.where(tail > head, 1.0, -1.0)
+    return TuttePattern((n, n), rows[order], cols[order], sign[order], order)
+
+
+def tutte_entries(o: OrientedPlanarGraph) -> SparseSkew:
+    """The Tutte matrix of the oriented extended graph, with the weights
+    on its edges, as a SparseSkew (see tutte_pattern and
+    TuttePattern.entries)."""
+    return tutte_pattern(o).entries(np.array([e.weight for e in o.ext.edges], dtype=float))
 
 
 def matching_sign(pairs) -> int:

@@ -12,9 +12,12 @@ Perfect matchings of the extended graph then line up with the even-degree
 loop structure of the source graph. Only the removal-free graph of a model
 is built, embedded and oriented: a removal set's graph is its subgraph
 induced on the kept ports. Only the gadget-edge weights depend on BP
-(_weighted_edges), so the series builds this layout once per topology and
-reuses it while consecutive solves share it; fisher_extend and orient
-themselves keep nothing between calls.
+(_weighted_edges), each one entry of a node's loop-weight table
+(_weight_sources says which, _weight_pool holds them), so the series
+builds this layout once per topology and keeps it on the per-topology
+record it shares with BP's plan (model._topology); a solve that shares
+the topology builds no edge and gathers its weights from the pool.
+fisher_extend and orient themselves keep nothing between calls.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import networkx as nx
+import numpy as np
 
 from .bp import BPResult
 from .model import ForneyGraph, ModelError, canon_edge
@@ -152,6 +156,10 @@ def embed(vertices, edges) -> tuple:
 
 
 _GADGET_PAIRS = {2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
+# per degree, each gadget pair's entry in its node's loop-weight table
+_GADGET_ENTRIES = {
+    k: [(1 << (k - 1 - i)) | (1 << (k - 1 - j)) for i, j in pairs] for k, pairs in _GADGET_PAIRS.items()
+}
 
 
 def _bfs(adj, root, parent: dict) -> list:
@@ -218,17 +226,36 @@ def fisher_extend(g: ForneyGraph, res: BPResult) -> ExtendedGraph:
 def _weighted_edges(g: ForneyGraph, port: dict, res: BPResult) -> tuple:
     """The edges of g's gadget graph on ports numbered by port: per node,
     its gadget edges carrying res's loop weights, then one external edge
-    of weight 1 per edge of g. Only these weights depend on res."""
+    of weight 1 per edge of g. Only these weights depend on res; where
+    each one sits among them is _weight_sources."""
     edges = []
     for a in g.nodes:
         nbrs = g.neighbors[a]
         k = len(nbrs)
-        for i, j in _GADGET_PAIRS[k]:
-            w = float(res.loop_weights[a][(1 << (k - 1 - i)) | (1 << (k - 1 - j))])
-            edges.append(ExtEdge(port[(a, nbrs[i])], port[(a, nbrs[j])], w))
+        table = res.loop_weights[a]
+        for (i, j), x in zip(_GADGET_PAIRS[k], _GADGET_ENTRIES[k]):
+            edges.append(ExtEdge(port[(a, nbrs[i])], port[(a, nbrs[j])], float(table[x])))
     for a, b in g.edges:
         edges.append(ExtEdge(port[(a, b)], port[(b, a)], 1.0))
     return tuple(edges)
+
+
+def _weight_sources(g: ForneyGraph) -> np.ndarray:
+    """Per edge of _weighted_edges, where its weight sits in _weight_pool:
+    its node's loop-weight entry for the pair, or the pool's last entry,
+    1.0, for an external edge."""
+    source, start = [], 0
+    for a in g.nodes:
+        k = len(g.neighbors[a])
+        source += [start + x for x in _GADGET_ENTRIES[k]]
+        start += 1 << k
+    source += [start] * len(g.edges)
+    return np.array(source, dtype=np.intp)
+
+
+def _weight_pool(g: ForneyGraph, res: BPResult) -> np.ndarray:
+    """res's loop-weight tables in g.nodes order, then 1.0."""
+    return np.concatenate([*(res.loop_weights[a] for a in g.nodes), [1.0]])
 
 
 def reference_matching(g: ForneyGraph, ext: ExtendedGraph, removed=()):

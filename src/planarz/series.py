@@ -12,10 +12,12 @@ pfaffian.minor_pfaffian and one sign. The empty set's is Pf(K) itself;
 past it, the series takes K^-1 once, and every other term is a small
 Pfaffian over the minor's border, or the full minor from the entries where
 that border cancels. K is built dense only for that one inverse, so
-z_empty never builds an n x n matrix. The oriented graph's layout depends
-on the model's topology alone: it is embedded, oriented and checked once
-per topology and reused while consecutive solves share it, with only the
-gadget-edge weights refilled from each BPResult.
+z_empty never builds an n x n matrix. The oriented graph's layout, and
+with it K's TuttePattern (each entry's place and sign), depends on the
+model's topology alone: it is embedded, oriented and checked once per
+topology and kept on the per-topology record, which also holds BP's plan
+(model._topology). A solve that shares the topology builds no gadget
+edge: its K is the pattern filled with its BPResult's loop weights.
 
 enumerate_loops and loop_correction are the exhaustive oracle for both: the
 edges are the enumerated variables of the model's chunked enumeration
@@ -33,16 +35,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bp import BPResult
-from .model import ForneyGraph, ModelError, _enumerate, canon_edge
+from .model import ForneyGraph, ModelError, _enumerate, _topology, canon_edge
 from .pfaffian import (
     OrientationError,
     matching_sign,
     minor_pfaffian,
     skew_inverse,
-    tutte_entries,
+    tutte_pattern,
 )
 from .planar import (
     OrientedPlanarGraph,
+    _weight_pool,
+    _weight_sources,
     _weighted_edges,
     face_parity_violations,
     fisher_extend,
@@ -87,33 +91,34 @@ class PfaffianSeriesResult:
     dense_terms: int
 
 
-# (topology key, OrientedPlanarGraph) of the last topology laid out, or None
-_layout = None
+def _layout(g: ForneyGraph, res: BPResult):
+    """(o, pattern, source) of g's topology: its removal-free gadget graph
+    o, oriented with every bounded face checked odd; the TuttePattern of
+    o's Tutte matrix K; and per edge of o, where its weight sits in
+    planar._weight_pool, so that K for any BPResult on the topology is
+    pattern.entries(_weight_pool(g, res)[source]).
+
+    All three depend on g's topology alone. They are built once per
+    topology, from res, where Euler's formula and the face parity are
+    checked, kept on the topology's record only once both pass, and never
+    mutated. o keeps the weights of the solve that laid it out: read only
+    its layout, or take _oriented.
+    """
+    top = _topology(g)
+    if top.layout is None:
+        o = orient(fisher_extend(g, res))
+        bad = face_parity_violations(o)
+        if bad:
+            raise OrientationError(f"bounded faces {bad} have an even clockwise count")
+        top.layout = (o, tutte_pattern(o), _weight_sources(g))
+    return top.layout
 
 
 def _oriented(g: ForneyGraph, res: BPResult) -> OrientedPlanarGraph:
-    """g's removal-free gadget graph, oriented with every bounded face
-    checked odd, with res's loop weights on its gadget edges.
-
-    The layout (ports, rotation, faces, orientation, dual forest) depends
-    on g's topology alone: it is built once per topology, where Euler's
-    formula and the face parity are checked, and reused while consecutive
-    calls share it, with only the edge weights refilled. The slot holds
-    one layout, stored only once both checks pass, and it is never
-    mutated.
-    """
-    global _layout
-    key = (g.nodes, tuple(g.neighbors[a] for a in g.nodes))
-    if _layout is not None and _layout[0] == key:
-        o = _layout[1]
-        return replace(o, ext=replace(o.ext, edges=_weighted_edges(g, o.ext.port, res)))
-    _layout = None
-    o = orient(fisher_extend(g, res))
-    bad = face_parity_violations(o)
-    if bad:
-        raise OrientationError(f"bounded faces {bad} have an even clockwise count")
-    _layout = (key, o)
-    return o
+    """_layout's oriented graph with res's loop weights on its gadget
+    edges."""
+    o = _layout(g, res)[0]
+    return replace(o, ext=replace(o.ext, edges=_weighted_edges(g, o.ext.port, res)))
 
 
 def _defect_lines(g: ForneyGraph, o: OrientedPlanarGraph, nodes) -> dict:
@@ -190,8 +195,8 @@ def pfaffian_series(
         raise ModelError(f"max_psi_size must be non-negative, got {max_psi_size!r}")
     trips = triplet_nodes(g)
     limit = len(trips) if max_psi_size is None else min(max_psi_size, len(trips))
-    o = _oriented(g, res)
-    K = tutte_entries(o)
+    o, pattern, source = _layout(g, res)
+    K = pattern.entries(_weight_pool(g, res)[source])
     pf = minor_pfaffian(K, (), {})[0]
     # only removal sets take K^-1, inverted from the dense K, and flip edges
     removable = trips if limit >= 2 else ()

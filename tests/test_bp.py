@@ -25,6 +25,7 @@ from planarz import (
     run_bp,
     two_core,
 )
+from planarz import bp as bp_module
 from planarz.bp import RESIDUAL_THRESHOLD, BPNumericError
 
 from builders import cycle_forney, ladder_graph, random_planar_forney, random_tree_forney
@@ -168,6 +169,66 @@ def test_kernel_matches_reference_bp():
             np.testing.assert_allclose(
                 res.magnetizations[e], ref.magnetizations[e], rtol=1e-12, atol=0
             )
+
+
+def _bp_fields(res):
+    tables = (res.node_beliefs, res.edge_beliefs, res.loop_weights)
+    return (
+        res.converged,
+        res.iterations,
+        res.final_residual.hex(),
+        res.log_z_bp.hex(),
+        [[(k, [x.hex() for x in v.tolist()]) for k, v in d.items()] for d in tables],
+        [(e, m.hex()) for e, m in res.magnetizations.items()],
+        res.neighbor_order,
+    )
+
+
+def _rotated(g, a):
+    # a's neighbor order turned by one, its table permuted to match: the
+    # same model on the same node ids, but another topology key
+    nbrs = dict(g.neighbors)
+    nbrs[a] = nbrs[a][1:] + nbrs[a][:1]
+    k = len(nbrs[a])
+    tables = dict(g.tables)
+    tables[a] = g.tables[a].reshape((2,) * k).transpose(*range(1, k), 0).reshape(-1)
+    return ForneyGraph(nbrs, tables)
+
+
+def test_warm_plan_gives_the_cold_digits(monkeypatch):
+    # run_bp plans a topology once and refills only the tables: every
+    # field of a warm run, after another table on the same topology, is
+    # the cold run's to the last digit
+    grids = [gen_grid(4, ModelParams(beta=1.0, theta=1.0, seed=s))[1] for s in range(3)]
+    zero_field = gen_grid(8, ModelParams(beta=1.0, theta=0.0, seed=0))[1]
+    wheel = {"h": ("r0", "r1", "r2", "r3")}
+    wheel.update({f"r{i}": ("h", f"r{(i - 1) % 4}", f"r{(i + 1) % 4}") for i in range(4)})
+    rng = np.random.default_rng(5)
+    unsplit = ForneyGraph(wheel, {a: rng.uniform(0.3, 1.7, 2 ** len(n)) for a, n in wheel.items()})
+    a = next(a for a in grids[0].nodes if grids[0].degree(a) == 3)
+    models = [
+        *grids,
+        _rotated(grids[0], a),
+        zero_field,
+        gen_spiderweb(2, 3, ModelParams(beta=1.0, theta=1.0, seed=0))[1],
+        unsplit,  # the hub's slots take the generic kernel
+    ]
+    other = cycle_forney(3, seed=0)
+    cold = []
+    for g in models:
+        run_bp(other)
+        cold.append(_bp_fields(run_bp(g)))
+    assert cold[4][:2] == (True, 1)  # the zero-field grid applies no update
+    assert float.fromhex(cold[3][3]) == pytest.approx(float.fromhex(cold[0][3]), rel=1e-12)
+    real = bp_module._plan
+    calls = []
+    monkeypatch.setattr(bp_module, "_plan", lambda g: calls.append(1) or real(g))
+    for _ in range(2):
+        for g, want in zip(models, cold):
+            assert _bp_fields(run_bp(g)) == want
+            assert _bp_fields(run_bp(g)) == want
+    # the grids share one plan; the rotated grid, like the others, has its own
+    assert len(calls) == 2 * 5
 
 
 def test_unnormalizable_message_names_the_edge():

@@ -10,6 +10,7 @@ import importlib
 import math
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import networkx as nx
 import numpy as np
@@ -46,6 +47,7 @@ from oracles import dense_minor_term, exact_pfaffian, flipped_minor, kasteleyn_m
 
 bp_module = importlib.import_module("planarz.bp")
 pfaffian_module = importlib.import_module("planarz.pfaffian")
+planar_module = importlib.import_module("planarz.planar")
 series_module = importlib.import_module("planarz.series")
 
 
@@ -482,7 +484,7 @@ def test_series_takes_one_pfaffian_of_the_full_matrix(monkeypatch):
 
 
 def _solve_another_topology():
-    # any solve of another topology takes the place of the one kept layout
+    # any solve of another topology takes the place of the one kept record
     g = cycle_forney(3, seed=0)
     z_empty(g, _bp(g))
 
@@ -566,13 +568,14 @@ def _digits(series):
 
 
 def test_reused_layout_gives_the_cold_digits(monkeypatch):
-    # the 4x4 grids share one topology and differ in their tables; each is
-    # solved cold, right after another topology, and warm, right after a
-    # grid of another seed, and every term keeps its float digits
+    # the 4x4 grids of one theta share one topology and differ in their
+    # tables; each is solved cold, right after another topology, and warm,
+    # after a grid of another seed, and every term keeps its float digits
     models = []
-    for seed in range(3):
-        _, g = gen_grid(4, ModelParams(beta=1.0, theta=1.0, seed=seed))
-        models.append((two_core(g)[0], 2))
+    for theta in (1.0, 0.0):
+        for seed in range(3 if theta else 2):
+            _, g = gen_grid(4, ModelParams(beta=1.0, theta=theta, seed=seed))
+            models.append((two_core(g)[0], 2))
     _, g = gen_spiderweb(2, 3, ModelParams(beta=0.5, theta=0.5, seed=0))
     models.append((two_core(g)[0], None))
     cold = []
@@ -590,8 +593,38 @@ def test_reused_layout_gives_the_cold_digits(monkeypatch):
             res = _bp(g)
             assert _digits(pfaffian_series(g, res, max_psi_size=cap)) == series
             assert z_empty(g, res).log_magnitude.hex() == z == series[0][1]
-    # the grids share one layout, the spiderweb has its own
-    assert len(calls) == 2 * 2
+    # the grids of one theta share one layout, the spiderweb has its own
+    assert len(calls) == 2 * 3
+
+
+def test_warm_tutte_entries_are_the_cold_ones(monkeypatch):
+    # a warm K is the kept pattern filled with this solve's loop weights:
+    # an exactly zero gadget weight drops its entry, as tutte_entries
+    # drops it, and the next solve of the topology has the entry back
+    g = ladder_graph(seed=0)
+    res = _bp(g)
+    weights = dict(res.loop_weights)
+    weights["t1"] = weights["t1"].copy()
+    weights["t1"][0b110] = 0.0  # the gadget edge between t1's first two ports
+    zeroed = replace(res, loop_weights=weights)
+    real = series_module.minor_pfaffian
+    seen = []
+    monkeypatch.setattr(series_module, "minor_pfaffian", lambda a, *rest: seen.append(a) or real(a, *rest))
+    real_edges = planar_module._weighted_edges
+    built = []
+    monkeypatch.setattr(planar_module, "_weighted_edges", lambda *a: built.append(1) or real_edges(*a))
+    for order in ((zeroed, res), (res, zeroed)):
+        _solve_another_topology()
+        for warm, r in enumerate(order):
+            before = len(built)
+            z_empty(g, r)
+            assert len(built) - before == (not warm)  # a warm solve builds no edge
+            want = tutte_entries(orient(fisher_extend(g, r)))
+            got = seen[-1]
+            assert got.shape == want.shape
+            for x, y in ((got.rows, want.rows), (got.cols, want.cols), (got.vals, want.vals)):
+                assert x.tobytes() == y.tobytes()
+            assert len(got.vals) == len(tutte_entries(orient(fisher_extend(g, res))).vals) - (r is zeroed)
 
 
 def test_non_planar_model_is_never_laid_out(monkeypatch):

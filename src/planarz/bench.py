@@ -253,8 +253,10 @@ _DEFAULTS = {
 def parse_config(text: str) -> dict:
     """key = value lines; '#' comments; lists are space separated.
 
-    seeds accepts ranges like 0..24 (inclusive). sizes are ints for grid
-    and rings:spokes pairs for spiderweb.
+    seeds accepts ranges like 0..24 (inclusive), whose end may not be
+    below their start. sizes are ints for grid and rings:spokes pairs for
+    spiderweb. sizes, betas, thetas, seeds and methods may not be empty: a
+    sweep that computes nothing is an error.
     """
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -298,6 +300,8 @@ def parse_config(text: str) -> dict:
     cfg["attractive"] = _parse_bool(raw["attractive"])
     cfg["max_psi"] = _number("max_psi", raw["max_psi"], int) if raw["max_psi"] else None
     cfg["max_iterations"] = _number("max_iterations", raw["max_iterations"], int)
+    for key in ("sizes", "betas", "thetas", "methods"):
+        _require(key, bool(cfg[key]), "a non-empty list")
     for key in ("betas", "thetas"):
         _require(key, all(math.isfinite(x) for x in cfg[key]), "finite")
     _require("max_psi", cfg["max_psi"] is None or cfg["max_psi"] >= 0, "non-negative")
@@ -324,12 +328,13 @@ def _parse_seeds(text: str) -> list[int]:
     seeds = []
     for tok in text.split():
         if ".." in tok:
-            lo, hi = tok.split("..", 1)
-            seeds.extend(range(_number("seeds", lo, int), _number("seeds", hi, int) + 1))
+            lo, hi = (_number("seeds", x, int) for x in tok.split("..", 1))
+            if hi < lo:
+                raise ModelError(f"config key 'seeds': range {tok!r} ends below its start")
+            seeds.extend(range(lo, hi + 1))
         else:
             seeds.append(_number("seeds", tok, int))
-    if not seeds:
-        raise ModelError("empty seed list")
+    _require("seeds", bool(seeds), "a non-empty list")
     return seeds
 
 

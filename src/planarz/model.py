@@ -33,23 +33,6 @@ class ModelError(ValueError):
     """Structurally invalid model, conversion, or oracle request."""
 
 
-def assignment_to_index(spins) -> int:
-    """Table index of a +-1 assignment, first position most significant."""
-    idx = 0
-    for s in spins:
-        if s not in (-1, 1):
-            raise ModelError(f"spins must be +-1, got {s!r}")
-        idx = (idx << 1) | (s > 0)
-    return idx
-
-
-def index_to_assignment(idx: int, k: int) -> tuple[int, ...]:
-    """Inverse of assignment_to_index for a scope of size k."""
-    if not 0 <= idx < (1 << k):
-        raise ModelError(f"index {idx} out of range for scope size {k}")
-    return tuple(1 if (idx >> (k - 1 - i)) & 1 else -1 for i in range(k))
-
-
 def _check_table(owner: str, table, k: int) -> np.ndarray:
     t = np.asarray(table, dtype=float)
     if t.shape != (1 << k,):

@@ -1,10 +1,11 @@
 """Signed log-space Pfaffians of skew-symmetric matrices, from their entries.
 
 A matrix is a SparseSkew: its nonzero entries below the diagonal, in
-row-major order. SparseSkew.lower reads one from an array and
-tutte_entries from an oriented graph: its TuttePattern (the entries'
-places and signs, fixed by the orientation) filled with the edge weights.
-SparseSkew.dense spreads one back into the array that skew_inverse takes.
+row-major order. SparseSkew.lower reads one from an array, and
+TuttePattern.entries from a weight array: an oriented graph's
+TuttePattern (tutte_pattern) holds the entries' places and signs, fixed
+by the orientation. SparseSkew.dense spreads one back into the array
+that skew_inverse takes.
 pfaffian is the one place that checks a matrix. It runs Parlett-Reid
 skew-symmetric tridiagonalization with partial pivoting (congruence
 transforms of determinant one, swaps tracked in the sign), so only pivot
@@ -51,7 +52,7 @@ PIVOT_THRESHOLD = 1e-12
 # passes this test yet is off by 1.8e-7 in log against
 # tests/oracles.dense_minor_term. It is e^-27.0 of z_total, so the total
 # does not see it (no accepted term there is off by more than 1.4e-17 of
-# z_total); ROADMAP item 2 replaces this per-term test with an error
+# z_total); ROADMAP item 4 replaces this per-term test with an error
 # budget on the total
 HADAMARD_FRACTION = 1e-6
 # least side of a SparseSkew's front: it holds an 8x8 grid's windows
@@ -197,8 +198,9 @@ def _refill(a: SparseSkew, m, off, top, k, hi):
 class TuttePattern:
     """Where an oriented graph's edges sit in its Tutte matrix, apart from
     their weights: entry i, at (rows[i], cols[i]) in row-major order, is
-    sign[i] times the weight of edge edge[i] of ext.edges, with sign +1
-    where that edge points from the larger port to the smaller."""
+    sign[i] times weights[edge[i]], with sign +1 where its edge points from
+    the larger port to the smaller. tutte_pattern's edge indexes
+    ext.edges; the series' layout re-indexes it into the loop-weight pool."""
 
     shape: tuple
     rows: np.ndarray
@@ -207,9 +209,9 @@ class TuttePattern:
     edge: np.ndarray
 
     def entries(self, weights: np.ndarray) -> SparseSkew:
-        """The matrix for one weight per edge, in ext.edges order, as a
-        SparseSkew: zero weights are dropped, and a loop edge of nonzero
-        weight would sit on the diagonal, which is not skew."""
+        """The matrix for the weights that edge indexes, as a SparseSkew:
+        zero weights are dropped, and a loop edge of nonzero weight would
+        sit on the diagonal, which is not skew."""
         w = weights[self.edge]
         nz = w != 0
         rows, cols = self.rows[nz], self.cols[nz]
@@ -219,25 +221,19 @@ class TuttePattern:
 
 
 def tutte_pattern(o: OrientedPlanarGraph) -> TuttePattern:
-    """The TuttePattern of the oriented extended graph: A[t, h] = w and
-    A[h, t] = -w for each edge directed t -> h. Parallel edges would share
-    one entry, so they are rejected."""
+    """The TuttePattern of the oriented extended graph, read from its port
+    pairs: A[t, h] = w and A[h, t] = -w for each edge directed t -> h, w
+    its weight. Parallel edges would share one entry, so they are
+    rejected."""
     edges = o.ext.edges
-    if len({e.key() for e in edges}) != len(edges):
+    if len(set(edges)) != len(edges):
         raise ValueError("parallel edges: each port pair may carry one edge")
-    tail, head = np.array([o.orientation[e.key()] for e in edges], dtype=np.intp).reshape(-1, 2).T
+    tail, head = np.array([o.orientation[e] for e in edges], dtype=np.intp).reshape(-1, 2).T
     rows, cols = np.maximum(tail, head), np.minimum(tail, head)
     n = o.ext.num_vertices
     order = np.argsort(rows * n + cols)
     sign = np.where(tail > head, 1.0, -1.0)
     return TuttePattern((n, n), rows[order], cols[order], sign[order], order)
-
-
-def tutte_entries(o: OrientedPlanarGraph) -> SparseSkew:
-    """The Tutte matrix of the oriented extended graph, with the weights
-    on its edges, as a SparseSkew (see tutte_pattern and
-    TuttePattern.entries)."""
-    return tutte_pattern(o).entries(np.array([e.weight for e in o.ext.edges], dtype=float))
 
 
 def matching_sign(pairs) -> int:

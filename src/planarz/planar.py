@@ -11,13 +11,14 @@ here, over the model's nodes, the ports or the faces, runs through _bfs.
 Perfect matchings of the extended graph then line up with the even-degree
 loop structure of the source graph. Only the removal-free graph of a model
 is built, embedded and oriented: a removal set's graph is its subgraph
-induced on the kept ports. Only the gadget-edge weights depend on BP
-(_weighted_edges), each one entry of a node's loop-weight table
+induced on the kept ports. The layout depends on the model's topology
+alone: its edges are port pairs, without weights. Only the gadget-edge
+weights depend on BP, each one entry of a node's loop-weight table
 (_weight_sources says which, _weight_pool holds them), so the series
 builds this layout once per topology and keeps it on the per-topology
-record it shares with BP's plan (model._topology); a solve that shares
-the topology builds no edge and gathers its weights from the pool.
-fisher_extend and orient themselves keep nothing between calls.
+record it shares with BP's plan (model._topology); every solve gathers
+its weights from the pool. fisher_extend and orient themselves keep
+nothing between calls.
 """
 
 from __future__ import annotations
@@ -40,30 +41,19 @@ class NonPlanarError(ValueError):
 
 
 @dataclass(frozen=True)
-class ExtEdge:
-    """Edge of an extended graph; weight is the matching weight."""
-
-    u: int
-    v: int
-    weight: float
-
-    def key(self) -> tuple[int, int]:
-        return (self.u, self.v) if self.u < self.v else (self.v, self.u)
-
-
-@dataclass(frozen=True)
 class ExtendedGraph:
     """Port graph produced by splitting nodes of a reduced source graph.
 
     Vertex i is labels[i] = (source node, facing neighbor), and port maps
-    each label back to i. An edge is gadget-internal when both its ports
-    belong to one source node and then carries a loop weight; an external
-    edge joins two nodes' ports and weighs 1.
+    each label back to i. Each edge is a port pair (u, v), u < v. It is
+    gadget-internal when both its ports belong to one source node, and then
+    weighs a loop weight of that node; an external edge joins two nodes'
+    ports and weighs 1. The weights are not kept here (see _weight_sources).
     """
 
     num_vertices: int
     labels: tuple
-    edges: tuple
+    edges: tuple  # canonical port pairs (u, v), u < v
     port: dict  # label -> vertex
     rotation: tuple  # per vertex, neighbor tuple in cyclic order of a planar embedding
 
@@ -190,14 +180,16 @@ def _level_order(g: ForneyGraph) -> list:
     return order
 
 
-def fisher_extend(g: ForneyGraph, res: BPResult) -> ExtendedGraph:
+def fisher_extend(g: ForneyGraph) -> ExtendedGraph:
     """Split every node into its matching gadget, embedded in the plane.
 
-    Degree-2 nodes become two ports joined by one weighted edge; degree-3
-    nodes become a triangle whose edge between the ports facing b and c
-    carries the node's loop weight against {b, c}, read from its table in
-    res.loop_weights. Ports are numbered node by node, in _level_order, so
-    the Tutte matrix is banded and every principal minor of it too.
+    Degree-2 nodes become two ports joined by one edge; degree-3 nodes
+    become a triangle, whose edge between the ports facing b and c weighs
+    the node's loop weight against {b, c} (see _weight_sources). Ports are
+    numbered node by node, in _level_order, so the Tutte matrix is banded
+    and every principal minor of it too. The edges are each node's gadget
+    edges, node by node in g.nodes order, then one external edge per edge
+    of g, in g.edges order.
 
     g itself is embedded, embed(g.nodes, g.edges), and its rotation is
     lifted onto the ports: each gadget sits at its node, so the port facing
@@ -220,30 +212,21 @@ def fisher_extend(g: ForneyGraph, res: BPResult) -> ExtendedGraph:
         for i, b in enumerate(ring):
             back = tuple(port[(a, ring[i - d])] for d in range(1, len(ring)))
             rotation[port[(a, b)]] = (port[(b, a)],) + back
-    return ExtendedGraph(len(labels), tuple(labels), _weighted_edges(g, port, res), port, tuple(rotation))
-
-
-def _weighted_edges(g: ForneyGraph, port: dict, res: BPResult) -> tuple:
-    """The edges of g's gadget graph on ports numbered by port: per node,
-    its gadget edges carrying res's loop weights, then one external edge
-    of weight 1 per edge of g. Only these weights depend on res; where
-    each one sits among them is _weight_sources."""
     edges = []
     for a in g.nodes:
         nbrs = g.neighbors[a]
-        k = len(nbrs)
-        table = res.loop_weights[a]
-        for (i, j), x in zip(_GADGET_PAIRS[k], _GADGET_ENTRIES[k]):
-            edges.append(ExtEdge(port[(a, nbrs[i])], port[(a, nbrs[j])], float(table[x])))
+        # a node's ports are numbered in its neighbor order: i < j is u < v
+        edges += [(port[(a, nbrs[i])], port[(a, nbrs[j])]) for i, j in _GADGET_PAIRS[len(nbrs)]]
     for a, b in g.edges:
-        edges.append(ExtEdge(port[(a, b)], port[(b, a)], 1.0))
-    return tuple(edges)
+        u, v = port[(a, b)], port[(b, a)]
+        edges.append((u, v) if u < v else (v, u))
+    return ExtendedGraph(len(labels), tuple(labels), tuple(edges), port, tuple(rotation))
 
 
 def _weight_sources(g: ForneyGraph) -> np.ndarray:
-    """Per edge of _weighted_edges, where its weight sits in _weight_pool:
-    its node's loop-weight entry for the pair, or the pool's last entry,
-    1.0, for an external edge."""
+    """Per edge of fisher_extend(g).edges, where its weight sits in
+    _weight_pool: its node's loop-weight entry for the pair, or the pool's
+    last entry, 1.0, for an external edge."""
     source, start = [], 0
     for a in g.nodes:
         k = len(g.neighbors[a])
@@ -259,7 +242,7 @@ def _weight_pool(g: ForneyGraph, res: BPResult) -> np.ndarray:
 
 
 def reference_matching(g: ForneyGraph, ext: ExtendedGraph, removed=()):
-    """One perfect matching of ext = fisher_extend(g, res) minus the ports
+    """One perfect matching of ext = fisher_extend(g) minus the ports
     of the removed nodes, as canonical port pairs of ext, or None when there
     is none.
 
@@ -320,7 +303,7 @@ def orient(ext: ExtendedGraph) -> OrientedPlanarGraph:
     """
     faces = _planar_faces(ext.rotation)
     face_of = {de: fi for fi, walk in enumerate(faces) for de in walk}
-    orientation = {e.key(): e.key() for e in ext.edges}  # tail = smaller endpoint
+    orientation = dict(zip(ext.edges, ext.edges))  # tail = smaller endpoint
 
     dual = [[face_of[(y, x)] for x, y in walk] for walk in faces]
     parent, order = {}, []

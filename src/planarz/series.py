@@ -5,8 +5,8 @@ nodes contributes its own matching problem times the loop weights of the
 removed nodes. z_empty is its first term, the empty set's: the
 even-degree (2-regular) correction. All of a model's matching problems
 share one oriented gadget graph with Tutte matrix K, kept as its entries
-(pfaffian.tutte_entries): a removal set's problem is a principal minor of
-K, with the defect lines of the removed nodes negated. Every term, the
+(a SparseSkew): a removal set's problem is a principal minor of K, with
+the defect lines of the removed nodes negated. Every term, the
 empty set's included, takes one reference matching, one Pfaffian from
 pfaffian.minor_pfaffian and one sign. The empty set's is Pf(K) itself;
 past it, the series takes K^-1 once, and every other term is a small
@@ -16,21 +16,21 @@ z_empty never builds an n x n matrix. The oriented graph's layout, and
 with it K's TuttePattern (each entry's place and sign), depends on the
 model's topology alone: it is embedded, oriented and checked once per
 topology and kept on the per-topology record, which also holds BP's plan
-(model._topology). A solve that shares the topology builds no gadget
-edge: its K is the pattern filled with its BPResult's loop weights.
+(model._topology). The layout carries no weight and needs no BP result:
+every solve's K is the pattern filled from its BPResult's loop weights,
+the one place they reach K.
 
-enumerate_loops and loop_correction are the exhaustive oracle for both: the
-edges are the enumerated variables of the model's chunked enumeration
-kernel, which multiplies one loop-weight table per node and ANDs one
-validity table per node (no node of degree one inside a loop) over all edge
-subsets.
+loop_correction is the exhaustive oracle for both: the edges are the
+enumerated variables of the model's chunked enumeration kernel, which
+multiplies one loop-weight table per node and ANDs one validity table per
+node (no node of degree one inside a loop) over all edge subsets.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .bp import BPResult
 from .model import ForneyGraph, ModelError, _enumerate, _topology, canon_edge
 from .pfaffian import (
     OrientationError,
+    TuttePattern,
     matching_sign,
     minor_pfaffian,
     skew_inverse,
@@ -47,7 +48,6 @@ from .planar import (
     OrientedPlanarGraph,
     _weight_pool,
     _weight_sources,
-    _weighted_edges,
     face_parity_violations,
     fisher_extend,
     orient,
@@ -56,15 +56,6 @@ from .planar import (
 from .slog import SignedLog
 
 MAX_LOOP_EDGES = 24
-
-
-@dataclass(frozen=True)
-class LoopTerm:
-    """A generalized loop: an edge subset with all induced degrees >= 2."""
-
-    edges: tuple
-    weight: float
-    triplets: tuple  # nodes of degree 3 inside the loop
 
 
 @dataclass(frozen=True)
@@ -91,34 +82,27 @@ class PfaffianSeriesResult:
     dense_terms: int
 
 
-def _layout(g: ForneyGraph, res: BPResult):
-    """(o, pattern, source) of g's topology: its removal-free gadget graph
-    o, oriented with every bounded face checked odd; the TuttePattern of
-    o's Tutte matrix K; and per edge of o, where its weight sits in
-    planar._weight_pool, so that K for any BPResult on the topology is
-    pattern.entries(_weight_pool(g, res)[source]).
+def _layout(g: ForneyGraph):
+    """(o, pattern) of g's topology: its removal-free gadget graph o,
+    oriented with every bounded face checked odd, and the TuttePattern of
+    o's Tutte matrix K with its edge re-indexed into planar._weight_pool,
+    so that K for any BPResult on the topology is
+    pattern.entries(_weight_pool(g, res)).
 
-    All three depend on g's topology alone. They are built once per
-    topology, from res, where Euler's formula and the face parity are
+    Both depend on g's topology alone and take no BP result. They are
+    built once per topology, where Euler's formula and the face parity are
     checked, kept on the topology's record only once both pass, and never
-    mutated. o keeps the weights of the solve that laid it out: read only
-    its layout, or take _oriented.
+    mutated.
     """
     top = _topology(g)
     if top.layout is None:
-        o = orient(fisher_extend(g, res))
+        o = orient(fisher_extend(g))
         bad = face_parity_violations(o)
         if bad:
             raise OrientationError(f"bounded faces {bad} have an even clockwise count")
-        top.layout = (o, tutte_pattern(o), _weight_sources(g))
+        p = tutte_pattern(o)
+        top.layout = (o, TuttePattern(p.shape, p.rows, p.cols, p.sign, _weight_sources(g)[p.edge]))
     return top.layout
-
-
-def _oriented(g: ForneyGraph, res: BPResult) -> OrientedPlanarGraph:
-    """_layout's oriented graph with res's loop weights on its gadget
-    edges."""
-    o = _layout(g, res)[0]
-    return replace(o, ext=replace(o.ext, edges=_weighted_edges(g, o.ext.port, res)))
 
 
 def _defect_lines(g: ForneyGraph, o: OrientedPlanarGraph, nodes) -> dict:
@@ -195,8 +179,8 @@ def pfaffian_series(
         raise ModelError(f"max_psi_size must be non-negative, got {max_psi_size!r}")
     trips = triplet_nodes(g)
     limit = len(trips) if max_psi_size is None else min(max_psi_size, len(trips))
-    o, pattern, source = _layout(g, res)
-    K = pattern.entries(_weight_pool(g, res)[source])
+    o, pattern = _layout(g)
+    K = pattern.entries(_weight_pool(g, res))
     pf = minor_pfaffian(K, (), {})[0]
     # only removal sets take K^-1, inverted from the dense K, and flip edges
     removable = trips if limit >= 2 else ()
@@ -255,23 +239,6 @@ def _loop_scan(g: ForneyGraph, res: BPResult, regular_only: bool):
         out.append(w.reshape(-1)[idx])
     masks, out = np.concatenate(masks), np.concatenate(out)
     return masks[1:], out[1:]  # the empty subset is always valid: drop it
-
-
-def enumerate_loops(g: ForneyGraph, res: BPResult, regular_only: bool = False) -> list:
-    """All generalized loops by exhaustive edge-subset scan (<= 24 edges).
-
-    With regular_only, keeps only loops where every induced degree is
-    exactly 2. Weights multiply the loop weight of every covered node
-    against its in-loop neighbor set.
-    """
-    masks, weights = _loop_scan(g, res, regular_only)
-    edge_bit = {e: 1 << i for i, e in enumerate(g.edges)}
-    full = [(a, sum(edge_bit[canon_edge(a, b)] for b in g.neighbors[a])) for a in triplet_nodes(g)]
-    out = []
-    for mask, w in zip(masks.tolist(), weights.tolist()):
-        edges = tuple(e for e, bit in edge_bit.items() if mask & bit)
-        out.append(LoopTerm(edges, w, tuple(a for a, inc in full if mask & inc == inc)))
-    return out
 
 
 def loop_correction(g: ForneyGraph, res: BPResult, regular_only: bool = False):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from planarz import ForneyGraph
-from planarz.planar import ExtEdge, ExtendedGraph, embed
+from planarz.planar import ExtendedGraph, embed
 
 LADDER_NEIGHBORS = {
     "t0": ("t1", "b0"),
@@ -108,9 +108,10 @@ def random_planar_vertex_graph(seed: int) -> tuple[int, list[tuple[int, int]]]:
 
 
 def plain_extended(num_vertices: int, edges) -> ExtendedGraph:
-    """Wrap a plain vertex graph as a weight-1 extended graph, embedded by
-    embed."""
-    ext_edges = tuple(ExtEdge(u, v, 1.0) for u, v in edges)
+    """Wrap a plain vertex graph as an extended graph, its edges as
+    canonical port pairs, embedded by embed. Its weights are an array
+    beside the edges, np.ones(len(edges)) for unit weights."""
+    ext_edges = tuple((min(u, v), max(u, v)) for u, v in edges)
     labels = tuple((f"v{i}", "") for i in range(num_vertices))
     port = {lbl: i for i, lbl in enumerate(labels)}
     return ExtendedGraph(num_vertices, labels, ext_edges, port, embed(range(num_vertices), edges))

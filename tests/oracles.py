@@ -26,7 +26,16 @@ the series, and none of its bordering, choice of Pfaffian source or port
 renumbering);
 reference_mu_term is the loop weight of one (node, subset) pair straight
 from the magnetizations, the formula planarz.bp replaced with its
-cancellation-free tables.
+cancellation-free tables;
+layout_tutte_matrix is the series' Tutte matrix placed entry by entry
+from the oriented graph and the loop-weight tables, with none of the
+pattern's index arrays.
+
+Two helpers are not references but views, for the tests that read them:
+assignment_to_index and index_to_assignment convert a +-1 assignment to
+and from its table index, and enumerate_loops lists, as LoopTerms, the
+generalized loops whose weights series.loop_correction sums (it reads
+them from the same _loop_scan).
 """
 
 from __future__ import annotations
@@ -34,13 +43,16 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from planarz.bp import MESSAGE_FLOOR, RESIDUAL_THRESHOLD, BPNumericError, BPResult
+from planarz.model import ForneyGraph, ModelError, canon_edge
 from planarz.pfaffian import PIVOT_THRESHOLD, SparseSkew, matching_sign, pfaffian
 from planarz.planar import reference_matching
+from planarz.series import _loop_scan, triplet_nodes
 from planarz.slog import SignedLog
 
 
@@ -134,7 +146,7 @@ def kasteleyn_matrix(o) -> np.ndarray:
     orientation |Pf| counts its perfect matchings."""
     a = np.zeros((o.ext.num_vertices, o.ext.num_vertices))
     for e in o.ext.edges:
-        tail, head = o.orientation[e.key()]
+        tail, head = o.orientation[e]
         a[tail, head], a[head, tail] = 1.0, -1.0
     return a
 
@@ -236,6 +248,28 @@ def dense_minor_term(g, o, K, removed, flip) -> SignedLog:
     pairs = [o.orientation[k][::-1] if k in flip else o.orientation[k] for k in matching]
     pf = pfaffian(SparseSkew.lower(minor))
     return SignedLog(matching_sign([(at[t], at[h]) for t, h in pairs]) * pf.sign, pf.log_magnitude)
+
+
+def layout_tutte_matrix(g, o, res: BPResult) -> np.ndarray:
+    """The dense Tutte matrix of o = orient(fisher_extend(g)) for res: per
+    port pair (u, v), a gadget edge of node a between its ports facing b
+    and c weighs res.loop_weights[a] at the entry with b's and c's bits
+    set (first neighbor most significant), an external edge weighs 1.0,
+    placed at [tail, head] and negated at [head, tail]."""
+    n = o.ext.num_vertices
+    K = np.zeros((n, n))
+    for u, v in o.ext.edges:
+        (a, b), (a2, c) = o.ext.labels[u], o.ext.labels[v]
+        if a == a2:
+            nbrs = g.neighbors[a]
+            k = len(nbrs)
+            w = res.loop_weights[a][(1 << (k - 1 - nbrs.index(b))) | (1 << (k - 1 - nbrs.index(c)))]
+        else:
+            w = 1.0
+        t, h = o.orientation[(u, v)]
+        K[t, h] = w
+        K[h, t] = -w
+    return K
 
 
 def _new_message(tables, neighbors, msgs, a: str, b: str) -> np.ndarray:
@@ -403,3 +437,46 @@ def _reference_finish(g, tables, msgs, converged, iterations, residual):
             for s in range(1 << k)
         ])
     return res
+
+
+def assignment_to_index(spins) -> int:
+    """Table index of a +-1 assignment, first position most significant."""
+    idx = 0
+    for s in spins:
+        if s not in (-1, 1):
+            raise ModelError(f"spins must be +-1, got {s!r}")
+        idx = (idx << 1) | (s > 0)
+    return idx
+
+
+def index_to_assignment(idx: int, k: int) -> tuple[int, ...]:
+    """Inverse of assignment_to_index for a scope of size k."""
+    if not 0 <= idx < (1 << k):
+        raise ModelError(f"index {idx} out of range for scope size {k}")
+    return tuple(1 if (idx >> (k - 1 - i)) & 1 else -1 for i in range(k))
+
+
+@dataclass(frozen=True)
+class LoopTerm:
+    """A generalized loop: an edge subset with all induced degrees >= 2."""
+
+    edges: tuple
+    weight: float
+    triplets: tuple  # nodes of degree 3 inside the loop
+
+
+def enumerate_loops(g: ForneyGraph, res: BPResult, regular_only: bool = False) -> list:
+    """All generalized loops by exhaustive edge-subset scan (<= 24 edges).
+
+    With regular_only, keeps only loops where every induced degree is
+    exactly 2. Weights multiply the loop weight of every covered node
+    against its in-loop neighbor set.
+    """
+    masks, weights = _loop_scan(g, res, regular_only)
+    edge_bit = {e: 1 << i for i, e in enumerate(g.edges)}
+    full = [(a, sum(edge_bit[canon_edge(a, b)] for b in g.neighbors[a])) for a in triplet_nodes(g)]
+    out = []
+    for mask, w in zip(masks.tolist(), weights.tolist()):
+        edges = tuple(e for e, bit in edge_bit.items() if mask & bit)
+        out.append(LoopTerm(edges, w, tuple(a for a, inc in full if mask & inc == inc)))
+    return out

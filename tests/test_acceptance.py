@@ -136,7 +136,7 @@ def test_pfaffian_counts_matchings():
         ext = plain_extended(n, edges)
         o = orient(ext)
         pf = pfaffian(SparseSkew.lower(kasteleyn_matrix(o)))
-        want = matching_count(ext.num_vertices, [(e.u, e.v) for e in ext.edges])
+        want = matching_count(ext.num_vertices, ext.edges)
         if want == 0:
             assert pf.sign == 0, f"graph {n} vertices"
         else:

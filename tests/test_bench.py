@@ -225,6 +225,26 @@ def test_parse_config_names_the_key_of_a_bad_number():
             parse_config(text)
 
 
+def test_parse_config_rejects_a_sweep_that_computes_nothing():
+    # an empty list, or a seed range that ends below its start, would leave
+    # nothing to solve: an error naming the key, not a header-only CSV
+    base = {"generator": "grid", "sizes": "3", "betas": "1"}
+    for key, value in (
+        ("sizes", ""),
+        ("betas", ""),
+        ("thetas", ""),
+        ("methods", ""),
+        ("seeds", ""),
+        ("seeds", "4..2"),
+        ("seeds", "0 4..2"),
+    ):
+        text = "".join(f"{k} = {v}\n" for k, v in {**base, key: value}.items())
+        with pytest.raises(ModelError, match=repr(key)):
+            parse_config(text)
+    # a range of one seed is fine
+    assert parse_config("generator = grid\nsizes = 3\nbetas = 1\nseeds = 2..2 0\n")["seeds"] == [2, 0]
+
+
 # ---------------------------------------------------------------- experiment
 
 

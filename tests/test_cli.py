@@ -228,13 +228,16 @@ def test_bad_config_errors(tmp_path, capsys):
 
 
 def test_out_of_range_config_errors(tmp_path, capsys):
-    cfg = tmp_path / "bad.txt"
-    cfg.write_text("generator = grid\nsizes = 3\nbetas = 1\nmax_psi = -1\n")
-    out_csv = tmp_path / "r.csv"
-    code, _, err = _run(capsys, "run", "--config", str(cfg), "--out", str(out_csv))
-    assert code == 1
-    assert "error: config key" in err
-    assert not out_csv.exists()
+    # a sweep with no method, or a reversed seed range, computes nothing:
+    # an error too, not a CSV that holds only its header
+    for line in ("max_psi = -1", "methods =", "seeds = 0 4..2"):
+        cfg = tmp_path / "bad.txt"
+        cfg.write_text(f"generator = grid\nsizes = 3\nbetas = 1\n{line}\n")
+        out_csv = tmp_path / "r.csv"
+        code, _, err = _run(capsys, "run", "--config", str(cfg), "--out", str(out_csv))
+        assert code == 1
+        assert f"error: config key {line.split()[0]!r}" in err
+        assert not out_csv.exists()
 
 
 def test_non_planar_model_errors(tmp_path, capsys):

@@ -28,10 +28,10 @@ from planarz import (
     solve_forney,
     two_core,
 )
-from planarz.model import assignment_to_index, canon_edge, index_to_assignment
+from planarz.model import canon_edge
 
 from builders import cycle_forney, ladder_graph, random_planar_forney, random_tree_forney
-from oracles import brute_log_z_factor, transfer_log_z
+from oracles import assignment_to_index, brute_log_z_factor, index_to_assignment, transfer_log_z
 
 model_module = importlib.import_module("planarz.model")
 

@@ -35,9 +35,10 @@ from planarz.pfaffian import (
     bordered_pfaffian,
     minor_pfaffian,
     skew_inverse,
-    tutte_entries,
+    tutte_pattern,
 )
-from planarz.planar import ExtEdge
+from planarz.planar import _weight_pool
+from planarz.series import _layout
 from builders import ladder_graph, plain_extended, random_planar_vertex_graph
 from oracles import kasteleyn_matrix, matching_count, reference_pfaffian
 
@@ -50,14 +51,18 @@ def _random_skew(n, seed):
     return m - m.T
 
 
-def _grid_oriented(n, theta, seed=0):
-    # the oriented graph z_empty takes the Pfaffian of on an n x n grid
-    core, _ = two_core(gen_grid(n, ModelParams(beta=1.0, theta=theta, seed=seed))[1])
-    return orient(fisher_extend(core, run_bp(core)))
+def _tutte(g):
+    # the Tutte matrix K that the series takes on model g, as its entries
+    return _layout(g)[1].entries(_weight_pool(g, run_bp(g)))
+
+
+def _grid_entries(n, theta, seed=0):
+    # the K that z_empty takes the Pfaffian of on an n x n grid
+    return _tutte(two_core(gen_grid(n, ModelParams(beta=1.0, theta=theta, seed=seed))[1])[0])
 
 
 def _grid_tutte(n, theta):
-    return tutte_entries(_grid_oriented(n, theta)).dense()
+    return _grid_entries(n, theta).dense()
 
 
 def _pf(a):
@@ -131,7 +136,7 @@ def test_edge_pfaffian_peaks_at_its_front():
     # state, never an n x n array: under 3% of one dense copy on 16x16
     # grids (2,304 and 2,816 ports)
     for theta in (0.0, 1.0):
-        s = tutte_entries(_grid_oriented(16, theta))
+        s = _grid_entries(16, theta)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -195,11 +200,10 @@ def test_pfaffian_matches_reference_kernel():
 
 
 def _pool(size, gen, beta, theta):
-    # the oriented gadget graphs of a benchmark pool at seed 0: one model
-    # per instance seed drawn from the pool's seed
+    # the Tutte matrices of a benchmark pool at seed 0: one model per
+    # instance seed drawn from the pool's seed
     for s in np.random.SeedSequence(0).generate_state(size):
-        core, _ = two_core(gen(ModelParams(beta=beta, theta=theta, seed=int(s)))[1])
-        yield orient(fisher_extend(core, run_bp(core)))
+        yield _tutte(two_core(gen(ModelParams(beta=beta, theta=theta, seed=int(s)))[1])[0])
 
 
 def test_edge_pfaffian_matches_the_dense_kernel():
@@ -212,8 +216,8 @@ def test_edge_pfaffian_matches_the_dense_kernel():
     ]
     checked = 0
     for pool in pools:
-        for o in _pool(*pool):
-            assert pfaffian(tutte_entries(o)) == reference_pfaffian(tutte_entries(o).dense()) != SignedLog.zero()
+        for s in _pool(*pool):
+            assert pfaffian(s) == reference_pfaffian(s.dense()) != SignedLog.zero()
             checked += 1
     assert checked == 88
     # grids whose windows move the front down 12 to 31 times, against one
@@ -221,7 +225,7 @@ def test_edge_pfaffian_matches_the_dense_kernel():
     # test_pfaffian_matches_reference_kernel
     for n in (12, 16):
         for theta in (0.0, 1.0):
-            s = tutte_entries(_grid_oriented(n, theta))
+            s = _grid_entries(n, theta)
             assert pfaffian(s) == _pf_one_front(s) != SignedLog.zero()
 
 
@@ -367,43 +371,44 @@ def test_pfaffian_leaves_input_unchanged():
 
 
 def test_tutte_matrix_of_the_empty_graph_is_0x0():
-    a = tutte_entries(orient(fisher_extend(ForneyGraph({}, {}), None))).dense()
+    a = tutte_pattern(orient(fisher_extend(ForneyGraph({}, {})))).entries(np.ones(0)).dense()
     assert a.shape == (0, 0)
     assert _pf(a) == SignedLog.one()
 
 
 def _weighted_square(weights, extra=()):
-    # the 4-cycle 0-1-2-3 with the given edge weights, plus extra edges
-    # already oriented
+    # the Tutte matrix of the 4-cycle 0-1-2-3 with the given edge weights,
+    # plus extra (port pair, weight) edges, each oriented as written
     o = orient(plain_extended(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
-    edges = tuple(replace(e, weight=w) for e, w in zip(o.ext.edges, weights)) + tuple(extra)
-    orientation = {**o.orientation, **{e.key(): (e.u, e.v) for e in extra}}
-    return replace(o, ext=replace(o.ext, edges=edges), orientation=orientation)
+    edges = o.ext.edges + tuple(e for e, _ in extra)
+    orientation = {**o.orientation, **{e: e for e, _ in extra}}
+    o = replace(o, ext=replace(o.ext, edges=edges), orientation=orientation)
+    return tutte_pattern(o).entries(np.array([*weights, *(w for _, w in extra)], dtype=float))
 
 
 def test_tutte_matrix_rejects_duplicate_port_pairs():
     o = orient(plain_extended(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
-    assert tutte_entries(o).dense().shape == (4, 4)
+    assert tutte_pattern(o).entries(np.ones(4)).dense().shape == (4, 4)
     doubled = replace(o, ext=replace(o.ext, edges=o.ext.edges + (o.ext.edges[0],)))
     with pytest.raises(ValueError, match="parallel"):
-        tutte_entries(doubled)
+        tutte_pattern(doubled)
 
 
 def test_edge_pfaffian_rejects_non_finite_weights():
     for bad in (np.inf, -np.inf, np.nan):
-        o = _weighted_square([1.0, bad, 1.0, 1.0])
-        for a in (tutte_entries(o), SparseSkew.lower(tutte_entries(o).dense())):
+        s = _weighted_square([1.0, bad, 1.0, 1.0])
+        for a in (s, SparseSkew.lower(s.dense())):
             with pytest.raises(ValueError, match="entries must be finite"):
                 pfaffian(a)
 
 
 def test_edge_pfaffian_rejects_a_loop_edge():
     # a loop's entry would sit on the diagonal; one of weight zero has none
-    loop = ExtEdge(2, 2, 0.5)
+    loop = (2, 2)
     with pytest.raises(ValueError, match="skew"):
-        tutte_entries(_weighted_square([1.0] * 4, [loop]))
-    o = _weighted_square([1.0] * 4, [replace(loop, weight=0.0)])
-    assert pfaffian(tutte_entries(o)) == _pf(tutte_entries(o).dense()) != SignedLog.zero()
+        _weighted_square([1.0] * 4, [(loop, 0.5)])
+    s = _weighted_square([1.0] * 4, [(loop, 0.0)])
+    assert pfaffian(s) == _pf(s.dense()) != SignedLog.zero()
 
 
 def test_edge_pfaffian_threshold_is_relative_to_the_largest_weight():
@@ -411,14 +416,14 @@ def test_edge_pfaffian_threshold_is_relative_to_the_largest_weight():
     # threshold of PIVOT_THRESHOLD (1e-12) times max(1, w01): 1e-8, then
     # 1e-6; weights all 1e-13 fall below the floor of 1e-12
     for w, zero in (([1e4] + [1e-7] * 3, False), ([1e6] + [1e-7] * 3, True), ([1e-13] * 4, True)):
-        o = _weighted_square(w)
-        pf = pfaffian(tutte_entries(o))
-        assert pf == _pf(tutte_entries(o).dense()) and (pf.sign == 0) == zero
+        s = _weighted_square(w)
+        pf = pfaffian(s)
+        assert pf == _pf(s.dense()) and (pf.sign == 0) == zero
     # a zero weight is no entry, as in the dense matrix
-    o = _weighted_square([2.0, 0.0, 3.0, 0.5])
-    assert 0.0 not in tutte_entries(o).vals and len(tutte_entries(o).vals) == 3
-    assert pfaffian(tutte_entries(o)) == _pf(tutte_entries(o).dense())
-    assert abs(pfaffian(tutte_entries(o)).to_float()) == pytest.approx(6.0)
+    s = _weighted_square([2.0, 0.0, 3.0, 0.5])
+    assert 0.0 not in s.vals and len(s.vals) == 3
+    assert pfaffian(s) == _pf(s.dense())
+    assert abs(pfaffian(s).to_float()) == pytest.approx(6.0)
 
 
 # ------------------------------------------------------- matching counts
@@ -432,7 +437,7 @@ def test_kasteleyn_pf_counts_matchings():
         ext = plain_extended(n, edges)
         o = orient(ext)
         pf = _pf(kasteleyn_matrix(o))
-        want = matching_count(ext.num_vertices, [(e.u, e.v) for e in ext.edges])
+        want = matching_count(ext.num_vertices, ext.edges)
         if want == 0:
             assert pf.sign == 0
         else:
@@ -443,10 +448,10 @@ def test_kasteleyn_pf_counts_matchings():
 def test_ladder_gadget_matrices():
     g = ladder_graph(seed=0)
     res = run_bp(g)
-    o = orient(fisher_extend(g, res))
+    o, pattern = _layout(g)
     b_hat = kasteleyn_matrix(o)
     assert math.exp(_pf(b_hat).log_magnitude) == pytest.approx(8.0, rel=1e-12)
-    a_hat = tutte_entries(o).dense()
+    a_hat = pattern.entries(_weight_pool(g, res)).dense()
     # internal weights present, externals 1: matrices differ only there
     assert a_hat.shape == b_hat.shape
 

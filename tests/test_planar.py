@@ -31,8 +31,9 @@ from planarz import (
     two_core,
     z_empty,
 )
-from planarz.pfaffian import tutte_entries
-from planarz.planar import _planar_faces
+from planarz.pfaffian import tutte_pattern
+from planarz.planar import _planar_faces, _weight_pool
+from planarz.series import _layout
 
 from builders import (
     cycle_forney,
@@ -79,7 +80,7 @@ def test_orient_witness_names_model_edges():
     neighbors.update({f"b{i}": ("a0", "a1", "a2") for i in range(3)})
     g = ForneyGraph(neighbors, {a: np.ones(8) for a in neighbors})
     with pytest.raises(NonPlanarError) as exc:
-        orient(fisher_extend(g, run_bp(g)))
+        orient(fisher_extend(g))
     witness = exc.value.witness_edges
     assert set(witness) <= set(g.edges)
     assert not nx.check_planarity(nx.Graph(witness))[0]
@@ -105,8 +106,7 @@ def _bp(g):
 
 def test_fisher_extend_sizes():
     g = ladder_graph(seed=0)
-    res = _bp(g)
-    ext = fisher_extend(g, res)
+    ext = fisher_extend(g)
     # degree-2 nodes give 2 ports, degree-3 nodes 3 ports
     want = sum(g.degree(a) for a in g.nodes)
     assert ext.num_vertices == want
@@ -117,16 +117,22 @@ def test_fisher_extend_sizes():
 def test_fisher_gadget_weights():
     g = ladder_graph(seed=3)
     res = _bp(g)
-    ext = fisher_extend(g, res)
+    o, pattern = _layout(g)
+    ext = o.ext
+    K = pattern.entries(_weight_pool(g, res)).dense()
+
+    def weight(e):  # the edge's entry of the series' K, at [tail, head]
+        return K[o.orientation[e]]
+
     # an edge is internal exactly when both its ports belong to one node
-    internals = [e for e in ext.edges if ext.labels[e.u][0] == ext.labels[e.v][0]]
-    externals = [e for e in ext.edges if ext.labels[e.u][0] != ext.labels[e.v][0]]
-    assert all(e.weight == 1.0 for e in externals)
+    internals = [(u, v) for u, v in ext.edges if ext.labels[u][0] == ext.labels[v][0]]
+    externals = [(u, v) for u, v in ext.edges if ext.labels[u][0] != ext.labels[v][0]]
+    assert all(weight(e) == 1.0 for e in externals)
     assert len(externals) == g.num_edges
     # every internal weight is the loop weight of its port pair
     for e in internals:
-        (node, b), (_, c) = ext.labels[e.u], ext.labels[e.v]
-        assert e.weight == pytest.approx(mu_term(res, node, (b, c)), rel=1e-14)
+        (node, b), (_, c) = ext.labels[e[0]], ext.labels[e[1]]
+        assert weight(e) == pytest.approx(mu_term(res, node, (b, c)), rel=1e-14)
     # degree-2 nodes contribute 1 internal edge, degree-3 nodes 3
     assert len(internals) == sum(1 if g.degree(a) == 2 else 3 for a in g.nodes)
 
@@ -136,11 +142,11 @@ def test_fisher_extend_ports_make_a_banded_tutte_matrix():
     # port order must keep it narrow: half-bandwidth 29 and 55 here
     for n in (8, 16):
         core, _ = two_core(gen_grid(n, ModelParams(beta=1.0, theta=0.0, seed=0))[1])
-        ext = fisher_extend(core, _bp(core))
-        nodes = [a for a, _ in ext.labels]
+        o, pattern = _layout(core)
+        nodes = [a for a, _ in o.ext.labels]
         runs = [a for i, a in enumerate(nodes) if i == 0 or a != nodes[i - 1]]
         assert sorted(runs) == sorted(core.nodes)  # each node's ports contiguous
-        rows, cols = np.nonzero(tutte_entries(orient(ext)).dense())
+        rows, cols = np.nonzero(pattern.entries(_weight_pool(core, _bp(core))).dense())
         assert np.abs(rows - cols).max() <= 5 * n
 
 
@@ -149,15 +155,16 @@ def test_fisher_extend_removal(monkeypatch):
     # Tutte matrix on the ports of the kept nodes
     g = ladder_graph(seed=3)
     res = _bp(g)
-    o = orient(fisher_extend(g, res))
-    K = tutte_entries(o).dense()
+    o, pattern = _layout(g)
+    entries = pattern.entries(_weight_pool(g, res))
+    K = entries.dense()
     minor, kept = flipped_minor(o, K, ("t1", "t2"), ())
     # the series' own full minor, built from the entries, is that slice
     real = pfaffian_module.pfaffian
     seen = []
     monkeypatch.setattr(pfaffian_module, "pfaffian", lambda a: seen.append(a) or real(a))
     removed = sorted(set(range(o.ext.num_vertices)) - set(kept))
-    pfaffian_module.minor_pfaffian(tutte_entries(o), removed, {})
+    pfaffian_module.minor_pfaffian(entries, removed, {})
     want = SparseSkew.lower(minor)
     assert len(seen) == 1 and seen[0].shape == want.shape
     assert all(np.array_equal(getattr(seen[0], f), getattr(want, f)) for f in ("rows", "cols", "vals"))
@@ -165,7 +172,7 @@ def test_fisher_extend_removal(monkeypatch):
     # externals on removed nodes are gone too: each removed degree-3 node
     # kills its 3 externals, but the t1-t2 edge is shared
     labels = o.ext.labels
-    external = {e.key() for e in o.ext.edges if labels[e.u][0] != labels[e.v][0]}
+    external = {(u, v) for u, v in o.ext.edges if labels[u][0] != labels[v][0]}
     entries = {(kept[i], kept[j]) for i, j in zip(*np.nonzero(np.triu(minor)))}
     assert len(entries & external) == g.num_edges - 5
 
@@ -174,9 +181,8 @@ def test_ladder_extended_graph_has_eight_matchings():
     # frozen by hand: the full gadget graph of the 2x4 ladder admits
     # exactly 8 perfect matchings
     g = ladder_graph(seed=0)
-    res = _bp(g)
-    ext = fisher_extend(g, res)
-    count = matching_count(ext.num_vertices, [(e.u, e.v) for e in ext.edges])
+    ext = fisher_extend(g)
+    count = matching_count(ext.num_vertices, ext.edges)
     assert count == 8
 
 
@@ -209,14 +215,15 @@ def test_orient_roots_one_face_per_component():
         for i in range(4):
             edges.append((base + i, base + (i + 1) % 4))
     ext = plain_extended(8, edges)
-    before = matching_sum(8, [(e.u, e.v, e.weight) for e in ext.edges])
+    weights = np.ones(len(ext.edges))
+    before = matching_sum(8, [(u, v, w) for (u, v), w in zip(ext.edges, weights)])
     o = orient(ext)
     assert o.ext is ext
     assert len(_roots(o)) == 2
     assert face_parity_violations(o) == []
-    after = matching_sum(o.ext.num_vertices, [(e.u, e.v, e.weight) for e in o.ext.edges])
+    after = matching_sum(o.ext.num_vertices, [(u, v, w) for (u, v), w in zip(o.ext.edges, weights)])
     assert after == pytest.approx(before)
-    z = pfaffian(tutte_entries(o))
+    z = pfaffian(tutte_pattern(o).entries(weights))
     assert abs(z.to_float()) == pytest.approx(before, rel=1e-10)
 
 
@@ -233,7 +240,7 @@ def test_orient_embeds_once(monkeypatch):
     monkeypatch.setattr(nx, "check_planarity", check_planarity)
     for g in (ladder_graph(seed=0), random_planar_forney(4)):
         calls.clear()
-        ext = fisher_extend(g, _bp(g))
+        ext = fisher_extend(g)
         assert calls == [g.num_nodes]
         calls.clear()
         o = orient(ext)
@@ -264,11 +271,11 @@ def test_fisher_extend_rotation_is_planar_per_component():
         (_disjoint_union(ladder_graph(seed=1), random_planar_forney(5)), 2),
         (cycle_forney(7), 1),
     ):
-        ext = fisher_extend(g, _bp(g))
+        ext = fisher_extend(g)
         emb = nx.PlanarEmbedding()
         emb.set_data({v: list(nbrs) for v, nbrs in enumerate(ext.rotation)})
         emb.check_structure()
-        assert sorted(emb.edges()) == sorted(x for e in ext.edges for x in (e.key(), e.key()[::-1]))
+        assert sorted(emb.edges()) == sorted(x for e in ext.edges for x in (e, e[::-1]))
         assert nx.number_connected_components(emb.to_undirected()) == parts
         faces = orient(ext).faces
         assert ext.num_vertices - len(ext.edges) + len(faces) == 2 * parts
@@ -278,7 +285,7 @@ def test_orient_rejects_a_corrupted_rotation():
     # one gadget port turned the other way round: the rotation is no longer
     # planar, and the Euler check in orient says so
     g = ladder_graph(seed=0)
-    ext = fisher_extend(g, _bp(g))
+    ext = fisher_extend(g)
     v = next(v for v, nbrs in enumerate(ext.rotation) if len(nbrs) == 3)
     rotation = list(ext.rotation)
     rotation[v] = rotation[v][::-1]
@@ -336,10 +343,10 @@ def test_orient_cut_vertex_bridge_and_disjoint_union():
             o = orient(plain_extended(n, edges))
             assert face_parity_violations(o) == [], (how, n, edges)
             pf = pfaffian(SparseSkew.lower(kasteleyn_matrix(o)))
-            want = matching_count(n, [(e.u, e.v) for e in o.ext.edges])
+            want = matching_count(n, o.ext.edges)
             assert math.exp(pf.log_magnitude) == pytest.approx(want, rel=1e-10, abs=0)
             # unit weights: the weighted Pfaffian counts the glued graph's matchings
-            z = pfaffian(tutte_entries(o))
+            z = pfaffian(tutte_pattern(o).entries(np.ones(len(o.ext.edges))))
             assert abs(z.to_float()) == pytest.approx(matching_count(n, edges), rel=1e-10)
             checked += 1
     assert checked >= 90
@@ -360,8 +367,7 @@ def test_orientation_covers_every_edge_once():
     n, edges = random_planar_vertex_graph(11)
     ext = plain_extended(n, edges)
     o = orient(ext)
-    keys = {e.key() for e in ext.edges}
-    assert set(o.orientation.keys()) == keys
+    assert set(o.orientation.keys()) == set(ext.edges)
     for (u, v), (tail, head) in o.orientation.items():
         assert {tail, head} == {u, v}
 
@@ -369,7 +375,6 @@ def test_orientation_covers_every_edge_once():
 def test_orientation_on_gadget_graphs():
     for seed in range(10):
         g = random_planar_forney(seed)
-        res = _bp(g)
-        ext = fisher_extend(g, res)
+        ext = fisher_extend(g)
         o = orient(ext)
         assert face_parity_violations(o) == [], f"seed {seed}"

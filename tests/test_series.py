@@ -24,7 +24,6 @@ from planarz import (
     OrientationError,
     SignedLog,
     SparseSkew,
-    enumerate_loops,
     exact_log_z,
     exact_log_z_factor,
     fisher_extend,
@@ -41,13 +40,21 @@ from planarz import (
     two_core,
     z_empty,
 )
-from planarz.pfaffian import tutte_entries
+from planarz.pfaffian import tutte_pattern
+from planarz.planar import _weight_pool, _weight_sources
 from builders import cycle_forney, ladder_graph, random_planar_forney
-from oracles import dense_minor_term, exact_pfaffian, flipped_minor, kasteleyn_matrix
+from oracles import (
+    dense_minor_term,
+    enumerate_loops,
+    exact_pfaffian,
+    flipped_minor,
+    kasteleyn_matrix,
+    layout_tutte_matrix,
+)
 
 bp_module = importlib.import_module("planarz.bp")
+model_module = importlib.import_module("planarz.model")
 pfaffian_module = importlib.import_module("planarz.pfaffian")
-planar_module = importlib.import_module("planarz.planar")
 series_module = importlib.import_module("planarz.series")
 
 
@@ -55,6 +62,12 @@ def _bp(g):
     res = run_bp(g)
     assert res.converged
     return res
+
+
+def _laid_out(g, res):
+    # the series' oriented graph of g and its K for res, as entries
+    o, pattern = series_module._layout(g)
+    return o, pattern.entries(_weight_pool(g, res))
 
 
 # ---------------------------------------------------------------- loop oracle
@@ -254,9 +267,9 @@ def test_reference_matching_sign_matches_kasteleyn():
     checked = 0
     for g in _series_models():
         res = _bp(g)
-        o = orient(fisher_extend(g, res))
+        o, entries = _laid_out(g, res)
         lines = series_module._defect_lines(g, o, triplet_nodes(g))
-        unit, weighted = kasteleyn_matrix(o), tutte_entries(o).dense()
+        unit, weighted = kasteleyn_matrix(o), entries.dense()
         for term in pfaffian_series(g, res).terms:
             flip = set()
             for a in term.psi:
@@ -276,7 +289,7 @@ def test_reference_matching_sign_matches_kasteleyn():
                 assert pfaffian(SparseSkew.lower((sign * weighted)[np.ix_(kept, kept)])).sign == 0
                 assert term.z_psi.sign == 0
                 continue
-            assert set(matching) <= {e.key() for e in o.ext.edges}
+            assert set(matching) <= set(o.ext.edges)
             assert all(at.keys() >= set(k) for k in matching)
             pairs = [o.orientation[k][::-1] if k in flip else o.orientation[k] for k in matching]
             assert matching_sign([(at[t], at[h]) for t, h in pairs]) == pf.sign
@@ -289,7 +302,7 @@ def test_loopless_removal_set_skips_the_pfaffian(monkeypatch):
     # above), so that term is exactly zero and never reaches a Pfaffian
     g = ladder_graph(seed=0)
     res = _bp(g)
-    assert reference_matching(g, fisher_extend(g, res), ("b2", "t1")) is None
+    assert reference_matching(g, fisher_extend(g), ("b2", "t1")) is None
     real = pfaffian_module.pfaffian
     dims = []
     monkeypatch.setattr(pfaffian_module, "pfaffian", lambda a: dims.append(a.shape) or real(a))
@@ -327,8 +340,8 @@ def test_series_terms_match_the_dense_minor():
     for g, cap in _bordered_models():
         res = _bp(g)
         series = pfaffian_series(g, res, cap)
-        o = series_module._oriented(g, res)
-        K = tutte_entries(o).dense()
+        o, entries = _laid_out(g, res)
+        K = entries.dense()
         total = series.z_total.log_magnitude
         for term in series.terms:
             dense = dense_minor_term(g, o, K, term.psi, _term_flips(g, o, term.psi))
@@ -348,15 +361,14 @@ def test_full_minor_is_built_from_the_entries():
     # flipped ones negated, never an n x n array; it is the dense minor's
     _, g = gen_grid(16, ModelParams(beta=1.0, theta=1.0, seed=0))
     g = two_core(g)[0]
-    o = orient(fisher_extend(g, _bp(g)))
+    o, entries = _laid_out(g, _bp(g))
     trips = triplet_nodes(g)
     psi = (trips[0], trips[-1])  # far apart: 6 kept flipped edges
     flip = _term_flips(g, o, psi)
-    K, n = tutte_entries(o).dense(), o.ext.num_vertices
+    K, n = entries.dense(), o.ext.num_vertices
     labels = o.ext.labels
     kept = {(u, v): K[u, v] for u, v in flip if K[u, v] and labels[u][0] not in psi and labels[v][0] not in psi}
     ports = sorted(o.ext.port[(a, b)] for a in psi for b in g.neighbors[a])
-    entries = tutte_entries(o)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -376,7 +388,7 @@ def test_defect_lines_are_shortest_dual_paths():
     # grid no line crosses more than 8 edges
     _, g = gen_grid(16, ModelParams(beta=1.0, theta=1.0, seed=0))
     g = two_core(g)[0]
-    o = orient(fisher_extend(g, _bp(g)))
+    o = orient(fisher_extend(g))
     lines = series_module._defect_lines(g, o, triplet_nodes(g))
     assert len(lines) == len(triplet_nodes(g)) > 0
     assert max(len(line) for line in lines.values()) <= 8
@@ -393,10 +405,9 @@ def test_cancelling_border_falls_back_to_the_dense_minor():
     assert series.dense_terms >= 1
     psi = ("delta_x1_1_s1", "delta_x1_2_s0", "delta_x2_2_s0", "delta_x2_3_s0")
     term = next(t for t in series.terms if t.psi == psi)
-    o = series_module._oriented(g, res)
-    K = tutte_entries(o).dense()
+    o, entries = _laid_out(g, res)
+    K = entries.dense()
     flip = _term_flips(g, o, psi)
-    entries = tutte_entries(o)
     weight = {(u, v): K[u, v] for u, v in zip(*np.nonzero(np.triu(K)))}
     base = (pfaffian(entries), pfaffian_module.skew_inverse(K))
     assert series_module._term(g, o, entries, weight, base, psi, flip)[1]
@@ -435,7 +446,7 @@ def test_z_empty_is_the_series_first_term(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(1) or real_inv(a))
     for g in _series_models():
         res = _bp(g)
-        n = fisher_extend(g, res).num_vertices
+        n = fisher_extend(g).num_vertices
         for run in (lambda: z_empty(g, res), lambda: pfaffian_series(g, res, max_psi_size=1)):
             dims.clear()
             inverses.clear()
@@ -469,8 +480,8 @@ def test_series_takes_one_pfaffian_of_the_full_matrix(monkeypatch):
     dims = []
     monkeypatch.setattr(pfaffian_module, "pfaffian", lambda a: dims.append(a.shape[0]) or real(a))
     series = pfaffian_series(g, res)
-    o = series_module._oriented(g, res)
-    K = tutte_entries(o).dense()
+    o, entries = _laid_out(g, res)
+    K = entries.dense()
     n = len(K)
     assert dims[0] == n and dims.count(n) == 1
     bounds = []
@@ -599,8 +610,9 @@ def test_reused_layout_gives_the_cold_digits(monkeypatch):
 
 def test_warm_tutte_entries_are_the_cold_ones(monkeypatch):
     # a warm K is the kept pattern filled with this solve's loop weights:
-    # an exactly zero gadget weight drops its entry, as tutte_entries
-    # drops it, and the next solve of the topology has the entry back
+    # an exactly zero gadget weight drops its entry, as a freshly laid out
+    # pattern drops it, and the next solve of the topology has the entry
+    # back
     g = ladder_graph(seed=0)
     res = _bp(g)
     weights = dict(res.loop_weights)
@@ -610,21 +622,49 @@ def test_warm_tutte_entries_are_the_cold_ones(monkeypatch):
     real = series_module.minor_pfaffian
     seen = []
     monkeypatch.setattr(series_module, "minor_pfaffian", lambda a, *rest: seen.append(a) or real(a, *rest))
-    real_edges = planar_module._weighted_edges
+    real_extend = series_module.fisher_extend
     built = []
-    monkeypatch.setattr(planar_module, "_weighted_edges", lambda *a: built.append(1) or real_edges(*a))
+    monkeypatch.setattr(series_module, "fisher_extend", lambda g: built.append(1) or real_extend(g))
+
+    def cold(r):  # a layout of its own, filled edge by edge from the pool
+        return tutte_pattern(orient(fisher_extend(g))).entries(_weight_pool(g, r)[_weight_sources(g)])
+
     for order in ((zeroed, res), (res, zeroed)):
         _solve_another_topology()
         for warm, r in enumerate(order):
             before = len(built)
             z_empty(g, r)
-            assert len(built) - before == (not warm)  # a warm solve builds no edge
-            want = tutte_entries(orient(fisher_extend(g, r)))
+            assert len(built) - before == (not warm)  # a warm solve lays nothing out
+            want = cold(r)
             got = seen[-1]
             assert got.shape == want.shape
             for x, y in ((got.rows, want.rows), (got.cols, want.cols), (got.vals, want.vals)):
                 assert x.tobytes() == y.tobytes()
-            assert len(got.vals) == len(tutte_entries(orient(fisher_extend(g, res))).vals) - (r is zeroed)
+            assert len(got.vals) == len(cold(res).vals) - (r is zeroed)
+
+
+def test_layout_needs_no_bp(monkeypatch):
+    # a fresh topology is laid out before any BP runs on it; two BP results
+    # with other tables, theta 0.1 and theta 1 on one 4x4 grid (theta 0
+    # draws no fields, so its grid is another topology), then solve on the
+    # kept layout, orienting nothing more, and each solve's K is the dense
+    # oracle's, bit for bit
+    models = [two_core(gen_grid(4, ModelParams(beta=1.0, theta=t, seed=0))[1])[0] for t in (0.1, 1.0)]
+    real_orient, real_minor = series_module.orient, series_module.minor_pfaffian
+    calls, seen = [], []
+    monkeypatch.setattr(series_module, "orient", lambda ext: calls.append(1) or real_orient(ext))
+    monkeypatch.setattr(series_module, "minor_pfaffian", lambda a, *rest: seen.append(a) or real_minor(a, *rest))
+    _solve_another_topology()
+    calls.clear()
+    layout = series_module._layout(models[0])
+    assert calls == [1] and model_module._topology(models[0]).bp is None  # no run_bp yet
+    o = layout[0]
+    for g in models:
+        res = _bp(g)
+        z_empty(g, res)
+        assert series_module._layout(g) is layout
+        assert np.array_equal(seen[-1].dense(), layout_tutte_matrix(g, o, res))
+    assert len(calls) == 1
 
 
 def test_non_planar_model_is_never_laid_out(monkeypatch):

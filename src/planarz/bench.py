@@ -253,10 +253,10 @@ _DEFAULTS = {
 def parse_config(text: str) -> dict:
     """key = value lines; '#' comments; lists are space separated.
 
-    seeds accepts ranges like 0..24 (inclusive), whose end may not be
-    below their start. sizes are ints for grid and rings:spokes pairs for
-    spiderweb. sizes, betas, thetas, seeds and methods may not be empty: a
-    sweep that computes nothing is an error.
+    seeds are non-negative and accept ranges like 0..24 (inclusive), whose
+    end may not be below their start. sizes are ints for grid and
+    rings:spokes pairs for spiderweb. sizes, betas, thetas, seeds and
+    methods may not be empty: a sweep that computes nothing is an error.
     """
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -335,6 +335,7 @@ def _parse_seeds(text: str) -> list[int]:
         else:
             seeds.append(_number("seeds", tok, int))
     _require("seeds", bool(seeds), "a non-empty list")
+    _require("seeds", min(seeds) >= 0, "non-negative")
     return seeds
 
 

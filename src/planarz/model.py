@@ -223,6 +223,8 @@ class ModelParams:
     def __post_init__(self):
         if self.beta < 0 or self.theta < 0:
             raise ModelError("beta and theta must be non-negative")
+        if self.seed < 0:
+            raise ModelError(f"seed must be non-negative, got {self.seed!r}")
 
 
 def _equality_table(degree: int, lo: float = 1.0, hi: float = 1.0) -> np.ndarray:

@@ -199,8 +199,8 @@ class TuttePattern:
     """Where an oriented graph's edges sit in its Tutte matrix, apart from
     their weights: entry i, at (rows[i], cols[i]) in row-major order, is
     sign[i] times weights[edge[i]], with sign +1 where its edge points from
-    the larger port to the smaller. tutte_pattern's edge indexes
-    ext.edges; the series' layout re-indexes it into the loop-weight pool."""
+    the larger port to the smaller: edge[i] is where that edge's weight
+    sits in the weight array, its ExtendedGraph.source."""
 
     shape: tuple
     rows: np.ndarray
@@ -223,8 +223,8 @@ class TuttePattern:
 def tutte_pattern(o: OrientedPlanarGraph) -> TuttePattern:
     """The TuttePattern of the oriented extended graph, read from its port
     pairs: A[t, h] = w and A[h, t] = -w for each edge directed t -> h, w
-    its weight. Parallel edges would share one entry, so they are
-    rejected."""
+    its weight, at the edge's o.ext.source in the weight array. Parallel
+    edges would share one entry, so they are rejected."""
     edges = o.ext.edges
     if len(set(edges)) != len(edges):
         raise ValueError("parallel edges: each port pair may carry one edge")
@@ -233,7 +233,8 @@ def tutte_pattern(o: OrientedPlanarGraph) -> TuttePattern:
     n = o.ext.num_vertices
     order = np.argsort(rows * n + cols)
     sign = np.where(tail > head, 1.0, -1.0)
-    return TuttePattern((n, n), rows[order], cols[order], sign[order], order)
+    source = np.array(o.ext.source, dtype=np.intp)
+    return TuttePattern((n, n), rows[order], cols[order], sign[order], source[order])
 
 
 def matching_sign(pairs) -> int:

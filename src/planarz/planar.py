@@ -14,7 +14,7 @@ is built, embedded and oriented: a removal set's graph is its subgraph
 induced on the kept ports. The layout depends on the model's topology
 alone: its edges are port pairs, without weights. Only the gadget-edge
 weights depend on BP, each one entry of a node's loop-weight table
-(_weight_sources says which, _weight_pool holds them), so the series
+(ExtendedGraph.source says which, _weight_pool holds them), so the series
 builds this layout once per topology and keeps it on the per-topology
 record it shares with BP's plan (model._topology); every solve gathers
 its weights from the pool. fisher_extend and orient themselves keep
@@ -23,6 +23,7 @@ nothing between calls.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import networkx as nx
@@ -48,12 +49,14 @@ class ExtendedGraph:
     each label back to i. Each edge is a port pair (u, v), u < v. It is
     gadget-internal when both its ports belong to one source node, and then
     weighs a loop weight of that node; an external edge joins two nodes'
-    ports and weighs 1. The weights are not kept here (see _weight_sources).
+    ports and weighs 1. The weights are not kept here: source[i] is where
+    edge i's weight sits in the weight array (see fisher_extend).
     """
 
     num_vertices: int
     labels: tuple
     edges: tuple  # canonical port pairs (u, v), u < v
+    source: tuple  # per edge, the index of its weight in the weight array
     port: dict  # label -> vertex
     rotation: tuple  # per vertex, neighbor tuple in cyclic order of a planar embedding
 
@@ -111,7 +114,7 @@ def _planar_faces(rotation) -> tuple:
 def embed(vertices, edges) -> tuple:
     """Planar embedding as a rotation system: per vertex of vertices, in
     that order, its neighbors in clockwise order, as networkx's planarity
-    test gives them. Vertices are any hashable ids; the edges join them.
+    test gives them. Vertices are distinct hashable ids; edges join them.
 
     Non-planar input raises NonPlanarError whose witness is the Kuratowski
     subgraph's edges as sorted canon_edge pairs. Every vertex must touch
@@ -122,6 +125,9 @@ def embed(vertices, edges) -> tuple:
     """
     vertices = tuple(vertices)
     pos = {v: i for i, v in enumerate(vertices)}
+    if len(pos) != len(vertices):
+        repeated = next(v for i, v in enumerate(vertices) if pos[v] != i)
+        raise ModelError(f"embed got vertex {repeated!r} more than once")
     key_edges = set()  # by their ends' positions, the order networkx sees
     for u, v in edges:
         if u not in pos or v not in pos or u == v:
@@ -143,13 +149,6 @@ def embed(vertices, edges) -> tuple:
             witness_edges=witness,
         )
     return tuple(tuple(cert.neighbors_cw_order(v)) for v in vertices)
-
-
-_GADGET_PAIRS = {2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
-# per degree, each gadget pair's entry in its node's loop-weight table
-_GADGET_ENTRIES = {
-    k: [(1 << (k - 1 - i)) | (1 << (k - 1 - j)) for i, j in pairs] for k, pairs in _GADGET_PAIRS.items()
-}
 
 
 def _bfs(adj, root, parent: dict) -> list:
@@ -185,11 +184,12 @@ def fisher_extend(g: ForneyGraph) -> ExtendedGraph:
 
     Degree-2 nodes become two ports joined by one edge; degree-3 nodes
     become a triangle, whose edge between the ports facing b and c weighs
-    the node's loop weight against {b, c} (see _weight_sources). Ports are
-    numbered node by node, in _level_order, so the Tutte matrix is banded
-    and every principal minor of it too. The edges are each node's gadget
-    edges, node by node in g.nodes order, then one external edge per edge
-    of g, in g.edges order.
+    the node's loop weight against {b, c}, and an external edge weighs 1:
+    source says where each sits in _weight_pool. Ports are numbered node
+    by node, in _level_order, so the Tutte matrix is banded and every
+    principal minor of it too. The edges are each node's gadget edges,
+    node by node in g.nodes order, then one external edge per edge of g,
+    in g.edges order.
 
     g itself is embedded, embed(g.nodes, g.edges), and its rotation is
     lifted onto the ports: each gadget sits at its node, so the port facing
@@ -204,36 +204,28 @@ def fisher_extend(g: ForneyGraph) -> ExtendedGraph:
     if not g.is_reduced:
         raise ModelError("fisher_extend needs a reduced graph (degrees 2 and 3)")
     if not g.nodes:
-        return ExtendedGraph(0, (), (), {}, ())
+        return ExtendedGraph(0, (), (), (), {}, ())
     labels = [(a, b) for a in _level_order(g) for b in g.neighbors[a]]
     port = {lbl: i for i, lbl in enumerate(labels)}
     rotation = [None] * len(labels)
+    edges, source, start = [], [], 0
     for a, ring in zip(g.nodes, embed(g.nodes, g.edges)):
         for i, b in enumerate(ring):
             back = tuple(port[(a, ring[i - d])] for d in range(1, len(ring)))
             rotation[port[(a, b)]] = (port[(b, a)],) + back
-    edges = []
-    for a in g.nodes:
         nbrs = g.neighbors[a]
-        # a node's ports are numbered in its neighbor order: i < j is u < v
-        edges += [(port[(a, nbrs[i])], port[(a, nbrs[j])]) for i, j in _GADGET_PAIRS[len(nbrs)]]
+        k = len(nbrs)
+        # ports are numbered in neighbor order (i < j is u < v); the pair's
+        # entry has bits i and j set, the first neighbor's most significant
+        for i, j in itertools.combinations(range(k), 2):
+            edges.append((port[(a, nbrs[i])], port[(a, nbrs[j])]))
+            source.append(start + (1 << (k - 1 - i) | 1 << (k - 1 - j)))
+        start += 1 << k
     for a, b in g.edges:
         u, v = port[(a, b)], port[(b, a)]
         edges.append((u, v) if u < v else (v, u))
-    return ExtendedGraph(len(labels), tuple(labels), tuple(edges), port, tuple(rotation))
-
-
-def _weight_sources(g: ForneyGraph) -> np.ndarray:
-    """Per edge of fisher_extend(g).edges, where its weight sits in
-    _weight_pool: its node's loop-weight entry for the pair, or the pool's
-    last entry, 1.0, for an external edge."""
-    source, start = [], 0
-    for a in g.nodes:
-        k = len(g.neighbors[a])
-        source += [start + x for x in _GADGET_ENTRIES[k]]
-        start += 1 << k
     source += [start] * len(g.edges)
-    return np.array(source, dtype=np.intp)
+    return ExtendedGraph(len(labels), tuple(labels), tuple(edges), tuple(source), port, tuple(rotation))
 
 
 def _weight_pool(g: ForneyGraph, res: BPResult) -> np.ndarray:

@@ -38,7 +38,6 @@ from .bp import BPResult
 from .model import ForneyGraph, ModelError, _enumerate, _topology, canon_edge
 from .pfaffian import (
     OrientationError,
-    TuttePattern,
     matching_sign,
     minor_pfaffian,
     skew_inverse,
@@ -47,7 +46,6 @@ from .pfaffian import (
 from .planar import (
     OrientedPlanarGraph,
     _weight_pool,
-    _weight_sources,
     face_parity_violations,
     fisher_extend,
     orient,
@@ -84,9 +82,9 @@ class PfaffianSeriesResult:
 
 def _layout(g: ForneyGraph):
     """(o, pattern) of g's topology: its removal-free gadget graph o,
-    oriented with every bounded face checked odd, and the TuttePattern of
-    o's Tutte matrix K with its edge re-indexed into planar._weight_pool,
-    so that K for any BPResult on the topology is
+    oriented with every bounded face checked odd, and tutte_pattern(o),
+    whose edge indexes planar._weight_pool through o.ext.source, so that
+    K for any BPResult on the topology is
     pattern.entries(_weight_pool(g, res)).
 
     Both depend on g's topology alone and take no BP result. They are
@@ -100,8 +98,7 @@ def _layout(g: ForneyGraph):
         bad = face_parity_violations(o)
         if bad:
             raise OrientationError(f"bounded faces {bad} have an even clockwise count")
-        p = tutte_pattern(o)
-        top.layout = (o, TuttePattern(p.shape, p.rows, p.cols, p.sign, _weight_sources(g)[p.edge]))
+        top.layout = (o, tutte_pattern(o))
     return top.layout
 
 

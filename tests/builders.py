@@ -109,9 +109,10 @@ def random_planar_vertex_graph(seed: int) -> tuple[int, list[tuple[int, int]]]:
 
 def plain_extended(num_vertices: int, edges) -> ExtendedGraph:
     """Wrap a plain vertex graph as an extended graph, its edges as
-    canonical port pairs, embedded by embed. Its weights are an array
-    beside the edges, np.ones(len(edges)) for unit weights."""
+    canonical port pairs, embedded by embed. Edge i's weight is entry i of
+    an array beside the edges, np.ones(len(edges)) for unit weights."""
     ext_edges = tuple((min(u, v), max(u, v)) for u, v in edges)
     labels = tuple((f"v{i}", "") for i in range(num_vertices))
     port = {lbl: i for i, lbl in enumerate(labels)}
-    return ExtendedGraph(num_vertices, labels, ext_edges, port, embed(range(num_vertices), edges))
+    source = tuple(range(len(ext_edges)))
+    return ExtendedGraph(num_vertices, labels, ext_edges, source, port, embed(range(num_vertices), edges))

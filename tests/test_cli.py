@@ -229,8 +229,9 @@ def test_bad_config_errors(tmp_path, capsys):
 
 def test_out_of_range_config_errors(tmp_path, capsys):
     # a sweep with no method, or a reversed seed range, computes nothing:
-    # an error too, not a CSV that holds only its header
-    for line in ("max_psi = -1", "methods =", "seeds = 0 4..2"):
+    # an error too, not a CSV that holds only its header; a negative seed
+    # is named before any instance is built
+    for line in ("max_psi = -1", "methods =", "seeds = 0 4..2", "seeds = -2"):
         cfg = tmp_path / "bad.txt"
         cfg.write_text(f"generator = grid\nsizes = 3\nbetas = 1\n{line}\n")
         out_csv = tmp_path / "r.csv"

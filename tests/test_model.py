@@ -86,6 +86,12 @@ def test_factor_graph_rejects_repeated_scope():
         FactorGraph(["x"], [("f", ("x", "x"), [1, 2, 3, 4])])
 
 
+def test_model_params_rejects_a_negative_seed():
+    # numpy's SeedSequence would reject it later, without naming it
+    with pytest.raises(ModelError, match="seed must be non-negative, got -1"):
+        ModelParams(beta=1.0, seed=-1)
+
+
 # ---------------------------------------------------------------- exact oracle
 
 

@@ -382,7 +382,7 @@ def _weighted_square(weights, extra=()):
     o = orient(plain_extended(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
     edges = o.ext.edges + tuple(e for e, _ in extra)
     orientation = {**o.orientation, **{e: e for e, _ in extra}}
-    o = replace(o, ext=replace(o.ext, edges=edges), orientation=orientation)
+    o = replace(o, ext=replace(o.ext, edges=edges, source=tuple(range(len(edges)))), orientation=orientation)
     return tutte_pattern(o).entries(np.array([*weights, *(w for _, w in extra)], dtype=float))
 
 

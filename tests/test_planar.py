@@ -17,6 +17,7 @@ import pytest
 
 from planarz import (
     ForneyGraph,
+    ModelError,
     ModelParams,
     NonPlanarError,
     SparseSkew,
@@ -71,6 +72,14 @@ def test_embed_rejects_k5_with_witness():
     assert len(exc.value.witness_edges) > 0
     witness = set(exc.value.witness_edges)
     assert witness <= {(min(u, v), max(u, v)) for u, v in edges}
+
+
+def test_embed_rejects_a_repeated_vertex():
+    # a repeat is named as one, not taken for an isolated vertex
+    with pytest.raises(ModelError, match="vertex 'a' more than once"):
+        embed(["a", "b", "a"], [("a", "b")])
+    with pytest.raises(ModelError, match="isolated"):
+        embed(["a", "b", "c"], [("a", "b")])
 
 
 def test_orient_witness_names_model_edges():

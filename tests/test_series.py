@@ -41,7 +41,7 @@ from planarz import (
     z_empty,
 )
 from planarz.pfaffian import tutte_pattern
-from planarz.planar import _weight_pool, _weight_sources
+from planarz.planar import _weight_pool
 from builders import cycle_forney, ladder_graph, random_planar_forney
 from oracles import (
     dense_minor_term,
@@ -627,7 +627,7 @@ def test_warm_tutte_entries_are_the_cold_ones(monkeypatch):
     monkeypatch.setattr(series_module, "fisher_extend", lambda g: built.append(1) or real_extend(g))
 
     def cold(r):  # a layout of its own, filled edge by edge from the pool
-        return tutte_pattern(orient(fisher_extend(g))).entries(_weight_pool(g, r)[_weight_sources(g)])
+        return tutte_pattern(orient(fisher_extend(g))).entries(_weight_pool(g, r))
 
     for order in ((zeroed, res), (res, zeroed)):
         _solve_another_topology()

@@ -45,7 +45,6 @@ from .planar import (
     face_parity_violations,
     fisher_extend,
     orient,
-    reference_matching,
 )
 from .series import (
     PfaffianSeriesResult,
@@ -95,7 +94,6 @@ __all__ = [
     "pfaffian",
     "pfaffian_series",
     "read_model",
-    "reference_matching",
     "reduce_degree",
     "rows_to_csv",
     "run_bp",

@@ -135,13 +135,15 @@ class ForneyGraph:
 @dataclass(eq=False)
 class _Topology:
     """What solves derive from a graph's topology alone, its nodes with
-    their neighbor tuples: run_bp's plan (bp) and the series' checked
-    layout (layout), each None until first built. Solves of one topology
-    with other tables share it and only refill values."""
+    their neighbor tuples: run_bp's plan (bp), the series' checked
+    layout (layout) and its empty removal set's matching (empty), each
+    None until first built. Solves of one topology with other tables
+    share it and only refill values."""
 
     key: tuple
     bp: object = None
     layout: object = None
+    empty: object = None
 
 
 # the _Topology of the last topology solved: the one per-topology slot
@@ -221,6 +223,9 @@ class ModelParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in (("beta", self.beta), ("theta", self.theta)):
+            if not math.isfinite(value):
+                raise ModelError(f"{name} must be finite, got {value!r}")
         if self.beta < 0 or self.theta < 0:
             raise ModelError("beta and theta must be non-negative")
         if self.seed < 0:

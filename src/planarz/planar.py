@@ -7,11 +7,12 @@ rotation lifted onto their ports -> the lifted rotation's faces, traced
 once per topology and checked against Euler's formula -> orientation making
 every bounded face odd when walked clockwise, one root face per component,
 fixed along a breadth-first dual spanning forest. Every graph search
-here, over the model's nodes, the ports or the faces, runs through _bfs.
-Perfect matchings of the extended graph then line up with the even-degree
-loop structure of the source graph. Only the removal-free graph of a model
-is built, embedded and oriented: a removal set's graph is its subgraph
-induced on the kept ports. The layout depends on the model's topology
+here, over the model's nodes, the ports or the faces, runs through _bfs,
+and so do the series' T-join searches, which stop at the first node they
+want. Perfect matchings of the extended graph then line up with the
+even-degree loop structure of the source graph. Only the removal-free
+graph of a model is built, embedded and oriented: a removal set's graph
+is its subgraph induced on the kept ports. The layout depends on the model's topology
 alone: its edges are port pairs, without weights. Only the gadget-edge
 weights depend on BP, each one entry of a node's loop-weight table
 (ExtendedGraph.source says which, _weight_pool holds them), so the series
@@ -151,20 +152,22 @@ def embed(vertices, edges) -> tuple:
     return tuple(tuple(cert.neighbors_cw_order(v)) for v in vertices)
 
 
-def _bfs(adj, root, parent: dict) -> list:
-    """Nodes reached from root in breadth-first order, root first, skipping
-    every node already in parent; records each reached node's parent
-    there, None for root. adj maps each node, by key or index, to its
-    neighbours: a ForneyGraph's neighbors, a rotation system, a face
-    adjacency."""
+def _bfs(adj, root, parent: dict):
+    """Yield the nodes reached from root in breadth-first order, root
+    first, skipping every node already in parent; records each reached
+    node's parent there, None for root. A caller that stops early leaves
+    parent holding only the nodes yielded so far. adj maps each node, by
+    key or index, to its neighbours: a ForneyGraph's neighbors, a rotation
+    system, a face adjacency."""
     parent[root] = None
+    yield root
     order = [root]
     for a in order:
         for b in adj[a]:
             if b not in parent:
                 parent[b] = a
                 order.append(b)
-    return order
+                yield b
 
 
 def _level_order(g: ForneyGraph) -> list:
@@ -175,7 +178,8 @@ def _level_order(g: ForneyGraph) -> list:
     order, seen = [], {}
     for a in g.nodes:
         if a not in seen:
-            order += _bfs(g.neighbors, _bfs(g.neighbors, a, {})[-1], seen)[::-1]
+            far = list(_bfs(g.neighbors, a, {}))[-1]
+            order += reversed(list(_bfs(g.neighbors, far, seen)))
     return order
 
 
@@ -231,48 +235,6 @@ def fisher_extend(g: ForneyGraph) -> ExtendedGraph:
 def _weight_pool(g: ForneyGraph, res: BPResult) -> np.ndarray:
     """res's loop-weight tables in g.nodes order, then 1.0."""
     return np.concatenate([*(res.loop_weights[a] for a in g.nodes), [1.0]])
-
-
-def reference_matching(g: ForneyGraph, ext: ExtendedGraph, removed=()):
-    """One perfect matching of ext = fisher_extend(g) minus the ports
-    of the removed nodes, as canonical port pairs of ext, or None when there
-    is none.
-
-    Perfect matchings are generalized loops through every removed node: the
-    loop pairs ports inside gadgets, the other kept edges match externally.
-    Its edges between kept nodes form a T-join, T the kept nodes with an odd
-    number of removed neighbors, and every T-join is such a loop. One exists
-    iff each component of g minus the removed nodes holds an even number of
-    T; the one inside a spanning forest takes O(V). With T empty, as when
-    nothing is removed, the loop is empty and no forest is grown.
-    """
-    removed = set(removed)
-    kept = [a for a in g.nodes if a not in removed]
-    port = ext.port
-    odd = {a: sum(b in removed for b in g.neighbors[a]) % 2 == 1 for a in kept}
-    loop = set()
-    if any(odd.values()):  # else T is empty, and so is the loop
-        parent = dict.fromkeys(removed)
-        for root in kept:
-            if root in parent:
-                continue
-            order = _bfs(g.neighbors, root, parent)  # every node after its parent
-            for a in reversed(order[1:]):
-                if odd[a]:
-                    loop.add(canon_edge(a, parent[a]))
-                    odd[parent[a]] = not odd[parent[a]]
-            if odd[root]:
-                return None
-
-    pairs = []
-    for a in kept:
-        ends = [port[(a, b)] for b in g.neighbors[a] if b in removed or canon_edge(a, b) in loop]
-        if ends:
-            pairs.append(tuple(sorted(ends)))
-    for a, b in g.edges:
-        if a not in removed and b not in removed and (a, b) not in loop:
-            pairs.append(tuple(sorted((port[(a, b)], port[(b, a)]))))
-    return pairs
 
 
 def orient(ext: ExtendedGraph) -> OrientedPlanarGraph:

@@ -6,19 +6,23 @@ removed nodes. z_empty is its first term, the empty set's: the
 even-degree (2-regular) correction. All of a model's matching problems
 share one oriented gadget graph with Tutte matrix K, kept as its entries
 (a SparseSkew): a removal set's problem is a principal minor of K, with
-the defect lines of the removed nodes negated. Every term, the
-empty set's included, takes one reference matching, one Pfaffian from
-pfaffian.minor_pfaffian and one sign. The empty set's is Pf(K) itself;
-past it, the series takes K^-1 once, and every other term is a small
-Pfaffian over the minor's border, or the full minor from the entries where
-that border cancels. K is built dense only for that one inverse, so
-z_empty never builds an n x n matrix. The oriented graph's layout, and
-with it K's TuttePattern (each entry's place and sign), depends on the
-model's topology alone: it is embedded, oriented and checked once per
-topology and kept on the per-topology record, which also holds BP's plan
-(model._topology). The layout carries no weight and needs no BP result:
-every solve's K is the pattern filled from its BPResult's loop weights,
-the one place they reach K.
+the defect lines of the removed nodes negated. Every term takes one
+Pfaffian from pfaffian.minor_pfaffian and the sign of one perfect
+matching of its minor. The empty set's matching, every port matched
+externally, and its sign are kept per topology, so its term, Pf(K)
+itself, does no matching work; every other term finds its matching
+through a T-join near the removed nodes and reads its sign off the ports
+where it differs from the kept one (see _term). Past the empty set, the
+series takes K^-1 once, and every other term is a small Pfaffian over the
+minor's border, or the full minor from the entries where that border
+cancels. K is built dense only for that one inverse, so z_empty never
+builds an n x n matrix. The oriented graph's layout, and with it K's
+TuttePattern (each entry's place and sign), depends on the model's
+topology alone: it is embedded, oriented and checked once per topology
+and kept, with the empty set's matching, on the per-topology record,
+which also holds BP's plan (model._topology). The layout carries no
+weight and needs no BP result: every solve's K is the pattern filled from
+its BPResult's loop weights, the one place they reach K.
 
 loop_correction is the exhaustive oracle for both: the edges are the
 enumerated variables of the model's chunked enumeration kernel, which
@@ -28,7 +32,6 @@ node (no node of degree one inside a loop) over all edge subsets.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -45,11 +48,11 @@ from .pfaffian import (
 )
 from .planar import (
     OrientedPlanarGraph,
+    _bfs,
     _weight_pool,
     face_parity_violations,
     fisher_extend,
     orient,
-    reference_matching,
 )
 from .slog import SignedLog
 
@@ -80,6 +83,19 @@ class PfaffianSeriesResult:
     dense_terms: int
 
 
+@dataclass(frozen=True)
+class _EmptySet:
+    """The empty removal set's matching M_0, kept per topology: every port
+    matched to its external partner (partner[x]), its sign (sign:
+    matching_sign over M_0's o.orientation pairs), and the triplet nodes
+    (trips) with their defect lines (lines, see _defect_lines)."""
+
+    partner: tuple
+    sign: int
+    trips: tuple
+    lines: dict
+
+
 def _layout(g: ForneyGraph):
     """(o, pattern) of g's topology: its removal-free gadget graph o,
     oriented with every bounded face checked odd, and tutte_pattern(o),
@@ -87,9 +103,16 @@ def _layout(g: ForneyGraph):
     K for any BPResult on the topology is
     pattern.entries(_weight_pool(g, res)).
 
-    Both depend on g's topology alone and take no BP result. They are
-    built once per topology, where Euler's formula and the face parity are
-    checked, kept on the topology's record only once both pass, and never
+    Both depend on g's topology alone and take no BP result (see _record).
+    """
+    return _record(g).layout
+
+
+def _record(g: ForneyGraph):
+    """g's topology record, with the series' layout and _EmptySet built.
+
+    They are built once per topology, where Euler's formula and the face
+    parity are checked, kept on the record only once both pass, and never
     mutated.
     """
     top = _topology(g)
@@ -98,8 +121,15 @@ def _layout(g: ForneyGraph):
         bad = face_parity_violations(o)
         if bad:
             raise OrientationError(f"bounded faces {bad} have an even clockwise count")
+        port, partner, pairs = o.ext.port, [0] * o.ext.num_vertices, []
+        for a, b in g.edges:
+            u, v = port[(a, b)], port[(b, a)]
+            partner[u], partner[v] = v, u
+            pairs.append(o.orientation[(u, v) if u < v else (v, u)])
+        trips = triplet_nodes(g)
+        top.empty = _EmptySet(tuple(partner), matching_sign(pairs), trips, _defect_lines(g, o, trips))
         top.layout = (o, tutte_pattern(o))
-    return top.layout
+    return top
 
 
 def _defect_lines(g: ForneyGraph, o: OrientedPlanarGraph, nodes) -> dict:
@@ -133,27 +163,95 @@ def z_empty(g: ForneyGraph, res: BPResult) -> SignedLog:
     return pfaffian_series(g, res, max_psi_size=0).terms[0].z_psi
 
 
-def _term(g: ForneyGraph, o, K, weight, base, psi, flip):
-    """(z_psi, whether it took the full minor) for one removal set.
+def _t_join(g: ForneyGraph, removed: dict):
+    """(near, join) for the removal set removed (its nodes as keys), or None
+    when g minus removed has no T-join.
+
+    near maps each kept neighbour of a removed node to its number of removed
+    neighbours; T is those with an odd one. Breadth-first searches in g
+    minus removed pair each T node with its nearest unpaired one, and their
+    paths XOR into join, each edge both ways. A search that exhausts its
+    component leaves an odd number of T there, and no T-join exists.
+    """
+    nbrs = g.neighbors
+    near = {}
+    for a in removed:
+        for b in nbrs[a]:
+            if b not in removed:
+                near[b] = near.get(b, 0) + 1
+    odd = dict.fromkeys(b for b, k in near.items() if k % 2)  # T, unpaired
+    join = set()
+    while odd:
+        t, _ = odd.popitem()
+        parent = dict(removed)
+        b = next((b for b in _bfs(nbrs, t, parent) if b in odd), None)
+        if b is None:
+            return None
+        del odd[b]
+        while b != t:
+            join ^= {(b, parent[b]), (parent[b], b)}
+            b = parent[b]
+    return near, join
+
+
+def _term(g: ForneyGraph, o, empty: _EmptySet, K, weight, base, psi, flip):
+    """(z_psi, whether it took the full minor) for one non-empty removal set.
 
     z_psi is the perfect-matching sum of o's graph minus the ports of the
     nodes in psi: minor_pfaffian's minor of K's entries over those ports,
     with the kept edges of flip negated to keep it Kasteleyn, signed by one
-    reference matching in the minor. weight maps each nonzero entry's edge
-    (u, v), u < v, to K[u, v]. Kept port v is row v minus the number of
-    removed ports below it. Without a reference matching the term is an
-    exact zero that takes no Pfaffian.
+    perfect matching M of that minor. weight maps each nonzero entry's edge
+    (u, v), u < v, to K[u, v].
+
+    M is the generalized loop through psi and a T-join J (_t_join): each
+    kept node that touches psi or J matches its two ports facing them, and
+    every other port matches externally, as in empty's M_0. Without a
+    T-join there is no perfect matching: the term is an exact zero and
+    takes no Pfaffian. R pairs the sorted removed ports r0 < r1 < ...
+    consecutively, tail first, so M + R is a perfect matching of all ports
+    and differs from M_0 only at psi's ports and the ports M matches in
+    gadgets. M's sign in the minor, flipped edges written head to tail, is
+    then M_0's times (-1) to the power of (Kasteleyn 1961)
+
+        sum_i (r(2i+1) - r(2i) - 1)   the kept ports each pair of R spans
+        + |M & flip|
+        + sum over the alternating cycles C of M + R and M_0 of
+          (1 + the pairs of C walked against their orientation),
+
+    each read from those ports alone.
     """
-    matching = reference_matching(g, o.ext, psi)
-    if matching is None:
+    removed = dict.fromkeys(psi)
+    found = _t_join(g, removed)
+    if found is None:
         return SignedLog.zero(), False
+    near, join = found
+    nbrs, port, partner, orientation = g.neighbors, o.ext.port, empty.partner, o.orientation
+    ports = sorted(port[(a, b)] for a in psi for b in nbrs[a])
+    mate = {}  # M + R where it differs from M_0: port -> (its mate, whether it is the tail)
+    for x, y in zip(ports[::2], ports[1::2]):
+        mate[x], mate[y] = (y, True), (x, False)
+    for a in near.keys() | {a for a, _ in join}:
+        x, y = (port[(a, b)] for b in nbrs[a] if b in removed or (a, b) in join)
+        t, h = orientation[(x, y)]
+        mate[t], mate[h] = (h, True), (t, False)
     labels = o.ext.labels
-    ports = sorted(o.ext.port[(a, b)] for a in psi for b in g.neighbors[a])
-    kept = {e: weight[e] for e in flip if e in weight and labels[e[0]][0] not in psi and labels[e[1]][0] not in psi}
-    pf, on_minor = minor_pfaffian(K, ports, kept, base)
-    pairs = [o.orientation[k][::-1] if k in flip else o.orientation[k] for k in matching]
-    at = [(t - bisect.bisect(ports, t), h - bisect.bisect(ports, h)) for t, h in pairs]
-    return SignedLog(matching_sign(at) * pf.sign, pf.log_magnitude), on_minor
+    kept = [e for e in flip if labels[e[0]][0] not in removed and labels[e[1]][0] not in removed]
+    odd = sum(ports[i + 1] - ports[i] - 1 for i in range(0, len(ports), 2))
+    odd += sum(mate[u][0] == v if u in mate else partner[u] == v for u, v in kept)
+    seen = set()
+    for start in mate:
+        if start in seen:
+            continue
+        odd += 1
+        x = start
+        while x not in seen:  # x -> y along M_0, y -> z along M + R
+            y = partner[x]
+            z, tail = mate[y]
+            odd += (orientation[(x, y) if x < y else (y, x)][0] != x) + (not tail)
+            seen.update((x, y))
+            x = z
+    pf, on_minor = minor_pfaffian(K, ports, {e: weight[e] for e in kept if e in weight}, base)
+    return SignedLog(empty.sign * pf.sign * (-1) ** odd, pf.log_magnitude), on_minor
 
 
 def triplet_nodes(g: ForneyGraph) -> tuple:
@@ -174,27 +272,25 @@ def pfaffian_series(
     """
     if max_psi_size is not None and max_psi_size < 0:
         raise ModelError(f"max_psi_size must be non-negative, got {max_psi_size!r}")
-    trips = triplet_nodes(g)
+    top = _record(g)
+    (o, pattern), empty, trips = top.layout, top.empty, top.empty.trips
     limit = len(trips) if max_psi_size is None else min(max_psi_size, len(trips))
-    o, pattern = _layout(g)
     K = pattern.entries(_weight_pool(g, res))
     pf = minor_pfaffian(K, (), {})[0]
-    # only removal sets take K^-1, inverted from the dense K, and flip edges
-    removable = trips if limit >= 2 else ()
-    base = (pf, skew_inverse(K.dense()) if pf.sign and removable else None)
-    weight = dict(zip(zip(K.cols.tolist(), K.rows.tolist()), (-K.vals).tolist())) if removable else {}
-    removed_weight = {a: SignedLog.from_float(float(res.loop_weights[a][-1])) for a in removable}
-    lines = _defect_lines(g, o, removable) if removable else {}
-    terms = []
+    terms = [PfaffianTerm((), SignedLog(empty.sign * pf.sign, pf.log_magnitude), SignedLog.one())]
     dense = 0
-    for size in range(0, limit + 1, 2):
+    if limit >= 2:  # only removal sets take K^-1, inverted from the dense K
+        base = (pf, skew_inverse(K.dense()) if pf.sign else None)
+        weight = dict(zip(zip(K.cols.tolist(), K.rows.tolist()), (-K.vals).tolist()))
+        removed_weight = {a: SignedLog.from_float(float(res.loop_weights[a][-1])) for a in trips}
+    for size in range(2, limit + 1, 2):
         for psi in itertools.combinations(trips, size):
             flip = set()
             factor = SignedLog.one()
             for a in psi:
-                flip ^= lines[a]
+                flip ^= empty.lines[a]
                 factor = factor * removed_weight[a]
-            zp, on_minor = _term(g, o, K, weight, base, psi, flip)
+            zp, on_minor = _term(g, o, empty, K, weight, base, psi, flip)
             dense += on_minor
             terms.append(PfaffianTerm(psi, zp, factor))
     total = SignedLog.sum(t.contribution for t in terms)

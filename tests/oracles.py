@@ -21,9 +21,11 @@ for the floats a matrix stores;
 dense_minor_term is a series term the way it reads on paper: the removal
 set's principal minor of the Tutte matrix with its defect lines negated,
 sliced from the dense matrix, its Pfaffian, and the sign of a reference
-matching (it shares pfaffian, matching_sign and reference_matching with
-the series, and none of its bordering, choice of Pfaffian source or port
-renumbering);
+matching (it shares pfaffian and matching_sign with the series, and none
+of its bordering, choice of Pfaffian source or port renumbering);
+reference_matching is one perfect matching of a removal set's graph, the
+T-join inside a spanning forest of the whole kept graph, where the series
+pairs T locally and signs its matching against the kept empty-set one;
 reference_mu_term is the loop weight of one (node, subset) pair straight
 from the magnetizations, the formula planarz.bp replaced with its
 cancellation-free tables;
@@ -51,7 +53,6 @@ import numpy as np
 from planarz.bp import MESSAGE_FLOOR, RESIDUAL_THRESHOLD, BPNumericError, BPResult
 from planarz.model import ForneyGraph, ModelError, canon_edge
 from planarz.pfaffian import PIVOT_THRESHOLD, SparseSkew, matching_sign, pfaffian
-from planarz.planar import reference_matching
 from planarz.series import _loop_scan, triplet_nodes
 from planarz.slog import SignedLog
 
@@ -233,6 +234,53 @@ def flipped_minor(o, K, removed, flip):
         if u in at and v in at:
             minor[at[u], at[v]], minor[at[v], at[u]] = -minor[at[u], at[v]], -minor[at[v], at[u]]
     return minor, kept
+
+
+def reference_matching(g, ext, removed=()):
+    """One perfect matching of ext = fisher_extend(g) minus the ports
+    of the removed nodes, as canonical port pairs of ext, or None when there
+    is none.
+
+    Perfect matchings are generalized loops through every removed node: the
+    loop pairs ports inside gadgets, the other kept edges match externally.
+    Its edges between kept nodes form a T-join, T the kept nodes with an odd
+    number of removed neighbors, and every T-join is such a loop. One exists
+    iff each component of g minus the removed nodes holds an even number of
+    T; this one is the T-join inside a spanning forest of g minus the
+    removed nodes, grown by its own breadth-first search over all of g.
+    """
+    removed = set(removed)
+    kept = [a for a in g.nodes if a not in removed]
+    port = ext.port
+    odd = {a: sum(b in removed for b in g.neighbors[a]) % 2 == 1 for a in kept}
+    loop = set()
+    parent = dict.fromkeys(removed)
+    for root in kept:
+        if root in parent:
+            continue
+        parent[root] = None
+        order = [root]
+        for a in order:
+            for b in g.neighbors[a]:
+                if b not in parent:
+                    parent[b] = a
+                    order.append(b)
+        for a in reversed(order[1:]):  # every node after its parent
+            if odd[a]:
+                loop.add(canon_edge(a, parent[a]))
+                odd[parent[a]] = not odd[parent[a]]
+        if odd[root]:
+            return None
+
+    pairs = []
+    for a in kept:
+        ends = [port[(a, b)] for b in g.neighbors[a] if b in removed or canon_edge(a, b) in loop]
+        if ends:
+            pairs.append(tuple(sorted(ends)))
+    for a, b in g.edges:
+        if a not in removed and b not in removed and (a, b) not in loop:
+            pairs.append(tuple(sorted((port[(a, b)], port[(b, a)]))))
+    return pairs
 
 
 def dense_minor_term(g, o, K, removed, flip) -> SignedLog:

@@ -305,6 +305,14 @@ def test_negative_max_psi_errors(tmp_path, capsys):
     assert "max_psi_size must be non-negative" in err
 
 
+def test_gen_names_a_non_finite_parameter(capsys):
+    # the parameter, not the first table it makes non-finite
+    for name, args in (("beta", ("--beta", "nan")), ("theta", ("--beta", "1", "--theta", "nan"))):
+        code, _, err = _run(capsys, "gen", "--grid", "3", *args)
+        assert code == 1
+        assert f"error: {name} must be finite, got nan" in err
+
+
 def test_every_method_rejects_invalid_options(tmp_path, capsys):
     # an option is checked before the method runs, whether it uses it or not
     model = tmp_path / "g.txt"

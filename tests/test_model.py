@@ -92,6 +92,15 @@ def test_model_params_rejects_a_negative_seed():
         ModelParams(beta=1.0, seed=-1)
 
 
+def test_model_params_rejects_a_non_finite_beta_or_theta():
+    # nan < 0 is false, so the sign check alone lets nan through
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ModelError, match="beta must be finite"):
+            ModelParams(beta=bad)
+        with pytest.raises(ModelError, match="theta must be finite"):
+            ModelParams(beta=1.0, theta=bad)
+
+
 # ---------------------------------------------------------------- exact oracle
 
 

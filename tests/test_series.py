@@ -34,7 +34,6 @@ from planarz import (
     orient,
     pfaffian,
     pfaffian_series,
-    reference_matching,
     run_bp,
     triplet_nodes,
     two_core,
@@ -50,10 +49,12 @@ from oracles import (
     flipped_minor,
     kasteleyn_matrix,
     layout_tutte_matrix,
+    reference_matching,
 )
 
 bp_module = importlib.import_module("planarz.bp")
 model_module = importlib.import_module("planarz.model")
+oracles_module = importlib.import_module("oracles")
 pfaffian_module = importlib.import_module("planarz.pfaffian")
 series_module = importlib.import_module("planarz.series")
 
@@ -313,6 +314,112 @@ def test_loopless_removal_set_skips_the_pfaffian(monkeypatch):
     assert len(dims) == len(series.terms) - 2
 
 
+def _oracle_sign(g, o, psi):
+    # matching_sign of the oracle's reference matching, each flipped edge
+    # written head to tail and the ports renumbered to the minor; 0 without
+    # a perfect matching
+    matching = reference_matching(g, o.ext, psi)
+    if matching is None:
+        return 0
+    flip = _term_flips(g, o, psi)
+    kept = [v for v, (a, _) in enumerate(o.ext.labels) if a not in psi]
+    at = {v: i for i, v in enumerate(kept)}
+    pairs = [o.orientation[k][::-1] if k in flip else o.orientation[k] for k in matching]
+    return matching_sign([(at[t], at[h]) for t, h in pairs])
+
+
+def test_term_signs_match_the_global_matching_oracle(monkeypatch):
+    # with every Pfaffian read as +1, a term's sign is its matching's
+    # alone: the kept empty-set matching's sign, corrected along a local
+    # T-join, must be the spanning-forest oracle's, and a term with no
+    # perfect matching an exact zero that takes no Pfaffian
+    models = [(g, None) for g in _series_models()]
+    models += [(g, 4) for g, cap in _bordered_models() if cap]
+    for seed in (1, 2):
+        _, g = gen_spiderweb(2, 3, ModelParams(beta=0.5, theta=0.5, seed=seed))
+        models.append((two_core(g)[0], None))
+    for seed in np.random.SeedSequence(0).generate_state(16):  # the benchmark's spiderwebs
+        _, g = gen_spiderweb(1, 4, ModelParams(beta=0.5, theta=0.5, seed=int(seed)))
+        models.append((two_core(g)[0], None))
+    models += [(random_planar_forney(seed), None) for seed in range(12, 20)]
+    _, g = gen_grid(6, ModelParams(beta=1.0, theta=1.0, seed=0))
+    models.append((two_core(g)[0], 2))
+    assert len(models) == 50
+    calls = []
+    monkeypatch.setattr(series_module, "minor_pfaffian", lambda *a: calls.append(1) or (SignedLog.one(), False))
+    zeros = checked = 0
+    for g, cap in models:
+        res = _bp(g)
+        calls.clear()
+        series = pfaffian_series(g, res, cap)
+        o, _ = series_module._layout(g)
+        for term in series.terms:
+            assert term.z_psi.sign == _oracle_sign(g, o, term.psi), term.psi
+            zeros += term.z_psi.sign == 0
+            checked += 1
+        assert len(calls) == sum(t.z_psi.sign != 0 for t in series.terms)
+    assert (checked, zeros) == (7407, 1423)
+
+
+def _long_ladder(length, seed):
+    # a 2 x length ladder: rails t0..t(length-1) and b0..b(length-1), a rung
+    # at every column
+    nbrs = {}
+    for rail, other in (("t", "b"), ("b", "t")):
+        for i in range(length):
+            along = [f"{rail}{j}" for j in (i - 1, i + 1) if 0 <= j < length]
+            nbrs[f"{rail}{i}"] = (*along, f"{other}{i}")
+    rng = np.random.default_rng(seed)
+    return ForneyGraph(nbrs, {a: rng.uniform(0.3, 1.7, size=2 ** len(n)) for a, n in nbrs.items()})
+
+
+def _t_per_component(g, psi):
+    # per component of g - psi, its kept nodes with an odd number of
+    # removed neighbours
+    h = nx.Graph()
+    h.add_nodes_from(a for a in g.nodes if a not in psi)
+    h.add_edges_from(e for e in g.edges if not set(e) & set(psi))
+    odd = {a for a in h if sum(b in psi for b in g.neighbors[a]) % 2}
+    return sorted(len(odd & c) for c in nx.connected_components(h))
+
+
+def test_removal_sets_that_split_the_kept_graph(monkeypatch):
+    # g - psi falls apart, so T must be paired inside each component: with
+    # every component's T even the term is the dense minor's; one odd
+    # component makes it an exact zero that reaches no Pfaffian
+    ladder, long_ladder = ladder_graph(seed=0), _long_ladder(8, seed=0)
+    cases = [
+        (ladder, ("b1", "t1"), [2, 2]),
+        (ladder, ("b2", "t1"), [1, 1]),
+        (long_ladder, ("b1", "t1", "b5", "t5"), [2, 2, 4]),
+        (long_ladder, ("b2", "t2", "b4", "t4"), [0, 2, 2]),
+        (long_ladder, ("b1", "t1", "t3", "b3", "b5", "t5"), [0, 0, 2, 2]),
+        (long_ladder, ("b1", "t1", "b5", "t6"), [1, 2, 3]),
+        (long_ladder, ("t1", "b2", "t4", "b4"), [1, 1, 2]),
+        (long_ladder, ("b1", "t1", "b3", "t3", "b5", "t6"), [0, 1, 1, 2]),
+    ]
+    real = pfaffian_module.pfaffian
+    for g, psi, t_counts in cases:
+        assert _t_per_component(g, psi) == t_counts
+        res = _bp(g)
+        o, entries = _laid_out(g, res)
+        K = entries.dense()
+        weight = {(u, v): K[u, v] for u, v in zip(*np.nonzero(np.triu(K)))}
+        base = (pfaffian(entries), pfaffian_module.skew_inverse(K))
+        flip = _term_flips(g, o, psi)
+        empty = model_module._topology(g).empty
+        calls = []
+        monkeypatch.setattr(pfaffian_module, "pfaffian", lambda a: calls.append(1) or real(a))
+        z, _ = series_module._term(g, o, empty, entries, weight, base, psi, flip)
+        monkeypatch.undo()
+        want = dense_minor_term(g, o, K, psi, flip)
+        nonzero = all(c % 2 == 0 for c in t_counts)
+        assert (z.sign != 0) == (want.sign != 0) == bool(calls) == nonzero, psi
+        assert z.sign == want.sign
+        if nonzero:
+            assert z.log_magnitude == pytest.approx(want.log_magnitude, rel=1e-12)
+
+
 def _term_flips(g, o, psi):
     lines = series_module._defect_lines(g, o, psi)
     flip = set()
@@ -410,7 +517,7 @@ def test_cancelling_border_falls_back_to_the_dense_minor():
     flip = _term_flips(g, o, psi)
     weight = {(u, v): K[u, v] for u, v in zip(*np.nonzero(np.triu(K)))}
     base = (pfaffian(entries), pfaffian_module.skew_inverse(K))
-    assert series_module._term(g, o, entries, weight, base, psi, flip)[1]
+    assert series_module._term(g, o, model_module._topology(g).empty, entries, weight, base, psi, flip)[1]
     minor, kept = flipped_minor(o, K, psi, flip)
     at = {v: i for i, v in enumerate(kept)}
     exact = exact_pfaffian(minor)
@@ -422,18 +529,21 @@ def test_cancelling_border_falls_back_to_the_dense_minor():
     assert term.z_psi.log_magnitude == pytest.approx(log_exact, rel=0, abs=1e-12)
 
 
-def test_each_term_takes_one_reference_matching(monkeypatch):
-    # the empty set's term included, and a term that falls back to the
-    # dense minor keeps the reference matching it already has
+def test_series_never_calls_the_matching_oracle(monkeypatch):
+    # every term signs itself against the kept empty-set matching, and a
+    # term that falls back to the dense minor keeps that sign: the
+    # spanning-forest oracle is never called
     _, g = gen_grid(4, ModelParams(beta=1.0, theta=1.0, seed=1))
     g = two_core(g)[0]
     res = _bp(g)
-    real = series_module.reference_matching
+    real = oracles_module.reference_matching
     calls = []
-    monkeypatch.setattr(series_module, "reference_matching", lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(oracles_module, "reference_matching", lambda *a: calls.append(1) or real(*a))
     series = pfaffian_series(g, res, max_psi_size=4)
-    assert len(series.terms) == len(calls) == 1941
+    assert len(series.terms) == 1941 and calls == []
     assert series.dense_terms == 91
+    assert not hasattr(series_module, "reference_matching")
+    assert not hasattr(importlib.import_module("planarz.planar"), "reference_matching")
 
 
 def test_z_empty_is_the_series_first_term(monkeypatch):

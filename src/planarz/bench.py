@@ -254,9 +254,12 @@ def parse_config(text: str) -> dict:
     """key = value lines; '#' comments; lists are space separated.
 
     seeds are non-negative and accept ranges like 0..24 (inclusive), whose
-    end may not be below their start. sizes are ints for grid and
-    rings:spokes pairs for spiderweb. sizes, betas, thetas, seeds and
-    methods may not be empty: a sweep that computes nothing is an error.
+    end may not be below their start. sizes are ints of at least 2 for
+    grid and rings:spokes pairs, rings >= 1 and spokes >= 3, for
+    spiderweb; betas and thetas are finite and non-negative. sizes, betas,
+    thetas, seeds and methods may not be empty: a sweep that computes
+    nothing is an error. Every value is checked here, before any instance
+    is built.
     """
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -304,6 +307,11 @@ def parse_config(text: str) -> dict:
         _require(key, bool(cfg[key]), "a non-empty list")
     for key in ("betas", "thetas"):
         _require(key, all(math.isfinite(x) for x in cfg[key]), "finite")
+        _require(key, min(cfg[key]) >= 0, "non-negative")
+    if cfg["generator"] == "grid":
+        _require("sizes", min(cfg["sizes"]) >= 2, "at least 2 for grid")
+    else:
+        _require("sizes", all(r >= 1 and d >= 3 for r, d in cfg["sizes"]), "rings >= 1 and spokes >= 3 for spiderweb")
     _require("max_psi", cfg["max_psi"] is None or cfg["max_psi"] >= 0, "non-negative")
     _require("max_iterations", cfg["max_iterations"] >= 1, "at least 1")
     return cfg

@@ -1,12 +1,13 @@
-"""Signed log-space Pfaffians of skew-symmetric matrices, from their entries.
+"""Signed log-space Pfaffians of skew-symmetric matrices.
 
-A matrix is a SparseSkew: its nonzero entries below the diagonal, in
-row-major order. SparseSkew.lower reads one from an array, and
-TuttePattern.entries from a weight array: an oriented graph's
-TuttePattern (tutte_pattern) holds the entries' places and signs, fixed
-by the orientation. SparseSkew.dense spreads one back into the array
-that skew_inverse takes.
-pfaffian is the one place that checks a matrix. It runs Parlett-Reid
+There are two kernels, chosen by their input. pfaffian takes one large
+banded matrix as a SparseSkew: its nonzero entries below the diagonal,
+in row-major order. TuttePattern.entries reads one from a weight array:
+an oriented graph's TuttePattern (tutte_pattern) holds the entries'
+places and signs, fixed by the orientation. SparseSkew.dense spreads one
+into the array that skew_inverse takes. stacked_pfaffians takes many
+small dense skew arrays at once, as one (B, d, d) stack.
+pfaffian is the one place that checks a SparseSkew. It runs Parlett-Reid
 skew-symmetric tridiagonalization with partial pivoting (congruence
 transforms of determinant one, swaps tracked in the sign), so only pivot
 magnitudes are multiplied and everything stays in log space.
@@ -24,10 +25,16 @@ loaded ahead of it a block at a time. It moves down past finished rows,
 and doubles, when a window outgrows it, so its memory follows the window,
 not n^2.
 
-minor_pfaffian is the one source of a principal minor's Pfaffian, some of
-its entries negated: bordered_pfaffian's small Pfaffian over a border,
-given the full matrix's Pfaffian and inverse, or else the full minor's,
-built from the entries in O(E).
+stacked_pfaffians runs the same eager elimination on every member of a
+stack at once: each step's pivot searches, swaps and rank-2 updates are
+one numpy call each for the whole stack, so a small matrix no longer
+pays a whole call's fixed cost.
+
+A principal minor's Pfaffian, some of its entries negated, comes one of
+two ways. bordered_pfaffians takes the minors of many removal sets from
+the full matrix's Pfaffian and inverse, each a small Pfaffian over its
+border, all in one stack. minor_pfaffian takes one full minor, built
+from the entries in O(E), on the windowed kernel.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from .slog import SignedLog
 
 PIVOT_THRESHOLD = 1e-12
 # A border Pfaffian below this fraction of its Hadamard bound has lost its
-# digits to cancellation in Z + G[T, T], and bordered_pfaffian declines it.
+# digits to cancellation in Z + G[T, T], and bordered_pfaffians declines it.
 # Calibrated against the full minors of 4x4 beta 1 theta 1 grids (|psi| <=
 # 4) and spiderweb(2, 3), (3, 6) and (1, 4) series: the worst term, at 2e-9
 # of its bound, was off by 2.7e-9 in log; on those models, above 1e-6 of
@@ -78,18 +85,8 @@ class SparseSkew:
     cols: np.ndarray
     vals: np.ndarray
 
-    @classmethod
-    def lower(cls, a: np.ndarray) -> SparseSkew:
-        """The nonzero entries of an array's strict lower triangle; the
-        rest of it is not read."""
-        rows, cols = np.nonzero(a)
-        low = cols < rows
-        rows, cols = rows[low], cols[low]
-        return cls(a.shape, rows, cols, a[rows, cols])
-
     def dense(self) -> np.ndarray:
-        """The n x n array, lower's inverse: for the series' K^-1; every
-        Pfaffian takes the entries."""
+        """The n x n array, for the series' K^-1."""
         a = np.zeros(self.shape)
         a[self.rows, self.cols] = self.vals
         a[self.cols, self.rows] = -self.vals
@@ -269,11 +266,79 @@ def skew_inverse(a):
     return (g - g.T) * 0.5 if np.isfinite(g).all() else None
 
 
-def bordered_pfaffian(pf: SignedLog, inverse, removed, flip):
-    """Pf of a matrix A's principal minor without the sorted indices
-    removed, with the entries at each (u, v) in flip negated; flip maps
-    each such pair, its ends kept, to A[u, v] != 0. pf is Pf(A) and
-    inverse is skew_inverse(A).
+def stacked_pfaffians(m: np.ndarray) -> list:
+    """Signed log-magnitude Pfaffians of a (B, d, d) stack of dense skew
+    arrays, each bit for bit the eager Parlett-Reid elimination of its own
+    array, pivot rule, threshold and all.
+
+    The stack is eliminated in place, all members one step at a time: each
+    step takes every member's pivot search, row and column swap and rank-2
+    update of its trailing block in one numpy call. A member whose best
+    pivot falls below PIVOT_THRESHOLD * max(1, its |A|_max) is an exact
+    zero; its array becomes unit blocks [[0, 1], [-1, 0]], whose steps
+    take pivot 1 and change nothing, so it never divides by its pivot.
+    Each member's log magnitude is summed pivot by pivot in step order.
+    """
+    if not np.isfinite(m).all():
+        raise ValueError("entries must be finite")
+    b, d = m.shape[:2]
+    if d % 2 == 1:
+        return [SignedLog.zero()] * b
+    tol = PIVOT_THRESHOLD * np.maximum(1.0, np.abs(m).max(axis=(1, 2), initial=0.0))
+    unit = _unit_blocks(d)
+    at = np.arange(b)
+    dead = np.zeros(b, dtype=bool)
+    swaps = np.zeros(b, dtype=np.intp)
+    pivots = np.empty((b, d // 2))
+    for k in range(0, d - 1, 2):
+        col = np.abs(m[:, k + 1 :, k])
+        kp = col.argmax(axis=1)
+        low = col[at, kp] < tol
+        if low.any():
+            dead |= low
+            m[low] = unit
+            kp[low] = 0
+        kp += k + 1
+        if (kp != k + 1).any():  # swap rows, then columns, k + 1 and kp
+            swaps += kp != k + 1
+            r = m[at, k + 1, k:].copy()
+            m[at, k + 1, k:] = m[at, kp, k:]
+            m[at, kp, k:] = r
+            c = m[at, k:, k + 1].copy()
+            m[at, k:, k + 1] = m[at, k:, kp]
+            m[at, k:, kp] = c
+        piv = pivots[:, k // 2] = m[:, k, k + 1]
+        if k + 2 < d:
+            tau = m[:, k, k + 2 :] / piv[:, None]
+            t = m[:, k + 1, k + 2 :, None] * tau[:, None, :]
+            m[:, k + 2 :, k + 2 :] += t - t.transpose(0, 2, 1)
+    odd = swaps + (pivots < 0).sum(axis=1)
+    out = []
+    for steps, flips, zero in zip(pivots.tolist(), odd.tolist(), dead.tolist()):
+        if zero:
+            out.append(SignedLog.zero())
+            continue
+        log_mag = 0.0
+        for piv in steps:
+            log_mag += math.log(abs(piv))
+        out.append(SignedLog(-1 if flips % 2 else 1, log_mag))
+    return out
+
+
+def _unit_blocks(d: int) -> np.ndarray:
+    """The d x d skew array of unit blocks [[0, 1], [-1, 0]] down the
+    diagonal, d even: its Pfaffian is 1."""
+    a = np.zeros((d, d))
+    ev = np.arange(0, d - 1, 2)
+    a[ev, ev + 1], a[ev + 1, ev] = 1.0, -1.0
+    return a
+
+
+def bordered_pfaffians(pf: SignedLog, inverse, borders) -> list:
+    """Per (removed, flip) in borders, Pf of a matrix A's principal minor
+    without the sorted indices removed, with the entries at each (u, v) in
+    flip negated; flip maps each such pair, its ends kept, to A[u, v] != 0.
+    pf is Pf(A) and inverse is skew_inverse(A).
 
     Border A with one unit column per removed index r, whose border vertex
     can only match r, and with two border vertices per flipped edge, joined
@@ -282,48 +347,51 @@ def bordered_pfaffian(pf: SignedLog, inverse, removed, flip):
     the sign of moving each (r, border) pair to the front; eliminating A
     first gives Pf(A) Pf(S), S = Z + G[T, T] with G = A^-1 and T the
     border's anchors (Wimmer 2012, arXiv:1102.3440). So only S takes a
-    Pfaffian. None when there is a border but no inverse, or when Pf(S) is
-    below HADAMARD_FRACTION of its Hadamard bound.
+    Pfaffian: every S of the call is padded to the widest with unit
+    blocks, which have Pfaffian 1 and exact zeros in S's rows and columns,
+    and the stack takes one stacked_pfaffians call. An entry is None when
+    there is no inverse, or when its Pf(S) is below HADAMARD_FRACTION of
+    the Hadamard bound over S's own rows.
     """
-    m = len(removed)
-    if not m and not flip:
-        return pf
-    if inverse is None:
-        return None
-    t = np.array([*removed, *(x for e in flip for x in e)], dtype=np.intp)
-    s = inverse.take(t, 0).take(t, 1)
-    scale = [2.0 * w for w in flip.values()]  # 1 / z per flipped edge
-    for p, x in zip(range(m, len(t), 2), scale):
-        s[p, p + 1] += 1.0 / x
-        s[p + 1, p] = -s[p, p + 1]
-    pf_s = pfaffian(SparseSkew.lower(s))
-    if pf_s.sign == 0:
-        return None
-    bound = 0.5 * float(np.log(np.linalg.norm(s, axis=1)).sum())
-    if pf_s.log_magnitude < math.log(HADAMARD_FRACTION) + bound:
-        return None
+    if inverse is None or not borders:
+        return [None] * len(borders)
+    width = max(len(removed) + 2 * len(flip) for removed, flip in borders)
+    stack = np.tile(_unit_blocks(width), (len(borders), 1, 1))
+    norms, scales = [], []
+    for s, (removed, flip) in zip(stack, borders):
+        t = np.array([*removed, *(x for e in flip for x in e)], dtype=np.intp)
+        s = s[: len(t), : len(t)]
+        s[...] = inverse.take(t, 0).take(t, 1)
+        scale = [2.0 * w for w in flip.values()]  # 1 / z per flipped edge
+        for p, x in zip(range(len(removed), len(t), 2), scale):
+            s[p, p + 1] += 1.0 / x
+            s[p + 1, p] = -s[p, p + 1]
+        norms.append(np.linalg.norm(s, axis=1))
+        scales.append(scale)
     n = len(inverse)
-    # kept indices above each removed one, r the i-th smallest
-    crossings = sum(n - m - r + i for i, r in enumerate(removed))
-    negative = m * (m - 1) // 2 + crossings + sum(x < 0 for x in scale)
-    sign = pf.sign * pf_s.sign * (-1) ** negative
-    return SignedLog(sign, pf.log_magnitude + pf_s.log_magnitude + sum(math.log(abs(x)) for x in scale))
+    out = []
+    for (removed, _), pf_s, norm, scale in zip(borders, stacked_pfaffians(stack), norms, scales):
+        if pf_s.sign == 0 or pf_s.log_magnitude < math.log(HADAMARD_FRACTION) + 0.5 * float(np.log(norm).sum()):
+            out.append(None)
+            continue
+        m = len(removed)
+        # kept indices above each removed one, r the i-th smallest
+        crossings = sum(n - m - r + i for i, r in enumerate(removed))
+        negative = m * (m - 1) // 2 + crossings + sum(x < 0 for x in scale)
+        sign = pf.sign * pf_s.sign * (-1) ** negative
+        log_mag = pf.log_magnitude + pf_s.log_magnitude + sum(math.log(abs(x)) for x in scale)
+        out.append(SignedLog(sign, log_mag))
+    return out
 
 
-def minor_pfaffian(a: SparseSkew, removed, flip, base=None):
-    """(Pf of a's principal minor without the sorted indices removed, with
-    the entries at each (u, v) in flip negated, whether it took the full
-    minor); flip maps each such pair, its ends kept, to a[u, v] != 0.
+def minor_pfaffian(a: SparseSkew, removed, flip) -> SignedLog:
+    """Pf of a's principal minor without the sorted indices removed, with
+    the entries at each (u, v) in flip negated; flip maps each such pair,
+    its ends kept, to a[u, v] != 0.
 
-    With base = (Pf(a), skew_inverse(a) or None) it is bordered_pfaffian's
-    minor unless that declines. Otherwise it is the full minor's, built
-    from a's entries in O(E): the flipped ones negated, the removed
-    indices' dropped and the kept indices renumbered in order.
+    The minor is built from a's entries in O(E): the flipped ones negated,
+    the removed indices' dropped and the kept indices renumbered in order.
     """
-    if base is not None:
-        pf = bordered_pfaffian(*base, removed, flip)
-        if pf is not None:
-            return pf, False
     n = a.shape[0]
     vals = a.vals.copy()
     vals[np.searchsorted(a.rows * n + a.cols, [max(e) * n + min(e) for e in flip])] *= -1
@@ -331,4 +399,4 @@ def minor_pfaffian(a: SparseSkew, removed, flip, base=None):
     keep[list(removed)] = False
     at = np.cumsum(keep) - 1  # index of each kept row in the minor
     live = keep[a.rows] & keep[a.cols]
-    return pfaffian(SparseSkew((int(keep.sum()),) * 2, at[a.rows[live]], at[a.cols[live]], vals[live])), True
+    return pfaffian(SparseSkew((int(keep.sum()),) * 2, at[a.rows[live]], at[a.cols[live]], vals[live]))

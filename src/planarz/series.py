@@ -7,16 +7,19 @@ even-degree (2-regular) correction. All of a model's matching problems
 share one oriented gadget graph with Tutte matrix K, kept as its entries
 (a SparseSkew): a removal set's problem is a principal minor of K, with
 the defect lines of the removed nodes negated. Every term takes one
-Pfaffian from pfaffian.minor_pfaffian and the sign of one perfect
-matching of its minor. The empty set's matching, every port matched
-externally, and its sign are kept per topology, so its term, Pf(K)
-itself, does no matching work; every other term finds its matching
-through a T-join near the removed nodes and reads its sign off the ports
-where it differs from the kept one (see _term). Past the empty set, the
-series takes K^-1 once, and every other term is a small Pfaffian over the
-minor's border, or the full minor from the entries where that border
-cancels. K is built dense only for that one inverse, so z_empty never
-builds an n x n matrix. The oriented graph's layout, and with it K's
+Pfaffian and the sign of one perfect matching of its minor. The empty
+set's matching, every port matched externally, and its sign are kept per
+topology, so its term, Pf(K) itself, does no matching work; every other
+term finds its matching through a T-join near the removed nodes and
+reads its sign off the ports where it differs from the kept one (see
+_prepare). Past the empty set, the series takes K^-1 once, and every
+other term is a small Pfaffian over the minor's border: each size of
+removal set is prepared first, T-joins, signs and borders, and then the
+borders of up to BORDER_BATCH terms take one pfaffian.bordered_pfaffians
+call, one stacked elimination. A term whose border cancels takes the
+full minor from the entries (pfaffian.minor_pfaffian) instead. K is
+built dense only for that one inverse, so z_empty never builds an n x n
+matrix. The oriented graph's layout, and with it K's
 TuttePattern (each entry's place and sign), depends on the model's
 topology alone: it is embedded, oriented and checked once per topology
 and kept, with the empty set's matching, on the per-topology record,
@@ -41,6 +44,7 @@ from .bp import BPResult
 from .model import ForneyGraph, ModelError, _enumerate, _topology, canon_edge
 from .pfaffian import (
     OrientationError,
+    bordered_pfaffians,
     matching_sign,
     minor_pfaffian,
     skew_inverse,
@@ -57,6 +61,9 @@ from .planar import (
 from .slog import SignedLog
 
 MAX_LOOP_EDGES = 24
+# removal sets per bordered_pfaffians call: a stack of 512 borders of a
+# 12x12 grid's series, up to about 84 wide, is about 29 MB
+BORDER_BATCH = 512
 
 
 @dataclass(frozen=True)
@@ -194,14 +201,16 @@ def _t_join(g: ForneyGraph, removed: dict):
     return near, join
 
 
-def _term(g: ForneyGraph, o, empty: _EmptySet, K, weight, base, psi, flip):
-    """(z_psi, whether it took the full minor) for one non-empty removal set.
+def _prepare(g: ForneyGraph, o, empty: _EmptySet, weight, psi):
+    """None when o's graph minus the ports of the nodes in psi has no
+    perfect matching, else (ports, flip, odd) for its term: the sorted
+    removed ports, the kept edges of psi's defect lines with their K
+    weights, and the parity of its matching's sign against empty's.
 
-    z_psi is the perfect-matching sum of o's graph minus the ports of the
-    nodes in psi: minor_pfaffian's minor of K's entries over those ports,
-    with the kept edges of flip negated to keep it Kasteleyn, signed by one
-    perfect matching M of that minor. weight maps each nonzero entry's edge
-    (u, v), u < v, to K[u, v].
+    The term's z_psi is the perfect-matching sum of that graph: the minor
+    of K without ports, flip's entries negated to keep it Kasteleyn,
+    signed by one perfect matching M of that minor. weight maps each
+    nonzero entry's edge (u, v), u < v, to K[u, v].
 
     M is the generalized loop through psi and a T-join J (_t_join): each
     kept node that touches psi or J matches its two ports facing them, and
@@ -223,8 +232,11 @@ def _term(g: ForneyGraph, o, empty: _EmptySet, K, weight, base, psi, flip):
     removed = dict.fromkeys(psi)
     found = _t_join(g, removed)
     if found is None:
-        return SignedLog.zero(), False
+        return None
     near, join = found
+    flip = set()
+    for a in psi:
+        flip ^= empty.lines[a]
     nbrs, port, partner, orientation = g.neighbors, o.ext.port, empty.partner, o.orientation
     ports = sorted(port[(a, b)] for a in psi for b in nbrs[a])
     mate = {}  # M + R where it differs from M_0: port -> (its mate, whether it is the tail)
@@ -250,8 +262,31 @@ def _term(g: ForneyGraph, o, empty: _EmptySet, K, weight, base, psi, flip):
             odd += (orientation[(x, y) if x < y else (y, x)][0] != x) + (not tail)
             seen.update((x, y))
             x = z
-    pf, on_minor = minor_pfaffian(K, ports, {e: weight[e] for e in kept if e in weight}, base)
-    return SignedLog(empty.sign * pf.sign * (-1) ** odd, pf.log_magnitude), on_minor
+    return ports, {e: weight[e] for e in kept if e in weight}, odd
+
+
+def _evaluate(K, pf: SignedLog, inverse, sign: int, prepared):
+    """(z_psi, whether it took the full minor) per _prepare result.
+
+    The borders of every term with a matching take one
+    bordered_pfaffians call; a term whose border declines takes the full
+    minor from K's entries. z_psi is that Pfaffian signed by sign, the
+    empty set's matching sign, and by the term's parity.
+    """
+    live = [p for p in prepared if p is not None]
+    borders = iter(bordered_pfaffians(pf, inverse, [(ports, flip) for ports, flip, _ in live]))
+    out = []
+    for p in prepared:
+        if p is None:
+            out.append((SignedLog.zero(), False))
+            continue
+        ports, flip, odd = p
+        z = next(borders)
+        on_minor = z is None
+        if on_minor:
+            z = minor_pfaffian(K, ports, flip)
+        out.append((SignedLog(sign * z.sign * (-1) ** odd, z.log_magnitude), on_minor))
+    return out
 
 
 def triplet_nodes(g: ForneyGraph) -> tuple:
@@ -276,23 +311,23 @@ def pfaffian_series(
     (o, pattern), empty, trips = top.layout, top.empty, top.empty.trips
     limit = len(trips) if max_psi_size is None else min(max_psi_size, len(trips))
     K = pattern.entries(_weight_pool(g, res))
-    pf = minor_pfaffian(K, (), {})[0]
+    pf = minor_pfaffian(K, (), {})
     terms = [PfaffianTerm((), SignedLog(empty.sign * pf.sign, pf.log_magnitude), SignedLog.one())]
     dense = 0
     if limit >= 2:  # only removal sets take K^-1, inverted from the dense K
-        base = (pf, skew_inverse(K.dense()) if pf.sign else None)
+        inverse = skew_inverse(K.dense()) if pf.sign else None
         weight = dict(zip(zip(K.cols.tolist(), K.rows.tolist()), (-K.vals).tolist()))
         removed_weight = {a: SignedLog.from_float(float(res.loop_weights[a][-1])) for a in trips}
     for size in range(2, limit + 1, 2):
-        for psi in itertools.combinations(trips, size):
-            flip = set()
-            factor = SignedLog.one()
-            for a in psi:
-                flip ^= empty.lines[a]
-                factor = factor * removed_weight[a]
-            zp, on_minor = _term(g, o, empty, K, weight, base, psi, flip)
-            dense += on_minor
-            terms.append(PfaffianTerm(psi, zp, factor))
+        sets = itertools.combinations(trips, size)
+        while chunk := list(itertools.islice(sets, BORDER_BATCH)):
+            prepared = [_prepare(g, o, empty, weight, psi) for psi in chunk]
+            for psi, (zp, on_minor) in zip(chunk, _evaluate(K, pf, inverse, empty.sign, prepared)):
+                factor = SignedLog.one()
+                for a in psi:
+                    factor = factor * removed_weight[a]
+                dense += on_minor
+                terms.append(PfaffianTerm(psi, zp, factor))
     total = SignedLog.sum(t.contribution for t in terms)
     complete = limit >= len(trips) - len(trips) % 2
     return PfaffianSeriesResult(tuple(terms), total, complete, dense)

@@ -33,6 +33,9 @@ layout_tutte_matrix is the series' Tutte matrix placed entry by entry
 from the oriented graph and the loop-weight tables, with none of the
 pattern's index arrays.
 
+lower is how a test array enters the Pfaffian kernel: its strict lower
+triangle as a SparseSkew.
+
 Two helpers are not references but views, for the tests that read them:
 assignment_to_index and index_to_assignment convert a +-1 assignment to
 and from its table index, and enumerate_loops lists, as LoopTerms, the
@@ -55,6 +58,15 @@ from planarz.model import ForneyGraph, ModelError, canon_edge
 from planarz.pfaffian import PIVOT_THRESHOLD, SparseSkew, matching_sign, pfaffian
 from planarz.series import _loop_scan, triplet_nodes
 from planarz.slog import SignedLog
+
+
+def lower(a) -> SparseSkew:
+    """The nonzero entries of an array's strict lower triangle, as the
+    SparseSkew that planarz.pfaffian takes; the rest of it is not read."""
+    rows, cols = np.nonzero(a)
+    low = cols < rows
+    rows, cols = rows[low], cols[low]
+    return SparseSkew(a.shape, rows, cols, a[rows, cols])
 
 
 def brute_log_z_factor(fg) -> float:
@@ -294,7 +306,7 @@ def dense_minor_term(g, o, K, removed, flip) -> SignedLog:
     minor, kept = flipped_minor(o, K, removed, flip)
     at = {v: i for i, v in enumerate(kept)}
     pairs = [o.orientation[k][::-1] if k in flip else o.orientation[k] for k in matching]
-    pf = pfaffian(SparseSkew.lower(minor))
+    pf = pfaffian(lower(minor))
     return SignedLog(matching_sign([(at[t], at[h]) for t, h in pairs]) * pf.sign, pf.log_magnitude)
 
 

@@ -229,15 +229,22 @@ def test_bad_config_errors(tmp_path, capsys):
 
 def test_out_of_range_config_errors(tmp_path, capsys):
     # a sweep with no method, or a reversed seed range, computes nothing:
-    # an error too, not a CSV that holds only its header; a negative seed
-    # is named before any instance is built
-    for line in ("max_psi = -1", "methods =", "seeds = 0 4..2", "seeds = -2"):
+    # an error too, not a CSV that holds only its header; a negative seed,
+    # a size its generator rejects and a negative beta or theta are named
+    # before any instance is built, so no earlier cell is solved first
+    grid = {"generator": "grid", "sizes": "3", "betas": "1"}
+    spiderweb = {"generator": "spiderweb", "sizes": "1:4", "betas": "1"}
+    lines = ["max_psi = -1", "methods =", "seeds = 0 4..2", "seeds = -2"]
+    lines += ["sizes = 3 1", "betas = 1 -1", "thetas = -0.5"]
+    cases = [(grid, line) for line in lines] + [(spiderweb, "sizes = 1:4 0:3"), (spiderweb, "sizes = 1:4 1:2")]
+    for base, line in cases:
+        key = line.split()[0]
         cfg = tmp_path / "bad.txt"
-        cfg.write_text(f"generator = grid\nsizes = 3\nbetas = 1\n{line}\n")
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in base.items() if k != key) + line + "\n")
         out_csv = tmp_path / "r.csv"
-        code, _, err = _run(capsys, "run", "--config", str(cfg), "--out", str(out_csv))
-        assert code == 1
-        assert f"error: config key {line.split()[0]!r}" in err
+        code, out, err = _run(capsys, "run", "--config", str(cfg), "--out", str(out_csv))
+        assert code == 1 and out == ""
+        assert f"error: config key {key!r}" in err
         assert not out_csv.exists()
 
 

@@ -1,7 +1,8 @@
 """Signed log-space Pfaffian and the two matrices built from orientations.
 
-The kernel takes a SparseSkew only; a test array enters through
-SparseSkew.lower, its strict lower triangle.
+The windowed kernel takes a SparseSkew only; a test array enters through
+oracles.lower, its strict lower triangle. The stacked kernel takes a dense
+stack of small skew arrays, the series' borders.
 
 Pf(A)^2 = det(A) pins magnitude; hand cases pin the sign convention; the
 matching counts tie the all-ones matrix to combinatorics the Pfaffian code
@@ -32,15 +33,16 @@ from planarz import (
     two_core,
 )
 from planarz.pfaffian import (
-    bordered_pfaffian,
+    bordered_pfaffians,
     minor_pfaffian,
     skew_inverse,
+    stacked_pfaffians,
     tutte_pattern,
 )
 from planarz.planar import _weight_pool
 from planarz.series import _layout
 from builders import ladder_graph, plain_extended, random_planar_vertex_graph
-from oracles import kasteleyn_matrix, matching_count, reference_pfaffian
+from oracles import kasteleyn_matrix, lower, matching_count, reference_pfaffian
 
 pfaffian_module = importlib.import_module("planarz.pfaffian")
 
@@ -66,7 +68,7 @@ def _grid_tutte(n, theta):
 
 
 def _pf(a):
-    return pfaffian(SparseSkew.lower(a))
+    return pfaffian(lower(a))
 
 
 def _pf_one_front(s):
@@ -155,7 +157,7 @@ def test_zero_row_keeps_the_front_small():
     m[np.triu_indices(2000, 6)] = 0.0
     m[1, :] = m[:, 1] = 0.0
     band = m - m.T
-    s = SparseSkew.lower(band)
+    s = lower(band)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -236,7 +238,7 @@ def test_edge_pfaffian_moves_and_grows_its_front():
     rng = np.random.default_rng(3)
     m = np.triu(rng.normal(size=(2000, 2000)), 1)
     m[np.triu_indices(2000, 6)] = 0.0
-    band = SparseSkew.lower(m - m.T)
+    band = lower(m - m.T)
     assert pfaffian(band) == _pf_one_front(band) != SignedLog.zero()
     m = np.round(rng.normal(size=(300, 300)), 1)
     dense = np.triu(m, 1) - np.triu(m, 1).T
@@ -248,7 +250,9 @@ def test_edge_pfaffian_moves_and_grows_its_front():
 
 def test_bordered_pfaffian_matches_the_minor():
     # any even set of removed indices and any flipped pairs among the kept
-    # ones: the border's Pfaffian, signed and scaled, is the minor's
+    # ones: the border's Pfaffian, signed and scaled, is the minor's. Each
+    # border takes the same bits alone and in one stack with the border
+    # that removes every index, which pads it with unit blocks to n wide
     rng = np.random.default_rng(5)
     compared = 0
     for trial in range(40):
@@ -264,20 +268,65 @@ def test_bordered_pfaffian_matches_the_minor():
         for u, v in flip:
             minor[u, v], minor[v, u] = -minor[u, v], -minor[v, u]
         want = _pf(minor[np.ix_(kept, kept)])
-        s = SparseSkew.lower(a)
-        assert minor_pfaffian(s, removed, flip) == (want, True)
-        got = bordered_pfaffian(pf, inverse, removed, flip)
+        assert minor_pfaffian(lower(a), removed, flip) == want
+        [got] = bordered_pfaffians(pf, inverse, [(removed, flip)])
+        assert bordered_pfaffians(pf, inverse, [(removed, flip), (list(range(n)), {})])[0] == got
         if got is None:  # the border cancelled
-            assert minor_pfaffian(s, removed, flip, (pf, inverse)) == (want, True)
             continue
-        assert minor_pfaffian(s, removed, flip, (pf, inverse)) == (got, False)
         assert got.sign == want.sign
         assert got.log_magnitude == pytest.approx(want.log_magnitude, abs=1e-12)
         compared += 1
     assert compared >= 30
-    assert bordered_pfaffian(pf, inverse, [], {}) is pf
-    assert bordered_pfaffian(pf, None, [], {}) is pf
-    assert bordered_pfaffian(pf, None, [0, 1], {}) is None
+    assert bordered_pfaffians(pf, inverse, [([], {})]) == [pf]
+    assert bordered_pfaffians(pf, None, [([0, 1], {})]) == [None]
+    assert bordered_pfaffians(pf, inverse, []) == []
+
+
+def _padded(members):
+    # one stack of the members, each padded to the widest with unit blocks
+    # [[0, 1], [-1, 0]] down the diagonal
+    d = max(len(a) for a in members)
+    stack = np.tile(np.kron(np.eye(d // 2), [[0.0, 1.0], [-1.0, 0.0]]), (len(members), 1, 1))
+    for s, a in zip(stack, members):
+        s[: len(a), : len(a)] = a
+    return stack
+
+
+def test_stacked_pfaffians_match_the_reference_kernel():
+    # one stack of mixed widths, each member the reference kernel's bit for
+    # bit: dense ones, one that swaps rows on every step but the last,
+    # one whose rounded entries tie and vanish, and singular ones, which
+    # are exact zeros and leave every other member's bits as they are
+    rng = np.random.default_rng(13)
+    members = [_random_skew(n, seed=n) for n in (2, 4, 6, 10, 16, 24, 40)]
+    # pairs (0, 2), (1, 4), (3, 6), ..., plus a little noise: each step's
+    # largest entry below the pivot is its partner's, two rows down
+    n = 20
+    chain = np.zeros((n, n))
+    pairs = [(0, 2)] + [(i, i + 3) for i in range(1, n - 4, 2)] + [(n - 3, n - 1)]
+    for u, v in pairs:
+        chain[u, v] = rng.uniform(1.0, 2.0)
+    chain += 1e-3 * np.triu(rng.normal(size=(n, n)), 1)
+    members.append(chain - chain.T)
+    m = np.triu(rng.integers(-2, 3, size=(14, 14)), 1).astype(float)
+    ties = m - m.T
+    col = np.abs(ties[1:, 0])
+    assert (col == col.max()).sum() > 1 and (ties == 0).sum() > 14
+    members.append(ties)
+    for a in members:
+        assert reference_pfaffian(a) != SignedLog.zero()
+    b, j = rng.normal(size=(12, 6)), _random_skew(6, seed=6)
+    low_rank = b @ j @ b.T
+    zero_col = _random_skew(8, seed=8)
+    zero_col[:, 3] = zero_col[3, :] = 0.0
+    singular = [(low_rank - low_rank.T) / 2, zero_col]
+    for a in singular:
+        assert reference_pfaffian(a) == SignedLog.zero()
+    mixed = members[:3] + singular[:1] + members[3:7] + singular[1:] + members[7:]
+    got = stacked_pfaffians(_padded(mixed))
+    assert got == [reference_pfaffian(a) for a in mixed]
+    assert [g for g, a in zip(got, mixed) if not any(a is s for s in singular)] == stacked_pfaffians(_padded(members))
+    assert got[3] == got[8] == SignedLog.zero()
 
 
 def test_singular_matrix_has_no_inverse():
@@ -328,7 +377,7 @@ def test_malformed_entries_are_rejected():
     rng = np.random.default_rng(3)
     m = np.triu(rng.normal(size=(600, 600)), 1)
     m[np.triu_indices(600, 6)] = 0.0
-    band = SparseSkew.lower(m - m.T)
+    band = lower(m - m.T)
     assert pfaffian(band).log_magnitude == pytest.approx(0.5 * np.linalg.slogdet(m - m.T)[1], rel=1e-10)
     half = int(np.searchsorted(band.rows, 300))
     order = np.r_[half : len(band.rows), 0:half]
@@ -362,7 +411,7 @@ def test_pfaffian_rejects_non_finite_entries():
 def test_pfaffian_leaves_input_unchanged():
     # and so does a minor built from the entries
     a = _random_skew(8, seed=7)
-    s = SparseSkew.lower(a)
+    s = lower(a)
     kept = [x.copy() for x in (s.rows, s.cols, s.vals)]
     first = pfaffian(s)
     minor_pfaffian(s, [0, 5], {(1, 2): a[1, 2]})
@@ -397,7 +446,7 @@ def test_tutte_matrix_rejects_duplicate_port_pairs():
 def test_edge_pfaffian_rejects_non_finite_weights():
     for bad in (np.inf, -np.inf, np.nan):
         s = _weighted_square([1.0, bad, 1.0, 1.0])
-        for a in (s, SparseSkew.lower(s.dense())):
+        for a in (s, lower(s.dense())):
             with pytest.raises(ValueError, match="entries must be finite"):
                 pfaffian(a)
 

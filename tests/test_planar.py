@@ -20,7 +20,6 @@ from planarz import (
     ModelError,
     ModelParams,
     NonPlanarError,
-    SparseSkew,
     embed,
     face_parity_violations,
     fisher_extend,
@@ -43,7 +42,7 @@ from builders import (
     random_planar_forney,
     random_planar_vertex_graph,
 )
-from oracles import flipped_minor, kasteleyn_matrix, matching_count, matching_sum
+from oracles import flipped_minor, kasteleyn_matrix, lower, matching_count, matching_sum
 
 pfaffian_module = importlib.import_module("planarz.pfaffian")
 
@@ -174,7 +173,7 @@ def test_fisher_extend_removal(monkeypatch):
     monkeypatch.setattr(pfaffian_module, "pfaffian", lambda a: seen.append(a) or real(a))
     removed = sorted(set(range(o.ext.num_vertices)) - set(kept))
     pfaffian_module.minor_pfaffian(entries, removed, {})
-    want = SparseSkew.lower(minor)
+    want = lower(minor)
     assert len(seen) == 1 and seen[0].shape == want.shape
     assert all(np.array_equal(getattr(seen[0], f), getattr(want, f)) for f in ("rows", "cols", "vals"))
     assert minor.shape == (len(kept), len(kept)) == (o.ext.num_vertices - 6,) * 2
@@ -351,7 +350,7 @@ def test_orient_cut_vertex_bridge_and_disjoint_union():
                 continue
             o = orient(plain_extended(n, edges))
             assert face_parity_violations(o) == [], (how, n, edges)
-            pf = pfaffian(SparseSkew.lower(kasteleyn_matrix(o)))
+            pf = pfaffian(lower(kasteleyn_matrix(o)))
             want = matching_count(n, o.ext.edges)
             assert math.exp(pf.log_magnitude) == pytest.approx(want, rel=1e-10, abs=0)
             # unit weights: the weighted Pfaffian counts the glued graph's matchings

@@ -49,6 +49,7 @@ from oracles import (
     flipped_minor,
     kasteleyn_matrix,
     layout_tutte_matrix,
+    lower,
     reference_matching,
 )
 
@@ -280,14 +281,14 @@ def test_reference_matching_sign_matches_kasteleyn():
                 sign[u, v] = sign[v, u] = -1
             kept = [v for v, (a, _) in enumerate(o.ext.labels) if a not in term.psi]
             at = {v: i for i, v in enumerate(kept)}
-            pf = pfaffian(SparseSkew.lower((sign * unit)[np.ix_(kept, kept)]))
+            pf = pfaffian(lower((sign * unit)[np.ix_(kept, kept)]))
             matching = reference_matching(g, o.ext, term.psi)
             if not term.psi:
                 # no odd node, no loop: every edge of g matches externally
                 port = o.ext.port
                 assert matching == [tuple(sorted((port[(a, b)], port[(b, a)]))) for a, b in g.edges]
             if matching is None:
-                assert pfaffian(SparseSkew.lower((sign * weighted)[np.ix_(kept, kept)])).sign == 0
+                assert pfaffian(lower((sign * weighted)[np.ix_(kept, kept)])).sign == 0
                 assert term.z_psi.sign == 0
                 continue
             assert set(matching) <= set(o.ext.edges)
@@ -304,14 +305,18 @@ def test_loopless_removal_set_skips_the_pfaffian(monkeypatch):
     g = ladder_graph(seed=0)
     res = _bp(g)
     assert reference_matching(g, fisher_extend(g), ("b2", "t1")) is None
-    real = pfaffian_module.pfaffian
-    dims = []
+    real, real_stack = pfaffian_module.pfaffian, pfaffian_module.stacked_pfaffians
+    dims, members = [], []
     monkeypatch.setattr(pfaffian_module, "pfaffian", lambda a: dims.append(a.shape) or real(a))
+    monkeypatch.setattr(pfaffian_module, "stacked_pfaffians", lambda m: members.append(len(m)) or real_stack(m))
     series = pfaffian_series(g, res)
     term = next(t for t in series.terms if t.psi == ("b2", "t1"))
     assert term.z_psi.sign == 0 and term.contribution.sign == 0
-    # one Pfaffian for each of the other terms except the loopless (b1, t2)
-    assert len(dims) == len(series.terms) - 2
+    # Pf(K) for the empty set, and one border in a stack for each other
+    # term except the loopless (b1, t2); a full minor only where a border
+    # falls back
+    assert len(dims) == 1 + series.dense_terms
+    assert sum(members) == len(series.terms) - 3
 
 
 def _oracle_sign(g, o, psi):
@@ -346,7 +351,12 @@ def test_term_signs_match_the_global_matching_oracle(monkeypatch):
     models.append((two_core(g)[0], 2))
     assert len(models) == 50
     calls = []
-    monkeypatch.setattr(series_module, "minor_pfaffian", lambda *a: calls.append(1) or (SignedLog.one(), False))
+    monkeypatch.setattr(series_module, "minor_pfaffian", lambda *a: calls.append(1) or SignedLog.one())
+    monkeypatch.setattr(
+        series_module,
+        "bordered_pfaffians",
+        lambda pf, inverse, borders: calls.extend(borders) or [SignedLog.one()] * len(borders),
+    )
     zeros = checked = 0
     for g, cap in models:
         res = _bp(g)
@@ -398,19 +408,21 @@ def test_removal_sets_that_split_the_kept_graph(monkeypatch):
         (long_ladder, ("t1", "b2", "t4", "b4"), [1, 1, 2]),
         (long_ladder, ("b1", "t1", "b3", "t3", "b5", "t6"), [0, 1, 1, 2]),
     ]
-    real = pfaffian_module.pfaffian
+    real, real_stack = pfaffian_module.pfaffian, pfaffian_module.stacked_pfaffians
     for g, psi, t_counts in cases:
         assert _t_per_component(g, psi) == t_counts
         res = _bp(g)
         o, entries = _laid_out(g, res)
         K = entries.dense()
         weight = {(u, v): K[u, v] for u, v in zip(*np.nonzero(np.triu(K)))}
-        base = (pfaffian(entries), pfaffian_module.skew_inverse(K))
+        pf, inverse = pfaffian(entries), pfaffian_module.skew_inverse(K)
         flip = _term_flips(g, o, psi)
         empty = model_module._topology(g).empty
         calls = []
         monkeypatch.setattr(pfaffian_module, "pfaffian", lambda a: calls.append(1) or real(a))
-        z, _ = series_module._term(g, o, empty, entries, weight, base, psi, flip)
+        monkeypatch.setattr(pfaffian_module, "stacked_pfaffians", lambda m: calls.append(1) or real_stack(m))
+        prepared = [series_module._prepare(g, o, empty, weight, psi)]
+        [(z, _)] = series_module._evaluate(entries, pf, inverse, empty.sign, prepared)
         monkeypatch.undo()
         want = dense_minor_term(g, o, K, psi, flip)
         nonzero = all(c % 2 == 0 for c in t_counts)
@@ -479,14 +491,14 @@ def test_full_minor_is_built_from_the_entries():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        pf, full = pfaffian_module.minor_pfaffian(entries, ports, kept)
+        pf = pfaffian_module.minor_pfaffian(entries, ports, kept)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert full and len(ports) == 6 and len(kept) == 6
+    assert len(ports) == 6 and len(kept) == 6
     assert peak < 0.03 * n**2 * 8
     minor, _ = flipped_minor(o, K, psi, flip)
-    assert pf == pfaffian(SparseSkew.lower(minor)) != SignedLog.zero()
+    assert pf == pfaffian(lower(minor)) != SignedLog.zero()
 
 
 def test_defect_lines_are_shortest_dual_paths():
@@ -516,8 +528,10 @@ def test_cancelling_border_falls_back_to_the_dense_minor():
     K = entries.dense()
     flip = _term_flips(g, o, psi)
     weight = {(u, v): K[u, v] for u, v in zip(*np.nonzero(np.triu(K)))}
-    base = (pfaffian(entries), pfaffian_module.skew_inverse(K))
-    assert series_module._term(g, o, model_module._topology(g).empty, entries, weight, base, psi, flip)[1]
+    pf, inverse = pfaffian(entries), pfaffian_module.skew_inverse(K)
+    empty = model_module._topology(g).empty
+    prepared = [series_module._prepare(g, o, empty, weight, psi)]
+    assert series_module._evaluate(entries, pf, inverse, empty.sign, prepared)[0][1]
     minor, kept = flipped_minor(o, K, psi, flip)
     at = {v: i for i, v in enumerate(kept)}
     exact = exact_pfaffian(minor)
@@ -581,27 +595,55 @@ def test_z_empty_builds_no_dense_matrix(monkeypatch):
 
 
 def test_series_takes_one_pfaffian_of_the_full_matrix(monkeypatch):
-    # Pf(K) once, then per nonzero term one Pfaffian over its border: the
-    # removed ports and both ends of each flipped edge that is kept
-    _, g = gen_spiderweb(1, 4, ModelParams(beta=0.5, theta=0.5, seed=0))
-    g = two_core(g)[0]
-    res = _bp(g)
-    real = pfaffian_module.pfaffian
-    dims = []
+    # Pf(K) once, on the windowed kernel; then one stack of borders per
+    # |psi| size and per BORDER_BATCH removal sets, each border over the
+    # removed ports and both ends of each flipped edge that is kept, and a
+    # windowed Pfaffian only for a term whose border falls back
+    real, real_stack = pfaffian_module.pfaffian, pfaffian_module.stacked_pfaffians
+    real_borders = series_module.bordered_pfaffians
+    dims, stacks, widths = [], [], []
     monkeypatch.setattr(pfaffian_module, "pfaffian", lambda a: dims.append(a.shape[0]) or real(a))
-    series = pfaffian_series(g, res)
-    o, entries = _laid_out(g, res)
-    K = entries.dense()
-    n = len(K)
-    assert dims[0] == n and dims.count(n) == 1
-    bounds = []
-    for term in series.terms[1:]:
-        if term.z_psi.sign == 0:
-            continue
-        kept = [e for e in _term_flips(g, o, term.psi) if not ({o.ext.labels[x][0] for x in e} & set(term.psi))]
-        bounds.append(3 * len(term.psi) + 2 * len(kept))
-    assert len(dims) == 1 + len(bounds) and len(bounds) > 20
-    assert all(d <= b for d, b in zip(dims[1:], bounds))
+    monkeypatch.setattr(pfaffian_module, "stacked_pfaffians", lambda m: stacks.append(m.shape[1]) or real_stack(m))
+
+    def borders(pf, inverse, batch):
+        widths.append([len(removed) + 2 * len(flip) for removed, flip in batch])
+        return real_borders(pf, inverse, batch)
+
+    monkeypatch.setattr(series_module, "bordered_pfaffians", borders)
+    _, spiderweb = gen_spiderweb(1, 4, ModelParams(beta=0.5, theta=0.5, seed=0))
+    _, grid = gen_grid(4, ModelParams(beta=1.0, theta=1.0, seed=1))
+    for g, sizes, dense in ((spiderweb, (2, 4, 6), 0), (grid, (2, 4), 91)):
+        g = two_core(g)[0]
+        res = _bp(g)
+        for seen in (dims, stacks, widths):
+            seen.clear()
+        series = pfaffian_series(g, res, max(sizes))
+        o, _ = _laid_out(g, res)
+        n = o.ext.num_vertices
+        assert series.dense_terms == dense
+        assert dims[0] == n and len(dims) == 1 + dense
+        assert set(dims[1:]) <= {n - 3 * size for size in sizes}
+        sets = [math.comb(len(triplet_nodes(g)), size) for size in sizes]
+        assert len(stacks) == len(widths) == sum(-(-k // series_module.BORDER_BATCH) for k in sets)
+        assert stacks == [max(w) for w in widths]
+        bounds = []
+        for term in series.terms[1:]:
+            if term.z_psi.sign == 0:
+                continue
+            kept = [e for e in _term_flips(g, o, term.psi) if not ({o.ext.labels[x][0] for x in e} & set(term.psi))]
+            bounds.append(3 * len(term.psi) + 2 * len(kept))
+        flat = [w for batch in widths for w in batch]
+        assert len(flat) == len(bounds) > 20
+        assert all(w <= b for w, b in zip(flat, bounds))
+    # without K^-1 there is no stack: every term with a matching takes its
+    # full minor
+    monkeypatch.setattr(series_module, "skew_inverse", lambda a: None)
+    g = two_core(spiderweb)[0]
+    dims.clear()
+    stacks.clear()
+    series = pfaffian_series(g, _bp(g))
+    nonzero = sum(t.z_psi.sign != 0 for t in series.terms[1:])
+    assert stacks == [] and series.dense_terms == len(dims) - 1 == nonzero > 20
 
 
 def _solve_another_topology():

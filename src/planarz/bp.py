@@ -5,8 +5,8 @@ variable (index 0 is -1, index 1 is +1), kept as two flat lists of floats
 indexed by directed-edge slot. What depends on the graph's topology alone
 (the slots, the slots each update feeds, where each update reads the
 sender's table, the nodes grouped by degree) is one plan, built once per
-topology and kept on the per-topology record (model._topology) that the
-series shares. Each run only gathers its tables into one coefficient
+topology and kept in the per-topology slot (model._kept) that the
+series' layout shares. Each run only gathers its tables into one coefficient
 tuple per slot and applies the updates in residual order, the largest
 pending message change first, lowest slot on ties, taken from a binary
 max-heap of residuals that is compacted to O(slots) entries; convergence
@@ -26,7 +26,7 @@ from operator import itemgetter, mul
 
 import numpy as np
 
-from .model import ForneyGraph, ModelError, _log_safe, _topology
+from .model import ForneyGraph, ModelError, _kept, _log_safe
 
 MESSAGE_FLOOR = 1e-300
 RESIDUAL_THRESHOLD = 1e-14  # a run converges once no pending change reaches it
@@ -139,9 +139,8 @@ def run_bp(g: ForneyGraph, max_iterations: int = 10000) -> BPResult:
 
     The slots and everything else that depends on g's topology alone come
     from one plan (_plan), built on the first run of a topology and kept
-    on its record (model._topology); a run that shares the kept topology,
-    whatever its tables, only gathers them into the kernel tuples
-    (_kernel).
+    (model._kept); a run that shares the kept topology, whatever its
+    tables, only gathers them into the kernel tuples (_kernel).
 
     Degrees 2 and 3, all that a reduced graph has, are written out with the
     rounding of a numpy marginalization of the table (inputs multiplied in
@@ -152,10 +151,7 @@ def run_bp(g: ForneyGraph, max_iterations: int = 10000) -> BPResult:
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
-    top = _topology(g)
-    if top.bp is None:
-        top.bp = _plan(g)
-    plan = top.bp
+    plan = _kept(g, _plan)
     dir_edges, dependents = plan.dir_edges, plan.dependents
     n = len(dir_edges)
     lo = [0.5] * n  # slot j's message at -1 and +1

@@ -15,6 +15,10 @@ checks each table it sums a variable out of, two_core each table it absorbs a
 neighbor into. The graphs factor_to_forney, reduce_degree and two_core build
 are valid by construction and are not validated again; copied tables and
 equality tables are not checked a second time.
+
+What a solve derives from a graph's topology alone, BP's plan and the
+series' layout, is built through _kept, once per topology, and kept for
+the last topology solved.
 """
 
 from __future__ import annotations
@@ -132,32 +136,23 @@ class ForneyGraph:
         return f"ForneyGraph({self.num_nodes} nodes, {self.num_edges} edges)"
 
 
-@dataclass(eq=False)
-class _Topology:
-    """What solves derive from a graph's topology alone, its nodes with
-    their neighbor tuples: run_bp's plan (bp), the series' checked
-    layout (layout) and its empty removal set's matching (empty), each
-    None until first built. Solves of one topology with other tables
-    share it and only refill values."""
-
-    key: tuple
-    bp: object = None
-    layout: object = None
-    empty: object = None
+# the last topology solved, its nodes with their neighbor tuples, and what
+# each builder passed to _kept built from it: the one per-topology slot
+_last_key, _built = None, {}
 
 
-# the _Topology of the last topology solved: the one per-topology slot
-_last_topology = None
-
-
-def _topology(g: ForneyGraph) -> _Topology:
-    """The record of g's topology: the kept one while consecutive solves
-    share the topology, else a new, empty one that takes its slot."""
-    global _last_topology
+def _kept(g: ForneyGraph, build):
+    """build(g), built once per topology and kept while consecutive calls
+    share g's topology, its nodes with their neighbor tuples, whatever
+    their tables. Another topology takes the slot and drops all it kept;
+    a build that raises keeps nothing."""
+    global _last_key, _built
     key = (g.nodes, tuple(g.neighbors[a] for a in g.nodes))
-    if _last_topology is None or _last_topology.key != key:
-        _last_topology = _Topology(key)
-    return _last_topology
+    if key != _last_key:
+        _last_key, _built = key, {}
+    if build not in _built:
+        _built[build] = build(g)
+    return _built[build]
 
 
 @dataclass(frozen=True, eq=False)

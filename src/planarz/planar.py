@@ -16,9 +16,9 @@ is its subgraph induced on the kept ports. The layout depends on the model's top
 alone: its edges are port pairs, without weights. Only the gadget-edge
 weights depend on BP, each one entry of a node's loop-weight table
 (ExtendedGraph.source says which, _weight_pool holds them), so the series
-builds this layout once per topology and keeps it on the per-topology
-record it shares with BP's plan (model._topology); every solve gathers
-its weights from the pool. fisher_extend and orient themselves keep
+builds this layout once per topology and keeps it, in its _Layout, in
+the per-topology slot it shares with BP's plan (model._kept); every
+solve gathers its weights from the pool. fisher_extend and orient themselves keep
 nothing between calls.
 """
 

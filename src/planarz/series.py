@@ -8,24 +8,24 @@ share one oriented gadget graph with Tutte matrix K, kept as its entries
 (a SparseSkew): a removal set's problem is a principal minor of K, with
 the defect lines of the removed nodes negated. Every term takes one
 Pfaffian and the sign of one perfect matching of its minor. The empty
-set's matching, every port matched externally, and its sign are kept per
-topology, so its term, Pf(K) itself, does no matching work; every other
-term finds its matching through a T-join near the removed nodes and
-reads its sign off the ports where it differs from the kept one (see
-_prepare). Past the empty set, the series takes K^-1 once, and every
+set's matching, every port matched externally, and its sign are kept in
+the topology's layout, so its term, Pf(K) itself, does no matching
+work; every other term finds its matching through a T-join near the
+removed nodes and reads its sign off the ports where it differs from the
+kept one (see _prepare). Past the empty set, the series takes K^-1 once, and every
 other term is a small Pfaffian over the minor's border: each size of
 removal set is prepared first, T-joins, signs and borders, and then the
 borders of up to BORDER_BATCH terms take one pfaffian.bordered_pfaffians
 call, one stacked elimination. A term whose border cancels takes the
 full minor from the entries (pfaffian.minor_pfaffian) instead. K is
 built dense only for that one inverse, so z_empty never builds an n x n
-matrix. The oriented graph's layout, and with it K's
-TuttePattern (each entry's place and sign), depends on the model's
-topology alone: it is embedded, oriented and checked once per topology
-and kept, with the empty set's matching, on the per-topology record,
-which also holds BP's plan (model._topology). The layout carries no
-weight and needs no BP result: every solve's K is the pattern filled from
-its BPResult's loop weights, the one place they reach K.
+matrix. The oriented graph, K's TuttePattern (each entry's place and
+sign), the empty set's matching and the defect lines depend on the
+model's topology alone: they are one _Layout, embedded, oriented and
+checked once per topology and kept in the per-topology slot that also
+keeps BP's plan (model._kept). The layout carries no weight and needs no
+BP result: every solve's K is the pattern filled from its BPResult's
+loop weights, the one place they reach K.
 
 loop_correction is the exhaustive oracle for both: the edges are the
 enumerated variables of the model's chunked enumeration kernel, which
@@ -41,9 +41,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bp import BPResult
-from .model import ForneyGraph, ModelError, _enumerate, _topology, canon_edge
+from .model import ForneyGraph, ModelError, _enumerate, _kept, canon_edge
 from .pfaffian import (
     OrientationError,
+    TuttePattern,
     bordered_pfaffians,
     matching_sign,
     minor_pfaffian,
@@ -90,53 +91,47 @@ class PfaffianSeriesResult:
     dense_terms: int
 
 
-@dataclass(frozen=True)
-class _EmptySet:
-    """The empty removal set's matching M_0, kept per topology: every port
-    matched to its external partner (partner[x]), its sign (sign:
-    matching_sign over M_0's o.orientation pairs), and the triplet nodes
-    (trips) with their defect lines (lines, see _defect_lines)."""
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """What the series derives from a graph's topology alone (see _layout).
 
+    o is the removal-free gadget graph, oriented with every bounded face
+    checked odd, and pattern its tutte_pattern, whose edge indexes
+    planar._weight_pool through o.ext.source, so that K for any BPResult
+    res on the topology is pattern.entries(_weight_pool(g, res)). partner
+    is the empty removal set's matching M_0, every port x matched to its
+    external partner partner[x], and sign is M_0's matching_sign over its
+    o.orientation pairs. trips are the triplet nodes and lines their
+    defect lines (see _defect_lines).
+    """
+
+    o: OrientedPlanarGraph
+    pattern: TuttePattern
     partner: tuple
     sign: int
     trips: tuple
     lines: dict
 
 
-def _layout(g: ForneyGraph):
-    """(o, pattern) of g's topology: its removal-free gadget graph o,
-    oriented with every bounded face checked odd, and tutte_pattern(o),
-    whose edge indexes planar._weight_pool through o.ext.source, so that
-    K for any BPResult on the topology is
-    pattern.entries(_weight_pool(g, res)).
+def _layout(g: ForneyGraph) -> _Layout:
+    """The _Layout of g's topology, checked: Euler's formula by the face
+    tracing, then every bounded face's parity.
 
-    Both depend on g's topology alone and take no BP result (see _record).
+    It takes no BP result. pfaffian_series keeps it through model._kept, so
+    it is built once per topology, kept only once both checks pass, and
+    never mutated.
     """
-    return _record(g).layout
-
-
-def _record(g: ForneyGraph):
-    """g's topology record, with the series' layout and _EmptySet built.
-
-    They are built once per topology, where Euler's formula and the face
-    parity are checked, kept on the record only once both pass, and never
-    mutated.
-    """
-    top = _topology(g)
-    if top.layout is None:
-        o = orient(fisher_extend(g))
-        bad = face_parity_violations(o)
-        if bad:
-            raise OrientationError(f"bounded faces {bad} have an even clockwise count")
-        port, partner, pairs = o.ext.port, [0] * o.ext.num_vertices, []
-        for a, b in g.edges:
-            u, v = port[(a, b)], port[(b, a)]
-            partner[u], partner[v] = v, u
-            pairs.append(o.orientation[(u, v) if u < v else (v, u)])
-        trips = triplet_nodes(g)
-        top.empty = _EmptySet(tuple(partner), matching_sign(pairs), trips, _defect_lines(g, o, trips))
-        top.layout = (o, tutte_pattern(o))
-    return top
+    o = orient(fisher_extend(g))
+    bad = face_parity_violations(o)
+    if bad:
+        raise OrientationError(f"bounded faces {bad} have an even clockwise count")
+    port, partner, pairs = o.ext.port, [0] * o.ext.num_vertices, []
+    for a, b in g.edges:
+        u, v = port[(a, b)], port[(b, a)]
+        partner[u], partner[v] = v, u
+        pairs.append(o.orientation[(u, v) if u < v else (v, u)])
+    trips = triplet_nodes(g)
+    return _Layout(o, tutte_pattern(o), tuple(partner), matching_sign(pairs), trips, _defect_lines(g, o, trips))
 
 
 def _defect_lines(g: ForneyGraph, o: OrientedPlanarGraph, nodes) -> dict:
@@ -201,11 +196,12 @@ def _t_join(g: ForneyGraph, removed: dict):
     return near, join
 
 
-def _prepare(g: ForneyGraph, o, empty: _EmptySet, weight, psi):
-    """None when o's graph minus the ports of the nodes in psi has no
+def _prepare(g: ForneyGraph, lay: _Layout, weight, psi):
+    """None when lay.o's graph minus the ports of the nodes in psi has no
     perfect matching, else (ports, flip, odd) for its term: the sorted
     removed ports, the kept edges of psi's defect lines with their K
-    weights, and the parity of its matching's sign against empty's.
+    weights, and the parity of its matching's sign against lay.sign, the
+    empty set's.
 
     The term's z_psi is the perfect-matching sum of that graph: the minor
     of K without ports, flip's entries negated to keep it Kasteleyn,
@@ -214,7 +210,7 @@ def _prepare(g: ForneyGraph, o, empty: _EmptySet, weight, psi):
 
     M is the generalized loop through psi and a T-join J (_t_join): each
     kept node that touches psi or J matches its two ports facing them, and
-    every other port matches externally, as in empty's M_0. Without a
+    every other port matches externally, as in lay's M_0. Without a
     T-join there is no perfect matching: the term is an exact zero and
     takes no Pfaffian. R pairs the sorted removed ports r0 < r1 < ...
     consecutively, tail first, so M + R is a perfect matching of all ports
@@ -236,8 +232,9 @@ def _prepare(g: ForneyGraph, o, empty: _EmptySet, weight, psi):
     near, join = found
     flip = set()
     for a in psi:
-        flip ^= empty.lines[a]
-    nbrs, port, partner, orientation = g.neighbors, o.ext.port, empty.partner, o.orientation
+        flip ^= lay.lines[a]
+    o, partner = lay.o, lay.partner
+    nbrs, port, orientation = g.neighbors, o.ext.port, o.orientation
     ports = sorted(port[(a, b)] for a in psi for b in nbrs[a])
     mate = {}  # M + R where it differs from M_0: port -> (its mate, whether it is the tail)
     for x, y in zip(ports[::2], ports[1::2]):
@@ -307,12 +304,12 @@ def pfaffian_series(
     """
     if max_psi_size is not None and max_psi_size < 0:
         raise ModelError(f"max_psi_size must be non-negative, got {max_psi_size!r}")
-    top = _record(g)
-    (o, pattern), empty, trips = top.layout, top.empty, top.empty.trips
+    lay = _kept(g, _layout)
+    trips = lay.trips
     limit = len(trips) if max_psi_size is None else min(max_psi_size, len(trips))
-    K = pattern.entries(_weight_pool(g, res))
+    K = lay.pattern.entries(_weight_pool(g, res))
     pf = minor_pfaffian(K, (), {})
-    terms = [PfaffianTerm((), SignedLog(empty.sign * pf.sign, pf.log_magnitude), SignedLog.one())]
+    terms = [PfaffianTerm((), SignedLog(lay.sign * pf.sign, pf.log_magnitude), SignedLog.one())]
     dense = 0
     if limit >= 2:  # only removal sets take K^-1, inverted from the dense K
         inverse = skew_inverse(K.dense()) if pf.sign else None
@@ -321,8 +318,8 @@ def pfaffian_series(
     for size in range(2, limit + 1, 2):
         sets = itertools.combinations(trips, size)
         while chunk := list(itertools.islice(sets, BORDER_BATCH)):
-            prepared = [_prepare(g, o, empty, weight, psi) for psi in chunk]
-            for psi, (zp, on_minor) in zip(chunk, _evaluate(K, pf, inverse, empty.sign, prepared)):
+            prepared = [_prepare(g, lay, weight, psi) for psi in chunk]
+            for psi, (zp, on_minor) in zip(chunk, _evaluate(K, pf, inverse, lay.sign, prepared)):
                 factor = SignedLog.one()
                 for a in psi:
                     factor = factor * removed_weight[a]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from planarz import ForneyGraph
+from planarz import FactorGraph, ForneyGraph
 from planarz.planar import ExtendedGraph, embed
 
 LADDER_NEIGHBORS = {
@@ -50,6 +50,30 @@ def random_tree_forney(num_nodes: int, seed: int = 0) -> ForneyGraph:
         adj[f"n{i}"] = [parent]
     tabs = {a: np.exp(rng.normal(0.0, 0.8, size=2 ** len(n))) for a, n in adj.items()}
     return ForneyGraph({a: tuple(n) for a, n in adj.items()}, tabs)
+
+
+def triangular_lattice(n: int, seed: int = 0, shuffle: bool = False) -> FactorGraph:
+    """n x n spins x{r}_{c} on a triangular lattice, no fields.
+
+    Row-major over (r, c), each spin is coupled to its right, lower and
+    lower-right neighbours, in that order, so inner spins have degree 6.
+    Coupling J, drawn normal with mean 0 and standard deviation 0.5 from
+    np.random.default_rng(seed), gives the table exp(J s s'). With shuffle,
+    the same generator then permutes the factor list.
+    """
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for r in range(n):
+        for c in range(n):
+            for dr, dc in ((0, 1), (1, 0), (1, 1)):
+                if r + dr < n and c + dc < n:
+                    pairs.append((f"x{r}_{c}", f"x{r + dr}_{c + dc}"))
+    couplings = rng.normal(0.0, 0.5, size=len(pairs))
+    same = np.array([1.0, -1.0, -1.0, 1.0])
+    factors = [(f"J{i}", scope, np.exp(j * same)) for i, (scope, j) in enumerate(zip(pairs, couplings))]
+    if shuffle:
+        rng.shuffle(factors)
+    return FactorGraph([f"x{r}_{c}" for r in range(n) for c in range(n)], factors)
 
 
 def random_planar_forney(seed: int, max_chords: int = 3) -> ForneyGraph:

@@ -17,6 +17,7 @@ from planarz import (
     ModelError,
     ModelParams,
     exact_log_z,
+    exact_log_z_factor,
     gen_grid,
     gen_spiderweb,
     loop_correction,
@@ -353,3 +354,24 @@ def test_saturated_ring_loop_corrections_are_exact():
     assert count == 1 and total > 1.0
     assert res.log_z_bp + math.log(total) == pytest.approx(exact, rel=1e-10)
 
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="RESIDUAL_THRESHOLD is absolute on probability-space messages, so "
+    "a change in a tiny message component never registers and BP stops far "
+    "from its fixed point",
+)
+def test_stiff_grid_series_matches_exact():
+    # beta 500 on a 3x3 grid with fields: BP reports converged after 2
+    # sweeps at residual 6.7e-16, and bp and the full series both give
+    # 271.9331530249983 against exact 339.07278669328076. With the
+    # threshold at 0 and 50 sweeps the series gives the exact value
+    fg, g = gen_grid(3, ModelParams(beta=500.0, theta=1.0, seed=0))
+    core, log_const = two_core(g)
+    res = run_bp(core)
+    series = pfaffian_series(core, res)
+    assert res.converged and series.complete
+    est = log_const + res.log_z_bp + series.z_total.log_magnitude
+    assert est == pytest.approx(exact_log_z_factor(fg), rel=1e-9)

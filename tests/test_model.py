@@ -220,6 +220,45 @@ def test_oracles_do_not_depend_on_chunk_size(monkeypatch):
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def test_kept_builds_once_per_topology():
+    # each builder runs once per topology, whatever the tables; another
+    # topology drops everything kept, and a build that raises keeps nothing
+    calls = []
+
+    def builder(name):
+        def build(g):
+            calls.append(name)
+            return object()
+
+        return build
+
+    first, second = builder("first"), builder("second")
+    g, retabled = ladder_graph(seed=0), ladder_graph(seed=1)
+    a, b = model_module._kept(g, first), model_module._kept(g, second)
+    assert model_module._kept(g, first) is a and model_module._kept(g, second) is b
+    assert model_module._kept(retabled, first) is a and model_module._kept(retabled, second) is b
+    assert calls == ["first", "second"]
+    model_module._kept(cycle_forney(3, seed=0), first)  # another topology takes the slot
+    a2, b2 = model_module._kept(g, first), model_module._kept(g, second)
+    assert a2 is not a and b2 is not b
+    assert calls == ["first", "second", "first", "first", "second"]
+    outcomes = iter([ModelError("first build fails"), "built"])
+
+    def flaky(g):
+        calls.append("flaky")
+        out = next(outcomes)
+        if isinstance(out, Exception):
+            raise out
+        return out
+
+    with pytest.raises(ModelError, match="first build fails"):
+        model_module._kept(g, flaky)
+    assert model_module._kept(g, flaky) == "built"
+    assert model_module._kept(g, flaky) == "built"
+    assert model_module._kept(g, first) is a2
+    assert calls[-2:] == ["flaky", "flaky"]
+
+
 def test_enumeration_cap():
     g = random_tree_forney(40, seed=2)
     with pytest.raises(ModelError):

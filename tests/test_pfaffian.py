@@ -55,7 +55,7 @@ def _random_skew(n, seed):
 
 def _tutte(g):
     # the Tutte matrix K that the series takes on model g, as its entries
-    return _layout(g)[1].entries(_weight_pool(g, run_bp(g)))
+    return _layout(g).pattern.entries(_weight_pool(g, run_bp(g)))
 
 
 def _grid_entries(n, theta, seed=0):
@@ -497,7 +497,8 @@ def test_kasteleyn_pf_counts_matchings():
 def test_ladder_gadget_matrices():
     g = ladder_graph(seed=0)
     res = run_bp(g)
-    o, pattern = _layout(g)
+    lay = _layout(g)
+    o, pattern = lay.o, lay.pattern
     b_hat = kasteleyn_matrix(o)
     assert math.exp(_pf(b_hat).log_magnitude) == pytest.approx(8.0, rel=1e-12)
     a_hat = pattern.entries(_weight_pool(g, res)).dense()

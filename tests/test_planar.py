@@ -21,6 +21,7 @@ from planarz import (
     ModelParams,
     NonPlanarError,
     embed,
+    exact_log_z_factor,
     face_parity_violations,
     fisher_extend,
     gen_grid,
@@ -28,6 +29,7 @@ from planarz import (
     orient,
     pfaffian,
     run_bp,
+    solve_forney,
     two_core,
     z_empty,
 )
@@ -41,6 +43,7 @@ from builders import (
     plain_extended,
     random_planar_forney,
     random_planar_vertex_graph,
+    triangular_lattice,
 )
 from oracles import flipped_minor, kasteleyn_matrix, lower, matching_count, matching_sum
 
@@ -95,6 +98,26 @@ def test_orient_witness_names_model_edges():
     assert f"witness has {len(witness)} model edges" in str(exc.value)
 
 
+@pytest.mark.xfail(
+    raises=NonPlanarError,
+    strict=True,
+    reason="reduce_degree splits a degree-6 node into a chain along its "
+    "neighbour order, not along its planar rotation",
+)
+def test_triangular_lattice_in_any_factor_order_is_planar():
+    # a triangular lattice is planar whatever order its factors come in.
+    # Row-major, the chains its degree-6 nodes are split into embed, and
+    # zero-field z_empty is exact; shuffled, the split graph is rejected
+    # as not planar (a Kuratowski witness of 32 model edges)
+    exact = 13.62769778001502
+    row_major = triangular_lattice(4, seed=0)
+    assert exact_log_z_factor(row_major) == pytest.approx(exact, rel=1e-14)
+    assert solve_forney(row_major, "z_empty")["log_z"] == pytest.approx(exact, rel=1e-12)
+    shuffled = triangular_lattice(4, seed=0, shuffle=True)
+    assert exact_log_z_factor(shuffled) == pytest.approx(exact, rel=1e-14)
+    assert solve_forney(shuffled, "z_empty")["log_z"] == pytest.approx(exact, rel=1e-12)
+
+
 def test_random_planar_graphs_embed():
     for seed in range(30):
         n, edges = random_planar_vertex_graph(seed)
@@ -125,7 +148,8 @@ def test_fisher_extend_sizes():
 def test_fisher_gadget_weights():
     g = ladder_graph(seed=3)
     res = _bp(g)
-    o, pattern = _layout(g)
+    lay = _layout(g)
+    o, pattern = lay.o, lay.pattern
     ext = o.ext
     K = pattern.entries(_weight_pool(g, res)).dense()
 
@@ -150,7 +174,8 @@ def test_fisher_extend_ports_make_a_banded_tutte_matrix():
     # port order must keep it narrow: half-bandwidth 29 and 55 here
     for n in (8, 16):
         core, _ = two_core(gen_grid(n, ModelParams(beta=1.0, theta=0.0, seed=0))[1])
-        o, pattern = _layout(core)
+        lay = _layout(core)
+        o, pattern = lay.o, lay.pattern
         nodes = [a for a, _ in o.ext.labels]
         runs = [a for i, a in enumerate(nodes) if i == 0 or a != nodes[i - 1]]
         assert sorted(runs) == sorted(core.nodes)  # each node's ports contiguous
@@ -163,7 +188,8 @@ def test_fisher_extend_removal(monkeypatch):
     # Tutte matrix on the ports of the kept nodes
     g = ladder_graph(seed=3)
     res = _bp(g)
-    o, pattern = _layout(g)
+    lay = _layout(g)
+    o, pattern = lay.o, lay.pattern
     entries = pattern.entries(_weight_pool(g, res))
     K = entries.dense()
     minor, kept = flipped_minor(o, K, ("t1", "t2"), ())

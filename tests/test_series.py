@@ -68,8 +68,13 @@ def _bp(g):
 
 def _laid_out(g, res):
     # the series' oriented graph of g and its K for res, as entries
-    o, pattern = series_module._layout(g)
-    return o, pattern.entries(_weight_pool(g, res))
+    lay = _kept_layout(g)
+    return lay.o, lay.pattern.entries(_weight_pool(g, res))
+
+
+def _kept_layout(g):
+    # the series' layout of g, as pfaffian_series keeps it
+    return model_module._kept(g, series_module._layout)
 
 
 # ---------------------------------------------------------------- loop oracle
@@ -362,7 +367,7 @@ def test_term_signs_match_the_global_matching_oracle(monkeypatch):
         res = _bp(g)
         calls.clear()
         series = pfaffian_series(g, res, cap)
-        o, _ = series_module._layout(g)
+        o = _kept_layout(g).o
         for term in series.terms:
             assert term.z_psi.sign == _oracle_sign(g, o, term.psi), term.psi
             zeros += term.z_psi.sign == 0
@@ -417,12 +422,12 @@ def test_removal_sets_that_split_the_kept_graph(monkeypatch):
         weight = {(u, v): K[u, v] for u, v in zip(*np.nonzero(np.triu(K)))}
         pf, inverse = pfaffian(entries), pfaffian_module.skew_inverse(K)
         flip = _term_flips(g, o, psi)
-        empty = model_module._topology(g).empty
+        lay = _kept_layout(g)
         calls = []
         monkeypatch.setattr(pfaffian_module, "pfaffian", lambda a: calls.append(1) or real(a))
         monkeypatch.setattr(pfaffian_module, "stacked_pfaffians", lambda m: calls.append(1) or real_stack(m))
-        prepared = [series_module._prepare(g, o, empty, weight, psi)]
-        [(z, _)] = series_module._evaluate(entries, pf, inverse, empty.sign, prepared)
+        prepared = [series_module._prepare(g, lay, weight, psi)]
+        [(z, _)] = series_module._evaluate(entries, pf, inverse, lay.sign, prepared)
         monkeypatch.undo()
         want = dense_minor_term(g, o, K, psi, flip)
         nonzero = all(c % 2 == 0 for c in t_counts)
@@ -529,9 +534,9 @@ def test_cancelling_border_falls_back_to_the_dense_minor():
     flip = _term_flips(g, o, psi)
     weight = {(u, v): K[u, v] for u, v in zip(*np.nonzero(np.triu(K)))}
     pf, inverse = pfaffian(entries), pfaffian_module.skew_inverse(K)
-    empty = model_module._topology(g).empty
-    prepared = [series_module._prepare(g, o, empty, weight, psi)]
-    assert series_module._evaluate(entries, pf, inverse, empty.sign, prepared)[0][1]
+    lay = _kept_layout(g)
+    prepared = [series_module._prepare(g, lay, weight, psi)]
+    assert series_module._evaluate(entries, pf, inverse, lay.sign, prepared)[0][1]
     minor, kept = flipped_minor(o, K, psi, flip)
     at = {v: i for i, v in enumerate(kept)}
     exact = exact_pfaffian(minor)
@@ -647,7 +652,7 @@ def test_series_takes_one_pfaffian_of_the_full_matrix(monkeypatch):
 
 
 def _solve_another_topology():
-    # any solve of another topology takes the place of the one kept record
+    # any solve of another topology takes the one per-topology slot
     g = cycle_forney(3, seed=0)
     z_empty(g, _bp(g))
 
@@ -808,13 +813,13 @@ def test_layout_needs_no_bp(monkeypatch):
     monkeypatch.setattr(series_module, "minor_pfaffian", lambda a, *rest: seen.append(a) or real_minor(a, *rest))
     _solve_another_topology()
     calls.clear()
-    layout = series_module._layout(models[0])
-    assert calls == [1] and model_module._topology(models[0]).bp is None  # no run_bp yet
-    o = layout[0]
+    layout = _kept_layout(models[0])
+    assert calls == [1] and bp_module._plan not in model_module._built  # no run_bp yet
+    o = layout.o
     for g in models:
         res = _bp(g)
         z_empty(g, res)
-        assert series_module._layout(g) is layout
+        assert _kept_layout(g) is layout
         assert np.array_equal(seen[-1].dense(), layout_tutte_matrix(g, o, res))
     assert len(calls) == 1
 

@@ -137,22 +137,24 @@ class ForneyGraph:
 
 
 # the last topology solved, its nodes with their neighbor tuples, and what
-# each builder passed to _kept built from it: the one per-topology slot
+# each builder passed to _kept built from it, by builder and arguments: the
+# one per-topology slot
 _last_key, _built = None, {}
 
 
-def _kept(g: ForneyGraph, build):
-    """build(g), built once per topology and kept while consecutive calls
-    share g's topology, its nodes with their neighbor tuples, whatever
-    their tables. Another topology takes the slot and drops all it kept;
-    a build that raises keeps nothing."""
+def _kept(g: ForneyGraph, build, *args):
+    """build(g, *args), built once per topology and args and kept while
+    consecutive calls share g's topology, its nodes with their neighbor
+    tuples, whatever their tables. Another topology takes the slot and
+    drops all it kept; a build that raises keeps nothing."""
     global _last_key, _built
     key = (g.nodes, tuple(g.neighbors[a] for a in g.nodes))
     if key != _last_key:
         _last_key, _built = key, {}
-    if build not in _built:
-        _built[build] = build(g)
-    return _built[build]
+    name = (build, *args) if args else build
+    if name not in _built:
+        _built[name] = build(g, *args)
+    return _built[name]
 
 
 @dataclass(frozen=True, eq=False)

@@ -334,52 +334,65 @@ def _unit_blocks(d: int) -> np.ndarray:
     return a
 
 
-def bordered_pfaffians(pf: SignedLog, inverse, borders) -> list:
-    """Per (removed, flip) in borders, Pf of a matrix A's principal minor
-    without the sorted indices removed, with the entries at each (u, v) in
-    flip negated; flip maps each such pair, its ends kept, to A[u, v] != 0.
-    pf is Pf(A) and inverse is skew_inverse(A).
+def bordered_pfaffians(pf: SignedLog, inverse, anchors, removed, lengths, flip) -> list:
+    """Per row of anchors, Pf of a matrix A's principal minor without some
+    sorted indices, with the entries of some edges (u, v), u < v, negated.
+    The first lengths[b] entries of row b are its border anchors T: the
+    removed[b] indices it removes, then u and v of each flipped edge in
+    turn, both kept; flip[b, i] is A[u, v] != 0 at its i-th flipped edge.
+    removed may be one count for every row. pf is Pf(A) and inverse is
+    skew_inverse(A).
 
     Border A with one unit column per removed index r, whose border vertex
     can only match r, and with two border vertices per flipped edge, joined
     to u and v by unit entries and to each other by z = 1 / (2 A[u, v]).
     Eliminating the border first gives the minor times z's product, with
     the sign of moving each (r, border) pair to the front; eliminating A
-    first gives Pf(A) Pf(S), S = Z + G[T, T] with G = A^-1 and T the
-    border's anchors (Wimmer 2012, arXiv:1102.3440). So only S takes a
-    Pfaffian: every S of the call is padded to the widest with unit
-    blocks, which have Pfaffian 1 and exact zeros in S's rows and columns,
-    and the stack takes one stacked_pfaffians call. An entry is None when
-    there is no inverse, or when its Pf(S) is below HADAMARD_FRACTION of
-    the Hadamard bound over S's own rows.
+    first gives Pf(A) Pf(S), S = Z + G[T, T] with G = A^-1 (Wimmer 2012,
+    arXiv:1102.3440). So only S takes a Pfaffian: every S of the call is
+    gathered from G at once, padded to the widest with unit blocks, which
+    have Pfaffian 1 and exact zeros in S's rows and columns, and the stack
+    takes one stacked_pfaffians call. An entry is None when there is no
+    inverse, or when its Pf(S) is below HADAMARD_FRACTION of the Hadamard
+    bound over S's own rows.
     """
-    if inverse is None or not borders:
-        return [None] * len(borders)
-    width = max(len(removed) + 2 * len(flip) for removed, flip in borders)
-    stack = np.tile(_unit_blocks(width), (len(borders), 1, 1))
-    norms, scales = [], []
-    for s, (removed, flip) in zip(stack, borders):
-        t = np.array([*removed, *(x for e in flip for x in e)], dtype=np.intp)
-        s = s[: len(t), : len(t)]
-        s[...] = inverse.take(t, 0).take(t, 1)
-        scale = [2.0 * w for w in flip.values()]  # 1 / z per flipped edge
-        for p, x in zip(range(len(removed), len(t), 2), scale):
-            s[p, p + 1] += 1.0 / x
-            s[p + 1, p] = -s[p, p + 1]
-        norms.append(np.linalg.norm(s, axis=1))
-        scales.append(scale)
-    n = len(inverse)
+    if inverse is None or not len(lengths):
+        return [None] * len(lengths)
+    removed = np.broadcast_to(removed, lengths.shape)
+    width = int(lengths.max())
+    t = anchors[:, :width]
+    inside = np.arange(width) < lengths[:, None]
+    stack = inverse[t[:, :, None], t[:, None, :]]
+    np.copyto(stack, _unit_blocks(width), where=~(inside[:, :, None] & inside[:, None, :]))
+    scale = 2.0 * flip  # 1 / z per flipped edge
+    flips = (lengths - removed) // 2
+    own = np.arange(flip.shape[1]) < flips[:, None]
+    b, e = np.nonzero(own)
+    p = removed[b] + 2 * e
+    stack[b, p, p + 1] += 1.0 / scale[b, e]
+    stack[b, p + 1, p] = -stack[b, p, p + 1]
+    # log of each S's Hadamard bound, its rows' norms summed over its own
+    # columns alone, as numpy sums them for S by itself; a zero row makes
+    # it -inf, but also Pf(S) zero, and that is tested first
+    hadamard = np.empty(len(lengths))
+    for d in set(lengths.tolist()):
+        at = np.flatnonzero(lengths == d)
+        norm = np.linalg.norm(stack[at, :d, :d].reshape(len(at) * d, d), axis=1)
+        with np.errstate(divide="ignore"):
+            hadamard[at] = np.log(norm).reshape(len(at), d).sum(axis=1)
+    n, m = len(inverse), removed[:, None]
+    # kept indices above each removed one, r the i-th smallest
+    i = np.arange(int(removed.max()))
+    crossings = np.where(i < m, n - m - t[:, : len(i)] + i, 0).sum(axis=1)
+    negative = removed * (removed - 1) // 2 + crossings + ((scale < 0) & own).sum(axis=1)
     out = []
-    for (removed, _), pf_s, norm, scale in zip(borders, stacked_pfaffians(stack), norms, scales):
-        if pf_s.sign == 0 or pf_s.log_magnitude < math.log(HADAMARD_FRACTION) + 0.5 * float(np.log(norm).sum()):
+    rows = zip(stacked_pfaffians(stack), hadamard.tolist(), negative.tolist(), scale.tolist(), flips.tolist())
+    for pf_s, bound, odd, row, k in rows:
+        if pf_s.sign == 0 or pf_s.log_magnitude < math.log(HADAMARD_FRACTION) + 0.5 * bound:
             out.append(None)
             continue
-        m = len(removed)
-        # kept indices above each removed one, r the i-th smallest
-        crossings = sum(n - m - r + i for i, r in enumerate(removed))
-        negative = m * (m - 1) // 2 + crossings + sum(x < 0 for x in scale)
-        sign = pf.sign * pf_s.sign * (-1) ** negative
-        log_mag = pf.log_magnitude + pf_s.log_magnitude + sum(math.log(abs(x)) for x in scale)
+        sign = pf.sign * pf_s.sign * (-1) ** odd
+        log_mag = pf.log_magnitude + pf_s.log_magnitude + sum(math.log(abs(x)) for x in row[:k])
         out.append(SignedLog(sign, log_mag))
     return out
 

@@ -13,19 +13,24 @@ the topology's layout, so its term, Pf(K) itself, does no matching
 work; every other term finds its matching through a T-join near the
 removed nodes and reads its sign off the ports where it differs from the
 kept one (see _prepare). Past the empty set, the series takes K^-1 once, and every
-other term is a small Pfaffian over the minor's border: each size of
-removal set is prepared first, T-joins, signs and borders, and then the
-borders of up to BORDER_BATCH terms take one pfaffian.bordered_pfaffians
-call, one stacked elimination. A term whose border cancels takes the
-full minor from the entries (pfaffian.minor_pfaffian) instead. K is
-built dense only for that one inverse, so z_empty never builds an n x n
-matrix. The oriented graph, K's TuttePattern (each entry's place and
-sign), the empty set's matching and the defect lines depend on the
-model's topology alone: they are one _Layout, embedded, oriented and
-checked once per topology and kept in the per-topology slot that also
-keeps BP's plan (model._kept). The layout carries no weight and needs no
-BP result: every solve's K is the pattern filled from its BPResult's
-loop weights, the one place they reach K.
+other term is a small Pfaffian over the minor's border. The oriented
+graph, K's TuttePattern (each entry's place and sign), the empty set's
+matching and the defect lines depend on the model's topology alone: they
+are one _Layout, embedded, oriented and checked once per topology and
+kept in the per-topology slot that also keeps BP's plan (model._kept).
+So does everything a removal set's term needs but K's values: which sets
+have no T-join, and each other set's sign parity, its border's indices
+and its kept flipped edges' places among K's entries. They are one
+_TermPlan per removal-set size, planned on the first series of the
+topology to reach that size. The layout and the plans carry no weight
+and need no BP result: every solve's K is the pattern filled from its
+BPResult's loop weights, the one place they reach K, and a warm series
+only gathers K^-1 and the flipped edges' weights into the planned
+borders: those of up to BORDER_BATCH removal sets take one
+pfaffian.bordered_pfaffians call, one stacked elimination. A term whose
+border cancels takes the full minor from the entries
+(pfaffian.minor_pfaffian) instead. K is built dense only for that one
+inverse, so z_empty never builds an n x n matrix.
 
 loop_correction is the exhaustive oracle for both: the edges are the
 enumerated variables of the model's chunked enumeration kernel, which
@@ -36,6 +41,7 @@ node (no node of degree one inside a loop) over all edge subsets.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,17 +202,16 @@ def _t_join(g: ForneyGraph, removed: dict):
     return near, join
 
 
-def _prepare(g: ForneyGraph, lay: _Layout, weight, psi):
+def _prepare(g: ForneyGraph, lay: _Layout, psi):
     """None when lay.o's graph minus the ports of the nodes in psi has no
-    perfect matching, else (ports, flip, odd) for its term: the sorted
-    removed ports, the kept edges of psi's defect lines with their K
-    weights, and the parity of its matching's sign against lay.sign, the
-    empty set's.
+    perfect matching, else (ports, kept, odd) for its term: the sorted
+    removed ports, the kept edges of psi's defect lines, and the parity of
+    its matching's sign against lay.sign, the empty set's.
 
     The term's z_psi is the perfect-matching sum of that graph: the minor
-    of K without ports, flip's entries negated to keep it Kasteleyn,
-    signed by one perfect matching M of that minor. weight maps each
-    nonzero entry's edge (u, v), u < v, to K[u, v].
+    of K without ports, kept's entries negated to keep it Kasteleyn,
+    signed by one perfect matching M of that minor. A kept edge whose K
+    entry is zero is in no matching and has no entry to negate.
 
     M is the generalized loop through psi and a T-join J (_t_join): each
     kept node that touches psi or J matches its two ports facing them, and
@@ -215,11 +220,11 @@ def _prepare(g: ForneyGraph, lay: _Layout, weight, psi):
     takes no Pfaffian. R pairs the sorted removed ports r0 < r1 < ...
     consecutively, tail first, so M + R is a perfect matching of all ports
     and differs from M_0 only at psi's ports and the ports M matches in
-    gadgets. M's sign in the minor, flipped edges written head to tail, is
+    gadgets. M's sign in the minor, kept edges written head to tail, is
     then M_0's times (-1) to the power of (Kasteleyn 1961)
 
         sum_i (r(2i+1) - r(2i) - 1)   the kept ports each pair of R spans
-        + |M & flip|
+        + |M & kept|
         + sum over the alternating cycles C of M + R and M_0 of
           (1 + the pairs of C walked against their orientation),
 
@@ -259,30 +264,94 @@ def _prepare(g: ForneyGraph, lay: _Layout, weight, psi):
             odd += (orientation[(x, y) if x < y else (y, x)][0] != x) + (not tail)
             seen.update((x, y))
             x = z
-    return ports, {e: weight[e] for e in kept if e in weight}, odd
+    return ports, kept, odd
 
 
-def _evaluate(K, pf: SignedLog, inverse, sign: int, prepared):
-    """(z_psi, whether it took the full minor) per _prepare result.
+@dataclass(frozen=True, eq=False)
+class _TermPlan:
+    """The weight-free part of some removal sets' terms, as arrays (see
+    _plan_sets).
 
-    The borders of every term with a matching take one
-    bordered_pfaffians call; a term whose border declines takes the full
-    minor from K's entries. z_psi is that Pfaffian signed by sign, the
-    empty set's matching sign, and by the term's parity.
+    live indexes the sets with a perfect matching, in the order given; the
+    others are exact zeros. Row j of the other fields is set live[j]'s:
+    anchors holds its border indices T, its removed ports in order and then
+    both ends (u, v), u < v, of each kept flipped edge, of which the first
+    lengths[j] are its own; flips holds those edges' positions in the
+    layout's pattern entries, the first (lengths[j] - removed) // 2 its
+    own; odd is the parity of its matching's sign against the empty set's.
+    removed is the number of ports every set removes.
     """
-    live = [p for p in prepared if p is not None]
-    borders = iter(bordered_pfaffians(pf, inverse, [(ports, flip) for ports, flip, _ in live]))
-    out = []
-    for p in prepared:
-        if p is None:
-            out.append((SignedLog.zero(), False))
-            continue
-        ports, flip, odd = p
-        z = next(borders)
+
+    live: np.ndarray
+    anchors: np.ndarray
+    flips: np.ndarray
+    lengths: np.ndarray
+    odd: np.ndarray
+    removed: int
+
+
+def _term_plan(g: ForneyGraph, size: int) -> _TermPlan:
+    """The _TermPlan of every removal set of size triplet nodes, in
+    lexicographic order. pfaffian_series keeps it through model._kept, once
+    per topology and size, so a warm series finds no T-join."""
+    lay = _kept(g, _layout)
+    return _plan_sets(g, lay, itertools.combinations(lay.trips, size), size)
+
+
+def _plan_sets(g: ForneyGraph, lay: _Layout, sets, size: int) -> _TermPlan:
+    """The _TermPlan of the removal sets sets, each of size triplet nodes:
+    each set's _prepare, its kept edges found in lay.pattern's entries."""
+    live, ports, kept, odd = [], [], [], []
+    for i, psi in enumerate(sets):
+        found = _prepare(g, lay, psi)
+        if found is not None:
+            live.append(i)
+            ports.append(found[0])
+            kept.append(found[1])
+            odd.append(found[2] % 2)
+    p, n = lay.pattern, lay.pattern.shape[0]
+    count = np.array([len(k) for k in kept], dtype=np.intp)
+    edges = np.array([e for k in kept for e in k], dtype=np.intp).reshape(-1, 2)
+    flips = np.zeros((len(kept), count.max(initial=0)), dtype=np.int32)
+    flips[np.arange(flips.shape[1]) < count[:, None]] = np.searchsorted(p.rows * n + p.cols, edges[:, 1] * n + edges[:, 0])
+    ports = np.array(ports, dtype=np.int32).reshape(len(kept), 3 * size)
+    ends = np.stack([p.cols[flips], p.rows[flips]], axis=2).reshape(len(kept), 2 * flips.shape[1])
+    anchors = np.concatenate([ports, ends.astype(np.int32)], axis=1)
+    lengths = (3 * size + 2 * count).astype(np.int32)
+    return _TermPlan(np.array(live, dtype=np.int32), anchors, flips, lengths, np.array(odd, dtype=bool), 3 * size)
+
+
+def _evaluate(K, weight, pf: SignedLog, inverse, sign: int, plan: _TermPlan, start: int, stop: int):
+    """(z_psi, whether it took the full minor) per removal set of plan's
+    from start to stop - 1, in plan order.
+
+    weight holds K[u, v], u < v, at each of the layout's pattern entries,
+    0 where K has no entry: such a kept edge leaves its term's border. The
+    borders of every set with a matching take one bordered_pfaffians call;
+    a term whose border declines takes the full minor from K's entries.
+    z_psi is that Pfaffian signed by sign, the empty set's matching sign,
+    and by the term's parity.
+    """
+    lo, hi = np.searchsorted(plan.live, (start, stop))
+    anchors, lengths, m = plan.anchors[lo:hi], plan.lengths[lo:hi], plan.removed
+    flip = weight[plan.flips[lo:hi]]
+    own = np.arange(flip.shape[1]) < (lengths[:, None] - m) // 2
+    entry = own & (flip != 0)
+    if (entry != own).any():  # move the edges K has no entry for past each row's own
+        order = np.argsort(~entry, axis=1, kind="stable")
+        flip = np.take_along_axis(flip, order, axis=1)
+        ends = np.take_along_axis(anchors[:, m:].reshape(len(order), -1, 2), order[:, :, None], axis=1)
+        anchors = np.concatenate([anchors[:, :m], ends.reshape(len(order), -1)], axis=1)
+        lengths = m + 2 * entry.sum(axis=1)
+    out = [(SignedLog.zero(), False)] * (stop - start)
+    borders = bordered_pfaffians(pf, inverse, anchors, m, lengths, flip)
+    for j, (i, z, odd) in enumerate(zip(plan.live[lo:hi].tolist(), borders, plan.odd[lo:hi].tolist())):
         on_minor = z is None
         if on_minor:
-            z = minor_pfaffian(K, ports, flip)
-        out.append((SignedLog(sign * z.sign * (-1) ** odd, z.log_magnitude), on_minor))
+            t = anchors[j, : lengths[j]].tolist()
+            z = minor_pfaffian(K, t[:m], {(u, v): w for u, v, w in zip(t[m::2], t[m + 1 :: 2], flip[j].tolist())})
+        s = sign * z.sign
+        out[i - start] = (SignedLog(-s if odd else s, z.log_magnitude), on_minor)
     return out
 
 
@@ -307,19 +376,22 @@ def pfaffian_series(
     lay = _kept(g, _layout)
     trips = lay.trips
     limit = len(trips) if max_psi_size is None else min(max_psi_size, len(trips))
-    K = lay.pattern.entries(_weight_pool(g, res))
+    pool = _weight_pool(g, res)
+    K = lay.pattern.entries(pool)
     pf = minor_pfaffian(K, (), {})
     terms = [PfaffianTerm((), SignedLog(lay.sign * pf.sign, pf.log_magnitude), SignedLog.one())]
     dense = 0
     if limit >= 2:  # only removal sets take K^-1, inverted from the dense K
         inverse = skew_inverse(K.dense()) if pf.sign else None
-        weight = dict(zip(zip(K.cols.tolist(), K.rows.tolist()), (-K.vals).tolist()))
+        weight = -(lay.pattern.sign * pool[lay.pattern.edge])  # K[u, v], u < v, per pattern entry
         removed_weight = {a: SignedLog.from_float(float(res.loop_weights[a][-1])) for a in trips}
     for size in range(2, limit + 1, 2):
+        plan = _kept(g, _term_plan, size)
         sets = itertools.combinations(trips, size)
-        while chunk := list(itertools.islice(sets, BORDER_BATCH)):
-            prepared = [_prepare(g, lay, weight, psi) for psi in chunk]
-            for psi, (zp, on_minor) in zip(chunk, _evaluate(K, pf, inverse, lay.sign, prepared)):
+        for start in range(0, math.comb(len(trips), size), BORDER_BATCH):
+            chunk = list(itertools.islice(sets, BORDER_BATCH))
+            found = _evaluate(K, weight, pf, inverse, lay.sign, plan, start, start + len(chunk))
+            for psi, (zp, on_minor) in zip(chunk, found):
                 factor = SignedLog.one()
                 for a in psi:
                     factor = factor * removed_weight[a]

@@ -360,7 +360,7 @@ def test_term_signs_match_the_global_matching_oracle(monkeypatch):
     monkeypatch.setattr(
         series_module,
         "bordered_pfaffians",
-        lambda pf, inverse, borders: calls.extend(borders) or [SignedLog.one()] * len(borders),
+        lambda pf, inverse, anchors, removed, lengths, flip: calls.extend(lengths) or [SignedLog.one()] * len(lengths),
     )
     zeros = checked = 0
     for g, cap in models:
@@ -419,15 +419,12 @@ def test_removal_sets_that_split_the_kept_graph(monkeypatch):
         res = _bp(g)
         o, entries = _laid_out(g, res)
         K = entries.dense()
-        weight = {(u, v): K[u, v] for u, v in zip(*np.nonzero(np.triu(K)))}
         pf, inverse = pfaffian(entries), pfaffian_module.skew_inverse(K)
         flip = _term_flips(g, o, psi)
-        lay = _kept_layout(g)
         calls = []
         monkeypatch.setattr(pfaffian_module, "pfaffian", lambda a: calls.append(1) or real(a))
         monkeypatch.setattr(pfaffian_module, "stacked_pfaffians", lambda m: calls.append(1) or real_stack(m))
-        prepared = [series_module._prepare(g, lay, weight, psi)]
-        [(z, _)] = series_module._evaluate(entries, pf, inverse, lay.sign, prepared)
+        z, _ = _planned_term(g, entries, pf, inverse, psi)
         monkeypatch.undo()
         want = dense_minor_term(g, o, K, psi, flip)
         nonzero = all(c % 2 == 0 for c in t_counts)
@@ -435,6 +432,17 @@ def test_removal_sets_that_split_the_kept_graph(monkeypatch):
         assert z.sign == want.sign
         if nonzero:
             assert z.log_magnitude == pytest.approx(want.log_magnitude, rel=1e-12)
+
+
+def _planned_term(g, entries, pf, inverse, psi):
+    # (z_psi, whether it took the full minor) for psi alone, through a plan
+    # of that one set and the series' evaluation of it; each flipped edge's
+    # weight is read from the dense K
+    lay = _kept_layout(g)
+    K = entries.dense()
+    plan = series_module._plan_sets(g, lay, [psi], len(psi))
+    [found] = series_module._evaluate(entries, K[lay.pattern.cols, lay.pattern.rows], pf, inverse, lay.sign, plan, 0, 1)
+    return found
 
 
 def _term_flips(g, o, psi):
@@ -532,11 +540,8 @@ def test_cancelling_border_falls_back_to_the_dense_minor():
     o, entries = _laid_out(g, res)
     K = entries.dense()
     flip = _term_flips(g, o, psi)
-    weight = {(u, v): K[u, v] for u, v in zip(*np.nonzero(np.triu(K)))}
     pf, inverse = pfaffian(entries), pfaffian_module.skew_inverse(K)
-    lay = _kept_layout(g)
-    prepared = [series_module._prepare(g, lay, weight, psi)]
-    assert series_module._evaluate(entries, pf, inverse, lay.sign, prepared)[0][1]
+    assert _planned_term(g, entries, pf, inverse, psi)[1]
     minor, kept = flipped_minor(o, K, psi, flip)
     at = {v: i for i, v in enumerate(kept)}
     exact = exact_pfaffian(minor)
@@ -610,9 +615,9 @@ def test_series_takes_one_pfaffian_of_the_full_matrix(monkeypatch):
     monkeypatch.setattr(pfaffian_module, "pfaffian", lambda a: dims.append(a.shape[0]) or real(a))
     monkeypatch.setattr(pfaffian_module, "stacked_pfaffians", lambda m: stacks.append(m.shape[1]) or real_stack(m))
 
-    def borders(pf, inverse, batch):
-        widths.append([len(removed) + 2 * len(flip) for removed, flip in batch])
-        return real_borders(pf, inverse, batch)
+    def borders(pf, inverse, anchors, removed, lengths, flip):
+        widths.append(lengths.tolist())
+        return real_borders(pf, inverse, anchors, removed, lengths, flip)
 
     monkeypatch.setattr(series_module, "bordered_pfaffians", borders)
     _, spiderweb = gen_spiderweb(1, 4, ModelParams(beta=0.5, theta=0.5, seed=0))
@@ -763,6 +768,99 @@ def test_reused_layout_gives_the_cold_digits(monkeypatch):
             assert z_empty(g, res).log_magnitude.hex() == z == series[0][1]
     # the grids of one theta share one layout, the spiderweb has its own
     assert len(calls) == 2 * 3
+
+
+def _record(series):
+    # every term's digits, and the total's
+    terms = [(t.psi, t.z_psi.sign, t.z_psi.log_magnitude.hex(), t.contribution.sign, t.contribution.log_magnitude.hex()) for t in series.terms]
+    return terms, series.z_total.sign, series.z_total.log_magnitude.hex(), series.complete, series.dense_terms
+
+
+def test_warm_series_reuses_the_term_plans(monkeypatch):
+    # the T-joins, signs and borders of a topology's removal sets are
+    # planned once: another instance of the topology finds no T-join, and
+    # its terms have the digits it has when solved first
+    real = series_module._t_join
+    calls = []
+    monkeypatch.setattr(series_module, "_t_join", lambda *a: calls.append(1) or real(*a))
+    spiderwebs = [gen_spiderweb(1, 4, ModelParams(beta=0.5, theta=0.5, seed=seed))[1] for seed in range(4)]
+    grids = [gen_grid(4, ModelParams(beta=1.0, theta=1.0, seed=seed))[1] for seed in range(2)]
+    for models, cap in ((spiderwebs, None), (grids, 4)):
+        models = [two_core(g)[0] for g in models]
+        results = [_bp(g) for g in models]
+        cold = []
+        for g, res in zip(models, results):
+            _solve_another_topology()
+            calls.clear()
+            cold.append(_record(pfaffian_series(g, res, cap)))
+            assert calls
+        for g, res, want in zip(models, results, cold):
+            calls.clear()
+            assert _record(pfaffian_series(g, res, cap)) == want
+            assert calls == []
+
+
+def test_term_plans_are_kept_per_size(monkeypatch):
+    # a |psi| <= 4 series after a |psi| <= 2 one plans only the sets of
+    # size 4, and has the cold digits; a solve of another topology drops
+    # every plan
+    _, g = gen_grid(4, ModelParams(beta=1.0, theta=1.0, seed=0))
+    g = two_core(g)[0]
+    res = _bp(g)
+    _solve_another_topology()
+    want = _record(pfaffian_series(g, res, 4))
+    real = series_module._t_join
+    calls = []
+    monkeypatch.setattr(series_module, "_t_join", lambda *a: calls.append(1) or real(*a))
+    _solve_another_topology()
+    pfaffian_series(g, res, 2)
+    calls.clear()
+    assert _record(pfaffian_series(g, res, 4)) == want
+    assert len(calls) == math.comb(len(triplet_nodes(g)), 4)
+
+    def plans():
+        return [k for k in model_module._built if isinstance(k, tuple) and k[0] is series_module._term_plan]
+
+    assert sorted(k[1:] for k in plans()) == [(2,), (4,)]
+    _solve_another_topology()
+    assert plans() == []
+
+
+def test_zero_entry_on_a_kept_flipped_edge():
+    # on the 5x5 zero-field grid, delta_x1_1_s0's defect line crosses the
+    # gadget edge of the coupling node J0_0_v. With that edge's loop weight
+    # zeroed, K has no entry there, so the edge is in no matching and
+    # leaves the border of every term that flips it. Cold and warm, each
+    # such term is the dense minor's
+    _, g = gen_grid(5, ModelParams(beta=1.0, theta=0.0, seed=0))
+    g = two_core(g)[0]
+    res = _bp(g)
+    weights = dict(res.loop_weights)
+    weights["J0_0_v"] = weights["J0_0_v"].copy()
+    weights["J0_0_v"][0b11] = 0.0  # the pair entry of its two ports
+    zeroed = replace(res, loop_weights=weights)
+    o, entries = _laid_out(g, zeroed)
+    K = entries.dense()
+    labels = o.ext.labels
+    [edge] = [e for e in _kept_layout(g).lines["delta_x1_1_s0"] if labels[e[0]][0] == labels[e[1]][0] == "J0_0_v"]
+    assert K[edge] == 0 != _laid_out(g, res)[1].dense()[edge]
+    _solve_another_topology()
+    cold = pfaffian_series(g, zeroed, 2)
+    _solve_another_topology()
+    pfaffian_series(g, res, 2)
+    warm = pfaffian_series(g, zeroed, 2)
+    assert _record(warm) == _record(cold)
+    checked = 0
+    for term in cold.terms:
+        flip = _term_flips(g, o, term.psi)
+        if edge not in flip:
+            continue
+        want = dense_minor_term(g, o, K, term.psi, flip)
+        assert term.z_psi.sign == want.sign, term.psi
+        if want.sign:
+            assert term.z_psi.log_magnitude == pytest.approx(want.log_magnitude, rel=1e-12), term.psi
+            checked += 1
+    assert checked >= 10
 
 
 def test_warm_tutte_entries_are_the_cold_ones(monkeypatch):

@@ -340,8 +340,7 @@ def bordered_pfaffians(pf: SignedLog, inverse, anchors, removed, lengths, flip) 
     The first lengths[b] entries of row b are its border anchors T: the
     removed[b] indices it removes, then u and v of each flipped edge in
     turn, both kept; flip[b, i] is A[u, v] != 0 at its i-th flipped edge.
-    removed may be one count for every row. pf is Pf(A) and inverse is
-    skew_inverse(A).
+    pf is Pf(A) and inverse is skew_inverse(A).
 
     Border A with one unit column per removed index r, whose border vertex
     can only match r, and with two border vertices per flipped edge, joined
@@ -358,7 +357,6 @@ def bordered_pfaffians(pf: SignedLog, inverse, anchors, removed, lengths, flip) 
     """
     if inverse is None or not len(lengths):
         return [None] * len(lengths)
-    removed = np.broadcast_to(removed, lengths.shape)
     width = int(lengths.max())
     t = anchors[:, :width]
     inside = np.arange(width) < lengths[:, None]
@@ -400,14 +398,19 @@ def bordered_pfaffians(pf: SignedLog, inverse, anchors, removed, lengths, flip) 
 def minor_pfaffian(a: SparseSkew, removed, flip) -> SignedLog:
     """Pf of a's principal minor without the sorted indices removed, with
     the entries at each (u, v) in flip negated; flip maps each such pair,
-    its ends kept, to a[u, v] != 0.
+    its ends kept, to a[u, v] != 0. A pair that is not one of a's entries
+    raises ValueError.
 
     The minor is built from a's entries in O(E): the flipped ones negated,
     the removed indices' dropped and the kept indices renumbered in order.
     """
     n = a.shape[0]
+    key, want = a.rows * n + a.cols, [max(e) * n + min(e) for e in flip]
+    hit = np.searchsorted(key, want)
+    if any(i == len(key) or key[i] != w for i, w in zip(hit.tolist(), want)):
+        raise ValueError("a flipped pair is not an entry of the matrix")
     vals = a.vals.copy()
-    vals[np.searchsorted(a.rows * n + a.cols, [max(e) * n + min(e) for e in flip])] *= -1
+    vals[hit] *= -1
     keep = np.ones(n, dtype=bool)
     keep[list(removed)] = False
     at = np.cumsum(keep) - 1  # index of each kept row in the minor

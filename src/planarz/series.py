@@ -21,16 +21,17 @@ kept in the per-topology slot that also keeps BP's plan (model._kept).
 So does everything a removal set's term needs but K's values: which sets
 have no T-join, and each other set's sign parity, its border's indices
 and its kept flipped edges' places among K's entries. They are one
-_TermPlan per removal-set size, planned on the first series of the
-topology to reach that size. The layout and the plans carry no weight
-and need no BP result: every solve's K is the pattern filled from its
-BPResult's loop weights, the one place they reach K, and a warm series
-only gathers K^-1 and the flipped edges' weights into the planned
-borders: those of up to BORDER_BATCH removal sets take one
-pfaffian.bordered_pfaffians call, one stacked elimination. A term whose
-border cancels takes the full minor from the entries
-(pfaffian.minor_pfaffian) instead. K is built dense only for that one
-inverse, so z_empty never builds an n x n matrix.
+_TermPlan per even cap on |psi|, over every set up to the cap, planned
+on the topology's first series at that cap. The layout and the plans
+carry no weight and need no BP result: every solve's K is the pattern
+filled from its BPResult's loop weights, the one place they reach K, and
+a warm series only gathers K^-1 and the flipped edges' weights into the
+planned borders: those of up to BORDER_BATCH removal sets, of any sizes,
+take one pfaffian.bordered_pfaffians call, one stacked elimination. A
+term whose border cancels, or that flips an edge with no entry in K,
+takes the full minor from the entries (pfaffian.minor_pfaffian) instead.
+K is built dense only for that one inverse, so z_empty never builds an
+n x n matrix.
 
 loop_correction is the exhaustive oracle for both: the edges are the
 enumerated variables of the model's chunked enumeration kernel, which
@@ -41,7 +42,6 @@ node (no node of degree one inside a loop) over all edge subsets.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +68,9 @@ from .planar import (
 from .slog import SignedLog
 
 MAX_LOOP_EDGES = 24
-# removal sets per bordered_pfaffians call: a stack of 512 borders of a
-# 12x12 grid's series, up to about 84 wide, is about 29 MB
+# removal sets per bordered_pfaffians call: a full stack of the widest
+# borders, 26 in a 12x12 grid's |psi| <= 2 plan, 20 in a 4x4 grid's |psi|
+# <= 4 and 30 in spiderweb(3, 6)'s, is 2.8, 1.6 and 3.7 MB
 BORDER_BATCH = 512
 
 
@@ -272,36 +273,38 @@ class _TermPlan:
     """The weight-free part of some removal sets' terms, as arrays (see
     _plan_sets).
 
-    live indexes the sets with a perfect matching, in the order given; the
-    others are exact zeros. Row j of the other fields is set live[j]'s:
-    anchors holds its border indices T, its removed ports in order and then
-    both ends (u, v), u < v, of each kept flipped edge, of which the first
-    lengths[j] are its own; flips holds those edges' positions in the
-    layout's pattern entries, the first (lengths[j] - removed) // 2 its
-    own; odd is the parity of its matching's sign against the empty set's.
-    removed is the number of ports every set removes.
+    sets are the removal sets, and live indexes those with a perfect
+    matching; the others are exact zeros. Row j of the other fields is set
+    live[j]'s: it removes removed[j] ports, and anchors holds its border
+    indices T, those ports in order and then both ends (u, v), u < v, of
+    each kept flipped edge, of which the first lengths[j] are its own;
+    flips holds those edges' positions in the layout's pattern entries, the
+    first (lengths[j] - removed[j]) // 2 its own; odd is the parity of its
+    matching's sign against the empty set's.
     """
 
+    sets: tuple
     live: np.ndarray
     anchors: np.ndarray
     flips: np.ndarray
     lengths: np.ndarray
     odd: np.ndarray
-    removed: int
+    removed: np.ndarray
 
 
-def _term_plan(g: ForneyGraph, size: int) -> _TermPlan:
-    """The _TermPlan of every removal set of size triplet nodes, in
-    lexicographic order. pfaffian_series keeps it through model._kept, once
-    per topology and size, so a warm series finds no T-join."""
+def _term_plan(g: ForneyGraph, cap: int) -> _TermPlan:
+    """The _TermPlan of every removal set of 2 to cap triplet nodes, cap
+    even, in size order and lexicographic inside a size. pfaffian_series
+    keeps it through model._kept, once per topology and cap, so a warm
+    series finds no T-join."""
     lay = _kept(g, _layout)
-    return _plan_sets(g, lay, itertools.combinations(lay.trips, size), size)
+    return _plan_sets(g, lay, [psi for size in range(2, cap + 1, 2) for psi in itertools.combinations(lay.trips, size)])
 
 
-def _plan_sets(g: ForneyGraph, lay: _Layout, sets, size: int) -> _TermPlan:
-    """The _TermPlan of the removal sets sets, each of size triplet nodes:
-    each set's _prepare, its kept edges found in lay.pattern's entries."""
-    live, ports, kept, odd = [], [], [], []
+def _plan_sets(g: ForneyGraph, lay: _Layout, sets) -> _TermPlan:
+    """The _TermPlan of the removal sets sets, of any even sizes: each
+    set's _prepare, its kept edges found in lay.pattern's entries."""
+    sets, live, ports, kept, odd = tuple(sets), [], [], [], []
     for i, psi in enumerate(sets):
         found = _prepare(g, lay, psi)
         if found is not None:
@@ -310,48 +313,41 @@ def _plan_sets(g: ForneyGraph, lay: _Layout, sets, size: int) -> _TermPlan:
             kept.append(found[1])
             odd.append(found[2] % 2)
     p, n = lay.pattern, lay.pattern.shape[0]
-    count = np.array([len(k) for k in kept], dtype=np.intp)
+    removed = np.array([len(r) for r in ports], dtype=np.int32)
+    count = np.array([len(k) for k in kept], dtype=np.int32)
+    lengths = removed + 2 * count
+    anchors = np.zeros((len(kept), lengths.max(initial=0)), dtype=np.int32)
+    anchors[np.arange(anchors.shape[1]) < lengths[:, None]] = [x for r, k in zip(ports, kept) for x in r + [v for e in k for v in e]]
     edges = np.array([e for k in kept for e in k], dtype=np.intp).reshape(-1, 2)
     flips = np.zeros((len(kept), count.max(initial=0)), dtype=np.int32)
     flips[np.arange(flips.shape[1]) < count[:, None]] = np.searchsorted(p.rows * n + p.cols, edges[:, 1] * n + edges[:, 0])
-    ports = np.array(ports, dtype=np.int32).reshape(len(kept), 3 * size)
-    ends = np.stack([p.cols[flips], p.rows[flips]], axis=2).reshape(len(kept), 2 * flips.shape[1])
-    anchors = np.concatenate([ports, ends.astype(np.int32)], axis=1)
-    lengths = (3 * size + 2 * count).astype(np.int32)
-    return _TermPlan(np.array(live, dtype=np.int32), anchors, flips, lengths, np.array(odd, dtype=bool), 3 * size)
+    return _TermPlan(sets, np.array(live, dtype=np.int32), anchors, flips, lengths, np.array(odd, dtype=bool), removed)
 
 
 def _evaluate(K, weight, pf: SignedLog, inverse, sign: int, plan: _TermPlan, start: int, stop: int):
-    """(z_psi, whether it took the full minor) per removal set of plan's
-    from start to stop - 1, in plan order.
+    """{i: (z_psi, whether it took the full minor)} for the set i of each
+    live row of plan from start to stop - 1.
 
     weight holds K[u, v], u < v, at each of the layout's pattern entries,
-    0 where K has no entry: such a kept edge leaves its term's border. The
-    borders of every set with a matching take one bordered_pfaffians call;
-    a term whose border declines takes the full minor from K's entries.
-    z_psi is that Pfaffian signed by sign, the empty set's matching sign,
-    and by the term's parity.
+    0 where K has no entry. The borders of the rows take one
+    bordered_pfaffians call; a term whose border declines, or that flips
+    an edge K has no entry for (its border would divide by zero), takes
+    the full minor from K's entries. z_psi is that Pfaffian signed by
+    sign, the empty set's matching sign, and by the term's parity.
     """
-    lo, hi = np.searchsorted(plan.live, (start, stop))
-    anchors, lengths, m = plan.anchors[lo:hi], plan.lengths[lo:hi], plan.removed
-    flip = weight[plan.flips[lo:hi]]
-    own = np.arange(flip.shape[1]) < (lengths[:, None] - m) // 2
-    entry = own & (flip != 0)
-    if (entry != own).any():  # move the edges K has no entry for past each row's own
-        order = np.argsort(~entry, axis=1, kind="stable")
-        flip = np.take_along_axis(flip, order, axis=1)
-        ends = np.take_along_axis(anchors[:, m:].reshape(len(order), -1, 2), order[:, :, None], axis=1)
-        anchors = np.concatenate([anchors[:, :m], ends.reshape(len(order), -1)], axis=1)
-        lengths = m + 2 * entry.sum(axis=1)
-    out = [(SignedLog.zero(), False)] * (stop - start)
-    borders = bordered_pfaffians(pf, inverse, anchors, m, lengths, flip)
-    for j, (i, z, odd) in enumerate(zip(plan.live[lo:hi].tolist(), borders, plan.odd[lo:hi].tolist())):
-        on_minor = z is None
+    anchors, removed, lengths = plan.anchors[start:stop], plan.removed[start:stop], plan.lengths[start:stop]
+    flip = weight[plan.flips[start:stop]]
+    own = np.arange(flip.shape[1]) < ((lengths - removed) // 2)[:, None]
+    empty = (own & (flip == 0)).any(axis=1)
+    borders = bordered_pfaffians(pf, inverse, anchors, removed, lengths, np.where(empty[:, None], 1.0, flip))
+    out = {}
+    for j, (i, z, odd) in enumerate(zip(plan.live[start:stop].tolist(), borders, plan.odd[start:stop].tolist())):
+        on_minor = z is None or bool(empty[j])
         if on_minor:
-            t = anchors[j, : lengths[j]].tolist()
-            z = minor_pfaffian(K, t[:m], {(u, v): w for u, v, w in zip(t[m::2], t[m + 1 :: 2], flip[j].tolist())})
+            t, m = anchors[j, : lengths[j]].tolist(), int(removed[j])
+            z = minor_pfaffian(K, t[:m], {(u, v): w for u, v, w in zip(t[m::2], t[m + 1 :: 2], flip[j].tolist()) if w})
         s = sign * z.sign
-        out[i - start] = (SignedLog(-s if odd else s, z.log_magnitude), on_minor)
+        out[i] = (SignedLog(-s if odd else s, z.log_magnitude), on_minor)
     return out
 
 
@@ -367,9 +363,10 @@ def pfaffian_series(
     max_psi_size, which must be non-negative, caps the removal-set
     cardinality; a cut marks the result incomplete. The empty set is always
     first, so terms[0] is the 2-regular correction. dense_terms counts the
-    nonzero terms past the first that took the full minor from the entries
-    instead of the bordered Pfaffian: every one of them when K is singular
-    or its inverse not finite, else those whose border cancels.
+    terms past the first with a perfect matching that took the full minor
+    from the entries instead of the bordered Pfaffian: those whose border
+    cancels, those that flip an edge with no entry in K, and every one of
+    them when K is singular or its inverse not finite.
     """
     if max_psi_size is not None and max_psi_size < 0:
         raise ModelError(f"max_psi_size must be non-negative, got {max_psi_size!r}")
@@ -385,18 +382,17 @@ def pfaffian_series(
         inverse = skew_inverse(K.dense()) if pf.sign else None
         weight = -(lay.pattern.sign * pool[lay.pattern.edge])  # K[u, v], u < v, per pattern entry
         removed_weight = {a: SignedLog.from_float(float(res.loop_weights[a][-1])) for a in trips}
-    for size in range(2, limit + 1, 2):
-        plan = _kept(g, _term_plan, size)
-        sets = itertools.combinations(trips, size)
-        for start in range(0, math.comb(len(trips), size), BORDER_BATCH):
-            chunk = list(itertools.islice(sets, BORDER_BATCH))
-            found = _evaluate(K, weight, pf, inverse, lay.sign, plan, start, start + len(chunk))
-            for psi, (zp, on_minor) in zip(chunk, found):
-                factor = SignedLog.one()
-                for a in psi:
-                    factor = factor * removed_weight[a]
-                dense += on_minor
-                terms.append(PfaffianTerm(psi, zp, factor))
+        plan = _kept(g, _term_plan, limit - limit % 2)
+        found = {}
+        for start in range(0, len(plan.live), BORDER_BATCH):
+            found |= _evaluate(K, weight, pf, inverse, lay.sign, plan, start, start + BORDER_BATCH)
+        for i, psi in enumerate(plan.sets):
+            zp, on_minor = found.get(i, (SignedLog.zero(), False))
+            factor = SignedLog.one()
+            for a in psi:
+                factor = factor * removed_weight[a]
+            dense += on_minor
+            terms.append(PfaffianTerm(psi, zp, factor))
     total = SignedLog.sum(t.contribution for t in terms)
     complete = limit >= len(trips) - len(trips) % 2
     return PfaffianSeriesResult(tuple(terms), total, complete, dense)

@@ -282,6 +282,19 @@ def test_bordered_pfaffian_matches_the_minor():
     assert _bordered(pf, inverse, []) == []
 
 
+def test_minor_rejects_a_flipped_pair_that_is_no_entry():
+    # a pair with no entry has nothing to negate; a search for its key
+    # would land on a neighbouring entry and negate that one instead
+    a = SparseSkew((4, 4), np.array([1, 2, 3]), np.array([0, 1, 2]), np.array([1.0, 2.0, 3.0]))
+    assert minor_pfaffian(a, [], {(2, 3): 3.0}) == SignedLog(-1, math.log(3.0))
+    for flip in ({(0, 3): 0.0}, {(0, 2): 0.0}, {(1, 1): 0.0}, {(0, 1): 1.0, (2, 3): 3.0, (1, 3): 0.0}):
+        with pytest.raises(ValueError, match="not an entry"):
+            minor_pfaffian(a, [], flip)
+    empty = SparseSkew((2, 2), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))
+    with pytest.raises(ValueError, match="not an entry"):
+        minor_pfaffian(empty, [], {(0, 1): 0.0})
+
+
 def _bordered(pf, inverse, borders):
     # bordered_pfaffians of (removed, flip) pairs, flip mapping each flipped
     # edge to its entry, packed into the padded rows it takes

@@ -440,9 +440,9 @@ def _planned_term(g, entries, pf, inverse, psi):
     # weight is read from the dense K
     lay = _kept_layout(g)
     K = entries.dense()
-    plan = series_module._plan_sets(g, lay, [psi], len(psi))
-    [found] = series_module._evaluate(entries, K[lay.pattern.cols, lay.pattern.rows], pf, inverse, lay.sign, plan, 0, 1)
-    return found
+    plan = series_module._plan_sets(g, lay, [psi])
+    found = series_module._evaluate(entries, K[lay.pattern.cols, lay.pattern.rows], pf, inverse, lay.sign, plan, 0, 1)
+    return found.get(0, (SignedLog.zero(), False))
 
 
 def _term_flips(g, o, psi):
@@ -606,26 +606,28 @@ def test_z_empty_builds_no_dense_matrix(monkeypatch):
 
 def test_series_takes_one_pfaffian_of_the_full_matrix(monkeypatch):
     # Pf(K) once, on the windowed kernel; then one stack of borders per
-    # |psi| size and per BORDER_BATCH removal sets, each border over the
-    # removed ports and both ends of each flipped edge that is kept, and a
-    # windowed Pfaffian only for a term whose border falls back
+    # BORDER_BATCH removal sets with a matching, whatever their sizes, each
+    # border over the removed ports and both ends of each flipped edge that
+    # is kept, and a windowed Pfaffian only for a term whose border falls
+    # back
     real, real_stack = pfaffian_module.pfaffian, pfaffian_module.stacked_pfaffians
     real_borders = series_module.bordered_pfaffians
-    dims, stacks, widths = [], [], []
+    dims, stacks, widths, removals = [], [], [], []
     monkeypatch.setattr(pfaffian_module, "pfaffian", lambda a: dims.append(a.shape[0]) or real(a))
     monkeypatch.setattr(pfaffian_module, "stacked_pfaffians", lambda m: stacks.append(m.shape[1]) or real_stack(m))
 
     def borders(pf, inverse, anchors, removed, lengths, flip):
         widths.append(lengths.tolist())
+        removals.extend(removed.tolist())
         return real_borders(pf, inverse, anchors, removed, lengths, flip)
 
     monkeypatch.setattr(series_module, "bordered_pfaffians", borders)
     _, spiderweb = gen_spiderweb(1, 4, ModelParams(beta=0.5, theta=0.5, seed=0))
     _, grid = gen_grid(4, ModelParams(beta=1.0, theta=1.0, seed=1))
-    for g, sizes, dense in ((spiderweb, (2, 4, 6), 0), (grid, (2, 4), 91)):
+    for g, sizes, dense, widest in ((spiderweb, (2, 4, 6), 0, [18]), (grid, (2, 4), 91, [18, 20, 20, 18])):
         g = two_core(g)[0]
         res = _bp(g)
-        for seen in (dims, stacks, widths):
+        for seen in (dims, stacks, widths, removals):
             seen.clear()
         series = pfaffian_series(g, res, max(sizes))
         o, _ = _laid_out(g, res)
@@ -633,18 +635,19 @@ def test_series_takes_one_pfaffian_of_the_full_matrix(monkeypatch):
         assert series.dense_terms == dense
         assert dims[0] == n and len(dims) == 1 + dense
         assert set(dims[1:]) <= {n - 3 * size for size in sizes}
-        sets = [math.comb(len(triplet_nodes(g)), size) for size in sizes]
-        assert len(stacks) == len(widths) == sum(-(-k // series_module.BORDER_BATCH) for k in sets)
-        assert stacks == [max(w) for w in widths]
+        live = len(model_module._kept(g, series_module._term_plan, max(sizes)).live)
+        assert len(stacks) == len(widths) == -(-live // series_module.BORDER_BATCH)
+        assert stacks == [max(w) for w in widths] == widest
+        assert sum(map(len, widths)) == len(removals) == live
+        assert sorted(set(removals)) == [3 * size for size in sizes]
         bounds = []
         for term in series.terms[1:]:
             if term.z_psi.sign == 0:
                 continue
             kept = [e for e in _term_flips(g, o, term.psi) if not ({o.ext.labels[x][0] for x in e} & set(term.psi))]
             bounds.append(3 * len(term.psi) + 2 * len(kept))
-        flat = [w for batch in widths for w in batch]
-        assert len(flat) == len(bounds) > 20
-        assert all(w <= b for w, b in zip(flat, bounds))
+        assert [w for batch in widths for w in batch] == bounds
+        assert len(bounds) > 20
     # without K^-1 there is no stack: every term with a matching takes its
     # full minor
     monkeypatch.setattr(series_module, "skew_inverse", lambda a: None)
@@ -800,10 +803,11 @@ def test_warm_series_reuses_the_term_plans(monkeypatch):
             assert calls == []
 
 
-def test_term_plans_are_kept_per_size(monkeypatch):
-    # a |psi| <= 4 series after a |psi| <= 2 one plans only the sets of
-    # size 4, and has the cold digits; a solve of another topology drops
-    # every plan
+def test_term_plans_are_kept_per_cap(monkeypatch):
+    # one plan per topology and even cap, holding the sets of every size up
+    # to it: a |psi| <= 3 series reuses the |psi| <= 2 one's, a |psi| <= 4
+    # series after them plans its own and has the cold digits, a second one
+    # finds no T-join, and a solve of another topology drops every plan
     _, g = gen_grid(4, ModelParams(beta=1.0, theta=1.0, seed=0))
     g = two_core(g)[0]
     res = _bp(g)
@@ -812,26 +816,32 @@ def test_term_plans_are_kept_per_size(monkeypatch):
     real = series_module._t_join
     calls = []
     monkeypatch.setattr(series_module, "_t_join", lambda *a: calls.append(1) or real(*a))
+
+    def plans():
+        return sorted(k[1:] for k in model_module._built if isinstance(k, tuple) and k[0] is series_module._term_plan)
+
     _solve_another_topology()
     pfaffian_series(g, res, 2)
     calls.clear()
+    pfaffian_series(g, res, 3)
+    assert calls == [] and plans() == [(2,)]
     assert _record(pfaffian_series(g, res, 4)) == want
-    assert len(calls) == math.comb(len(triplet_nodes(g)), 4)
-
-    def plans():
-        return [k for k in model_module._built if isinstance(k, tuple) and k[0] is series_module._term_plan]
-
-    assert sorted(k[1:] for k in plans()) == [(2,), (4,)]
+    trips = len(triplet_nodes(g))
+    assert len(calls) == math.comb(trips, 2) + math.comb(trips, 4)
+    calls.clear()
+    assert _record(pfaffian_series(g, res, 4)) == want
+    assert calls == [] and plans() == [(2,), (4,)]
     _solve_another_topology()
     assert plans() == []
 
 
-def test_zero_entry_on_a_kept_flipped_edge():
+def test_zero_entry_on_a_kept_flipped_edge(monkeypatch):
     # on the 5x5 zero-field grid, delta_x1_1_s0's defect line crosses the
     # gadget edge of the coupling node J0_0_v. With that edge's loop weight
     # zeroed, K has no entry there, so the edge is in no matching and
-    # leaves the border of every term that flips it. Cold and warm, each
-    # such term is the dense minor's
+    # every term that flips it takes the full minor, without the edge, and
+    # counts in dense_terms. Cold and warm, each such term is the dense
+    # minor's
     _, g = gen_grid(5, ModelParams(beta=1.0, theta=0.0, seed=0))
     g = two_core(g)[0]
     res = _bp(g)
@@ -844,8 +854,17 @@ def test_zero_entry_on_a_kept_flipped_edge():
     labels = o.ext.labels
     [edge] = [e for e in _kept_layout(g).lines["delta_x1_1_s0"] if labels[e[0]][0] == labels[e[1]][0] == "J0_0_v"]
     assert K[edge] == 0 != _laid_out(g, res)[1].dense()[edge]
+    real = series_module.minor_pfaffian
+    minors = {}  # the flipped pairs of each full minor, by its removed ports
+
+    def minor(a, removed, flip):
+        minors[tuple(removed)] = set(flip)
+        return real(a, removed, flip)
+
+    monkeypatch.setattr(series_module, "minor_pfaffian", minor)
     _solve_another_topology()
     cold = pfaffian_series(g, zeroed, 2)
+    monkeypatch.undo()
     _solve_another_topology()
     pfaffian_series(g, res, 2)
     warm = pfaffian_series(g, zeroed, 2)
@@ -859,8 +878,12 @@ def test_zero_entry_on_a_kept_flipped_edge():
         assert term.z_psi.sign == want.sign, term.psi
         if want.sign:
             assert term.z_psi.log_magnitude == pytest.approx(want.log_magnitude, rel=1e-12), term.psi
+            ports = tuple(sorted(o.ext.port[(a, b)] for a in term.psi for b in g.neighbors[a]))
+            assert minors[ports] == flip - {edge} - {e for e in flip if {labels[x][0] for x in e} & set(term.psi)}
             checked += 1
     assert checked >= 10
+    assert cold.dense_terms == len(minors) - 1 >= checked  # Pf(K) is the minor without ports
+    assert type(cold.dense_terms) is int
 
 
 def test_warm_tutte_entries_are_the_cold_ones(monkeypatch):

@@ -12,16 +12,21 @@ pending message change first, lowest slot on ties, taken from a binary
 max-heap of residuals that is compacted to O(slots) entries; convergence
 means no pending change reaches RESIDUAL_THRESHOLD. The threshold is
 fixed: the loop series is exact only at a fixed point, and a looser one
-would leave its error unreported. Beliefs, free-energy style quantities
-and every node's loop-weight table are evaluated from the log messages,
-all nodes of one degree at a time.
+would leave its error unreported. A sender whose table is zero but in its
+first and last entry, an equality node as in every split variable, costs
+two products per message at degree 3, not sixteen; each run decides this
+per node from its own tables, so two models on one topology may differ.
+Each update's last fresh candidate goes through one heappushpop, not a
+push and a pop. Beliefs, free-energy style quantities and every node's
+loop-weight table are evaluated from the log messages, all nodes of one
+degree at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heappushpop
 from operator import itemgetter, mul
 
 import numpy as np
@@ -55,7 +60,7 @@ class _Plan:
 
     dir_edges: list  # slot -> directed edge
     dependents: list  # slot -> the slots its message feeds
-    gathers: list  # slot -> (kernel head, sender's position in g.nodes, getter of u, v)
+    gathers: list  # slot -> (kernel head, two-corner head, sender's position, getter of u, v)
     groups: list  # per degree: (nodes, slots into them, one row per node)
 
 
@@ -71,11 +76,17 @@ def _plan(g: ForneyGraph) -> _Plan:
       degree 3: (3, paired, s1, s2, u0, .., u3, v0, .., v3), paired when
         b is a's middle neighbor;
       otherwise: (0, slots, u, v).
-    The plan keeps each tuple as its head, the part before u, and a getter
-    of u and v from a's table, one getter per degree and outgoing variable
-    (_kernel fills them in); the slots each update feeds; and, for
-    _finish, the nodes of each degree with the slots into them, in
-    neighbor order.
+    At degree 2 or 3, a table zero but in its first entry c0 and last entry
+    c1 (an equality node) gives every slot out of a the two-corner form
+    (-k, s.., c0, c1): the message is c0 times the inputs' -1 entries and
+    c1 times their +1 entries, and every term the full form adds is an
+    exact zero times a finite message, so the bits do not change.
+    The plan keeps each tuple as its head, the part before u, its
+    two-corner head at degree 2 and 3, and a getter of u and v from a's
+    table, one getter per degree and outgoing variable (_kernel fills them
+    in, choosing the form from the run's own table); the slots each update
+    feeds; and, for _finish, the nodes of each degree with the slots into
+    them, in neighbor order.
     """
     dir_edges = [de for a, b in g.edges for de in ((a, b), (b, a))]
     slot = {de: j for j, de in enumerate(dir_edges)}
@@ -94,7 +105,7 @@ def _plan(g: ForneyGraph) -> _Plan:
             get = getters[k, shift] = itemgetter(*u, *v) if k in (2, 3) else _rows(u, v)
         ins = [slot[(c, a)] for c in nbrs if c != b]
         head = (2, *ins) if k == 2 else (3, shift == 1, *ins) if k == 3 else (0, ins)
-        gathers.append((head, position[a], get))
+        gathers.append((head, (-k, *ins) if k in (2, 3) else None, position[a], get))
         dependents.append([slot[(b, c)] for c in g.neighbors[b] if c != a])
     by_degree = {}
     for a in g.nodes:
@@ -114,9 +125,16 @@ def _rows(u, v):
 
 
 def _kernel(g: ForneyGraph, plan: _Plan) -> list:
-    """Every slot's kernel tuple (see _plan), from g's tables."""
+    """Every slot's kernel tuple (see _plan), from g's tables: the
+    two-corner form wherever the sender's table allows it. The choice is
+    made here, per run, and never kept with the plan: a model that shares
+    the topology may have another table on the same node."""
     tables = [g.tables[a].tolist() for a in g.nodes]
-    return [head + get(tables[i]) for head, i, get in plan.gathers]
+    corners = [None if any(t[1:-1]) else (t[0], t[-1]) for t in tables]
+    return [
+        two + corners[i] if two and corners[i] else head + get(tables[i])
+        for head, two, i, get in plan.gathers
+    ]
 
 
 def run_bp(g: ForneyGraph, max_iterations: int = 10000) -> BPResult:
@@ -130,12 +148,14 @@ def run_bp(g: ForneyGraph, max_iterations: int = 10000) -> BPResult:
     residual, the lowest slot on ties, and recomputes the candidates of the
     messages it feeds. Updates come from a binary heap of (-residual, slot)
     entries with lazy deletion: an entry is live while its slot's residual
-    still equals it, and zero residuals are never pushed. Once the heap
-    holds more than four entries per slot it is rebuilt from the live
-    residuals, so memory stays O(slots) however long the run. A sweep is
-    one update per slot; a run that exhausts max_iterations sweeps
-    still returns beliefs from its final messages, flagged as not
-    converged.
+    still equals it, and zero residuals are never pushed. An update holds
+    back its last candidate with a nonzero residual and puts it through
+    one heappushpop, the same as pushing it and popping the top. Once the
+    heap, the held candidate aside, holds four entries per slot it is
+    rebuilt from the live residuals, so memory stays O(slots) however long
+    the run. A sweep is one update per slot; a run that exhausts
+    max_iterations sweeps still returns beliefs from its final messages,
+    flagged as not converged.
 
     The slots and everything else that depends on g's topology alone come
     from one plan (_plan), built on the first run of a topology and kept
@@ -146,8 +166,9 @@ def run_bp(g: ForneyGraph, max_iterations: int = 10000) -> BPResult:
     rounding of a numpy marginalization of the table (inputs multiplied in
     one at a time, in neighbor order; variables after the outgoing one
     summed first), so messages and sweep counts match that array form,
-    tests/oracles.reference_run_bp, bit for bit. Other degrees contract a
-    weight list of the inputs' products.
+    tests/oracles.reference_run_bp, bit for bit. An equality sender's
+    two-corner form drops only exact zeros from those sums, so it matches
+    too. Other degrees contract a weight list of the inputs' products.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
@@ -170,14 +191,24 @@ def run_bp(g: ForneyGraph, max_iterations: int = 10000) -> BPResult:
     while True:
         # new candidate on each slot in todo: marginalize the sender's table
         # against its other inputs, normalize, floor
+        held = None  # the last fresh candidate, kept out of the heap
         for d in todo:
             c = kernel[d]
-            if c[0] == 2:
+            form = c[0]
+            if form == -3:  # an equality sender's two corners (see _plan)
+                _, i1, i2, a, b = c
+                o0 = a * lo[i1] * lo[i2]
+                o1 = b * hi[i1] * hi[i2]
+            elif form == 2:
                 _, i, u0, u1, v0, v1 = c
                 l, h = lo[i], hi[i]
                 o0 = u0 * l + u1 * h
                 o1 = v0 * l + v1 * h
-            elif c[0] == 3:
+            elif form == -2:
+                _, i, a, b = c
+                o0 = a * lo[i]
+                o1 = b * hi[i]
+            elif form == 3:
                 _, paired, i1, i2, u0, u1, u2, u3, v0, v1, v2, v3 = c
                 l1, h1, l2, h2 = lo[i1], hi[i1], lo[i2], hi[i2]
                 a0, a1, a2, a3 = u0 * l1 * l2, u1 * l1 * h2, u2 * h1 * l2, u3 * h1 * h2
@@ -217,17 +248,28 @@ def run_bp(g: ForneyGraph, max_iterations: int = 10000) -> BPResult:
                 r = o1
             resid[d] = r
             if r:
-                heappush(heap, (-r, d))
-        if len(heap) > cap:
+                if held:
+                    heappush(heap, held)
+                held = (-r, d)
+        if len(heap) >= cap:
             heap = [(-r, d) for d, r in enumerate(resid) if r]
             heapify(heap)
-        while heap:
-            r, j = heappop(heap)
-            if resid[j] == -r:  # live
-                residual = -r
-                break
+            held = None
+        if held:
+            # push and pop in one: held is live, so a dead entry popped
+            # first leaves a live one in the heap
+            r, j = heappushpop(heap, held)
+            while resid[j] != -r:
+                r, j = heappop(heap)
+            residual = -r
         else:
-            residual = 0.0  # every residual is zero
+            while heap:
+                r, j = heappop(heap)
+                if resid[j] == -r:  # live
+                    residual = -r
+                    break
+            else:
+                residual = 0.0  # every residual is zero
         if residual < threshold:
             return _finish(g, plan, lo, hi, True, max(1, -(-updates // n)), residual)
         if updates >= budget:
@@ -258,9 +300,10 @@ def _finish(g, plan, lo, hi, converged, iterations, residual):
             logb = logb + log_msgs[incoming[:, i]].reshape(shape)
         logb = logb.reshape(len(nodes), -1)
         top = logb.max(axis=1)
-        for a, ok in zip(nodes, np.isfinite(top)):
-            if not ok:
-                raise BPNumericError(f"belief of node {a!r} vanished or overflowed")
+        ok = np.isfinite(top)
+        if not ok.all():
+            a = nodes[ok.argmin()]
+            raise BPNumericError(f"belief of node {a!r} vanished or overflowed")
         b = np.exp(logb - top[:, None])
         b /= b.sum(axis=1, keepdims=True)
         gap = np.where(b > 0, _log_safe(b, 0.0) - logf, 0.0)
@@ -270,9 +313,10 @@ def _finish(g, plan, lo, hi, converged, iterations, residual):
 
     p = msgs[0::2] * msgs[1::2]
     s = p.sum(axis=1)
-    for (a, b), ok in zip(g.edges, np.isfinite(s) & (s > 0.0)):
-        if not ok:
-            raise BPNumericError(f"edge belief {a!r}-{b!r} is not normalizable")
+    ok = np.isfinite(s) & (s > 0.0)
+    if not ok.all():
+        a, b = g.edges[ok.argmin()]
+        raise BPNumericError(f"edge belief {a!r}-{b!r} is not normalizable")
     p /= s[:, None]
     edge_beliefs = dict(zip(g.edges, p))
     magnetizations = dict(zip(g.edges, (p[:, 1] - p[:, 0]).tolist()))

@@ -153,6 +153,22 @@ def _kernel_cases():
     tied = ForneyGraph(ring, {a: np.array([3.0, 1.0, 1.0, 2.0]) for a in ring})
     yield tied, {}
     yield tied, {"max_iterations": 1}
+    # an equality sender, zero but in its first and last entry, takes the
+    # two-corner form: with -0.0 between its corners, with the smallest
+    # subnormal there (the full kernel), and with corners near 1e-300 and
+    # 1e300
+    core = two_core(gen_grid(5, ModelParams(beta=1.0, theta=1.0, seed=0))[1])[0]
+    equal = [a for a in core.nodes if not core.tables[a][1:-1].any()]
+    assert {core.degree(a) for a in equal} == {2, 3}
+    signed = {a: np.where(t == 0.0, -0.0, t) if a in equal else t for a, t in core.tables.items()}
+    yield ForneyGraph(core.neighbors, signed), {}
+    a = next(a for a in equal if core.degree(a) == 3)
+    signed[a] = signed[a].copy()
+    signed[a][5] = 5e-324
+    yield ForneyGraph(core.neighbors, signed), {}
+    for scale in (1e-300, 1e300):
+        scaled = {a: t * scale if a in equal else t for a, t in core.tables.items()}
+        yield ForneyGraph(core.neighbors, scaled), {}
 
 
 def test_kernel_matches_reference_bp():
@@ -207,8 +223,16 @@ def test_warm_plan_gives_the_cold_digits(monkeypatch):
     rng = np.random.default_rng(5)
     unsplit = ForneyGraph(wheel, {a: rng.uniform(0.3, 1.7, 2 ** len(n)) for a, n in wheel.items()})
     a = next(a for a in grids[0].nodes if grids[0].degree(a) == 3)
+    # one of grids[0]'s equality nodes with nonzero middle entries: the same
+    # plan, but that node's slots take the full kernel, not two corners
+    g0 = grids[0]
+    b = next(b for b in g0.nodes if g0.degree(b) == 3 and not g0.tables[b][1:-1].any())
+    tables = dict(g0.tables)
+    tables[b] = tables[b] + 0.25
+    mixed = ForneyGraph(g0.neighbors, tables)
     models = [
         *grids,
+        mixed,
         _rotated(grids[0], a),
         zero_field,
         gen_spiderweb(2, 3, ModelParams(beta=1.0, theta=1.0, seed=0))[1],
@@ -219,8 +243,9 @@ def test_warm_plan_gives_the_cold_digits(monkeypatch):
     for g in models:
         run_bp(other)
         cold.append(_bp_fields(run_bp(g)))
-    assert cold[4][:2] == (True, 1)  # the zero-field grid applies no update
-    assert float.fromhex(cold[3][3]) == pytest.approx(float.fromhex(cold[0][3]), rel=1e-12)
+    assert cold[5][:2] == (True, 1)  # the zero-field grid applies no update
+    assert float.fromhex(cold[4][3]) == pytest.approx(float.fromhex(cold[0][3]), rel=1e-12)
+    assert cold[3] != cold[0]
     real = bp_module._plan
     calls = []
     monkeypatch.setattr(bp_module, "_plan", lambda g: calls.append(1) or real(g))
@@ -228,8 +253,12 @@ def test_warm_plan_gives_the_cold_digits(monkeypatch):
         for g, want in zip(models, cold):
             assert _bp_fields(run_bp(g)) == want
             assert _bp_fields(run_bp(g)) == want
+    # the kernel form is chosen per run, never kept with the plan
+    for _ in range(3):
+        for g, want in ((grids[0], cold[0]), (mixed, cold[3])):
+            assert _bp_fields(run_bp(g)) == want
     # the grids share one plan; the rotated grid, like the others, has its own
-    assert len(calls) == 2 * 5
+    assert len(calls) == 2 * 5 + 1
 
 
 def test_unnormalizable_message_names_the_edge():
@@ -240,6 +269,26 @@ def test_unnormalizable_message_names_the_edge():
     g = ForneyGraph(nbrs, {a: np.eye(8)[7 if a == "a" else 0] for a in nbrs})
     with pytest.raises(BPNumericError, match="message 'a'->'d' is not normalizable"):
         run_bp(g)
+
+
+def test_finish_names_the_first_failing_node_and_edge():
+    # messages run_bp never leaves (its floor keeps every entry positive),
+    # handed to _finish directly: it names the first node, then the first
+    # edge, in graph order, whose belief cannot be normalized
+    g = cycle_forney(4, seed=0)
+    plan = bp_module._plan(g)
+    slot = {de: j for j, de in enumerate(plan.dir_edges)}
+    lo, hi = [0.5] * len(slot), [0.5] * len(slot)
+    for de in (("n2", "n3"), ("n0", "n1")):  # all-zero messages into n3 and n1
+        lo[slot[de]] = hi[slot[de]] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(BPNumericError, match="^belief of node 'n1' vanished or overflowed$"):
+            bp_module._finish(g, plan, lo, hi, True, 1, 0.0)
+        lo, hi = [0.5] * len(slot), [0.5] * len(slot)
+        for e in g.edges[1:]:  # each message of an edge rules out the other's value
+            lo[slot[e]], hi[slot[e[::-1]]] = 0.0, 0.0
+        with pytest.raises(BPNumericError, match="^edge belief 'n0'-'n3' is not normalizable$"):
+            bp_module._finish(g, plan, lo, hi, True, 1, 0.0)
 
 
 def test_magnetization_matches_edge_belief():

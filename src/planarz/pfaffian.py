@@ -3,10 +3,11 @@
 There are two kernels, chosen by their input. pfaffian takes one large
 banded matrix as a SparseSkew: its nonzero entries below the diagonal,
 in row-major order. TuttePattern.entries reads one from a weight array:
-an oriented graph's TuttePattern (tutte_pattern) holds the entries'
-places and signs, fixed by the orientation. SparseSkew.dense spreads one
-into the array that skew_inverse takes. stacked_pfaffians takes many
-small dense skew arrays at once, as one (B, d, d) stack.
+a TuttePattern holds the entries' places and signs and, per entry, the
+weights whose product it is; an oriented graph's (tutte_pattern) has one
+weight per entry, its sign fixed by the orientation. SparseSkew.dense
+spreads one into the array that skew_inverse takes. stacked_pfaffians
+takes many small dense skew arrays at once, as one (B, d, d) stack.
 pfaffian is the one place that checks a SparseSkew. It runs Parlett-Reid
 skew-symmetric tridiagonalization with partial pivoting (congruence
 transforms of determinant one, swaps tracked in the sign), so only pivot
@@ -59,7 +60,7 @@ PIVOT_THRESHOLD = 1e-12
 # passes this test yet is off by 1.8e-7 in log against
 # tests/oracles.dense_minor_term. It is e^-27.0 of z_total, so the total
 # does not see it (no accepted term there is off by more than 1.4e-17 of
-# z_total); ROADMAP item 4 replaces this per-term test with an error
+# z_total); ROADMAP item 2 replaces this per-term test with an error
 # budget on the total
 HADAMARD_FRACTION = 1e-6
 # least side of a SparseSkew's front: it holds an 8x8 grid's windows
@@ -193,11 +194,16 @@ def _refill(a: SparseSkew, m, off, top, k, hi):
 
 @dataclass(frozen=True)
 class TuttePattern:
-    """Where an oriented graph's edges sit in its Tutte matrix, apart from
-    their weights: entry i, at (rows[i], cols[i]) in row-major order, is
-    sign[i] times weights[edge[i]], with sign +1 where its edge points from
-    the larger port to the smaller: edge[i] is where that edge's weight
-    sits in the weight array, its ExtendedGraph.source."""
+    """Where a skew matrix's entries sit, apart from the weights they are
+    made of: entry i, at (rows[i], cols[i]) below the diagonal in row-major
+    order, is sign[i] times the product of the weights that row i of the
+    (m, k) array edge indexes, multiplied left to right.
+
+    An oriented graph's Tutte matrix (tutte_pattern) has k = 1: sign is +1
+    where entry i's edge points from the larger port to the smaller, and
+    edge[i, 0] is where that edge's weight sits in the weight array, its
+    ExtendedGraph.source. The series' fold of the degree-2 gadgets out of
+    it (series._fold) has k = 3."""
 
     shape: tuple
     rows: np.ndarray
@@ -207,9 +213,11 @@ class TuttePattern:
 
     def entries(self, weights: np.ndarray) -> SparseSkew:
         """The matrix for the weights that edge indexes, as a SparseSkew:
-        zero weights are dropped, and a loop edge of nonzero weight would
+        zero products are dropped, and a loop edge of nonzero weight would
         sit on the diagonal, which is not skew."""
-        w = weights[self.edge]
+        w = weights[self.edge[:, 0]]
+        for j in range(1, self.edge.shape[1]):
+            w = w * weights[self.edge[:, j]]
         nz = w != 0
         rows, cols = self.rows[nz], self.cols[nz]
         if (rows == cols).any():
@@ -231,7 +239,7 @@ def tutte_pattern(o: OrientedPlanarGraph) -> TuttePattern:
     order = np.argsort(rows * n + cols)
     sign = np.where(tail > head, 1.0, -1.0)
     source = np.array(o.ext.source, dtype=np.intp)
-    return TuttePattern((n, n), rows[order], cols[order], sign[order], source[order])
+    return TuttePattern((n, n), rows[order], cols[order], sign[order], source[order, None])
 
 
 def matching_sign(pairs) -> int:

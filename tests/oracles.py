@@ -31,7 +31,9 @@ from the magnetizations, the formula planarz.bp replaced with its
 cancellation-free tables;
 layout_tutte_matrix is the series' Tutte matrix placed entry by entry
 from the oriented graph and the loop-weight tables, with none of the
-pattern's index arrays.
+pattern's index arrays; folded_tutte_matrix folds fold_nodes' degree-2
+gadgets out of a dense K by row and column operations, with none of the
+fold's index arrays or its renumbering.
 
 lower is how a test array enters the Pfaffian kernel: its strict lower
 triangle as a SparseSkew.
@@ -330,6 +332,38 @@ def layout_tutte_matrix(g, o, res: BPResult) -> np.ndarray:
         K[t, h] = w
         K[h, t] = -w
     return K
+
+
+def fold_nodes(g) -> list:
+    """The degree-2 nodes the series folds out of K: in g.nodes order,
+    each one that no node taken before it neighbours."""
+    taken = {}
+    for a in g.nodes:
+        if g.degree(a) == 2 and not any(b in taken for b in g.neighbors[a]):
+            taken[a] = None
+    return list(taken)
+
+
+def folded_tutte_matrix(g, ext, K) -> np.ndarray:
+    """The dense K with fold_nodes(g)'s gadgets folded out: for each folded
+    node a, its ports p, q facing its neighbours b, c and their partners
+    X = (b, a), Y = (c, a), every row and then every column X is multiplied
+    by K[p, q], the lower triangle is mirrored, K'[X, Y] = -K[p, X] *
+    K[q, Y] with K'[Y, X] its negation, and p and q are deleted."""
+    K = np.array(K, dtype=float)
+    scale, new, drop = np.ones(len(K)), [], set()
+    for a in fold_nodes(g):
+        b, c = g.neighbors[a]
+        p, q, x, y = ext.port[(a, b)], ext.port[(a, c)], ext.port[(b, a)], ext.port[(c, a)]
+        scale[x] = K[p, q]
+        new.append((x, y, -K[p, x] * K[q, y]))
+        drop |= {p, q}
+    low = np.tril(K * scale[:, None] * scale[None, :])
+    F = low - low.T
+    for x, y, w in new:
+        F[x, y], F[y, x] = w, -w
+    keep = [v for v in range(len(K)) if v not in drop]
+    return F[np.ix_(keep, keep)]
 
 
 def _new_message(tables, neighbors, msgs, a: str, b: str) -> np.ndarray:

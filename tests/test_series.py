@@ -11,6 +11,7 @@ import math
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import networkx as nx
 import numpy as np
@@ -39,7 +40,6 @@ from planarz import (
     two_core,
     z_empty,
 )
-from planarz.pfaffian import tutte_pattern
 from planarz.planar import _weight_pool
 from builders import cycle_forney, ladder_graph, random_planar_forney
 from oracles import (
@@ -47,6 +47,8 @@ from oracles import (
     enumerate_loops,
     exact_pfaffian,
     flipped_minor,
+    fold_nodes,
+    folded_tutte_matrix,
     kasteleyn_matrix,
     layout_tutte_matrix,
     lower,
@@ -343,15 +345,7 @@ def test_term_signs_match_the_global_matching_oracle(monkeypatch):
     # alone: the kept empty-set matching's sign, corrected along a local
     # T-join, must be the spanning-forest oracle's, and a term with no
     # perfect matching an exact zero that takes no Pfaffian
-    models = [(g, None) for g in _series_models()]
-    models += [(g, 4) for g, cap in _bordered_models() if cap]
-    for seed in (1, 2):
-        _, g = gen_spiderweb(2, 3, ModelParams(beta=0.5, theta=0.5, seed=seed))
-        models.append((two_core(g)[0], None))
-    for seed in np.random.SeedSequence(0).generate_state(16):  # the benchmark's spiderwebs
-        _, g = gen_spiderweb(1, 4, ModelParams(beta=0.5, theta=0.5, seed=int(seed)))
-        models.append((two_core(g)[0], None))
-    models += [(random_planar_forney(seed), None) for seed in range(12, 20)]
+    models = _forty_nine_models()
     _, g = gen_grid(6, ModelParams(beta=1.0, theta=1.0, seed=0))
     models.append((two_core(g)[0], 2))
     assert len(models) == 50
@@ -374,6 +368,23 @@ def test_term_signs_match_the_global_matching_oracle(monkeypatch):
             checked += 1
         assert len(calls) == sum(t.z_psi.sign != 0 for t in series.terms)
     assert (checked, zeros) == (7407, 1423)
+
+
+def _forty_nine_models():
+    # (model, cap on |psi|) for ladders 0-5, random planar models 0-19,
+    # spiderweb(1, 3) seeds 0-1 and (2, 3) seeds 0-2, the benchmark's 16
+    # spiderwebs and the 4x4 beta 1 theta 1 grids of seeds 0-1 (|psi| <= 4)
+    models = [(g, None) for g in _series_models()]
+    models += [(g, 4) for g, cap in _bordered_models() if cap]
+    for seed in (1, 2):
+        _, g = gen_spiderweb(2, 3, ModelParams(beta=0.5, theta=0.5, seed=seed))
+        models.append((two_core(g)[0], None))
+    for seed in np.random.SeedSequence(0).generate_state(16):  # the benchmark's spiderwebs
+        _, g = gen_spiderweb(1, 4, ModelParams(beta=0.5, theta=0.5, seed=int(seed)))
+        models.append((two_core(g)[0], None))
+    models += [(random_planar_forney(seed), None) for seed in range(12, 20)]
+    assert len(models) == 49
+    return models
 
 
 def _long_ladder(length, seed):
@@ -571,7 +582,8 @@ def test_series_never_calls_the_matching_oracle(monkeypatch):
 
 
 def test_z_empty_is_the_series_first_term(monkeypatch):
-    # one Pfaffian, of K itself, and no inverse: a series capped below a
+    # one Pfaffian, of K with its degree-2 gadgets folded out, two ports
+    # fewer per folded node, and no inverse: a series capped below a
     # removal set takes nothing that only removal sets use
     real = pfaffian_module.pfaffian
     dims, inverses = [], []
@@ -580,7 +592,8 @@ def test_z_empty_is_the_series_first_term(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(1) or real_inv(a))
     for g in _series_models():
         res = _bp(g)
-        n = fisher_extend(g).num_vertices
+        n = fisher_extend(g).num_vertices - 2 * len(fold_nodes(g))
+        assert n < fisher_extend(g).num_vertices
         for run in (lambda: z_empty(g, res), lambda: pfaffian_series(g, res, max_psi_size=1)):
             dims.clear()
             inverses.clear()
@@ -605,7 +618,8 @@ def test_z_empty_builds_no_dense_matrix(monkeypatch):
 
 
 def test_series_takes_one_pfaffian_of_the_full_matrix(monkeypatch):
-    # Pf(K) once, on the windowed kernel; then one stack of borders per
+    # Pf(K) once, on the windowed kernel, with K's degree-2 gadgets folded
+    # out; then one stack of borders per
     # BORDER_BATCH removal sets with a matching, whatever their sizes, each
     # border over the removed ports and both ends of each flipped edge that
     # is kept, and a windowed Pfaffian only for a term whose border falls
@@ -633,8 +647,8 @@ def test_series_takes_one_pfaffian_of_the_full_matrix(monkeypatch):
         o, _ = _laid_out(g, res)
         n = o.ext.num_vertices
         assert series.dense_terms == dense
-        assert dims[0] == n and len(dims) == 1 + dense
-        assert set(dims[1:]) <= {n - 3 * size for size in sizes}
+        assert dims[0] == n - 2 * len(fold_nodes(g)) and len(dims) == 1 + dense
+        assert set(dims[1:]) <= {n - 3 * size for size in sizes}  # full minors keep every port but psi's
         live = len(model_module._kept(g, series_module._term_plan, max(sizes)).live)
         assert len(stacks) == len(widths) == -(-live // series_module.BORDER_BATCH)
         assert stacks == [max(w) for w in widths] == widest
@@ -887,10 +901,10 @@ def test_zero_entry_on_a_kept_flipped_edge(monkeypatch):
 
 
 def test_warm_tutte_entries_are_the_cold_ones(monkeypatch):
-    # a warm K is the kept pattern filled with this solve's loop weights:
-    # an exactly zero gadget weight drops its entry, as a freshly laid out
-    # pattern drops it, and the next solve of the topology has the entry
-    # back
+    # a warm folded K, the matrix z_empty takes its Pfaffian of, is the
+    # kept fold filled with this solve's loop weights: an exactly zero
+    # gadget weight drops its entry, as a freshly laid out fold drops it,
+    # and the next solve of the topology has the entry back
     g = ladder_graph(seed=0)
     res = _bp(g)
     weights = dict(res.loop_weights)
@@ -904,8 +918,8 @@ def test_warm_tutte_entries_are_the_cold_ones(monkeypatch):
     built = []
     monkeypatch.setattr(series_module, "fisher_extend", lambda g: built.append(1) or real_extend(g))
 
-    def cold(r):  # a layout of its own, filled edge by edge from the pool
-        return tutte_pattern(orient(fisher_extend(g))).entries(_weight_pool(g, r))
+    def cold(r):  # a layout of its own, its fold filled from the pool
+        return series_module._layout(g).fold.entries(_weight_pool(g, r))
 
     for order in ((zeroed, res), (res, zeroed)):
         _solve_another_topology()
@@ -914,6 +928,7 @@ def test_warm_tutte_entries_are_the_cold_ones(monkeypatch):
             z_empty(g, r)
             assert len(built) - before == (not warm)  # a warm solve lays nothing out
             want = cold(r)
+            assert want.shape[0] == fisher_extend(g).num_vertices - 2 * len(fold_nodes(g))
             got = seen[-1]
             assert got.shape == want.shape
             for x, y in ((got.rows, want.rows), (got.cols, want.cols), (got.vals, want.vals)):
@@ -922,11 +937,11 @@ def test_warm_tutte_entries_are_the_cold_ones(monkeypatch):
 
 
 def test_layout_needs_no_bp(monkeypatch):
-    # a fresh topology is laid out before any BP runs on it; two BP results
-    # with other tables, theta 0.1 and theta 1 on one 4x4 grid (theta 0
-    # draws no fields, so its grid is another topology), then solve on the
-    # kept layout, orienting nothing more, and each solve's K is the dense
-    # oracle's, bit for bit
+    # a fresh topology is laid out, its fold too, before any BP runs on it;
+    # two BP results with other tables, theta 0.1 and theta 1 on one 4x4
+    # grid (theta 0 draws no fields, so its grid is another topology), then
+    # solve on the kept layout, orienting nothing more, and each solve's K
+    # and folded K are the dense oracles', bit for bit
     models = [two_core(gen_grid(4, ModelParams(beta=1.0, theta=t, seed=0))[1])[0] for t in (0.1, 1.0)]
     real_orient, real_minor = series_module.orient, series_module.minor_pfaffian
     calls, seen = [], []
@@ -941,8 +956,77 @@ def test_layout_needs_no_bp(monkeypatch):
         res = _bp(g)
         z_empty(g, res)
         assert _kept_layout(g) is layout
-        assert np.array_equal(seen[-1].dense(), layout_tutte_matrix(g, o, res))
+        K = layout_tutte_matrix(g, o, res)
+        assert np.array_equal(layout.pattern.entries(_weight_pool(g, res)).dense(), K)
+        assert np.array_equal(seen[-1].dense(), folded_tutte_matrix(g, o.ext, K))
     assert len(calls) == 1
+
+
+def _fold_models():
+    # the 49-model list, beta 0 grids, whose folded gadgets all weigh 0, and
+    # cycles of degree-2 nodes alone
+    models = [g for g, _ in _forty_nine_models()]
+    for n in (2, 3, 4, 8, 16):
+        models.append(two_core(gen_grid(n, ModelParams(beta=0.0, theta=0.0, seed=0))[1])[0])
+    models += [cycle_forney(length, seed=length) for length in range(3, 10)]
+    return models
+
+
+def test_folded_pfaffian_is_the_unfolded_one():
+    # Pf(K) = fold_sign * Pf(K'), K' the kept fold filled from the pool:
+    # the same sign and log within 1e-13 of the unfolded kernel's. K' is
+    # the dense oracle's Schur complement of K, bit for bit, two ports
+    # fewer per folded node
+    zero_weights = cycles = 0
+    for g in _fold_models():
+        res = _bp(g)
+        lay, pool = _kept_layout(g), _weight_pool(g, res)
+        K, folded = lay.pattern.entries(pool), lay.fold.entries(pool)
+        nodes = fold_nodes(g)
+        assert folded.shape[0] == K.shape[0] - 2 * len(nodes) < K.shape[0]
+        assert np.array_equal(folded.dense(), folded_tutte_matrix(g, lay.o.ext, K.dense()))
+        want, got = pfaffian(K), pfaffian(folded)
+        assert lay.fold_sign * got.sign == want.sign != 0
+        assert got.log_magnitude == pytest.approx(want.log_magnitude, rel=0, abs=1e-13)
+        zero_weights += all(res.loop_weights[a][0b11] == 0 for a in nodes)
+        cycles += all(g.degree(a) == 2 for a in g.nodes)
+    # the beta 0 grids; the cycles, random planar models 3 and 11 and the
+    # 2x2 beta 0 grid
+    assert (zero_weights, cycles) == (5, 10)
+
+
+def test_folded_pfaffian_is_exact():
+    # on every fold model of at most 64 ports, fold_sign * Pf(K') is Pf(K)
+    # in rational arithmetic, to 1e-14 in log
+    checked = 0
+    for g in _fold_models():
+        lay = _kept_layout(g)
+        if lay.o.ext.num_vertices > 64:
+            continue
+        pool = _weight_pool(g, _bp(g))
+        exact = exact_pfaffian(lay.pattern.entries(pool).dense())
+        got = pfaffian(lay.fold.entries(pool))
+        assert exact != 0 and lay.fold_sign * got.sign == (1 if exact > 0 else -1)
+        # log |exact| to the last bit: its float after a power-of-two shift
+        shift = exact.numerator.bit_length() - exact.denominator.bit_length()
+        log_exact = math.log(abs(float(exact / Fraction(2) ** shift))) + shift * math.log(2)
+        assert got.log_magnitude == pytest.approx(log_exact, rel=0, abs=1e-14)
+        checked += 1
+    assert checked == 53
+
+
+def test_fold_dimensions():
+    # the fold drops about 40% of the ports: 512 -> 296 on the 8x8 theta 0
+    # grid, 220 -> 140 on 5x5 theta 1 and 44 -> 28 on the benchmark's
+    # spiderweb(1, 4)
+    cases = [
+        (gen_grid(8, ModelParams(beta=1.0, theta=0.0, seed=0))[1], 512, 296),
+        (gen_grid(5, ModelParams(beta=1.0, theta=1.0, seed=0))[1], 220, 140),
+        (gen_spiderweb(1, 4, ModelParams(beta=0.5, theta=0.5, seed=0))[1], 44, 28),
+    ]
+    for g, ports, folded in cases:
+        lay = _kept_layout(two_core(g)[0])
+        assert (lay.pattern.shape[0], lay.fold.shape[0]) == (ports, folded)
 
 
 def test_non_planar_model_is_never_laid_out(monkeypatch):

@@ -21,7 +21,6 @@ from .bp import run_bp
 from .model import (
     FactorGraph,
     ForneyGraph,
-    MAX_ENUM_VARIABLES,
     ModelError,
     ModelParams,
     _is_equality_like,
@@ -171,10 +170,12 @@ def solve_forney(
     Keys: log_z (None when the estimate is undefined), bp_iterations,
     converged, note. Every method rejects a max_iterations below 1 and a
     negative max_psi_size with a ModelError, before it runs, whether it
-    uses them or not. exact enumerates the model as given: a factor graph
-    through its factor-level oracle, a normal-form graph through its edge
-    variables. Every other method runs on the reduced normal form (see
-    _normal_form). BP runs once, on its two-core; a run that does not
+    uses them or not. exact eliminates the variables of the model as given:
+    a factor graph through its factor-level oracle, a normal-form graph
+    through its edge variables; one whose buckets would outgrow
+    model.MAX_BUCKET raises ModelError, and so does a loop_oracle whose
+    two-core's does. Every other method runs on the reduced normal form
+    (see _normal_form). BP runs once, on its two-core; a run that does not
     converge within max_iterations sweeps notes bp-not-converged and the
     estimate still comes from its final messages. The two-core constant
     from dangling-tree absorption is folded back into every estimate.
@@ -379,8 +380,8 @@ def run_experiment(cfg: dict) -> list[dict]:
     Cells iterate in (size, beta, theta) product order with seeds inside;
     each instance produces one row per method, every method solving the
     instance's factor graph. logz_exact comes from the factor-graph oracle
-    when the instance fits under the enumeration cap, and an exact row's
-    wall_ms is the time of that enumeration.
+    when its elimination fits under the bucket cap (see _exact_row), and an
+    exact row's wall_ms is the time of that elimination.
     """
     rows = []
     for size, beta, theta in itertools.product(cfg["sizes"], cfg["betas"], cfg["thetas"]):
@@ -455,18 +456,14 @@ def run_experiment(cfg: dict) -> list[dict]:
 
 
 def _exact_row(fg: FactorGraph) -> tuple[dict, float | None]:
-    """The exact method's result on fg and the milliseconds its enumeration
-    took; above MAX_ENUM_VARIABLES nothing is enumerated, the result notes
-    exact-unavailable and the time is None."""
-    if fg.num_variables > MAX_ENUM_VARIABLES:
-        return {
-            "log_z": None,
-            "bp_iterations": 0,
-            "converged": True,
-            "note": "exact-unavailable",
-        }, None
+    """The exact method's result on fg and the milliseconds its elimination
+    took; a model the elimination refuses, one whose buckets would outgrow
+    MAX_BUCKET, notes exact-unavailable and has no time."""
     t0 = time.perf_counter()
-    r = solve_forney(fg, method="exact")
+    try:
+        r = solve_forney(fg, method="exact")
+    except ModelError:
+        return {"log_z": None, "bp_iterations": 0, "converged": True, "note": "exact-unavailable"}, None
     return r, (time.perf_counter() - t0) * 1000.0
 
 

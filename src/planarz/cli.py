@@ -2,10 +2,12 @@
 
 Subcommands: gen (sample an instance to a model file), solve (estimate
 log Z for one model; the methods exact and loop_oracle give the reference
-values), run (config-driven experiment sweep to CSV). Exit code 0 means
-every requested quantity was produced; 1 flags a usage error (an unknown
-option, method or subcommand, or an invalid option value) or an
-unreadable, malformed or non-planar input; 2 flags an estimate that is
+values, by variable elimination over the model's variables and over its
+two-core's edges), run (config-driven experiment sweep to CSV). Exit code
+0 means every requested quantity was produced; 1 flags a usage error (an
+unknown option, method or subcommand, or an invalid option value), an
+unreadable, malformed or non-planar input, or a reference whose
+elimination would outgrow its bucket cap; 2 flags an estimate that is
 unavailable or a partial failure.
 """
 

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_ENUM_VARIABLES = 30
-_CHUNK_BITS = 22
+# variables in one bucket of the exact elimination: 2^22 entries, 32 MB of floats
+MAX_BUCKET = 22
 
 
 class ModelError(ValueError):
@@ -426,82 +426,125 @@ def _log_safe(x: np.ndarray, zero: float = -np.inf) -> np.ndarray:
     return np.log(x, out=np.full(np.shape(x), zero), where=x > 0)
 
 
-def _enumerate(n: int, tables, ufunc):
-    """Combine tables over all 2^n assignments of n binary variables, by chunk.
+def _bfs(adj, root, parent: dict):
+    """Yield the nodes reached from root in breadth-first order, root
+    first, skipping every node already in parent; records each reached
+    node's parent there, None for root. A caller that stops early leaves
+    parent holding only the nodes yielded so far. adj maps each node, by
+    key or index, to its neighbours: a ForneyGraph's neighbors, a rotation
+    system, a face adjacency, an interaction graph."""
+    parent[root] = None
+    yield root
+    order = [root]
+    for a in order:
+        for b in adj[a]:
+            if b not in parent:
+                parent[b] = a
+                order.append(b)
+                yield b
+
+
+def _level_order(neighbors: dict) -> list:
+    """The nodes of neighbors (each node, in order, to its neighbours) in
+    reverse breadth-first order, one component at a time, each searched
+    from a pseudo-peripheral node: the last node reached from the
+    component's first node. Nodes of one level sit together, so edges only
+    join nearby positions (Cuthill & McKee 1969)."""
+    order, seen = [], {}
+    for a in neighbors:
+        if a not in seen:
+            far = list(_bfs(neighbors, a, {}))[-1]
+            order += reversed(list(_bfs(neighbors, far, seen)))
+    return order
+
+
+def _elimination_order(adj: dict, fixed=None) -> tuple:
+    """(order, largest bucket) of eliminating the variables of adj, each
+    mapped to the set of variables it shares a table with: in the order
+    fixed, or else by minimum degree, ties to the smaller variable. A
+    variable's bucket is it and its neighbours when it is eliminated, the
+    fill-in of the variables eliminated before it included."""
+    adj = {v: set(nbrs) for v, nbrs in adj.items()}
+    heap = sorted((len(nbrs), v) for v, nbrs in adj.items())
+    order, largest = [], 0
+    while adj:
+        if fixed:
+            v = fixed[len(order)]
+        else:
+            d, v = heapq.heappop(heap)
+            if v not in adj or d != len(adj[v]):
+                continue
+        nbrs = adj.pop(v)
+        largest = max(largest, len(nbrs) + 1)
+        for u in nbrs:
+            adj[u] |= nbrs
+            adj[u] -= {u, v}
+            if not fixed:
+                heapq.heappush(heap, (len(adj[u]), u))
+        order.append(v)
+    return order, largest
+
+
+def _eliminate(n: int, tables, combine, marginalize):
+    """marginalize, over every assignment of n binary variables, of combine
+    across the tables: a sum of products by bucket elimination (Dechter
+    1999). (np.add, np.logaddexp) sums log tables, (np.multiply, np.add)
+    linear ones.
 
     tables: (positions, table) pairs; the table has 2^k entries in the usual
     layout, axis i (first most significant) belonging to variable
-    positions[i]. Variable p is bit p of the assignment number. For each
-    value of the variables at and above the chunk size, in ascending order,
-    yields an array of shape (2,)*min(n, chunk) over the low variables, the
-    last axis being variable 0, so its C order runs over ascending
-    assignment numbers. Each entry is ufunc applied across every table's
-    entry, tables in the order given, except that tables over low variables
-    only are combined first, once for all chunks. Yielded arrays are
-    read-only to the caller.
+    positions[i], and every variable is some table's. The variables are
+    eliminated by minimum degree or in the reverse breadth-first
+    _level_order of their interaction graph, whichever has the smaller
+    largest bucket, found before any table is combined; a bucket over more
+    than MAX_BUCKET variables raises ModelError. A variable's bucket holds
+    the tables whose first variable in that order it is: they are combined,
+    broadcast onto their variables' union, the variable is marginalized out,
+    and the result goes to the bucket of its own first variable.
     """
-    nlow = min(n, _CHUNK_BITS)
-    low, cross = [], []
+    adj = {p: set() for p in range(n)}
+    for positions, _ in tables:
+        for p in positions:
+            adj[p].update(positions)
+            adj[p].discard(p)
+    level = _level_order({p: sorted(nbrs) for p, nbrs in adj.items()})
+    order, largest = min(_elimination_order(adj), _elimination_order(adj, level), key=lambda o: o[1])
+    if largest > MAX_BUCKET:
+        raise ModelError(f"exact elimination needs a bucket of {largest} variables, capped at {MAX_BUCKET}")
+    rank = [0] * n
+    for r, p in enumerate(order):
+        rank[p] = r
+    buckets = [[] for _ in range(n + 1)]  # by rank, the tables without variables last
     for positions, t in tables:
-        k = len(positions)
-        order = sorted(range(k), key=lambda i: -positions[i])
-        t = np.transpose(np.reshape(t, (2,) * k), order)
-        shape = [1] * nlow
-        high = []
-        for p in (positions[i] for i in order):
-            if p < nlow:
-                shape[nlow - 1 - p] = 2
-            else:
-                high.append(p - nlow)
-        (cross if high else low).append((t, high, shape))
-    dtype = np.result_type(ufunc.identity, *(t for t, _, _ in low + cross))
-    base = np.full((2,) * nlow, ufunc.identity, dtype)
-    for t, _, shape in low:
-        ufunc(base, t.reshape(shape), out=base)
-    for chunk in range(1 << (n - nlow)):
-        out = base.copy() if cross else base
-        for t, high, shape in cross:
-            ufunc(out, t[tuple((chunk >> h) & 1 for h in high)].reshape(shape), out=out)
-        yield out
+        axes = sorted(range(len(positions)), key=lambda i: rank[positions[i]])
+        ranks = [rank[positions[i]] for i in axes]
+        buckets[ranks[0] if ranks else n].append((ranks, np.reshape(t, (2,) * len(ranks)).transpose(axes)))
+    for r in range(n):
+        bucket, buckets[r] = buckets[r], None  # each table is freed once combined
+        scope = sorted({x for ranks, _ in bucket for x in ranks})
+        acc = combine.identity
+        for ranks, t in bucket:
+            acc = combine(acc, t.reshape([2 if x in ranks else 1 for x in scope]))
+        buckets[scope[1] if len(scope) > 1 else n].append((scope[1:], marginalize.reduce(acc, axis=0)))
+    return combine.reduce(np.array([t for _, t in buckets[n]], dtype=object))  # Python ints stay exact
 
 
 def exact_log_z(g: ForneyGraph) -> float:
-    """log Z by exhaustive enumeration over the edge variables.
-
-    Refuses graphs with more than 30 edges. Otherwise this is
-    exact_log_z_factor of g read as a factor graph over its edges: the
+    """log Z by variable elimination over the edge variables: this is
+    exact_log_z_factor of g read as a factor graph over its edges. The
     variables are g.edges, in order, and each node is one factor whose
     scope is its edges in neighbor order and whose table is the node's
     table; a degree-0 node is a factor with an empty scope.
     """
-    E = g.num_edges
-    if E > MAX_ENUM_VARIABLES:
-        raise ModelError(f"exact enumeration capped at {MAX_ENUM_VARIABLES} edges, got {E}")
     factors = [(a, [canon_edge(a, b) for b in g.neighbors[a]], g.tables[a]) for a in g.nodes]
     return exact_log_z_factor(FactorGraph(g.edges, factors))
 
 
 def exact_log_z_factor(fg: FactorGraph) -> float:
-    """log Z of a factor graph by exhaustive enumeration over its variables.
-
-    Capped at 30 variables. Variable i of fg.variables is bit i; each
-    factor's log table is broadcast onto its variables' axes and added, one
-    chunk of low variables at a time, with a log-sum-exp per chunk. Factors
-    over low variables only are added once and reused by every chunk.
+    """log Z of a factor graph by variable elimination (_eliminate) on its
+    log tables, each marginalization a logaddexp. Refuses a model whose
+    best order needs a bucket over MAX_BUCKET variables.
     """
-    n = fg.num_variables
-    if n > MAX_ENUM_VARIABLES:
-        raise ModelError(f"exact enumeration capped at {MAX_ENUM_VARIABLES} variables, got {n}")
-    var_pos = {v: i for i, v in enumerate(fg.variables)}
-    log_tables = [([var_pos[v] for v in f.scope], _log_safe(f.table)) for f in fg.factors]
-    parts = []
-    for e in _enumerate(n, log_tables, np.add):
-        m = float(e.max())
-        if m == -math.inf:
-            parts.append(-math.inf)
-        else:
-            parts.append(m + math.log(float(np.exp(e - m).sum())))
-    m = max(parts)
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(sum(math.exp(p - m) for p in parts))
+    pos = {v: i for i, v in enumerate(fg.variables)}
+    log_tables = [([pos[v] for v in f.scope], _log_safe(f.table)) for f in fg.factors]
+    return float(_eliminate(fg.num_variables, log_tables, np.add, np.logaddexp))

@@ -7,10 +7,11 @@ rotation lifted onto their ports -> the lifted rotation's faces, traced
 once per topology and checked against Euler's formula -> orientation making
 every bounded face odd when walked clockwise, one root face per component,
 fixed along a breadth-first dual spanning forest. Every graph search
-here, over the model's nodes, the ports or the faces, runs through _bfs,
-and so do the series' T-join searches, which stop at the first node they
-want. Perfect matchings of the extended graph then line up with the
-even-degree loop structure of the source graph. Only the removal-free
+here, over the model's nodes, the ports or the faces, runs through
+model._bfs, and so do the series' T-join searches, which stop at the first
+node they want, and the exact elimination's level order. Perfect matchings
+of the extended graph then line up with the even-degree loop structure of
+the source graph. Only the removal-free
 graph of a model is built, embedded and oriented: a removal set's graph
 is its subgraph induced on the kept ports. The layout depends on the model's topology
 alone: its edges are port pairs, without weights. Only the gadget-edge
@@ -31,7 +32,7 @@ import networkx as nx
 import numpy as np
 
 from .bp import BPResult
-from .model import ForneyGraph, ModelError, canon_edge
+from .model import ForneyGraph, ModelError, _bfs, _level_order, canon_edge
 
 
 class NonPlanarError(ValueError):
@@ -152,37 +153,6 @@ def embed(vertices, edges) -> tuple:
     return tuple(tuple(cert.neighbors_cw_order(v)) for v in vertices)
 
 
-def _bfs(adj, root, parent: dict):
-    """Yield the nodes reached from root in breadth-first order, root
-    first, skipping every node already in parent; records each reached
-    node's parent there, None for root. A caller that stops early leaves
-    parent holding only the nodes yielded so far. adj maps each node, by
-    key or index, to its neighbours: a ForneyGraph's neighbors, a rotation
-    system, a face adjacency."""
-    parent[root] = None
-    yield root
-    order = [root]
-    for a in order:
-        for b in adj[a]:
-            if b not in parent:
-                parent[b] = a
-                order.append(b)
-                yield b
-
-
-def _level_order(g: ForneyGraph) -> list:
-    """g's nodes in reverse breadth-first order, one component at a time,
-    each searched from a pseudo-peripheral node: the last node reached from
-    the component's first node in g.nodes. Nodes of one level sit together,
-    so edges only join nearby positions (Cuthill & McKee 1969)."""
-    order, seen = [], {}
-    for a in g.nodes:
-        if a not in seen:
-            far = list(_bfs(g.neighbors, a, {}))[-1]
-            order += reversed(list(_bfs(g.neighbors, far, seen)))
-    return order
-
-
 def fisher_extend(g: ForneyGraph) -> ExtendedGraph:
     """Split every node into its matching gadget, embedded in the plane.
 
@@ -209,7 +179,7 @@ def fisher_extend(g: ForneyGraph) -> ExtendedGraph:
         raise ModelError("fisher_extend needs a reduced graph (degrees 2 and 3)")
     if not g.nodes:
         return ExtendedGraph(0, (), (), (), {}, ())
-    labels = [(a, b) for a in _level_order(g) for b in g.neighbors[a]]
+    labels = [(a, b) for a in _level_order(g.neighbors) for b in g.neighbors[a]]
     port = {lbl: i for i, lbl in enumerate(labels)}
     rotation = [None] * len(labels)
     edges, source, start = [], [], 0

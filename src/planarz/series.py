@@ -39,10 +39,11 @@ minor from the entries (pfaffian.minor_pfaffian) instead.
 K is built dense only for that one inverse, so z_empty never builds an
 n x n matrix, nor K's entries: only the fold's.
 
-loop_correction is the exhaustive oracle for both: the edges are the
-enumerated variables of the model's chunked enumeration kernel, which
-multiplies one loop-weight table per node and ANDs one validity table per
-node (no node of degree one inside a loop) over all edge subsets.
+loop_correction is the exhaustive oracle for both: the sum over every
+edge subset, the edges being the variables of the model's one elimination
+kernel (model._eliminate), of the product of one loop-weight table per
+node, zero where a node has one edge in the subset; the loop count is the
+same elimination on 0/1 validity tables, in Python ints.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bp import BPResult
-from .model import ForneyGraph, ModelError, _enumerate, _kept, canon_edge
+from .model import ForneyGraph, ModelError, _bfs, _eliminate, _kept, canon_edge
 from .pfaffian import (
     OrientationError,
     TuttePattern,
@@ -65,7 +66,6 @@ from .pfaffian import (
 )
 from .planar import (
     OrientedPlanarGraph,
-    _bfs,
     _weight_pool,
     face_parity_violations,
     fisher_extend,
@@ -73,7 +73,6 @@ from .planar import (
 )
 from .slog import SignedLog
 
-MAX_LOOP_EDGES = 24
 # removal sets per bordered_pfaffians call: a full stack of the widest
 # borders, 26 in a 12x12 grid's |psi| <= 2 plan, 20 in a 4x4 grid's |psi|
 # <= 4 and 30 in spiderweb(3, 6)'s, is 2.8, 1.6 and 3.7 MB
@@ -476,43 +475,22 @@ def pfaffian_series(
     return PfaffianSeriesResult(tuple(terms), total, complete, dense)
 
 
-def _loop_scan(g: ForneyGraph, res: BPResult, regular_only: bool):
-    """(masks, weights) of every generalized loop, in ascending mask order.
-
-    Edge i of g.edges is bit i of a mask. Each node is a weight table and a
-    validity table over its edges: the empty subset and the allowed ones
-    (size 2, or 3 unless regular_only) keep their entry of the node's
-    res.loop_weights table, anything else is invalid with weight 0.
-    """
+def loop_correction(g: ForneyGraph, res: BPResult, regular_only: bool = False):
+    """(1 + sum of loop weights, loop count), each one variable elimination
+    (model._eliminate) over the edges, one table per node: the node's
+    res.loop_weights table where its edges in the subset number 0, 2, or 3
+    unless regular_only, 0 elsewhere, or 1 and 0 as Python ints for the
+    count. The empty subset is not a loop, and its weight is 1."""
     if any(g.degree(a) > 3 for a in g.nodes):
-        raise ModelError("loop enumeration needs degrees at most 3")
-    E = g.num_edges
-    if E > MAX_LOOP_EDGES:
-        raise ModelError(f"loop enumeration capped at {MAX_LOOP_EDGES} edges, got {E}")
-    edge_pos = {e: i for i, e in enumerate(g.edges)}
+        raise ModelError("the loop sum needs degrees at most 3")
+    pos = {e: i for i, e in enumerate(g.edges)}
     weights, valids = [], []
     for a in g.nodes:
-        nbrs = g.neighbors[a]
-        if not nbrs:
-            continue
-        positions = [edge_pos[canon_edge(a, b)] for b in nbrs]
-        size = np.indices((2,) * len(nbrs)).sum(axis=0)
-        ok = size != 1
-        if regular_only:
-            ok &= size != 3
-        weights.append((positions, np.where(ok, res.loop_weights[a].reshape(ok.shape), 0.0)))
-        valids.append((positions, ok))
-    masks, out = [], []
-    chunks = zip(_enumerate(E, weights, np.multiply), _enumerate(E, valids, np.logical_and))
-    for chunk, (w, ok) in enumerate(chunks):
-        idx = np.flatnonzero(ok)
-        masks.append(chunk * ok.size + idx)
-        out.append(w.reshape(-1)[idx])
-    masks, out = np.concatenate(masks), np.concatenate(out)
-    return masks[1:], out[1:]  # the empty subset is always valid: drop it
-
-
-def loop_correction(g: ForneyGraph, res: BPResult, regular_only: bool = False):
-    """(1 + sum of loop weights, loop count) without materializing terms."""
-    _, weights = _loop_scan(g, res, regular_only)
-    return 1.0 + float(weights.sum()), weights.size
+        if g.neighbors[a]:
+            positions = [pos[canon_edge(a, b)] for b in g.neighbors[a]]
+            size = np.indices((2,) * len(positions)).sum(axis=0).reshape(-1)
+            ok = (size != 1) & ~(regular_only & (size == 3))
+            weights.append((positions, np.where(ok, res.loop_weights[a], 0.0)))
+            valids.append((positions, ok.astype(int).astype(object)))
+    count = _eliminate(g.num_edges, valids, np.multiply, np.add) - 1
+    return float(_eliminate(g.num_edges, weights, np.multiply, np.add)), count

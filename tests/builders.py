@@ -76,6 +76,39 @@ def triangular_lattice(n: int, seed: int = 0, shuffle: bool = False) -> FactorGr
     return FactorGraph([f"x{r}_{c}" for r in range(n) for c in range(n)], factors)
 
 
+def permuted_table(table, perm) -> np.ndarray:
+    """The flat table whose axis i is axis perm[i] of table's."""
+    k = len(perm)
+    return np.transpose(np.reshape(table, (2,) * k), perm).reshape(-1)
+
+
+def shuffled_factor_graph(fg: FactorGraph, seed: int) -> FactorGraph:
+    """fg with its variables, its factors and each scope listed in a random
+    order, each table's axes moved along: the same model."""
+    rng = np.random.default_rng(seed)
+    factors = []
+    for j in rng.permutation(len(fg.factors)):
+        f = fg.factors[j]
+        perm = rng.permutation(len(f.scope)).tolist()
+        factors.append((f.id, tuple(f.scope[i] for i in perm), permuted_table(f.table, perm)))
+    return FactorGraph([fg.variables[i] for i in rng.permutation(fg.num_variables)], factors)
+
+
+def shuffled_forney(g: ForneyGraph, seed: int) -> tuple:
+    """(h, name, perm): g with node a renamed name[a], the nodes listed in
+    a random order, and a's neighbours listed as perm[a] picks them from
+    g's, its table's axes moved along. h is the same model, its edges
+    sorted, and so numbered, another way."""
+    rng = np.random.default_rng(seed)
+    name = dict(zip(g.nodes, (f"v{i}" for i in rng.permutation(g.num_nodes))))
+    perm = {a: rng.permutation(g.degree(a)).tolist() for a in g.nodes}
+    nbrs, tabs = {}, {}
+    for a in (g.nodes[i] for i in rng.permutation(g.num_nodes)):
+        nbrs[name[a]] = tuple(name[g.neighbors[a][i]] for i in perm[a])
+        tabs[name[a]] = permuted_table(g.tables[a], perm[a])
+    return ForneyGraph(nbrs, tabs), name, perm
+
+
 def random_planar_forney(seed: int, max_chords: int = 3) -> ForneyGraph:
     """Cycle plus non-interleaving chord paths: planar, degrees in {2, 3}.
 

@@ -3,7 +3,11 @@
 Deliberately naive implementations: they share no code with the path they
 check, so agreement is evidence, not tautology. brute_log_z_factor sums
 every spin assignment in linear space; transfer_log_z eliminates the
-variables one at a time in listed order, a row transfer matrix on a grid;
+variables one at a time in listed order, a row transfer matrix on a grid,
+where planarz.model eliminates them in buckets in an order of its own;
+enumerate_loops lists, as LoopTerms, the generalized loops whose weights
+series.loop_correction sums by elimination, scanning every edge-subset
+mask in numpy;
 the matching sums are recursive brute force; the Kasteleyn matrix is the
 unit-weight form of the Pfaffian path's matrix; reference_run_bp is
 residual belief propagation with one numpy array update per message,
@@ -17,7 +21,8 @@ of the whole trailing matrix per pivot step, that planarz.pfaffian
 confines to each step's active window (it shares only the result type
 and the pivot threshold);
 exact_pfaffian is Parlett-Reid elimination in rational arithmetic, exact
-for the floats a matrix stores;
+for the floats a matrix stores, and log_abs the log of its result to the
+last bit;
 dense_minor_term is a series term the way it reads on paper: the removal
 set's principal minor of the Tutte matrix with its defect lines negated,
 sliced from the dense matrix, its Pfaffian, and the sign of a reference
@@ -40,9 +45,7 @@ triangle as a SparseSkew.
 
 Two helpers are not references but views, for the tests that read them:
 assignment_to_index and index_to_assignment convert a +-1 assignment to
-and from its table index, and enumerate_loops lists, as LoopTerms, the
-generalized loops whose weights series.loop_correction sums (it reads
-them from the same _loop_scan).
+and from its table index.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ import numpy as np
 from planarz.bp import MESSAGE_FLOOR, RESIDUAL_THRESHOLD, BPNumericError, BPResult
 from planarz.model import ForneyGraph, ModelError, canon_edge
 from planarz.pfaffian import PIVOT_THRESHOLD, SparseSkew, matching_sign, pfaffian
-from planarz.series import _loop_scan, triplet_nodes
 from planarz.slog import SignedLog
 
 
@@ -235,6 +237,15 @@ def exact_pfaffian(a) -> Fraction:
                 m[i][j] += r * t
                 m[j][i] -= r * t
     return pf
+
+
+def log_abs(x: Fraction) -> float:
+    """log |x| of a nonzero Fraction to the last bit: the log of its float
+    after a power-of-two shift, plus the shift's log. Taking the logs of
+    numerator and denominator apart loses about 1e-13 once they have
+    thousands of digits."""
+    shift = x.numerator.bit_length() - x.denominator.bit_length()
+    return math.log(abs(float(x / Fraction(2) ** shift))) + shift * math.log(2)
 
 
 def flipped_minor(o, K, removed, flip):
@@ -560,17 +571,36 @@ class LoopTerm:
 
 
 def enumerate_loops(g: ForneyGraph, res: BPResult, regular_only: bool = False) -> list:
-    """All generalized loops by exhaustive edge-subset scan (<= 24 edges).
+    """All generalized loops, in ascending mask order, by a scan of every
+    edge-subset mask, edge i of g.edges being bit i (<= 24 edges).
 
-    With regular_only, keeps only loops where every induced degree is
-    exactly 2. Weights multiply the loop weight of every covered node
-    against its in-loop neighbor set.
+    A mask is a loop when no node has exactly one of its edges in it
+    (nor three, with regular_only) and it is not empty. Its weight
+    multiplies the loop weight of every covered node against its in-loop
+    neighbor set, read from res.loop_weights by the table index whose bit
+    for the node's neighbor i, first neighbor most significant, is edge
+    (a, neighbor i)'s bit of the mask.
     """
-    masks, weights = _loop_scan(g, res, regular_only)
-    edge_bit = {e: 1 << i for i, e in enumerate(g.edges)}
-    full = [(a, sum(edge_bit[canon_edge(a, b)] for b in g.neighbors[a])) for a in triplet_nodes(g)]
+    if any(len(nbrs) > 3 for nbrs in g.neighbors.values()):
+        raise ModelError("loop enumeration needs degrees at most 3")
+    if g.num_edges > 24:
+        raise ModelError(f"loop enumeration capped at 24 edges, got {g.num_edges}")
+    masks = np.arange(1, 1 << g.num_edges, dtype=np.int64)
+    bit = {e: i for i, e in enumerate(g.edges)}
+    ok = np.ones(masks.size, dtype=bool)
+    weight = np.ones(masks.size)
+    full = []
+    for a, nbrs in g.neighbors.items():
+        inside = [(masks >> bit[canon_edge(a, b)]) & 1 for b in nbrs]
+        degree = sum(inside, np.zeros_like(masks))
+        ok &= (degree != 1) & ~(regular_only & (degree == 3))
+        index = sum((x << (len(nbrs) - 1 - i) for i, x in enumerate(inside)), np.zeros_like(masks))
+        if nbrs:
+            weight *= np.asarray(res.loop_weights[a])[index]
+        if len(nbrs) == 3:
+            full.append((a, degree == 3))
     out = []
-    for mask, w in zip(masks.tolist(), weights.tolist()):
-        edges = tuple(e for e, bit in edge_bit.items() if mask & bit)
-        out.append(LoopTerm(edges, w, tuple(a for a, inc in full if mask & inc == inc)))
+    for j in np.flatnonzero(ok).tolist():
+        edges = tuple(e for e, i in bit.items() if masks[j] >> i & 1)
+        out.append(LoopTerm(edges, float(weight[j]), tuple(sorted(a for a, inc in full if inc[j]))))
     return out

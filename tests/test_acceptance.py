@@ -45,7 +45,7 @@ def test_zero_field_grid_correction_is_exact():
     # 50 pairwise grids without fields: the corrected estimate must agree
     # with the exact log Z to 1e-8 relative, and each correction pipeline
     # run must finish within a second. The exact values come from the row
-    # transfer matrix, checked against exhaustive enumeration on the first
+    # transfer matrix, checked against variable elimination on every
     # instance
     betas = (0.5, 1.0, 2.0)
     worst = 0.0
@@ -56,8 +56,7 @@ def test_zero_field_grid_correction_is_exact():
             params = ModelParams(beta=betas[seed % 3], theta=0.0, seed=seed)
             fg, g = gen_grid(n, params)
             exact = transfer_log_z(fg)
-            if count == 0:
-                assert exact == pytest.approx(exact_log_z_factor(fg), rel=1e-12)
+            assert exact == pytest.approx(exact_log_z_factor(fg), rel=1e-12)
             t0 = time.perf_counter()
             r = solve_forney(g, method="z_empty")
             dt = time.perf_counter() - t0
@@ -77,8 +76,8 @@ def test_zero_field_grid_correction_is_exact():
 
 def test_full_series_matches_exact_and_loop_sum():
     # 25 random planar graphs with up to 6 degree-3 nodes: the summed
-    # removal-set series must reproduce both exhaustive state enumeration
-    # and the brute-force generalized-loop sum to 1e-8 relative
+    # removal-set series must reproduce both the exact log Z and the
+    # generalized-loop sum, each by variable elimination, to 1e-8 relative
     checked = 0
     worst_exact = 0.0
     worst_loops = 0.0
@@ -160,8 +159,8 @@ def test_orientation_parity_everywhere():
 
 
 def test_bp_exact_on_trees():
-    # 100 random tree models: converged BP free energy equals exhaustive
-    # enumeration to 1e-10 relative
+    # 100 random tree models: converged BP free energy equals the exact
+    # log Z to 1e-10 relative
     worst = 0.0
     for seed in range(100):
         size = 2 + seed % 14
@@ -180,7 +179,7 @@ def test_correction_dominates_bp_on_attractive_fields():
     # at least as accurate, and with all-positive magnetizations the
     # estimates must bracket from below: bp <= corrected <= exact. The
     # exact values come from the row transfer matrix, checked against
-    # exhaustive enumeration on the first instance
+    # variable elimination on every instance
     thetas = (0.1, 1.0)
     betas = (0.1, 0.5, 1.0, 1.5, 2.0)
     sizes = (4, 5)
@@ -194,8 +193,7 @@ def test_correction_dominates_bp_on_attractive_fields():
         params = ModelParams(beta=beta, theta=theta, attractive=True, seed=300 + idx)
         fg, g = gen_grid(n, params)
         exact = transfer_log_z(fg)
-        if idx == 0:
-            assert exact == pytest.approx(exact_log_z_factor(fg), rel=1e-12)
+        assert exact == pytest.approx(exact_log_z_factor(fg), rel=1e-12)
         core, log_const = two_core(g)
         res = run_bp(core, max_iterations=1500)
         if not res.converged:
@@ -275,7 +273,7 @@ def _prism_factor_graph(beta: float, theta: float, seed: int):
 
 def test_prism_series_term_dominance():
     # degree-3 variable graph at three temperatures: the full 32-term
-    # series must hit enumeration to 1e-8, with the empty removal set as
+    # series must hit the exact log Z to 1e-8, with the empty removal set as
     # the dominant term in every regime
     for beta in (0.1, 0.5, 1.5):
         fg = _prism_factor_graph(beta, theta=0.1, seed=17)
@@ -296,5 +294,5 @@ def test_prism_series_term_dominance():
         assert dominant.psi == (), f"beta {beta}: dominant term {dominant.psi}"
     print(
         "PASS prism series: 3 temperature regimes, 32 terms each, "
-        "series matches enumeration to 1e-8 with the empty set dominant"
+        "series matches exact to 1e-8 with the empty set dominant"
     )

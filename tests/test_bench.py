@@ -132,7 +132,7 @@ def test_solve_runs_bp_once(monkeypatch):
 
 def test_solve_takes_either_model_kind():
     # every method but exact reduces a factor graph to the normal form the
-    # generator returns; exact enumerates each kind as given
+    # generator returns; exact eliminates the variables of each kind as given
     fg, g = gen_grid(2, ModelParams(beta=1.0, theta=0.1, seed=3))
     for method in ("bp", "z_empty", "pfaffian", "loop_oracle"):
         assert solve_forney(fg, method=method) == solve_forney(g, method=method), method
@@ -281,7 +281,7 @@ def test_correction_beats_bp_in_summary():
 
 
 def test_exact_row_times_its_enumeration(monkeypatch):
-    # the exact row's wall_ms is the enumeration that produced logz_exact
+    # the exact row's wall_ms is the elimination that produced logz_exact
     real = bench.exact_log_z_factor
 
     def slow(fg):

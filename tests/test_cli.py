@@ -27,7 +27,7 @@ def _value(text, key):
 
 
 def test_gen_solve_oracle_round_trip(tmp_path, capsys):
-    # 2x2 so the two-core stays under the loop enumeration cap
+    # a 2x2 grid through z_empty and both reference methods
     model = tmp_path / "m.txt"
     code, out, _ = _run(
         capsys,
@@ -51,6 +51,21 @@ def test_gen_solve_oracle_round_trip(tmp_path, capsys):
     assert code == 0
     loop_est = float(_value(out, "log_z"))
     assert abs(loop_est - est) < 1e-6
+
+
+def test_loop_oracle_matches_exact_on_a_grid(tmp_path, capsys):
+    # BP times the loop sum over the 5x5 grid's two-core, 110 edges and
+    # 238,281,249 generalized loops, is the exact log Z
+    model = tmp_path / "g5.txt"
+    _run(capsys, "gen", "--grid", "5", "--beta", "1", "--theta", "1", "--out", str(model))
+    code, out, _ = _run(capsys, "solve", "--model", str(model), "--method", "loop_oracle")
+    assert code == 0
+    assert _value(out, "note") == "loops-238281249"
+    loops = float(_value(out, "log_z"))
+    code, out, _ = _run(capsys, "solve", "--model", str(model), "--method", "exact")
+    assert code == 0
+    exact = float(_value(out, "log_z"))
+    assert abs(loops - exact) <= 1e-9 * abs(exact)
 
 
 def test_gen_to_stdout(capsys):
@@ -204,6 +219,20 @@ def test_run_config(tmp_path, capsys):
     lines = out_csv.read_text().splitlines()
     assert lines[0].startswith("row,instance")
     assert len(lines) == 1 + 2 + 4  # header, 2 data rows, 4 summary rows
+
+
+def test_run_reports_exact_up_to_the_bucket_cap(tmp_path, capsys):
+    # a 6x6 grid, 36 variables, has its exact log Z; a 24x24 grid's buckets
+    # would outgrow the cap, so its row notes exact-unavailable and the
+    # sweep exits 2
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("generator = grid\nsizes = 6 24\nbetas = 1\nthetas = 1\nseeds = 0\nmethods = exact\n")
+    code, out, _ = _run(capsys, "run", "--config", str(cfg))
+    assert code == 2
+    rows = {r["size"]: r for r in csv.DictReader(out.splitlines()) if r["row"] == "data"}
+    assert float(rows["6"]["logz_exact"]) == float(rows["6"]["logz_est"])
+    assert rows["6"]["note"] == ""
+    assert rows["24"]["logz_exact"] == "" and rows["24"]["note"] == "exact-unavailable"
 
 
 def test_missing_model_file_errors(capsys):

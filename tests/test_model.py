@@ -1,14 +1,16 @@
 """Model containers, conversions, reductions, and the exact oracles.
 
-The exact enumerators are the ground truth for everything downstream, so
-they get the most paranoid checks here: closed-form cases, agreement
-between the edge-level and factor-level enumerations, and invariance of Z
-under every structural transformation.
+The exact oracles are the ground truth for everything downstream, so they
+get the most paranoid checks here: closed-form cases, brute force and the
+transfer matrix, agreement between the edge-level and factor-level
+eliminations, and invariance of Z under every structural transformation
+and every order the model is listed in.
 """
 
 import importlib
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -26,11 +28,20 @@ from planarz import (
     grid_factor_graph,
     reduce_degree,
     solve_forney,
+    spiderweb_factor_graph,
     two_core,
 )
 from planarz.model import canon_edge
 
-from builders import cycle_forney, ladder_graph, random_planar_forney, random_tree_forney
+from builders import (
+    cycle_forney,
+    ladder_graph,
+    random_planar_forney,
+    random_tree_forney,
+    shuffled_factor_graph,
+    shuffled_forney,
+    triangular_lattice,
+)
 from oracles import assignment_to_index, brute_log_z_factor, index_to_assignment, transfer_log_z
 
 model_module = importlib.import_module("planarz.model")
@@ -197,27 +208,37 @@ def test_factor_oracle_matches_brute_force_on_random_scopes():
 
 
 def test_transfer_oracle_matches_enumeration_on_grids():
-    # the grid acceptance tests take their exact values from it
-    for n, theta, attractive, seed in ((3, 1.0, False, 1), (4, 0.0, False, 0), (4, 1.0, True, 3)):
+    # the grid acceptance tests take their exact values from it; at 16x16,
+    # 256 variables, the elimination's buckets hold up to 17
+    cases = ((3, 1.0, False, 1), (4, 0.0, False, 0), (4, 1.0, True, 3), (16, 1.0, False, 0))
+    for n, theta, attractive, seed in cases:
         fg = grid_factor_graph(n, ModelParams(1.0, theta, attractive, seed))
         assert transfer_log_z(fg) == pytest.approx(exact_log_z_factor(fg), rel=1e-12), n
 
 
 def test_factor_oracle_spans_the_chunk_split():
-    # 25 variables: the top ones are enumerated chunk by chunk, and reversing
-    # the variable order changes which factors cross the split
+    # 25 variables: reversing the variable order renumbers the interaction
+    # graph, so the elimination breaks its ties another way
     fg = grid_factor_graph(5, ModelParams(1.0, 1.0, seed=3))
     rev = FactorGraph(fg.variables[::-1], [(f.id, f.scope, f.table) for f in fg.factors])
     assert exact_log_z_factor(rev) == pytest.approx(exact_log_z_factor(fg), rel=1e-12)
 
 
-def test_oracles_do_not_depend_on_chunk_size(monkeypatch):
-    graphs = [ladder_graph(seed=3), random_planar_forney(5)]
-    fg = grid_factor_graph(3, ModelParams(1.0, 1.0, seed=1))
-    want = [exact_log_z(g) for g in graphs] + [exact_log_z_factor(fg)]
-    monkeypatch.setattr(model_module, "_CHUNK_BITS", 4)
-    got = [exact_log_z(g) for g in graphs] + [exact_log_z_factor(fg)]
-    assert got == pytest.approx(want, rel=1e-12)
+def test_exact_oracles_do_not_depend_on_model_order():
+    # the elimination order is read off the variables as listed: listing
+    # the variables, the factors, the nodes and each scope or neighbour
+    # tuple in another order moves log Z by rounding only
+    fgs = [grid_factor_graph(6, ModelParams(1.0, 1.0, seed=2)), triangular_lattice(5, seed=1)]
+    fgs.append(spiderweb_factor_graph(2, 5, ModelParams(1.0, 0.5, seed=4)))
+    for fg in fgs:
+        want = exact_log_z_factor(fg)
+        for seed in range(3):
+            assert exact_log_z_factor(shuffled_factor_graph(fg, seed)) == pytest.approx(want, rel=1e-12)
+    core, _ = two_core(reduce_degree(factor_to_forney(fgs[0])))
+    for g in (ladder_graph(seed=3), random_planar_forney(5), core):
+        want = exact_log_z(g)
+        for seed in range(3):
+            assert exact_log_z(shuffled_forney(g, seed)[0]) == pytest.approx(want, rel=1e-12)
 
 
 def test_kept_builds_once_per_topology():
@@ -259,10 +280,22 @@ def test_kept_builds_once_per_topology():
     assert calls[-2:] == ["flaky", "flaky"]
 
 
-def test_enumeration_cap():
-    g = random_tree_forney(40, seed=2)
-    with pytest.raises(ModelError):
-        exact_log_z(g)
+def test_elimination_cap_names_its_bucket(monkeypatch):
+    # a 32x32 grid's best order needs a bucket of 33 variables, over the
+    # cap of 22: refused at once, from the symbolic elimination alone
+    fg = grid_factor_graph(32, ModelParams(1.0, 1.0, seed=0))
+    t0 = time.perf_counter()
+    with pytest.raises(ModelError, match="bucket of 33 variables, capped at 22"):
+        exact_log_z_factor(fg)
+    assert time.perf_counter() - t0 < 1.0
+    # the cap is inclusive: a 4x4 grid takes a bucket of 5 variables
+    small = grid_factor_graph(4, ModelParams(1.0, 1.0, seed=0))
+    want = exact_log_z_factor(small)
+    monkeypatch.setattr(model_module, "MAX_BUCKET", 5)
+    assert exact_log_z_factor(small) == want
+    monkeypatch.setattr(model_module, "MAX_BUCKET", 4)
+    with pytest.raises(ModelError, match="bucket of 5 variables, capped at 4"):
+        exact_log_z_factor(small)
 
 
 # ---------------------------------------------------------------- conversion

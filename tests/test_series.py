@@ -1,8 +1,8 @@
 """Loop corrections: the 2-regular term, the full series, and the oracle.
 
-Three-way agreement is the point: the matching-based series, the brute
-enumeration of generalized loops, and exhaustive state enumeration must
-all coincide. The ladder census (counts per removal set) is frozen from a
+Three-way agreement is the point: the matching-based series, the sum of
+generalized loops, and the exact log Z must all coincide, and the loop sum
+must match a brute scan of every edge subset. The ladder census (counts per removal set) is frozen from a
 hand derivation.
 """
 
@@ -11,7 +11,6 @@ import math
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
-from fractions import Fraction
 
 import networkx as nx
 import numpy as np
@@ -41,7 +40,7 @@ from planarz import (
     z_empty,
 )
 from planarz.planar import _weight_pool
-from builders import cycle_forney, ladder_graph, random_planar_forney
+from builders import cycle_forney, ladder_graph, permuted_table, random_planar_forney, shuffled_forney
 from oracles import (
     dense_minor_term,
     enumerate_loops,
@@ -51,6 +50,7 @@ from oracles import (
     folded_tutte_matrix,
     kasteleyn_matrix,
     layout_tutte_matrix,
+    log_abs,
     lower,
     reference_matching,
 )
@@ -130,27 +130,33 @@ def test_loop_weights_product_form():
 
 
 def test_loop_correction_streams_same_total():
-    g = ladder_graph(seed=4)
-    res = _bp(g)
-    total, count = loop_correction(g, res)
-    loops = enumerate_loops(g, res)
-    assert count == len(loops)
-    assert total == pytest.approx(1.0 + sum(l.weight for l in loops), rel=1e-14)
+    # the elimination's total and count against the oracle's own mask scan
+    for g in (ladder_graph(seed=4), random_planar_forney(5)):
+        res = _bp(g)
+        for regular_only in (False, True):
+            total, count = loop_correction(g, res, regular_only)
+            loops = enumerate_loops(g, res, regular_only)
+            assert count == len(loops)
+            assert total == pytest.approx(1.0 + sum(l.weight for l in loops), rel=1e-14)
 
 
-def test_loop_oracle_does_not_depend_on_chunk_size(monkeypatch):
-    # 17 edges in chunks of 2^6 masks: same loops, order, triplets and weights
-    g = random_planar_forney(5)
-    res = _bp(g)
+def test_loop_sum_does_not_depend_on_node_order():
+    # a 5x5 grid's core, 110 edges and 238,281,249 loops: renaming and
+    # reordering its nodes and their neighbours renumbers the edges, the
+    # elimination's variables, and moves the total by rounding only
+    core, _ = two_core(gen_grid(5, ModelParams(1.0, 1.0, seed=0))[1])
+    res = _bp(core)
+    assert core.num_edges == 110
     for regular_only in (False, True):
-        want = enumerate_loops(g, res, regular_only)
-        total, count = loop_correction(g, res, regular_only)
-        with monkeypatch.context() as m:
-            m.setattr(importlib.import_module("planarz.model"), "_CHUNK_BITS", 6)
-            got = enumerate_loops(g, res, regular_only)
-            assert loop_correction(g, res, regular_only) == pytest.approx((total, count), rel=1e-12)
-        assert [(l.edges, l.triplets) for l in got] == [(l.edges, l.triplets) for l in want]
-        assert [l.weight for l in got] == pytest.approx([l.weight for l in want], rel=1e-12)
+        total, count = loop_correction(core, res, regular_only)
+        for seed in range(3):
+            h, name, perm = shuffled_forney(core, seed)
+            weights = {name[a]: permuted_table(w, perm[a]) for a, w in res.loop_weights.items()}
+            got = loop_correction(h, replace(res, loop_weights=weights), regular_only)
+            assert got[0] == pytest.approx(total, rel=1e-12)
+            assert got[1] == count
+        if not regular_only:
+            assert count == 238_281_249
 
 
 def test_loop_enumeration_caps():
@@ -559,7 +565,7 @@ def test_cancelling_border_falls_back_to_the_dense_minor():
     pairs = [o.orientation[k][::-1] if k in flip else o.orientation[k] for k in reference_matching(g, o.ext, psi)]
     sign = matching_sign([(at[t], at[h]) for t, h in pairs])
     assert term.z_psi.sign == sign * (1 if exact > 0 else -1)
-    log_exact = math.log(abs(exact.numerator)) - math.log(exact.denominator)
+    log_exact = log_abs(exact)
     assert log_exact == pytest.approx(-29.5, abs=0.1)
     assert term.z_psi.log_magnitude == pytest.approx(log_exact, rel=0, abs=1e-12)
 
@@ -1007,10 +1013,7 @@ def test_folded_pfaffian_is_exact():
         exact = exact_pfaffian(lay.pattern.entries(pool).dense())
         got = pfaffian(lay.fold.entries(pool))
         assert exact != 0 and lay.fold_sign * got.sign == (1 if exact > 0 else -1)
-        # log |exact| to the last bit: its float after a power-of-two shift
-        shift = exact.numerator.bit_length() - exact.denominator.bit_length()
-        log_exact = math.log(abs(float(exact / Fraction(2) ** shift))) + shift * math.log(2)
-        assert got.log_magnitude == pytest.approx(log_exact, rel=0, abs=1e-14)
+        assert got.log_magnitude == pytest.approx(log_abs(exact), rel=0, abs=1e-14)
         checked += 1
     assert checked == 53
 

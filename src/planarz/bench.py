@@ -173,11 +173,12 @@ def solve_forney(
     uses them or not. exact eliminates the variables of the model as given:
     a factor graph through its factor-level oracle, a normal-form graph
     through its edge variables; one whose buckets would outgrow
-    model.MAX_BUCKET raises ModelError, and so does a loop_oracle whose
-    two-core's does. Every other method runs on the reduced normal form
-    (see _normal_form). BP runs once, on its two-core; a run that does not
-    converge within max_iterations sweeps notes bp-not-converged and the
-    estimate still comes from its final messages. The two-core constant
+    model.MAX_BUCKET raises model.BucketCapError, a ModelError, and so
+    does a loop_oracle whose two-core's does. Every other method runs on
+    the reduced normal form (see _normal_form). BP runs once, on its
+    two-core; a run that does not converge within max_iterations sweeps
+    notes bp-not-converged and the estimate still comes from its final
+    messages. The two-core constant
     from dangling-tree absorption is folded back into every estimate.
     """
     if method not in METHODS:

@@ -5,10 +5,10 @@ log Z for one model; the methods exact and loop_oracle give the reference
 values, by variable elimination over the model's variables and over its
 two-core's edges), run (config-driven experiment sweep to CSV). Exit code
 0 means every requested quantity was produced; 1 flags a usage error (an
-unknown option, method or subcommand, or an invalid option value), an
-unreadable, malformed or non-planar input, or a reference whose
-elimination would outgrow its bucket cap; 2 flags an estimate that is
-unavailable or a partial failure.
+unknown option, method or subcommand, or an invalid option value) or an
+unreadable, malformed or non-planar input; 2 flags an estimate that is
+unavailable, a reference whose elimination would outgrow its bucket cap
+included, or a partial failure.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .bench import (
     spiderweb_factor_graph,
 )
 from .bp import BPNumericError
-from .model import ModelParams
+from .model import BucketCapError, ModelParams
 from .io import read_model, write_factor_graph, write_model
 from .pfaffian import OrientationError
 
@@ -126,12 +126,14 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return _cmd_solve(args)
         return _cmd_run(args)
+    # unavailable estimates, as run's failed:<class> and exact-unavailable
+    # rows; BucketCapError is a ModelError, so this comes first
+    except (BPNumericError, OrientationError, BucketCapError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:  # ModelError and NonPlanarError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (BPNumericError, OrientationError) as exc:  # as run's failed:<class> rows
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -37,6 +37,12 @@ class ModelError(ValueError):
     """Structurally invalid model, conversion, or oracle request."""
 
 
+class BucketCapError(ModelError):
+    """An exact elimination would need a bucket over more than MAX_BUCKET
+    variables: the reference is unavailable for this model, whose input is
+    not at fault."""
+
+
 def _check_table(owner: str, table, k: int) -> np.ndarray:
     t = np.asarray(table, dtype=float)
     if t.shape != (1 << k,):
@@ -510,7 +516,7 @@ def _eliminate(n: int, tables, combine, marginalize):
     level = _level_order({p: sorted(nbrs) for p, nbrs in adj.items()})
     order, largest = min(_elimination_order(adj), _elimination_order(adj, level), key=lambda o: o[1])
     if largest > MAX_BUCKET:
-        raise ModelError(f"exact elimination needs a bucket of {largest} variables, capped at {MAX_BUCKET}")
+        raise BucketCapError(f"exact elimination needs a bucket of {largest} variables, capped at {MAX_BUCKET}")
     rank = [0] * n
     for r, p in enumerate(order):
         rank[p] = r

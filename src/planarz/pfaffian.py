@@ -63,9 +63,10 @@ PIVOT_THRESHOLD = 1e-12
 # z_total); ROADMAP item 2 replaces this per-term test with an error
 # budget on the total
 HADAMARD_FRACTION = 1e-6
-# least side of a SparseSkew's front: it holds an 8x8 grid's windows
-# (under 64 wide) and the rows ahead of them, and a 32x32 grid's (up to 198
-# wide) after one or two doublings. Its size does not move the time
+# least side of a SparseSkew's front: it holds the windows of an 8x8
+# grid's contracted K (15 wide on average, 29 at most) and the rows ahead
+# of them, and a 32x32 grid's (55 to 59 on average, up to 112) after a
+# doubling. Its size does not move the time
 FRONT = 128
 
 
@@ -202,8 +203,10 @@ class TuttePattern:
     An oriented graph's Tutte matrix (tutte_pattern) has k = 1: sign is +1
     where entry i's edge points from the larger port to the smaller, and
     edge[i, 0] is where that edge's weight sits in the weight array, its
-    ExtendedGraph.source. The series' fold of the degree-2 gadgets out of
-    it (series._fold) has k = 3."""
+    ExtendedGraph.source. The series' contraction of small tree clusters
+    out of it (series._contract) has k up to series.CLUSTER, each entry
+    the gadget weights along a tree path, padded with the index of the
+    weight array's 1.0."""
 
     shape: tuple
     rows: np.ndarray

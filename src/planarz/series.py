@@ -12,17 +12,19 @@ set's matching, every port matched externally, and its sign are kept in
 the topology's layout, so its term, Pf(K) itself, does no matching
 work; every other term finds its matching through a T-join near the
 removed nodes and reads its sign off the ports where it differs from the
-kept one (see _prepare). Pf(K) is one Pfaffian of K's fold (_fold):
-a degree-2 node's two ports are eliminated in closed form, a Schur
-complement on their 2 x 2 block with nothing divided, and folding about
-half the degree-2 nodes leaves about 40% fewer ports. Past the empty
-set, the series takes K^-1 once, and every other term is a small
-Pfaffian over the minor's border; K, its inverse and every full minor
-stay unfolded. The oriented graph, the TuttePatterns of K and of its
-fold (each entry's place and sign), the empty set's matching and the
-defect lines depend on the model's topology alone: they are one
-_Layout, embedded, oriented and checked once per topology and kept in
-the per-topology slot that also keeps BP's plan (model._kept). So does
+kept one (see _prepare). Pf(K) is one Pfaffian of K's contraction
+(_contract): the model's nodes fall into small induced trees
+(_clusters), and the two ports of each tree edge are eliminated in
+closed form, a Schur complement on their 2 x 2 block whose entry is the
+external edge, exactly +-1, so nothing is divided; about a third of the
+ports are left. Past the empty set, the series takes K^-1 once, and
+every other term is a small Pfaffian over the minor's border; K, its
+inverse and every full minor stay uncontracted. The oriented graph, the
+TuttePatterns of K and of its contraction (each entry's place and
+sign), the empty set's matching and the defect lines depend on the
+model's topology alone: they are one _Layout, embedded, oriented and
+checked once per topology and kept in the per-topology slot that also
+keeps BP's plan (model._kept). So does
 everything a removal set's term needs but K's values: which sets
 have no T-join, and each other set's sign parity, its border's indices
 and its kept flipped edges' places among K's entries. They are one
@@ -30,14 +32,14 @@ _TermPlan per even cap on |psi|, over every set up to the cap, planned
 on the topology's first series at that cap. The layout and the plans
 carry no weight and need no BP result: every solve's K is the pattern
 filled from its BPResult's loop weights, the one place they reach K (and
-its fold, filled the same way), and a warm series only gathers K^-1 and
-the flipped edges' weights into the planned borders: those of up to
-BORDER_BATCH removal sets, of any sizes, take one
+its contraction, filled the same way), and a warm series only gathers
+K^-1 and the flipped edges' weights into the planned borders: those of
+up to BORDER_BATCH removal sets, of any sizes, take one
 pfaffian.bordered_pfaffians call, one stacked elimination. A term whose
 border cancels, or that flips an edge with no entry in K, takes the full
 minor from the entries (pfaffian.minor_pfaffian) instead.
 K is built dense only for that one inverse, so z_empty never builds an
-n x n matrix, nor K's entries: only the fold's.
+n x n matrix, nor K's entries: only the contraction's.
 
 loop_correction is the exhaustive oracle for both: the sum over every
 edge subset, the edges being the variables of the model's one elimination
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bp import BPResult
-from .model import ForneyGraph, ModelError, _bfs, _eliminate, _kept, canon_edge
+from .model import ForneyGraph, ModelError, _bfs, _eliminate, _kept, _level_order, canon_edge
 from .pfaffian import (
     OrientationError,
     TuttePattern,
@@ -77,6 +79,12 @@ from .slog import SignedLog
 # borders, 26 in a 12x12 grid's |psi| <= 2 plan, 20 in a 4x4 grid's |psi|
 # <= 4 and 30 in spiderweb(3, 6)'s, is 2.8, 1.6 and 3.7 MB
 BORDER_BATCH = 512
+# nodes per cluster of the contraction Pf(K) is taken on (see _contract).
+# Larger clusters leave fewer ports but denser blocks: on the 32x32 beta 1
+# theta 1 grid caps 4, 6, 8, 12, 16 and 32 keep 4,920 to 2,500 ports and
+# Pf takes 140, 103, 93, 117, 222 and 250 ms; 12 gains about 10% at 8x8
+# and 12x12, and 8 is near the best at every size tried
+CLUSTER = 8
 
 
 @dataclass(frozen=True)
@@ -111,8 +119,8 @@ class _Layout:
     checked odd, and pattern its tutte_pattern, whose edge indexes
     planar._weight_pool through o.ext.source, so that K for any BPResult
     res on the topology is pattern.entries(_weight_pool(g, res)). fold is
-    the pattern of K with degree-2 gadgets folded out, indexing the same
-    pool, and Pf(K) = fold_sign * Pf(fold.entries(pool)) (see _fold).
+    the pattern of K with the clusters contracted out, indexing the same
+    pool, and Pf(K) = Pf(fold.entries(pool)) (see _contract).
     partner is the empty removal set's matching M_0, every port x matched
     to its external partner partner[x], and sign is M_0's matching_sign
     over its o.orientation pairs. trips are the triplet nodes and lines
@@ -122,7 +130,6 @@ class _Layout:
     o: OrientedPlanarGraph
     pattern: TuttePattern
     fold: TuttePattern
-    fold_sign: int
     partner: tuple
     sign: int
     trips: tuple
@@ -147,72 +154,117 @@ def _layout(g: ForneyGraph) -> _Layout:
         partner[u], partner[v] = v, u
         pairs.append(o.orientation[(u, v) if u < v else (v, u)])
     pattern, trips = tutte_pattern(o), triplet_nodes(g)
-    fold, fold_sign = _fold(g, o, pattern, partner)
-    return _Layout(o, pattern, fold, fold_sign, tuple(partner), matching_sign(pairs), trips, _defect_lines(g, o, trips))
+    fold = _contract(g, o, pattern, partner)
+    return _Layout(o, pattern, fold, tuple(partner), matching_sign(pairs), trips, _defect_lines(g, o, trips))
 
 
-def _fold(g: ForneyGraph, o: OrientedPlanarGraph, pattern: TuttePattern, partner) -> tuple:
-    """(fold, sign): the TuttePattern of K with degree-2 gadgets folded out,
-    and the sign that takes its Pfaffian to Pf(K).
+def _clusters(g: ForneyGraph) -> list:
+    """g's nodes as induced trees of at most CLUSTER nodes: per cluster,
+    its tree edges (x, y), y joining through x, in the order they join.
 
-    Degree-2 nodes are folded greedily in g.nodes order, skipping any node
-    adjacent to one already folded. Folding node a, with ports p and q
-    facing its neighbours b and c and their external partners X = (b, a)
-    and Y = (c, a), drops p and q, adds the entry K'[X, Y] = -K[p, X] *
-    K[q, Y], and multiplies row and column X by K[p, q]. With the folded
-    ports moved to the front, in (p, q) pairs, by a permutation of sign
-    sign, the pairs' diagonal blocks [[0, K[p, q]], [-K[p, q], 0]] take a
-    Schur complement, and the scaling of each X cancels its block's
-    Pfaffian: Pf(K) = sign * Pf(K') exactly. Nothing is divided, so K[p, q]
-    = 0 needs no special case.
+    Each cluster grows breadth first from the first node of
+    model._level_order(g.neighbors) in no cluster yet. A node joins when
+    exactly one of its neighbours is already in the cluster, so the
+    cluster's nodes induce a tree; a node with two stays out of it for
+    good, since the cluster only grows.
+    """
+    done, out = set(), []
+    for seed in _level_order(g.neighbors):
+        if seed in done:
+            continue
+        done.add(seed)
+        members, inside, tree = [seed], {seed}, []
+        for x in members:
+            for y in g.neighbors[x]:
+                if len(members) < CLUSTER and y not in done and sum(b in inside for b in g.neighbors[y]) == 1:
+                    done.add(y)
+                    inside.add(y)
+                    members.append(y)
+                    tree.append((x, y))
+        out.append(tree)
+    return out
 
-    As matchings: the path X - p - q - Y carries either X - p and q - Y,
-    which is the X - Y entry, or p - q with X matched inside b's gadget,
-    which is X's entries scaled by K[p, q].
 
-    No two folded nodes are adjacent, so every X is scaled by one fold and
-    every entry of K' is a signed product of at most three pool weights:
-    the fold's edge array is (m, 3), padded with the index of the pool's
-    1.0, where the external edges' weight sits. The kept ports keep their
-    order. The fold depends on the topology alone.
+def _contract(g: ForneyGraph, o: OrientedPlanarGraph, pattern: TuttePattern, partner) -> TuttePattern:
+    """The TuttePattern of K with _clusters(g) contracted out, whose
+    Pfaffian is Pf(K).
+
+    Each tree edge (x, y) of a cluster, in turn, eliminates its two ports
+    p = (x, y) and X = (y, x): a Schur complement on their 2 x 2 block,
+    whose entry s = K[p, X] is an external edge, exactly +-1. No earlier
+    step has touched it, since it joins two parts of the cluster still
+    apart, so the step is K[u, v] -= s * K[p, u] * K[X, v] for every u
+    next to p and v next to X, and nothing is divided. Its Pfaffian is s.
+
+    The kept ports face out of their clusters. Between two of one cluster
+    the entry is +- the product of the gadget weights along the tree path
+    between them, at most CLUSTER weights; between clusters it is the
+    external edge. Each cluster being an induced tree, every entry is
+    written once and none is a sum: the edge array is (m, k), k the
+    longest product, padded with the index of the pool's 1.0, where the
+    external edges' weight sits. A non-empty two-core keeps 2(E - V +
+    clusters) > 0 ports, numbered in model._level_order of the
+    contracted graph, so that the windows stay narrow. Moving the pivots
+    to the front, in elimination order, is a permutation of sign sgn;
+    sgn times the pivots' product is folded into the row and column of the
+    first kept port, so Pf of the pattern is Pf(K) itself, exact zeros
+    included. The contraction depends on the topology alone.
     """
     n, port = pattern.shape[0], o.ext.port
-    rows, cols, sign, edge = pattern.rows, pattern.cols, pattern.sign, pattern.edge[:, 0]
-    key = rows * n + cols
     one = o.ext.source[-1] if n else 0  # the external edges come last
-
-    def entry(u, v):  # K[u, v] as (sign, pool index)
-        i = np.searchsorted(key, max(u, v) * n + min(u, v))
-        return (sign[i] if u > v else -sign[i]), edge[i]
-
-    scale_sign, scale_edge = np.ones(n), np.full(n, one)  # K[p, q] per X, 1 elsewhere
-    drop = np.zeros(n, dtype=bool)
-    folded, front, joins = set(), [], []
-    for a in g.nodes:
-        nbrs = g.neighbors[a]
-        if len(nbrs) != 2 or folded.intersection(nbrs):
-            continue
-        folded.add(a)
-        p, q = port[(a, nbrs[0])], port[(a, nbrs[1])]
-        x, y = partner[p], partner[q]
-        drop[[p, q]] = True
-        front.append((p, q))
-        scale_sign[x], scale_edge[x] = entry(p, q)
-        (s1, e1), (s2, e2) = entry(p, x), entry(q, y)
-        # K'[x, y] = -s1 s2 w1 w2, stored below the diagonal
-        joins.append((max(x, y), min(x, y), -s1 * s2 if x > y else s1 * s2, e1, e2, one))
-    rest = np.flatnonzero(~drop).tolist()
-    fold_sign = matching_sign(front + list(zip(rest[::2], rest[1::2])))
-    live = ~drop[rows] & ~drop[cols]
-    r, c = rows[live], cols[live]
-    jr, jc, js, *je = np.array(joins, dtype=np.intp).reshape(-1, 6).T
-    s = np.concatenate([sign[live] * scale_sign[r] * scale_sign[c], js])
-    e = np.concatenate([np.stack([edge[live], scale_edge[r], scale_edge[c]], axis=1), np.stack(je, axis=1)])
-    at = np.cumsum(~drop) - 1  # index of each kept port in K'
-    r, c = np.concatenate([at[r], at[jr]]), np.concatenate([at[c], at[jc]])
-    m = len(rest)
-    order = np.argsort(r * m + c)
-    return TuttePattern((m, m), r[order], c[order], s[order], e[order]), fold_sign
+    rows, cols, sign, edge = pattern.rows, pattern.cols, pattern.sign, pattern.edge[:, 0]
+    inner = edge != one
+    # adj[u][v] = (sign, weight indices): K[u, v] is sign times their
+    # product, for u and v in one part of a cluster; outer[u] = K[u,
+    # partner[u]], the external edge
+    adj = [{} for _ in range(n)]
+    for r, c, s, e in zip(rows[inner].tolist(), cols[inner].tolist(), sign[inner].tolist(), edge[inner].tolist()):
+        adj[r][c], adj[c][r] = (s, (e,)), (-s, (e,))
+    outer = np.zeros(n)
+    outer[rows[~inner]], outer[cols[~inner]] = sign[~inner], -sign[~inner]
+    outer = outer.tolist()
+    pivots, total = [], 1
+    for tree in _clusters(g):
+        for x, y in tree:
+            p, q = port[(x, y)], port[(y, x)]
+            s = outer[p]  # K[p, q], the external edge: its weight is the pool's 1.0
+            pivots.append((p, q))
+            total *= s
+            near_p, near_q, adj[p], adj[q] = adj[p], adj[q], None, None
+            for u in near_p:
+                del adj[u][p]
+            for v in near_q:
+                del adj[v][q]
+            for u, (su, wu) in near_p.items():
+                for v, (sv, wv) in near_q.items():
+                    assert v not in adj[u], "an entry is written twice"
+                    t = -s * su * sv
+                    adj[u][v], adj[v][u] = (t, wu + wv), (-t, wu + wv)
+    order = _level_order({u: sorted([*near, partner[u]]) for u, near in enumerate(adj) if near is not None})
+    if order:
+        total *= matching_sign(pivots + list(zip(order[::2], order[1::2])))
+    at = np.full(n, -1)
+    at[order] = np.arange(len(order))
+    # the kept external edges, then each cluster's entries
+    kept = ~inner & (at[rows] >= 0) & (at[cols] >= 0)
+    a, b = at[rows[kept]], at[cols[kept]]
+    r, c = np.maximum(a, b).tolist(), np.minimum(a, b).tolist()
+    s, w = np.where(a > b, sign[kept], -sign[kept]).tolist(), [()] * len(r)
+    at = at.tolist()
+    for u in order:
+        for v, (t, wv) in adj[u].items():
+            if at[u] > at[v]:
+                r.append(at[u])
+                c.append(at[v])
+                s.append(t)
+                w.append(wv)
+    k = max(map(len, w), default=0) or 1
+    r, c, s = np.array(r, dtype=np.intp), np.array(c, dtype=np.intp), np.array(s, dtype=float)
+    s[c == 0] *= total  # the first kept port's row and column
+    w = np.array([x + (one,) * (k - len(x)) for x in w], dtype=np.intp).reshape(-1, k)
+    m = len(order)
+    key = np.argsort(r * m + c)
+    return TuttePattern((m, m), r[key], c[key], s[key], w[key])
 
 
 def _defect_lines(g: ForneyGraph, o: OrientedPlanarGraph, nodes) -> dict:
@@ -239,7 +291,7 @@ def _defect_lines(g: ForneyGraph, o: OrientedPlanarGraph, nodes) -> dict:
 def z_empty(g: ForneyGraph, res: BPResult) -> SignedLog:
     """The 2-regular loop correction: 1 plus the sum over even-degree loops,
     the series' removal-free term: Pf(K) signed by the kept empty-set
-    matching, taken as one Pfaffian of the layout's fold, with no inverse,
+    matching, taken as one Pfaffian of the layout's contraction, with no inverse,
     no dense matrix and no entries of K itself.
 
     Multiply exp of its log against Z^BP to get the corrected estimate. An
@@ -450,8 +502,7 @@ def pfaffian_series(
     trips = lay.trips
     limit = len(trips) if max_psi_size is None else min(max_psi_size, len(trips))
     pool = _weight_pool(g, res)
-    pf = minor_pfaffian(lay.fold.entries(pool), (), {})
-    pf = SignedLog(lay.fold_sign * pf.sign, pf.log_magnitude)  # Pf(K)
+    pf = minor_pfaffian(lay.fold.entries(pool), (), {})  # Pf(K)
     terms = [PfaffianTerm((), SignedLog(lay.sign * pf.sign, pf.log_magnitude), SignedLog.one())]
     dense = 0
     if limit >= 2:  # only removal sets take K itself, and K^-1 from the dense K

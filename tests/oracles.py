@@ -36,9 +36,10 @@ from the magnetizations, the formula planarz.bp replaced with its
 cancellation-free tables;
 layout_tutte_matrix is the series' Tutte matrix placed entry by entry
 from the oriented graph and the loop-weight tables, with none of the
-pattern's index arrays; folded_tutte_matrix folds fold_nodes' degree-2
-gadgets out of a dense K by row and column operations, with none of the
-fold's index arrays or its renumbering.
+pattern's index arrays; contracted_tutte_matrix contracts
+contraction_clusters' trees out of a dense K by numeric Schur
+complements, with none of the contraction's weight products or index
+arrays (it shares model._level_order and matching_sign with the series).
 
 lower is how a test array enters the Pfaffian kernel: its strict lower
 triangle as a SparseSkew.
@@ -59,8 +60,9 @@ from fractions import Fraction
 import numpy as np
 
 from planarz.bp import MESSAGE_FLOOR, RESIDUAL_THRESHOLD, BPNumericError, BPResult
-from planarz.model import ForneyGraph, ModelError, canon_edge
+from planarz.model import ForneyGraph, ModelError, _level_order, canon_edge
 from planarz.pfaffian import PIVOT_THRESHOLD, SparseSkew, matching_sign, pfaffian
+from planarz.series import CLUSTER
 from planarz.slog import SignedLog
 
 
@@ -345,36 +347,70 @@ def layout_tutte_matrix(g, o, res: BPResult) -> np.ndarray:
     return K
 
 
-def fold_nodes(g) -> list:
-    """The degree-2 nodes the series folds out of K: in g.nodes order,
-    each one that no node taken before it neighbours."""
-    taken = {}
-    for a in g.nodes:
-        if g.degree(a) == 2 and not any(b in taken for b in g.neighbors[a]):
-            taken[a] = None
-    return list(taken)
+def contraction_clusters(g) -> list:
+    """The clusters the series contracts out of K before Pf(K), as
+    (members, tree edges (x, y), y joining through x). Each is seeded by
+    the first node of model._level_order(g.neighbors) in no cluster yet
+    and takes, breadth first, every neighbour of a member that is in no
+    cluster and has no other neighbour among the members, up to
+    series.CLUSTER nodes."""
+    taken, out = set(), []
+    for seed in _level_order(g.neighbors):
+        if seed in taken:
+            continue
+        members, tree, i = [seed], [], 0
+        while i < len(members):
+            x = members[i]
+            i += 1
+            for y in g.neighbors[x]:
+                others = [b for b in g.neighbors[y] if b in members]
+                if len(members) < CLUSTER and y not in taken and y not in members and len(others) == 1:
+                    members.append(y)
+                    tree.append((x, y))
+        taken.update(members)
+        out.append((members, tree))
+    return out
 
 
-def folded_tutte_matrix(g, ext, K) -> np.ndarray:
-    """The dense K with fold_nodes(g)'s gadgets folded out: for each folded
-    node a, its ports p, q facing its neighbours b, c and their partners
-    X = (b, a), Y = (c, a), every row and then every column X is multiplied
-    by K[p, q], the lower triangle is mirrored, K'[X, Y] = -K[p, X] *
-    K[q, Y] with K'[Y, X] its negation, and p and q are deleted."""
+def contracted_tutte_matrix(g, ext, K) -> np.ndarray:
+    """The dense K with contraction_clusters(g) contracted out, as the
+    series keeps it for Pf(K): for each tree edge (x, y) in turn, the
+    ports p = (x, y) and q = (y, x) are eliminated by a numeric Schur
+    complement on their 2 x 2 block, K -= s (K[p]^T K[q] - K[q]^T K[p])
+    over the other rows, s = K[p, q] asserted exactly +-1. The kept ports
+    are numbered in model._level_order of the graph joining each to the
+    other kept ports of its cluster and to its external partner, and the
+    row and column of the first one are multiplied by the product of the
+    pivots and the sign of the permutation that puts the pivot pairs, in
+    elimination order, in front of the kept ports, so that its Pfaffian is
+    Pf(K)."""
     K = np.array(K, dtype=float)
-    scale, new, drop = np.ones(len(K)), [], set()
-    for a in fold_nodes(g):
-        b, c = g.neighbors[a]
-        p, q, x, y = ext.port[(a, b)], ext.port[(a, c)], ext.port[(b, a)], ext.port[(c, a)]
-        scale[x] = K[p, q]
-        new.append((x, y, -K[p, x] * K[q, y]))
-        drop |= {p, q}
-    low = np.tril(K * scale[:, None] * scale[None, :])
-    F = low - low.T
-    for x, y, w in new:
-        F[x, y], F[y, x] = w, -w
-    keep = [v for v in range(len(K)) if v not in drop]
-    return F[np.ix_(keep, keep)]
+    clusters = contraction_clusters(g)
+    home = {a: i for i, (members, _) in enumerate(clusters) for a in members}
+    pivots, sign = [], 1.0
+    for _, tree in clusters:
+        for x, y in tree:
+            p, q = ext.port[(x, y)], ext.port[(y, x)]
+            s = K[p, q]
+            assert s in (1.0, -1.0), (x, y, s)
+            w = sorted(set(np.flatnonzero(K[p] != 0).tolist() + np.flatnonzero(K[q] != 0).tolist()) - {p, q})
+            K[np.ix_(w, w)] -= s * (np.outer(K[p, w], K[q, w]) - np.outer(K[q, w], K[p, w]))
+            K[[p, q], :] = K[:, [p, q]] = 0.0
+            pivots.append((p, q))
+            sign *= s
+    dropped = {x for pair in pivots for x in pair}
+    kept = [u for u in range(len(K)) if u not in dropped]
+    nbrs = {}
+    for u in kept:
+        a, b = ext.labels[u]
+        same = [v for v in kept if v != u and home[ext.labels[v][0]] == home[a]]
+        nbrs[u] = sorted(same + [ext.port[(b, a)]])
+    order = _level_order(nbrs)
+    if order:
+        sign *= matching_sign(pivots + list(zip(order[::2], order[1::2])))
+        K[order[0]] *= sign
+        K[:, order[0]] *= sign
+    return K[np.ix_(order, order)]
 
 
 def _new_message(tables, neighbors, msgs, a: str, b: str) -> np.ndarray:

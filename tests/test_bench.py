@@ -280,7 +280,7 @@ def test_correction_beats_bp_in_summary():
     assert mean["z_empty"] < mean["bp"]
 
 
-def test_exact_row_times_its_enumeration(monkeypatch):
+def test_exact_row_times_its_elimination(monkeypatch):
     # the exact row's wall_ms is the elimination that produced logz_exact
     real = bench.exact_log_z_factor
 

@@ -1,6 +1,7 @@
 """Command line round trips and exit codes."""
 
 import csv
+import importlib
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from planarz.bp import BPNumericError
 from planarz.cli import main
 from planarz.io import read_model
 from planarz.slog import SignedLog
+
+model_module = importlib.import_module("planarz.model")
 
 
 def _run(capsys, *argv):
@@ -233,6 +236,19 @@ def test_run_reports_exact_up_to_the_bucket_cap(tmp_path, capsys):
     assert float(rows["6"]["logz_exact"]) == float(rows["6"]["logz_est"])
     assert rows["6"]["note"] == ""
     assert rows["24"]["logz_exact"] == "" and rows["24"]["note"] == "exact-unavailable"
+
+
+def test_solve_past_the_bucket_cap_exits_two(tmp_path, capsys, monkeypatch):
+    # a reference the elimination refuses is unavailable, as run's
+    # exact-unavailable row: exit 2 and its error line, for both methods
+    model = tmp_path / "g4.txt"
+    assert _run(capsys, "gen", "--grid", "4", "--beta", "1", "--theta", "1", "--out", str(model))[0] == 0
+    monkeypatch.setattr(model_module, "MAX_BUCKET", 4)
+    for method in ("exact", "loop_oracle"):
+        code, out, err = _run(capsys, "solve", "--model", str(model), "--method", method)
+        assert code == 2, method
+        assert out == ""
+        assert err.startswith("error: exact elimination needs a bucket of ") and err.endswith(", capped at 4\n"), err
 
 
 def test_missing_model_file_errors(capsys):

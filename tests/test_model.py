@@ -207,7 +207,7 @@ def test_factor_oracle_matches_brute_force_on_random_scopes():
         assert transfer_log_z(fg) == pytest.approx(want, rel=1e-12), f"seed {seed}"
 
 
-def test_transfer_oracle_matches_enumeration_on_grids():
+def test_transfer_oracle_matches_elimination_on_grids():
     # the grid acceptance tests take their exact values from it; at 16x16,
     # 256 variables, the elimination's buckets hold up to 17
     cases = ((3, 1.0, False, 1), (4, 0.0, False, 0), (4, 1.0, True, 3), (16, 1.0, False, 0))
@@ -216,7 +216,7 @@ def test_transfer_oracle_matches_enumeration_on_grids():
         assert transfer_log_z(fg) == pytest.approx(exact_log_z_factor(fg), rel=1e-12), n
 
 
-def test_factor_oracle_spans_the_chunk_split():
+def test_factor_oracle_ignores_the_variable_order():
     # 25 variables: reversing the variable order renumbers the interaction
     # graph, so the elimination breaks its ties another way
     fg = grid_factor_graph(5, ModelParams(1.0, 1.0, seed=3))

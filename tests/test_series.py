@@ -42,12 +42,12 @@ from planarz import (
 from planarz.planar import _weight_pool
 from builders import cycle_forney, ladder_graph, permuted_table, random_planar_forney, shuffled_forney
 from oracles import (
+    contracted_tutte_matrix,
+    contraction_clusters,
     dense_minor_term,
     enumerate_loops,
     exact_pfaffian,
     flipped_minor,
-    fold_nodes,
-    folded_tutte_matrix,
     kasteleyn_matrix,
     layout_tutte_matrix,
     log_abs,
@@ -77,6 +77,11 @@ def _laid_out(g, res):
 def _kept_layout(g):
     # the series' layout of g, as pfaffian_series keeps it
     return model_module._kept(g, series_module._layout)
+
+
+def _contracted_ports(g):
+    # the ports Pf(K) keeps: every tree edge of a cluster drops two
+    return 2 * (g.num_edges - g.num_nodes + len(contraction_clusters(g)))
 
 
 # ---------------------------------------------------------------- loop oracle
@@ -588,9 +593,9 @@ def test_series_never_calls_the_matching_oracle(monkeypatch):
 
 
 def test_z_empty_is_the_series_first_term(monkeypatch):
-    # one Pfaffian, of K with its degree-2 gadgets folded out, two ports
-    # fewer per folded node, and no inverse: a series capped below a
-    # removal set takes nothing that only removal sets use
+    # one Pfaffian, of K with its clusters contracted out, 2(E - V +
+    # clusters) ports, and no inverse: a series capped below a removal set
+    # takes nothing that only removal sets use
     real = pfaffian_module.pfaffian
     dims, inverses = [], []
     monkeypatch.setattr(pfaffian_module, "pfaffian", lambda a: dims.append(a.shape[0]) or real(a))
@@ -598,7 +603,7 @@ def test_z_empty_is_the_series_first_term(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(1) or real_inv(a))
     for g in _series_models():
         res = _bp(g)
-        n = fisher_extend(g).num_vertices - 2 * len(fold_nodes(g))
+        n = _contracted_ports(g)
         assert n < fisher_extend(g).num_vertices
         for run in (lambda: z_empty(g, res), lambda: pfaffian_series(g, res, max_psi_size=1)):
             dims.clear()
@@ -624,7 +629,7 @@ def test_z_empty_builds_no_dense_matrix(monkeypatch):
 
 
 def test_series_takes_one_pfaffian_of_the_full_matrix(monkeypatch):
-    # Pf(K) once, on the windowed kernel, with K's degree-2 gadgets folded
+    # Pf(K) once, on the windowed kernel, with K's clusters contracted
     # out; then one stack of borders per
     # BORDER_BATCH removal sets with a matching, whatever their sizes, each
     # border over the removed ports and both ends of each flipped edge that
@@ -653,7 +658,7 @@ def test_series_takes_one_pfaffian_of_the_full_matrix(monkeypatch):
         o, _ = _laid_out(g, res)
         n = o.ext.num_vertices
         assert series.dense_terms == dense
-        assert dims[0] == n - 2 * len(fold_nodes(g)) and len(dims) == 1 + dense
+        assert dims[0] == _contracted_ports(g) and len(dims) == 1 + dense
         assert set(dims[1:]) <= {n - 3 * size for size in sizes}  # full minors keep every port but psi's
         live = len(model_module._kept(g, series_module._term_plan, max(sizes)).live)
         assert len(stacks) == len(widths) == -(-live // series_module.BORDER_BATCH)
@@ -924,7 +929,7 @@ def test_warm_tutte_entries_are_the_cold_ones(monkeypatch):
     built = []
     monkeypatch.setattr(series_module, "fisher_extend", lambda g: built.append(1) or real_extend(g))
 
-    def cold(r):  # a layout of its own, its fold filled from the pool
+    def cold(r):  # a layout of its own, its contraction filled from the pool
         return series_module._layout(g).fold.entries(_weight_pool(g, r))
 
     for order in ((zeroed, res), (res, zeroed)):
@@ -934,12 +939,12 @@ def test_warm_tutte_entries_are_the_cold_ones(monkeypatch):
             z_empty(g, r)
             assert len(built) - before == (not warm)  # a warm solve lays nothing out
             want = cold(r)
-            assert want.shape[0] == fisher_extend(g).num_vertices - 2 * len(fold_nodes(g))
+            assert want.shape[0] == _contracted_ports(g)
             got = seen[-1]
             assert got.shape == want.shape
             for x, y in ((got.rows, want.rows), (got.cols, want.cols), (got.vals, want.vals)):
                 assert x.tobytes() == y.tobytes()
-            assert len(got.vals) == len(cold(res).vals) - (r is zeroed)
+            assert len(got.vals) == len(cold(res).vals) - 3 * (r is zeroed)  # three tree paths run through the edge
 
 
 def test_layout_needs_no_bp(monkeypatch):
@@ -964,12 +969,12 @@ def test_layout_needs_no_bp(monkeypatch):
         assert _kept_layout(g) is layout
         K = layout_tutte_matrix(g, o, res)
         assert np.array_equal(layout.pattern.entries(_weight_pool(g, res)).dense(), K)
-        assert np.array_equal(seen[-1].dense(), folded_tutte_matrix(g, o.ext, K))
+        assert np.array_equal(seen[-1].dense(), contracted_tutte_matrix(g, o.ext, K))
     assert len(calls) == 1
 
 
 def _fold_models():
-    # the 49-model list, beta 0 grids, whose folded gadgets all weigh 0, and
+    # the 49-model list, beta 0 grids, whose degree-2 gadgets all weigh 0, and
     # cycles of degree-2 nodes alone
     models = [g for g, _ in _forty_nine_models()]
     for n in (2, 3, 4, 8, 16):
@@ -978,23 +983,33 @@ def _fold_models():
     return models
 
 
+def _two_ladders(seed):
+    # two disjoint ladders, their nodes tagged p and q
+    neighbors, tables = {}, {}
+    for tag, part in (("p", ladder_graph(seed=seed)), ("q", ladder_graph(seed=seed + 10))):
+        for a in part.nodes:
+            neighbors[tag + a] = tuple(tag + b for b in part.neighbors[a])
+            tables[tag + a] = part.tables[a]
+    return ForneyGraph(neighbors, tables)
+
+
 def test_folded_pfaffian_is_the_unfolded_one():
-    # Pf(K) = fold_sign * Pf(K'), K' the kept fold filled from the pool:
-    # the same sign and log within 1e-13 of the unfolded kernel's. K' is
-    # the dense oracle's Schur complement of K, bit for bit, two ports
-    # fewer per folded node
+    # Pf(K) = Pf(K'), K' the kept contraction filled from the pool: the
+    # same sign and log within 1e-13 of the unfolded kernel's. K' is the
+    # dense oracle's Schur complement of K, bit for bit, two ports fewer
+    # per tree edge of a cluster; two components contract apart
     zero_weights = cycles = 0
-    for g in _fold_models():
+    for g in _fold_models() + [_two_ladders(seed) for seed in range(3)]:
         res = _bp(g)
         lay, pool = _kept_layout(g), _weight_pool(g, res)
         K, folded = lay.pattern.entries(pool), lay.fold.entries(pool)
-        nodes = fold_nodes(g)
-        assert folded.shape[0] == K.shape[0] - 2 * len(nodes) < K.shape[0]
-        assert np.array_equal(folded.dense(), folded_tutte_matrix(g, lay.o.ext, K.dense()))
+        assert folded.shape[0] == _contracted_ports(g) < K.shape[0]
+        assert np.array_equal(folded.dense(), contracted_tutte_matrix(g, lay.o.ext, K.dense()))
         want, got = pfaffian(K), pfaffian(folded)
-        assert lay.fold_sign * got.sign == want.sign != 0
+        assert got.sign == want.sign != 0
         assert got.log_magnitude == pytest.approx(want.log_magnitude, rel=0, abs=1e-13)
-        zero_weights += all(res.loop_weights[a][0b11] == 0 for a in nodes)
+        pairs = [res.loop_weights[a][0b11] for a in g.nodes if g.degree(a) == 2]
+        zero_weights += bool(pairs) and not any(pairs)
         cycles += all(g.degree(a) == 2 for a in g.nodes)
     # the beta 0 grids; the cycles, random planar models 3 and 11 and the
     # 2x2 beta 0 grid
@@ -1002,8 +1017,8 @@ def test_folded_pfaffian_is_the_unfolded_one():
 
 
 def test_folded_pfaffian_is_exact():
-    # on every fold model of at most 64 ports, fold_sign * Pf(K') is Pf(K)
-    # in rational arithmetic, to 1e-14 in log
+    # on every fold model of at most 64 ports, Pf(K') is Pf(K) in rational
+    # arithmetic, to 1e-14 in log
     checked = 0
     for g in _fold_models():
         lay = _kept_layout(g)
@@ -1012,24 +1027,60 @@ def test_folded_pfaffian_is_exact():
         pool = _weight_pool(g, _bp(g))
         exact = exact_pfaffian(lay.pattern.entries(pool).dense())
         got = pfaffian(lay.fold.entries(pool))
-        assert exact != 0 and lay.fold_sign * got.sign == (1 if exact > 0 else -1)
+        assert exact != 0 and got.sign == (1 if exact > 0 else -1)
         assert got.log_magnitude == pytest.approx(log_abs(exact), rel=0, abs=1e-14)
         checked += 1
     assert checked == 53
 
 
 def test_fold_dimensions():
-    # the fold drops about 40% of the ports: 512 -> 296 on the 8x8 theta 0
-    # grid, 220 -> 140 on 5x5 theta 1 and 44 -> 28 on the benchmark's
-    # spiderweb(1, 4)
+    # the contraction keeps 2(E - V + clusters) ports, about a third: 512
+    # -> 164 on the 8x8 theta 0 grid, 220 -> 64 on 5x5 theta 1 and 44 ->
+    # 12 on the benchmark's spiderweb(1, 4)
     cases = [
-        (gen_grid(8, ModelParams(beta=1.0, theta=0.0, seed=0))[1], 512, 296),
-        (gen_grid(5, ModelParams(beta=1.0, theta=1.0, seed=0))[1], 220, 140),
-        (gen_spiderweb(1, 4, ModelParams(beta=0.5, theta=0.5, seed=0))[1], 44, 28),
+        (gen_grid(8, ModelParams(beta=1.0, theta=0.0, seed=0))[1], 512, 164),
+        (gen_grid(5, ModelParams(beta=1.0, theta=1.0, seed=0))[1], 220, 64),
+        (gen_spiderweb(1, 4, ModelParams(beta=0.5, theta=0.5, seed=0))[1], 44, 12),
     ]
     for g, ports, folded in cases:
-        lay = _kept_layout(two_core(g)[0])
+        g = two_core(g)[0]
+        lay = _kept_layout(g)
         assert (lay.pattern.shape[0], lay.fold.shape[0]) == (ports, folded)
+        assert folded == 2 * (g.num_edges - g.num_nodes + len(series_module._clusters(g)))
+
+
+def test_clusters_are_small_induced_trees():
+    # every node is in one cluster, of at most CLUSTER nodes, whose nodes
+    # induce a tree grown through its listed edges, so never spans two
+    # components. A cycle of 3 to 8 nodes leaves out the node that would
+    # close it, and one of 9 the node past the cap
+    for g in _fold_models() + [_two_ladders(seed) for seed in range(3)]:
+        clusters = contraction_clusters(g)
+        assert series_module._clusters(g) == [tree for _, tree in clusters]
+        assert sorted(a for members, _ in clusters for a in members) == sorted(g.nodes)
+        for members, tree in clusters:
+            inside = set(members)
+            assert len(members) <= series_module.CLUSTER and len(tree) == len(members) - 1
+            assert [y for _, y in tree] == members[1:] and all(x in inside and y in g.neighbors[x] for x, y in tree)
+            assert sum(b in inside for a in members for b in g.neighbors[a]) == 2 * len(tree)
+    for length in range(3, 10):
+        assert [len(m) for m, _ in contraction_clusters(cycle_forney(length, seed=length))] == [length - 1, 1]
+
+
+def test_singular_contraction_stays_an_exact_zero():
+    # a cycle whose gadget weights multiply to -1: its two matchings cancel,
+    # so Pf(K) = 1 - 1 is exactly zero, and so is Pf(K'), and z_empty
+    for length in range(3, 10):
+        g = cycle_forney(length, seed=length)
+        res = _bp(g)
+        weights = {a: t.copy() for a, t in res.loop_weights.items()}
+        for a, w in zip(g.nodes, [-2.0, 0.5] + [1.0] * length):
+            weights[a][0b11] = w
+        pool = _weight_pool(g, replace(res, loop_weights=weights))
+        lay = _kept_layout(g)
+        assert pfaffian(lay.pattern.entries(pool)).sign == 0
+        assert pfaffian(lay.fold.entries(pool)) == SignedLog.zero()
+        assert z_empty(g, replace(res, loop_weights=weights)) == SignedLog.zero()
 
 
 def test_non_planar_model_is_never_laid_out(monkeypatch):
